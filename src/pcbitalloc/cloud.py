@@ -7,12 +7,14 @@ common use are supported: ``format ascii 1.0`` and
 (float32 or int32) and red,green,blue (uint8). Unknown scalar vertex
 properties are skipped with a warning. The writer records the bit depth
 in a ``comment bit_depth N`` line so a save/load round trip restores it;
-absent that, the smallest depth containing all coordinates is used.
+absent that, the smallest depth containing all coordinates is used, and a
+comment smaller than that depth is rejected. The reader also rejects
+non-finite coordinates, coordinates of 2^31 or more in magnitude and
+fractional colors. Both bodies are parsed and written as whole arrays.
 """
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,20 +33,16 @@ LUMA_WEIGHTS = {
 }
 LUMA_SCALE = 10000
 
-_PLY_SCALAR_SIZES = {
-    "char": 1, "int8": 1, "uchar": 1, "uint8": 1,
-    "short": 2, "int16": 2, "ushort": 2, "uint16": 2,
-    "int": 4, "int32": 4, "uint": 4, "uint32": 4,
-    "float": 4, "float32": 4,
-    "double": 8, "float64": 8,
+# PLY scalar type -> little-endian numpy dtype code.
+_PLY_DTYPES = {
+    "char": "<i1", "int8": "<i1", "uchar": "<u1", "uint8": "<u1",
+    "short": "<i2", "int16": "<i2", "ushort": "<u2", "uint16": "<u2",
+    "int": "<i4", "int32": "<i4", "uint": "<u4", "uint32": "<u4",
+    "float": "<f4", "float32": "<f4",
+    "double": "<f8", "float64": "<f8",
 }
-_PLY_STRUCT_CODES = {
-    "char": "b", "int8": "b", "uchar": "B", "uint8": "B",
-    "short": "h", "int16": "h", "ushort": "H", "uint16": "H",
-    "int": "i", "int32": "i", "uint": "I", "uint32": "I",
-    "float": "f", "float32": "f",
-    "double": "d", "float64": "d",
-}
+# Coordinates must lie below 2^31, the range of the PLY ``int`` the writer uses.
+_COORD_LIMIT = float(1 << 31)
 
 
 @dataclass(frozen=True)
@@ -156,7 +154,7 @@ def _parse_header(fh):
                 if len(tok) != 3:
                     raise PlyHeaderError(f"malformed property line: {line!r}")
                 ptype, pname = tok[1], tok[2]
-                if ptype not in _PLY_SCALAR_SIZES:
+                if ptype not in _PLY_DTYPES:
                     raise PlyHeaderError(f"unknown property type {ptype!r}")
                 props.append((pname, ptype))
         elif tok[0] == "end_header":
@@ -185,9 +183,34 @@ def _locate_columns(props):
     return {n: names.index(n) for n in known}
 
 
-def _round_coords(values: np.ndarray) -> np.ndarray:
-    # np.rint rounds halves to even, matching the documented convention
-    return np.rint(values).astype(np.int64)
+def _read_body(fh, fmt: str, n_vertex: int, props) -> np.ndarray:
+    """The vertex rows as an (n_vertex, len(props)) float64 array."""
+    if fmt == "ascii":
+        with warnings.catch_warnings():
+            # loadtxt warns about blank lines, which it skips, and about an
+            # empty body, which the row count below rejects
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                data = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2,
+                                  usecols=range(len(props)), max_rows=n_vertex)
+            except ValueError as exc:
+                raise PlyBodyError(f"vertex data: {exc}") from None
+        if len(data) < n_vertex:
+            raise PlyBodyError(f"vertex data truncated at row {len(data)}")
+        return data
+    dtype = np.dtype([(f"p{i}", _PLY_DTYPES[t]) for i, (_, t) in enumerate(props)])
+    blob = fh.read(dtype.itemsize * n_vertex)
+    if len(blob) < dtype.itemsize * n_vertex:
+        raise PlyBodyError(
+            f"binary body truncated: expected {dtype.itemsize * n_vertex} bytes, "
+            f"got {len(blob)}"
+        )
+    rows = np.frombuffer(blob, dtype=dtype)
+    return np.stack([rows[name] for name in dtype.names], axis=1).astype(np.float64)
+
+
+def _first_bad_row(bad: np.ndarray) -> int:
+    return int(np.flatnonzero(bad.any(axis=1))[0])
 
 
 def load_ply(path) -> PointCloud:
@@ -198,51 +221,47 @@ def load_ply(path) -> PointCloud:
         if n_vertex < 1:
             raise PlyHeaderError("vertex count must be >= 1")
         cols = _locate_columns(props)
-        if fmt == "ascii":
-            rows = []
-            for i in range(n_vertex):
-                raw = fh.readline()
-                if not raw:
-                    raise PlyBodyError(f"vertex data truncated at row {i}")
-                fields = raw.split()
-                if len(fields) < len(props):
-                    raise PlyBodyError(f"vertex row {i} has too few fields")
-                try:
-                    rows.append([float(fields[k]) for k in range(len(props))])
-                except ValueError as exc:
-                    raise PlyBodyError(f"vertex row {i}: {exc}") from None
-            data = np.asarray(rows, dtype=np.float64)
-        else:
-            codes = "<" + "".join(_PLY_STRUCT_CODES[t] for _, t in props)
-            stride = struct.calcsize(codes)
-            blob = fh.read(stride * n_vertex)
-            if len(blob) < stride * n_vertex:
-                raise PlyBodyError(
-                    f"binary body truncated: expected {stride * n_vertex} bytes, "
-                    f"got {len(blob)}"
-                )
-            it = struct.iter_unpack(codes, blob)
-            data = np.asarray([row for row in it], dtype=np.float64)
+        data = _read_body(fh, fmt, n_vertex, props)
 
-    xyz = np.stack(
-        [data[:, cols["x"]], data[:, cols["y"]], data[:, cols["z"]]], axis=1
-    )
-    rgb = np.stack(
-        [data[:, cols["red"]], data[:, cols["green"]], data[:, cols["blue"]]], axis=1
-    )
-    positions = _round_coords(xyz)
+    xyz = data[:, [cols["x"], cols["y"], cols["z"]]]
+    rgb = data[:, [cols["red"], cols["green"], cols["blue"]]]
+    with np.errstate(invalid="ignore"):
+        bad = ~(np.abs(xyz) < _COORD_LIMIT)  # also true for NaN
+    if bad.any():
+        row = _first_bad_row(bad)
+        raise PlyBodyError(
+            f"vertex row {row}: coordinates {xyz[row].tolist()} are not finite "
+            "or not below 2^31 in magnitude"
+        )
+    fractional = rgb != np.rint(rgb)  # also true for NaN
+    if fractional.any():
+        row = _first_bad_row(fractional)
+        raise PlyBodyError(f"vertex row {row}: color values {rgb[row].tolist()} "
+                           "are not integers")
     if rgb.min() < 0 or rgb.max() > 255:
         raise PlyBodyError("color values outside [0, 255]")
-    colors = rgb.astype(np.uint8)
+    # np.rint rounds halves to even, matching the documented convention
+    positions = np.rint(xyz).astype(np.int64)
     if positions.min() < 0:
         raise ValidationError("negative coordinates after rounding")
-    bit_depth = bit_depth_hint if bit_depth_hint else min_bit_depth(positions)
-    return PointCloud(positions, colors, bit_depth)
+    needed = min_bit_depth(positions)
+    if bit_depth_hint is None:
+        bit_depth_hint = needed
+    elif bit_depth_hint < needed:
+        raise PlyHeaderError(
+            f"comment bit_depth {bit_depth_hint} is smaller than the data, "
+            f"which needs {needed} bits"
+        )
+    return PointCloud(positions, rgb.astype(np.uint8), bit_depth_hint)
 
 
 def save_ply(cloud: PointCloud, path, binary: bool = False,
              coord_dtype: str = "float32") -> None:
-    """Write a cloud as PLY; the bit depth is preserved in a header comment."""
+    """Write a cloud as PLY; the bit depth is preserved in a header comment.
+
+    Ascii coordinates are written as integers whatever ``coord_dtype`` says;
+    an integer literal is a valid value of a PLY ``float`` property.
+    """
     if coord_dtype not in ("float32", "int32"):
         raise ValidationError("coord_dtype must be 'float32' or 'int32'")
     if coord_dtype == "float32" and cloud.bit_depth > 24:
@@ -266,24 +285,13 @@ def save_ply(cloud: PointCloud, path, binary: bool = False,
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        pos = cloud.positions
-        col = cloud.colors
         if binary:
-            code = "<fffBBB" if coord_dtype == "float32" else "<iiiBBB"
-            pack = struct.Struct(code).pack
-            for p, c in zip(pos, col):
-                if coord_dtype == "float32":
-                    fh.write(pack(float(p[0]), float(p[1]), float(p[2]),
-                                  int(c[0]), int(c[1]), int(c[2])))
-                else:
-                    fh.write(pack(int(p[0]), int(p[1]), int(p[2]),
-                                  int(c[0]), int(c[1]), int(c[2])))
+            rows = np.rec.fromarrays(
+                [*cloud.positions.T, *cloud.colors.T],
+                dtype=[(n, _PLY_DTYPES[ctype]) for n in ("x", "y", "z")]
+                + [(n, "<u1") for n in ("red", "green", "blue")])
+            rows.tofile(fh)
         else:
-            lines = []
-            for p, c in zip(pos, col):
-                if coord_dtype == "float32":
-                    coords = f"{float(p[0]):g} {float(p[1]):g} {float(p[2]):g}"
-                else:
-                    coords = f"{int(p[0])} {int(p[1])} {int(p[2])}"
-                lines.append(f"{coords} {int(c[0])} {int(c[1])} {int(c[2])}\n")
-            fh.write("".join(lines).encode("ascii"))
+            body = np.concatenate([cloud.positions, cloud.colors], axis=1)
+            text = ("%d %d %d %d %d %d\n" * len(cloud)) % tuple(body.ravel().tolist())
+            fh.write(text.encode("ascii"))

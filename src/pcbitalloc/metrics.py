@@ -3,15 +3,28 @@
 The geometry error of cloud B against cloud A is the mean squared
 Euclidean distance from each point of B to its nearest neighbor in A;
 the color error applies the same neighbor assignment to the luma values.
-Both are symmetrized by taking the max over the two directions. Squared
-distances are integers (voxel coordinates are integers, luma is scaled
-to an integer grid), so sums are accumulated exactly in arbitrary
-precision and divided once at the end: results are reproducible
-bit-for-bit regardless of summation order.
+Both are symmetrized by taking the max over the two directions (the D1
+point-to-point metric of MPEG's ``pc_error``). The neighbor of a query
+is exact: it minimizes the integer squared distance, and ties go to the
+smallest point index.
+
+``NnIndex`` gets there without a per-point loop. It dedupes the cloud
+once at build time, keeping the smallest original index of each site,
+and builds a kd-tree over the distinct sites. A query asks the tree for
+a few candidate sites per row, re-ranks them in int64 and takes the
+smallest original index among the candidates at the best distance. Only
+a row whose last candidate still ties the best can have more tied sites
+than were returned; those rows alone are re-queried by radius.
+
+Squared distances are integers (voxel coordinates are integers, luma is
+scaled to an integer grid), so the means are exact integer sums divided
+once at the end: int64 while the sum cannot overflow, arbitrary-precision
+integers beyond that. Results are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,44 +52,83 @@ class FitQuality:
     nrmse: float
 
 
-class NnIndex:
-    """Nearest-neighbor index over one cloud's integer positions.
+# kd candidates per query row; a row whose last candidate still ties the
+# best is re-queried by radius.
+_CANDIDATES = 2
+_NO_INDEX = np.iinfo(np.int64).max
+# Below 2^25 per axis a squared distance stays below 3 * 2^50, exact in
+# float64, so the kd-tree's float ranking is exact and int64 cannot overflow.
+_EXACT_LIMIT = 1 << 25
 
-    Backed by a balanced kd-tree; every query is re-checked in exact
-    integer arithmetic so the reported neighbor minimizes the exact
-    squared distance, with ties broken by the smallest point index.
+
+def _check_exact_range(points: np.ndarray) -> None:
+    if points.size and (points.min() < 0 or points.max() >= _EXACT_LIMIT):
+        raise ValidationError(
+            "exact nearest neighbors need coordinates in [0, 2^25)")
+
+
+class NnIndex:
+    """Exact nearest-neighbor index over one cloud's integer positions.
+
+    Duplicate positions are merged at build time into one site that
+    carries the smallest original index, so every tie left at query time
+    is between distinct sites. Coordinates of sites and queries must lie
+    in [0, 2^25), where the kd-tree's float ranking is exact.
     """
 
     def __init__(self, cloud: PointCloud):
         if len(cloud) < 1:
             raise ValidationError("cannot index an empty cloud")
-        self._points = cloud.positions
-        self._tree = cKDTree(self._points.astype(np.float64), balanced_tree=True)
+        pts = cloud.positions
+        _check_exact_range(pts)
+        # Stable sort: within a run of equal positions, original order.
+        order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
+        ordered = pts[order]
+        first = np.ones(len(pts), dtype=bool)
+        first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        self._sites = ordered[first]
+        self._site_index = order[first]
+        self._tree = cKDTree(self._sites.astype(np.float64), balanced_tree=True)
 
     def query(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Nearest neighbors of integer query points.
 
         Returns (indices, squared_distances), both int64, one entry per
-        query row. Exact for bit depths up to 25 (squared distances stay
-        below 2^53 so the float kd-tree distance ranking is exact).
+        query row; the index is the smallest original point index among
+        the points at the minimal squared distance.
         """
         q = np.atleast_2d(np.asarray(queries, dtype=np.int64))
-        dist, _ = self._tree.query(q.astype(np.float64), k=1)
-        # Inflate the radius past sqrt rounding, then resolve exactly in ints.
-        radius = dist * (1.0 + 1e-9) + 1e-9
-        candidates = self._tree.query_ball_point(q.astype(np.float64), radius)
-        n = len(q)
-        out_idx = np.empty(n, dtype=np.int64)
-        out_d2 = np.empty(n, dtype=np.int64)
-        pts = self._points
-        for j in range(n):
-            cand = np.sort(np.asarray(candidates[j], dtype=np.int64))
-            diff = pts[cand] - q[j]
-            d2 = np.einsum("ij,ij->i", diff, diff)
-            k = int(np.argmin(d2))  # argmin takes the first hit: smallest index
-            out_idx[j] = cand[k]
-            out_d2[j] = d2[k]
-        return out_idx, out_d2
+        _check_exact_range(q)
+        k = min(_CANDIDATES, len(self._sites))
+        _, cand = self._tree.query(q.astype(np.float64), k=k)
+        cand = cand.reshape(len(q), k)
+        diff = self._sites[cand]
+        diff -= q[:, None, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        best = d2.min(axis=1)
+        tied = d2 == best[:, None]
+        idx = np.where(tied, self._site_index[cand], _NO_INDEX).min(axis=1)
+        if k < len(self._sites):
+            # Only these rows can have more tied sites than candidates.
+            rows = np.flatnonzero(tied[:, -1])
+            if len(rows):
+                idx[rows] = self._smallest_tied(q[rows], best[rows])
+        return idx, best
+
+    def _smallest_tied(self, q, best) -> np.ndarray:
+        """Smallest original index among all sites at squared distance best."""
+        # Inflate the radius past sqrt rounding; the exact test follows in ints.
+        radius = np.sqrt(best) * (1.0 + 1e-9) + 1e-9
+        hits = self._tree.query_ball_point(q.astype(np.float64), radius)
+        counts = np.fromiter(map(len, hits), dtype=np.int64, count=len(hits))
+        sites = np.fromiter(itertools.chain.from_iterable(hits),
+                            dtype=np.int64, count=int(counts.sum()))
+        row = np.repeat(np.arange(len(q)), counts)
+        diff = self._sites[sites] - q[row]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        index = np.where(d2 == best[row], self._site_index[sites], _NO_INDEX)
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        return np.minimum.reduceat(index, starts)
 
 
 def build_index(cloud: PointCloud) -> NnIndex:
@@ -84,7 +136,12 @@ def build_index(cloud: PointCloud) -> NnIndex:
 
 
 def _exact_mean(int_values: np.ndarray, denom: int) -> float:
-    total = int(np.asarray(int_values, dtype=object).sum())
+    """Exact sum of non-negative int64 values over denom, rounded once."""
+    v = np.asarray(int_values, dtype=np.int64)
+    if len(v) * int(v.max()) < 1 << 63:
+        total = int(v.sum())
+    else:
+        total = int(v.astype(object).sum())
     return total / denom
 
 

@@ -283,5 +283,5 @@ def write_probe_log(path, records: Sequence[ProbeRecord],
         if fresh:
             writer.writerow(PROBE_LOG_HEADER)
         for r in records:
-            writer.writerow([r.qp.qp_g, r.qp.qp_c,
-                             repr(r.r_g), repr(r.r_c), repr(r.d_g), repr(r.d_c)])
+            writer.writerow([r.qp.qp_g, r.qp.qp_c] + [
+                repr(float(x)) for x in (r.r_g, r.r_c, r.d_g, r.d_c)])

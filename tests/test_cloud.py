@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -138,6 +140,48 @@ class TestPlyParsing:
             c = load_ply(write(tmp_path, text))
         assert len(c) == 3
 
+    def test_binary_unknown_properties_skipped_with_warning(self, tmp_path):
+        # extra double and uchar properties shift every later field's offset
+        header = ("ply\nformat binary_little_endian 1.0\nelement vertex 3\n"
+                  "property float x\nproperty double nx\nproperty float y\n"
+                  "property float z\nproperty uchar alpha\nproperty uchar red\n"
+                  "property uchar green\nproperty uchar blue\nend_header\n")
+        pos = [(0, 0, 0), (1, 2, 3), (4, 4, 4)]
+        col = [(255, 0, 0), (0, 255, 0), (0, 0, 255)]
+        body = b"".join(struct.pack("<fdffBBBB", p[0], 0.5, p[1], p[2], 7, *c)
+                        for p, c in zip(pos, col))
+        with pytest.warns(UserWarning, match="nx, alpha"):
+            c = load_ply(write(tmp_path, header.encode() + body))
+        assert c.positions.tolist() == [list(p) for p in pos]
+        assert c.colors.tolist() == [list(x) for x in col]
+
+    def test_extra_fields_and_trailing_elements_ignored(self, tmp_path):
+        text = (ASCII_3PT.replace("end_header", "element face 1\n"
+                                  "property list uchar int vertex_indices\n"
+                                  "end_header")
+                .replace("4 4 4 0 0 255", "4 4 4 0 0 255 9 9")
+                + "3 0 1 2\n")
+        c = load_ply(write(tmp_path, text))
+        assert c.positions.tolist() == [[0, 0, 0], [1, 2, 3], [4, 4, 4]]
+
+    @pytest.mark.parametrize("old, new, error, match", [
+        ("1 2 3 0 255 0", "1 2 3 3.7 255 0", PlyBodyError, "row 1.*not integers"),
+        ("1 2 3 0 255 0", "1 2 3 nan 255 0", PlyBodyError, "row 1.*not integers"),
+        ("1 2 3 0 255 0", "1 nan 3 0 255 0", PlyBodyError, "row 1.*not finite"),
+        ("4 4 4 0 0 255", "4 inf 4 0 0 255", PlyBodyError, "row 2.*not finite"),
+        ("4 4 4 0 0 255", "4 4 1e30 0 0 255", PlyBodyError, "row 2.*2\\^31"),
+        ("4 4 4 0 0 255", "4 4 -1e30 0 0 255", PlyBodyError, "row 2.*2\\^31"),
+        ("4 4 4 0 0 255", "4 4 4 0 0", PlyBodyError, None),
+        ("4 4 4 0 0 255", "4 4 x 0 0 255", PlyBodyError, None),
+        ("element vertex", "comment bit_depth 2\nelement vertex",
+         PlyHeaderError, "bit_depth 2 is smaller"),
+    ], ids=["fractional-color", "nan-color", "nan-coord", "inf-coord",
+            "huge-coord", "huge-negative-coord", "too-few-fields", "not-a-number",
+            "bit-depth-too-small"])
+    def test_invalid_vertex_data_rejected(self, tmp_path, old, new, error, match):
+        with pytest.raises(error, match=match):
+            load_ply(write(tmp_path, ASCII_3PT.replace(old, new)))
+
     def test_malformed_header(self, tmp_path):
         with pytest.raises(PlyHeaderError):
             load_ply(write(tmp_path, "not a ply\n"))
@@ -190,3 +234,36 @@ class TestRoundTrip:
         save_ply(cloud, tmp_path / "i.ply", binary=True, coord_dtype="int32")
         again = load_ply(tmp_path / "i.ply")
         assert (again.positions == cloud.positions).all()
+
+    def test_round_trip_bit_depth_21_ascii(self, tmp_path):
+        # six significant digits would turn 1234567 into 1234570
+        cloud = PointCloud([[1234567, 3, 5], [2**21 - 1, 0, 999_999]],
+                           [[1, 2, 3], [4, 5, 6]], 21)
+        save_ply(cloud, tmp_path / "c.ply")
+        again = load_ply(tmp_path / "c.ply")
+        assert (again.positions == cloud.positions).all()
+        assert again.bit_depth == 21
+
+    @pytest.mark.parametrize("coord_dtype", ["float32", "int32"])
+    def test_ascii_body_matches_per_point_writer(self, tmp_path, rng, coord_dtype):
+        cloud = make_cloud(rng, 500, bit_depth=19)
+        save_ply(cloud, tmp_path / "c.ply", coord_dtype=coord_dtype)
+        lines = []
+        for p, c in zip(cloud.positions, cloud.colors):
+            if coord_dtype == "float32":
+                coords = f"{float(p[0]):g} {float(p[1]):g} {float(p[2]):g}"
+            else:
+                coords = f"{int(p[0])} {int(p[1])} {int(p[2])}"
+            lines.append(f"{coords} {int(c[0])} {int(c[1])} {int(c[2])}\n")
+        text = (tmp_path / "c.ply").read_text()
+        assert text.split("end_header\n", 1)[1] == "".join(lines)
+
+    @pytest.mark.parametrize("coord_dtype, code", [("float32", "<fffBBB"),
+                                                   ("int32", "<iiiBBB")])
+    def test_binary_body_matches_struct_layout(self, tmp_path, rng, coord_dtype, code):
+        cloud = make_cloud(rng, 300, bit_depth=16)
+        save_ply(cloud, tmp_path / "c.ply", binary=True, coord_dtype=coord_dtype)
+        want = b"".join(struct.pack(code, *map(int, p), *map(int, c))
+                        for p, c in zip(cloud.positions, cloud.colors))
+        blob = (tmp_path / "c.ply").read_bytes()
+        assert blob.split(b"end_header\n", 1)[1] == want

@@ -8,6 +8,8 @@ from pcbitalloc.cloud import PointCloud
 from pcbitalloc.errors import SccUndefinedError, ValidationError
 from pcbitalloc.metrics import (
     DistortionPair,
+    NnIndex,
+    _exact_mean,
     build_index,
     combined_distortion,
     fit_quality,
@@ -33,6 +35,18 @@ class TestNnIndex:
         idx, d2 = build_index(c).query([[1, 1, 1]])
         assert idx.tolist() == [3]
         assert d2.tolist() == [0]
+
+    def test_coordinates_beyond_exact_range_rejected(self):
+        # at 2^31 - 1 per axis the squared distance overflows int64
+        hi = 2**31 - 1
+        near = PointCloud([[0, 0, 0]], [[0, 0, 0]], 31)
+        far = PointCloud([[hi, hi, hi]], [[0, 0, 0]], 31)
+        with pytest.raises(ValidationError, match="2\\^25"):
+            build_index(far)
+        with pytest.raises(ValidationError, match="2\\^25"):
+            build_index(near).query(far.positions)
+        with pytest.raises(ValidationError, match="2\\^25"):
+            build_index(near).query([[-1, 0, 0]])
 
     def test_equidistant_tie(self):
         # (0,0,0) and (2,0,0) are both at distance 1 from (1,0,0)
@@ -66,6 +80,62 @@ class TestNnIndex:
         want_idx, want_d2 = brute_force_nn(cloud.positions, queries)
         assert (idx == want_idx).all()
         assert (d2 == want_d2).all()
+
+    def test_more_ties_than_candidates(self, rng, monkeypatch):
+        # (1,1,1) is at squared distance 3 from all 8 corners of the cube
+        corners = np.array([[x, y, z] for x in (0, 2) for y in (0, 2) for z in (0, 2)])
+        pos = np.vstack([corners, corners[rng.integers(0, 8, 12)]])[rng.permutation(20)]
+        cloud = PointCloud(pos, np.zeros((20, 3)), 2)
+        queries = [[1, 1, 1], [1, 1, 0], [1, 0, 0], [0, 0, 0], [3, 3, 3], [1, 2, 1]]
+        fallback_rows = []
+        smallest_tied = NnIndex._smallest_tied
+
+        def spy(self, q, best):
+            fallback_rows.extend(q.tolist())
+            return smallest_tied(self, q, best)
+
+        monkeypatch.setattr(NnIndex, "_smallest_tied", spy)
+        idx, d2 = build_index(cloud).query(queries)
+        want_idx, want_d2 = brute_force_nn(cloud.positions, queries)
+        assert [1, 1, 1] in fallback_rows
+        assert (idx == want_idx).all()
+        assert (d2 == want_d2).all()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=60),
+           st.lists(st.tuples(*[st.integers(0, 15)] * 3), min_size=1, max_size=40))
+    def test_step4_lattice_with_duplicates_matches_linear_scan(self, sites, queries):
+        cloud = PointCloud(np.array(sites) * 4, np.zeros((len(sites), 3)), 4)
+        idx, d2 = build_index(cloud).query(queries)
+        want_idx, want_d2 = brute_force_nn(cloud.positions, queries)
+        assert (idx == want_idx).all()
+        assert (d2 == want_d2).all()
+
+
+class TestExactMean:
+    # bit depth 25: one squared distance can reach 3 * (2^25 - 1)^2, about 3 * 2^50,
+    # so 2730 of them still fit in int64 and 2731 do not
+    D2_MAX = 3 * (2**25 - 1) ** 2
+
+    @pytest.mark.parametrize("n", [1, 2730, 2731, 5000])
+    def test_matches_python_int_sum(self, rng, n):
+        values = self.D2_MAX - rng.integers(0, 1000, n)
+        values[0] = self.D2_MAX
+        denom = 7 * n
+        assert _exact_mean(values, denom) == sum(int(v) for v in values) / denom
+
+    def test_int64_sum_would_wrap(self):
+        values = np.full(2731, self.D2_MAX, dtype=np.int64)
+        exact = 2731 * self.D2_MAX
+        assert exact >= 2**63
+        assert _exact_mean(values, 2731) == exact / 2731
+        assert int(values.sum()) != exact
+
+    def test_bit_depth_25_geometry_error(self):
+        far = 2**25 - 1
+        a = PointCloud([[0, 0, 0]], [[0, 0, 0]], 25)
+        b = PointCloud(np.full((3000, 3), far), np.zeros((3000, 3)), 25)
+        assert geometry_error(b, a) == self.D2_MAX
 
 
 class TestGeometryError:

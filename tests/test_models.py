@@ -246,6 +246,13 @@ class TestProbeLog:
         write_probe_log(path, records)
         assert read_probe_log(path) == records
 
+    def test_round_trip_noisy_schedule(self, tmp_path):
+        # noisy encodes carry numpy float64 distortions
+        records = run_probe_schedule(random_spec(7, noise_rel=0.05))
+        path = tmp_path / "probes.csv"
+        write_probe_log(path, records)
+        assert read_probe_log(path) == records
+
     def test_append(self, tmp_path):
         r1 = ProbeRecord(QpPair(33, 25), 1.0, 2.0, 3.0, 4.0)
         r2 = ProbeRecord(QpPair(34, 35), 5.0, 6.0, 7.0, 8.0)
