@@ -18,6 +18,7 @@ from pcbitalloc import (
     round_to_grid,
     solve_interior_point,
 )
+from pcbitalloc.allocator import START
 
 problem = AllocationProblem(
     dm=DistortionModel(a=0.5, b=0.25, c=4.0, omega=0.5),
@@ -25,10 +26,10 @@ problem = AllocationProblem(
     r_target=1000.0,
 )
 config = SolverConfig()
-print(f"budget {problem.r_target} kbpmp, start ({config.start.q_g}, {config.start.q_c}), "
+print(f"budget {problem.r_target} kbpmp, start ({START.q_g}, {START.q_c}), "
       f"mu0={config.mu0}, eta={config.eta}, eps={config.eps}")
 
-value, grad, hess = barrier_objective(problem, config.start, config.mu0)
+value, grad, hess = barrier_objective(problem, START, config.mu0)
 print(f"barrier at start: value {value:.4f}, gradient ({grad[0]:.4f}, {grad[1]:.4f})")
 
 trace = []

@@ -20,7 +20,7 @@ from .allocator import (
     solve_interior_point,
 )
 from .cloud import PointCloud, load_ply, luminance, min_bit_depth, save_ply
-from .evaluate import EvalReport, bd_psnr, compute_be, compute_cq, compute_qpe
+from .evaluate import bd_psnr, compute_be, compute_cq, compute_qpe
 from .metrics import (
     DistortionPair,
     FitQuality,

@@ -17,13 +17,19 @@ bounded local re-optimization that spends budget stranded by rounding.
 
 An exhaustive 441-pair grid search over the same QP range serves as the
 reference baseline.
+
+The solver's fixed settings are module constants: every solve starts at
+the step pair ``START`` (80, 80), the line search backtracks by
+``BACKTRACK`` under the Armijo factor ``ARMIJO_C``, and the polish
+searches ``POLISH_RADIUS`` QPs around the rounded pair. The grid is
+``qp_grid()`` with the steps ``step_grid()``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import (
@@ -33,8 +39,6 @@ from .errors import (
     ValidationError,
 )
 from .models import (
-    QP_MAX,
-    QP_MIN,
     DistortionModel,
     QpPair,
     QuantPair,
@@ -42,23 +46,37 @@ from .models import (
     predict_distortion,
     predict_rate,
     qp_grid,
-    qp_to_step,
+    step_grid,
 )
+
+START = QuantPair(80.0, 80.0)
+ARMIJO_C = 1e-4
+BACKTRACK = 0.5
+POLISH_RADIUS = 2
+
+_QPS = qp_grid()
+_STEPS = step_grid()
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The barrier schedule and the Newton stopping rule.
+
+    Settable fields: the initial barrier weight ``mu0``, its decline
+    factor ``eta``, the accuracy threshold ``eps`` below which the outer
+    loop stops, the gradient-norm tolerance ``newton_tol`` and the
+    iteration cap ``max_newton_iters`` of each Newton solve.
+    """
+
     mu0: float = 0.1
     eta: float = 1e-6
     eps: float = 1e-10
-    start: QuantPair = field(default_factory=lambda: QuantPair(80.0, 80.0))
     newton_tol: float = 1e-9
     max_newton_iters: int = 100
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    polish_radius: int = 2
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.mu0, self.eta, self.eps, self.newton_tol))):
+            raise ValidationError("solver settings must be finite")
         if self.mu0 <= 0:
             raise ValidationError("mu0 must be positive")
         if not 0.0 < self.eta < 1.0:
@@ -67,8 +85,6 @@ class SolverConfig:
             raise ValidationError("eps must be positive")
         if self.newton_tol <= 0 or self.max_newton_iters < 1:
             raise ValidationError("bad Newton settings")
-        if self.polish_radius < 0:
-            raise ValidationError("polish_radius must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -76,7 +92,6 @@ class AllocationProblem:
     dm: DistortionModel
     rm: RateModel
     r_target: float
-    qps: tuple[int, ...] = field(default_factory=qp_grid)
 
     def __post_init__(self):
         if self.dm.a < 0 or self.dm.b < 0:
@@ -84,19 +99,8 @@ class AllocationProblem:
                 "distortion slopes must be non-negative; refusing a model whose "
                 "barrier objective is unbounded toward coarse steps"
             )
-        if self.r_target <= 0:
-            raise ValidationError("rate budget must be positive")
-        qps = tuple(sorted(set(int(q) for q in self.qps)))
-        if not qps:
-            raise ValidationError("qp grid must be non-empty")
-        for qp in qps:
-            if not QP_MIN <= qp <= QP_MAX:
-                raise ValidationError(f"qp {qp} outside [{QP_MIN}, {QP_MAX}]")
-        object.__setattr__(self, "qps", qps)
-
-    @property
-    def steps(self) -> tuple[float, ...]:
-        return tuple(qp_to_step(qp) for qp in self.qps)
+        if not (math.isfinite(self.r_target) and self.r_target > 0):
+            raise ValidationError("rate budget must be positive and finite")
 
     def rate(self, q: QuantPair) -> float:
         return predict_rate(self.rm, q).total
@@ -172,9 +176,9 @@ def _newton_minimize(p: AllocationProblem, q_g: float, q_c: float, mu: float,
                 n_value, n_grad, n_hess = barrier_objective(
                     p, QuantPair(n_g, n_c), mu
                 )
-                if n_value <= value + cfg.armijo_c * t * descent:
+                if n_value <= value + ARMIJO_C * t * descent:
                     break
-            t *= cfg.backtrack
+            t *= BACKTRACK
             if t < 1e-18:
                 raise ConvergenceError("line search collapsed to zero step")
         q_g, q_c, value, grad, hess = n_g, n_c, n_value, n_grad, n_hess
@@ -196,11 +200,11 @@ def solve_interior_point(p: AllocationProblem, cfg: SolverConfig | None = None,
     coarsest encoding is rejected rather than repaired.
     """
     cfg = cfg or SolverConfig()
-    q_g, q_c = cfg.start.q_g, cfg.start.q_c
+    q_g, q_c = START.q_g, START.q_c
     if p.slack(q_g, q_c) <= 0:
         raise InfeasibleStartError(
             f"budget {p.r_target:.6g} kbpmp is below the rate at the starting "
-            f"steps ({cfg.start.q_g:g}, {cfg.start.q_c:g})"
+            f"steps ({q_g:g}, {q_c:g})"
         )
     if trace is not None:
         trace.append((cfg.mu0, q_g, q_c, p.slack(q_g, q_c)))
@@ -210,7 +214,7 @@ def solve_interior_point(p: AllocationProblem, cfg: SolverConfig | None = None,
         mu *= cfg.eta
     continuous = QuantPair(q_g, q_c)
     qp, violation = round_to_grid(p, continuous)
-    polished = polish_rounding(p, qp, cfg.polish_radius)
+    polished = polish_rounding(p, qp, POLISH_RADIUS)
     if polished != qp:
         qp, violation = polished, 0.0
     return Allocation(
@@ -244,7 +248,7 @@ def round_to_grid(p: AllocationProblem, continuous: QuantPair
     pair fits or the grid is exhausted; any residual overshoot is
     reported as the rounding violation.
     """
-    steps = p.steps
+    steps = _STEPS
     i_g = _nearest_step_index(steps, min(max(continuous.q_g, steps[0]), steps[-1]))
     i_c = _nearest_step_index(steps, min(max(continuous.q_c, steps[0]), steps[-1]))
     last = len(steps) - 1
@@ -262,7 +266,7 @@ def round_to_grid(p: AllocationProblem, continuous: QuantPair
             i_g += 1
         else:
             i_c += 1
-    qp = QpPair(p.qps[i_g], p.qps[i_c])
+    qp = QpPair(_QPS[i_g], _QPS[i_c])
     return qp, max(0.0, p.rate(QuantPair(steps[i_g], steps[i_c])) - p.r_target)
 
 
@@ -277,7 +281,7 @@ def polish_rounding(p: AllocationProblem, qp: QpPair, radius: int) -> QpPair:
     """
     if radius == 0:
         return qp
-    qps, steps = p.qps, p.steps
+    qps, steps = _QPS, _STEPS
     i_g = qps.index(qp.qp_g)
     i_c = qps.index(qp.qp_c)
     best = None
@@ -295,19 +299,17 @@ def polish_rounding(p: AllocationProblem, qp: QpPair, radius: int) -> QpPair:
 
 
 def exhaustive_search(oracle: Callable[[QpPair], tuple[float, float]],
-                      r_target: float,
-                      qps: Sequence[int] | None = None) -> QpPair:
+                      r_target: float) -> QpPair:
     """Evaluate every QP pair on the grid and keep the best admissible one.
 
     The oracle maps a QP pair to (total rate, distortion). Among pairs
     whose rate fits the budget, the lowest distortion wins; remaining
     ties fall to lower rate, then lower qp_g, then lower qp_c.
     """
-    grid = tuple(qps) if qps is not None else qp_grid()
     best_key = None
     best_qp = None
-    for qp_g in grid:
-        for qp_c in grid:
+    for qp_g in _QPS:
+        for qp_c in _QPS:
             qp = QpPair(qp_g, qp_c)
             rate, distortion = oracle(qp)
             if rate > r_target:

@@ -24,6 +24,13 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _read_json(path, what: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"bad {what} file {path}: {exc}") from exc
+
+
 def _cmd_metric(args) -> None:
     ref = cloud.load_ply(args.reference)
     rec = cloud.load_ply(args.reconstruction)
@@ -45,65 +52,21 @@ def _cmd_metric(args) -> None:
     _emit(payload, args.output)
 
 
-def _model_payload(dm, rm) -> dict:
-    return {
-        "distortion": {"a": dm.a, "b": dm.b, "c": dm.c, "omega": dm.omega,
-                       "sanity": list(dm.sanity)},
-        "rate": {"gamma_g": rm.gamma_g, "theta_g": rm.theta_g,
-                 "gamma_c": rm.gamma_c, "theta_c": rm.theta_c},
-    }
-
-
 def _cmd_fit(args) -> None:
     records = models.read_probe_log(args.probes)
-    probes = models.probes_from_records(records, args.omega)
-    if len(probes) < 3:
-        raise ValidationError("probe log must contain at least three rows")
-    if len(probes) == 3:
-        dm = models.fit_distortion_model(probes[0], probes[1], probes[2], args.omega)
-        rm = models.fit_rate_model(probes[0], probes[1])
-    else:
-        dm = models.fit_distortion_model_lstsq(probes, args.omega)
-        rm = models.fit_rate_model_lstsq(probes)
-    _emit(_model_payload(dm, rm), args.output)
-
-
-def _load_models(path) -> tuple[models.DistortionModel, models.RateModel]:
-    try:
-        doc = json.loads(Path(path).read_text())
-        d = doc["distortion"]
-        r = doc["rate"]
-        dm = models.DistortionModel(d["a"], d["b"], d["c"], d.get("omega", 0.5),
-                                    tuple(d.get("sanity", ())))
-        rm = models.RateModel(r["gamma_g"], r["theta_g"], r["gamma_c"], r["theta_c"])
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"bad model file {path}: {exc}") from exc
-    return dm, rm
+    _emit(models.model_to_dict(*pipeline.fit_models(records, args.omega)), args.output)
 
 
 def _cmd_allocate(args) -> None:
-    dm, rm = _load_models(args.model)
+    dm, rm = models.model_from_dict(_read_json(args.model, "model"))
     problem = allocator.AllocationProblem(dm, rm, args.target)
     cfg = allocator.SolverConfig(mu0=args.mu0, eta=args.eta, eps=args.eps)
     alloc = allocator.solve_interior_point(problem, cfg)
-    payload = {
-        "target": args.target,
-        "continuous": {"q_g": alloc.continuous.q_g, "q_c": alloc.continuous.q_c},
-        "qp_g": alloc.qp.qp_g,
-        "qp_c": alloc.qp.qp_c,
-        "predicted_rate": alloc.predicted_rate,
-        "predicted_distortion": alloc.predicted_distortion,
-        "rounding_violation": alloc.rounding_violation,
-    }
-    _emit(payload, args.output)
+    _emit({"target": args.target, **pipeline.allocation_fields(alloc)}, args.output)
 
 
 def _cmd_simulate(args) -> None:
-    try:
-        config = json.loads(Path(args.spec).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"bad config file {args.spec}: {exc}") from exc
-    report = pipeline.run_pipeline(config)
+    report = pipeline.run_pipeline(_read_json(args.spec, "config"))
     if args.output:
         pipeline.write_report(report, args.output)
         if args.csv:
@@ -115,10 +78,7 @@ def _cmd_simulate(args) -> None:
 
 
 def _read_rows(path) -> list[dict]:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"bad report file {path}: {exc}") from exc
+    doc = _read_json(path, "report")
     rows = doc.get("allocations") if isinstance(doc, dict) else doc
     if not isinstance(rows, list) or not rows:
         raise ValidationError(f"{path} holds no allocation rows")
@@ -145,27 +105,20 @@ def _cmd_evaluate(args) -> None:
         for label, r in (("pba", p), ("esa", e)):
             if "be_pct" in r:
                 row[f"be_pct_{label}"] = r["be_pct"]
-        per_target.append(row)
-        for label, r in (("pba", p), ("esa", e)):
             actual = r.get("actual")
             if actual and "psnr_db" in actual:
                 curves.setdefault((key[0], label), []).append(
                     (actual["rate"], actual["psnr_db"])
                 )
+        per_target.append(row)
     qpes = [r["qpe"] for r in per_target]
     payload = {
         "per_target": per_target,
         "average": {"qpe": sum(qpes) / len(qpes)},
     }
-    bd = {}
-    for omega in sorted({k[0] for k in curves}):
-        a = pipeline._curve(curves.get((omega, "esa"), []))
-        b = pipeline._curve(curves.get((omega, "pba"), []))
-        if a and b:
-            try:
-                bd[str(omega)] = evaluate.bd_psnr(a, b)
-            except ValidationError:
-                bd[str(omega)] = None
+    bd = {str(omega): pipeline.bd_gap(curves.get((omega, "esa"), []),
+                                      curves.get((omega, "pba"), []))
+          for omega in sorted({k[0] for k in curves})}
     if bd:
         payload["bd_psnr_db"] = bd
     _emit(payload, args.output)

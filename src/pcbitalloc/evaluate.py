@@ -2,35 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .models import QpPair
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """One allocator-vs-baseline comparison at a single target bitrate.
-
-    cq_pct is the run-level encode-time ratio (probes amortize across all
-    targets of a run, so every row of a run carries the same value);
-    bd_psnr_db is populated only on curve-level summaries.
-    """
-
-    be_pct: float
-    qpe: int
-    cq_pct: float
-    psnr_db: dict = field(default_factory=dict)
-    bd_psnr_db: Optional[float] = None
-
-    def __post_init__(self):
-        if self.be_pct < 0 or self.qpe < 0:
-            raise ValidationError("BE and QPE are non-negative")
-        if not 0.0 < self.cq_pct <= 100.0:
-            raise ValidationError("CQ must lie in (0, 100]")
 
 
 def compute_be(actual: float, target: float) -> float:

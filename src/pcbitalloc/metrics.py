@@ -33,6 +33,7 @@ from scipy.spatial import cKDTree
 
 from .cloud import LUMA_SCALE, PointCloud, luma_scaled
 from .errors import SccUndefinedError, ValidationError
+from .models import weighted
 
 
 @dataclass(frozen=True)
@@ -178,9 +179,7 @@ def symmetric_distortion(a: PointCloud, b: PointCloud,
 
 def combined_distortion(pair: DistortionPair, omega: float) -> float:
     """Weighted sum omega*d_g + (1-omega)*d_c."""
-    if not 0.0 <= omega <= 1.0:
-        raise ValidationError("omega must lie in [0, 1]")
-    return omega * pair.d_g + (1.0 - omega) * pair.d_c
+    return weighted(omega, pair.d_g, pair.d_c)
 
 
 def psnr(d_g: float, d_c: float, omega: float,

@@ -29,6 +29,7 @@ QP_MIN = 22
 QP_MAX = 42
 
 PROBE_LOG_HEADER = ("qp_g", "qp_c", "r_g_kbpmp", "r_c_kbpmp", "d_g", "d_c")
+_RATE_FIELDS = ("gamma_g", "theta_g", "gamma_c", "theta_c")
 
 
 class ModelSanityWarning(UserWarning):
@@ -48,6 +49,13 @@ def qp_grid() -> tuple[int, ...]:
 
 def step_grid() -> tuple[float, ...]:
     return tuple(qp_to_step(qp) for qp in qp_grid())
+
+
+def weighted(omega: float, d_g: float, d_c: float) -> float:
+    """The combined distortion omega*d_g + (1-omega)*d_c."""
+    if not 0.0 <= omega <= 1.0:
+        raise ValidationError("omega must lie in [0, 1]")
+    return omega * d_g + (1.0 - omega) * d_c
 
 
 def kbpmp(bits: float, n_points: int) -> float:
@@ -91,6 +99,8 @@ class ProbePoint:
     d: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.r_g, self.r_c, self.d))):
+            raise ValidationError("probe rates and distortion must be finite")
         if self.r_g <= 0 or self.r_c <= 0:
             raise ValidationError("probe bitrates must be positive")
         if self.d < 0:
@@ -108,10 +118,8 @@ class ProbeRecord:
     d_c: float
 
     def to_probe_point(self, omega: float) -> ProbePoint:
-        if not 0.0 <= omega <= 1.0:
-            raise ValidationError("omega must lie in [0, 1]")
         return ProbePoint(self.qp, self.r_g, self.r_c,
-                          omega * self.d_g + (1.0 - omega) * self.d_c)
+                          weighted(omega, self.d_g, self.d_c))
 
 
 @dataclass(frozen=True)
@@ -121,6 +129,10 @@ class DistortionModel:
     c: float
     omega: float
     sanity: tuple[str, ...] = field(default=(), compare=False)
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.c, self.omega))):
+            raise ValidationError("distortion model parameters must be finite")
 
     @property
     def well_behaved(self) -> bool:
@@ -135,6 +147,9 @@ class RateModel:
     theta_c: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.gamma_g, self.theta_g,
+                                       self.gamma_c, self.theta_c))):
+            raise ValidationError("rate model parameters must be finite")
         if self.gamma_g <= 0 or self.gamma_c <= 0:
             raise ValidationError("rate model gammas must be positive")
         if self.theta_g >= 0 or self.theta_c >= 0:
@@ -243,6 +258,33 @@ def fit_distortion_model_lstsq(probes: Sequence[ProbePoint],
         raise DegenerateProbesError("probe step pairs are collinear")
     (a, b, c), *_ = np.linalg.lstsq(mat, rhs, rcond=None)
     return _finish_distortion_fit(float(a), float(b), float(c), omega)
+
+
+def model_to_dict(dm: DistortionModel, rm: RateModel) -> dict:
+    """The model-file layout that ``fit`` writes and ``allocate`` reads."""
+    return {
+        "distortion": {"a": dm.a, "b": dm.b, "c": dm.c, "omega": dm.omega,
+                       "sanity": list(dm.sanity)},
+        "rate": {name: getattr(rm, name) for name in _RATE_FIELDS},
+    }
+
+
+def model_from_dict(doc) -> tuple[DistortionModel, RateModel]:
+    """Inverse of ``model_to_dict``; every numeric field must be a finite real.
+
+    A missing ``omega`` reads as 0.5 and a missing ``sanity`` as no notes.
+    """
+    try:
+        d, r = doc["distortion"], doc["rate"]
+        values = [d["a"], d["b"], d["c"], d.get("omega", 0.5)]
+        values += [r[name] for name in _RATE_FIELDS]
+        sanity = tuple(d.get("sanity", ()))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValidationError(f"bad model: missing or misplaced field {exc}") from exc
+    for value in values:
+        if type(value) not in (int, float):
+            raise ValidationError(f"model fields must be finite reals, got {value!r}")
+    return DistortionModel(*values[:4], sanity), RateModel(*values[4:])
 
 
 def probes_from_records(records: Sequence[ProbeRecord],

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
 from .allocator import AllocationProblem, SolverConfig, exhaustive_search, solve_interior_point
@@ -35,14 +36,18 @@ from .models import (
     fit_distortion_model_lstsq,
     fit_rate_model,
     fit_rate_model_lstsq,
+    model_to_dict,
     probes_from_records,
     qp_grid,
     read_probe_log,
+    weighted,
 )
 from .simcodec import ENCODE_TIME_MS, QpPair, encode, run_probe_schedule, spec_from_dict
 
 
-def _fit_models(records, omega):
+def fit_models(records, omega):
+    """Distortion and rate models for one omega: the exact fits through
+    three probes, least squares over more."""
     probes = probes_from_records(records, omega)
     if len(probes) < 3:
         raise ValidationError("need at least three probes to fit the models")
@@ -55,25 +60,31 @@ def _fit_models(records, omega):
     return dm, rm
 
 
-def _solver_config(cfg: dict | None) -> SolverConfig:
-    if not cfg:
-        return SolverConfig()
-    allowed = {"mu0", "eta", "eps", "newton_tol", "max_newton_iters"}
-    unknown = set(cfg) - allowed
+def _solver_config(cfg: dict) -> SolverConfig:
+    unknown = set(cfg) - {f.name for f in fields(SolverConfig)}
     if unknown:
         raise ValidationError(f"unknown solver keys: {sorted(unknown)}")
     return SolverConfig(**cfg)
 
 
 def _grid_sweep(spec):
+    grid = [QpPair(qp_g, qp_c) for qp_g in qp_grid() for qp_c in qp_grid()]
+    return {qp: encode(spec, qp) for qp in grid}
+
+
+def allocation_fields(alloc) -> dict:
+    """The solver's part of an allocation row, as ``simulate`` and ``allocate`` write it."""
     return {
-        (qp_g, qp_c): encode(spec, QpPair(qp_g, qp_c))
-        for qp_g in qp_grid()
-        for qp_c in qp_grid()
+        "continuous": {"q_g": alloc.continuous.q_g, "q_c": alloc.continuous.q_c},
+        "qp_g": alloc.qp.qp_g,
+        "qp_c": alloc.qp.qp_c,
+        "predicted_rate": alloc.predicted_rate,
+        "predicted_distortion": alloc.predicted_distortion,
+        "rounding_violation": alloc.rounding_violation,
     }
 
 
-def _curve(points):
+def rd_curve(points):
     """Sorted, duplicate-free (rate, psnr) curve, or None if too short."""
     pts = sorted(set((round(r, 9), q) for r, q in points if q is not None))
     dedup = []
@@ -81,6 +92,18 @@ def _curve(points):
         if not dedup or r > dedup[-1][0]:
             dedup.append((r, q))
     return dedup if len(dedup) >= 4 else None
+
+
+def bd_gap(esa_points, pba_points) -> float | None:
+    """BD-PSNR of the allocator's (rate, psnr) points over the baseline's,
+    or None when either curve is too short or the two do not overlap."""
+    curve_esa, curve_pba = rd_curve(esa_points), rd_curve(pba_points)
+    if not (curve_esa and curve_pba):
+        return None
+    try:
+        return bd_psnr(curve_esa, curve_pba)
+    except ValidationError:
+        return None
 
 
 def run_pipeline(config: dict) -> dict:
@@ -97,7 +120,7 @@ def run_pipeline(config: dict) -> dict:
         raise ValidationError("the exhaustive baseline needs a codec backend")
     geometry_peak = float(config.get("geometry_peak", 1023.0))
     color_peak = float(config.get("color_peak", 255.0))
-    solver_cfg = _solver_config(config.get("solver"))
+    solver_cfg = _solver_config(config.get("solver") or {})
 
     if has_codec:
         spec = spec_from_dict(config["codec"])
@@ -117,13 +140,11 @@ def run_pipeline(config: dict) -> dict:
     rows = []
     curves = {}
     for omega in omegas:
-        dm, rm = _fit_models(records, omega)
-        models_out[str(omega)] = {
-            "distortion": {"a": dm.a, "b": dm.b, "c": dm.c, "omega": dm.omega,
-                           "sanity": list(dm.sanity)},
-            "rate": {"gamma_g": rm.gamma_g, "theta_g": rm.theta_g,
-                     "gamma_c": rm.gamma_c, "theta_c": rm.theta_c},
-        }
+        dm, rm = fit_models(records, omega)
+        models_out[str(omega)] = model_to_dict(dm, rm)
+        if sweep is not None:
+            table = {qp: (e.r_g + e.r_c, weighted(omega, e.d_g, e.d_c))
+                     for qp, e in sweep.items()}
         pba_points = []
         esa_points = []
         for target in targets:
@@ -134,19 +155,8 @@ def run_pipeline(config: dict) -> dict:
                 )
             problem = AllocationProblem(dm, rm, budget)
             alloc = solve_interior_point(problem, solver_cfg)
-            row = {
-                "omega": omega,
-                "target": target,
-                "budget": budget,
-                "continuous": {"q_g": alloc.continuous.q_g,
-                               "q_c": alloc.continuous.q_c},
-                "qp_g": alloc.qp.qp_g,
-                "qp_c": alloc.qp.qp_c,
-                "predicted_rate": alloc.predicted_rate,
-                "predicted_distortion": alloc.predicted_distortion,
-                "rounding_violation": alloc.rounding_violation,
-            }
-            eval_row = {"omega": omega, "target": target}
+            row = {"omega": omega, "target": target, "budget": budget,
+                   **allocation_fields(alloc)}
             if spec is not None:
                 enc = encode(spec, alloc.qp)
                 actual_rate = enc.r_g + enc.r_c
@@ -154,46 +164,34 @@ def run_pipeline(config: dict) -> dict:
                 row["actual"] = {
                     "r_g": enc.r_g, "r_c": enc.r_c, "rate": actual_rate,
                     "d_g": enc.d_g, "d_c": enc.d_c,
-                    "distortion": omega * enc.d_g + (1 - omega) * enc.d_c,
+                    "distortion": weighted(omega, enc.d_g, enc.d_c),
                     "psnr_db": quality,
                 }
                 row["be_pct"] = compute_be(actual_rate, budget)
-                eval_row["be_pct"] = row["be_pct"]
-                eval_row["psnr_db"] = quality
                 pba_points.append((actual_rate, quality))
             else:
                 # no codec to re-encode with: measure BE on the modeled rate
-                row["be_pct"] = compute_be(_qp_rate(problem, alloc), budget)
-                eval_row["be_pct"] = row["be_pct"]
+                row["be_pct"] = compute_be(problem.rate(alloc.qp.steps()), budget)
             if sweep is not None:
-                def oracle(qp, _w=omega):
-                    e = sweep[(qp.qp_g, qp.qp_c)]
-                    return e.r_g + e.r_c, _w * e.d_g + (1 - _w) * e.d_c
-                esa_qp = exhaustive_search(oracle, budget)
-                e = sweep[(esa_qp.qp_g, esa_qp.qp_c)]
-                esa_rate = e.r_g + e.r_c
+                esa_qp = exhaustive_search(table.__getitem__, budget)
+                e = sweep[esa_qp]
+                esa_rate, esa_distortion = table[esa_qp]
                 esa_quality = psnr(e.d_g, e.d_c, omega, geometry_peak, color_peak)
                 row["esa"] = {
                     "qp_g": esa_qp.qp_g, "qp_c": esa_qp.qp_c, "rate": esa_rate,
-                    "distortion": omega * e.d_g + (1 - omega) * e.d_c,
+                    "distortion": esa_distortion,
                     "psnr_db": esa_quality,
                     "be_pct": compute_be(esa_rate, budget),
                 }
                 row["qpe"] = compute_qpe(alloc.qp, esa_qp)
-                eval_row["qpe"] = row["qpe"]
                 esa_points.append((esa_rate, esa_quality))
             allocations.append(row)
+            eval_row = {k: row[k] for k in ("omega", "target", "be_pct", "qpe") if k in row}
+            if "actual" in row:
+                eval_row["psnr_db"] = row["actual"]["psnr_db"]
             rows.append(eval_row)
         if pba_points and esa_points:
-            curve_pba = _curve(pba_points)
-            curve_esa = _curve(esa_points)
-            if curve_pba and curve_esa:
-                try:
-                    curves[str(omega)] = bd_psnr(curve_esa, curve_pba)
-                except ValidationError:
-                    curves[str(omega)] = None
-            else:
-                curves[str(omega)] = None
+            curves[str(omega)] = bd_gap(esa_points, pba_points)
 
     evaluation = {
         "encode_calls": {"pba": pba_encode_calls, "esa": esa_encode_calls},
@@ -215,11 +213,6 @@ def run_pipeline(config: dict) -> dict:
         "allocations": allocations,
         "evaluation": evaluation,
     }
-
-
-def _qp_rate(problem: AllocationProblem, alloc) -> float:
-    q = alloc.qp.steps()
-    return problem.rate(q)
 
 
 def write_report(report: dict, path) -> None:

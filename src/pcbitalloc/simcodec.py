@@ -28,6 +28,7 @@ from .models import (
     QpPair,
     RateModel,
     qp_to_step,
+    weighted,
 )
 
 # Constant simulated wall time per encode call, so complexity quotients
@@ -58,12 +59,10 @@ class SyntheticCodecSpec:
 
     def distortion_model(self, omega: float) -> DistortionModel:
         """Ground-truth combined distortion plane at a weighting factor."""
-        if not 0.0 <= omega <= 1.0:
-            raise ValidationError("omega must lie in [0, 1]")
         return DistortionModel(
-            a=omega * self.alpha_g + (1.0 - omega) * self.alpha_gc,
-            b=(1.0 - omega) * self.alpha_cc,
-            c=omega * self.beta_g + (1.0 - omega) * self.beta_c,
+            a=weighted(omega, self.alpha_g, self.alpha_gc),
+            b=weighted(omega, 0.0, self.alpha_cc),
+            c=weighted(omega, self.beta_g, self.beta_c),
             omega=omega,
         )
 

@@ -19,7 +19,9 @@ from pcbitalloc.errors import (
     ValidationError,
 )
 from pcbitalloc.evaluate import compute_qpe
-from pcbitalloc.models import DistortionModel, QpPair, QuantPair, RateModel, qp_to_step
+from pcbitalloc.models import (
+    DistortionModel, ProbePoint, QpPair, QuantPair, RateModel, qp_to_step,
+)
 
 from conftest import well_posed_instance
 
@@ -245,3 +247,25 @@ class TestAgreementStatistics:
         qpes = np.array(qpes)
         assert (qpes <= 2).mean() >= 0.95
         assert qpes.mean() <= 1.1
+
+
+WORKED_DM = DistortionModel(0.5, 0.25, 4.0, 0.5)
+WORKED_RM = RateModel(6400, -1, 3200, -1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: AllocationProblem(WORKED_DM, WORKED_RM, math.nan),
+    lambda: AllocationProblem(WORKED_DM, WORKED_RM, math.inf),
+    lambda: RateModel(math.nan, -1, 3200, -1),
+    lambda: RateModel(6400, -1, 3200, -math.inf),
+    lambda: DistortionModel(math.nan, 0.25, 4.0, 0.5),
+    lambda: DistortionModel(0.5, 0.25, math.inf, 0.5),
+    lambda: ProbePoint(QpPair(33, 25), math.nan, 1.0, 1.0),
+    lambda: ProbePoint(QpPair(33, 25), 1.0, 1.0, math.inf),
+    lambda: SolverConfig(mu0=math.nan),
+    lambda: SolverConfig(eps=math.nan),
+], ids=["budget-nan", "budget-inf", "gamma-nan", "theta-inf", "slope-nan",
+        "offset-inf", "probe-rate-nan", "probe-distortion-inf", "mu0-nan", "eps-nan"])
+def test_non_finite_values_rejected(build):
+    with pytest.raises(ValidationError, match="finite"):
+        build()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pcbitalloc.errors import ValidationError
-from pcbitalloc.evaluate import EvalReport, bd_psnr, compute_be, compute_cq, compute_qpe
+from pcbitalloc.evaluate import bd_psnr, compute_be, compute_cq, compute_qpe
 from pcbitalloc.models import QpPair
 
 
@@ -45,16 +45,6 @@ class TestComplexityQuotient:
     def test_bad_denominator(self):
         with pytest.raises(ValidationError):
             compute_cq(1.0, 0.0)
-
-
-class TestEvalReport:
-    def test_invariants(self):
-        r = EvalReport(be_pct=1.5, qpe=2, cq_pct=0.68, psnr_db={0.5: 35.0})
-        assert r.bd_psnr_db is None
-        with pytest.raises(ValidationError):
-            EvalReport(be_pct=-1.0, qpe=0, cq_pct=50.0)
-        with pytest.raises(ValidationError):
-            EvalReport(be_pct=0.0, qpe=0, cq_pct=0.0)
 
 
 def synthetic_curve(rates, fn):

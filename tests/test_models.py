@@ -8,6 +8,7 @@ from pcbitalloc.errors import (
     ValidationError,
 )
 from pcbitalloc.models import (
+    DistortionModel,
     ModelSanityWarning,
     ProbePoint,
     ProbeRecord,
@@ -19,6 +20,8 @@ from pcbitalloc.models import (
     fit_rate_model,
     fit_rate_model_lstsq,
     kbpmp,
+    model_from_dict,
+    model_to_dict,
     predict_distortion,
     predict_rate,
     probes_from_records,
@@ -277,6 +280,21 @@ class TestProbeLog:
         rec = ProbeRecord(QpPair(33, 25), 10.0, 20.0, 4.0, 8.0)
         assert rec.to_probe_point(0.25).d == pytest.approx(0.25 * 4 + 0.75 * 8)
         assert rec.to_probe_point(1.0).d == pytest.approx(4.0)
+
+
+class TestModelDict:
+    def test_round_trip(self):
+        dm = DistortionModel(-0.1, 0.25, 4.0, 0.75, ("geometry slope a=-0.1 is negative",))
+        rm = RateModel(6400.5, -1.25, 3200.0, -0.8)
+        dm2, rm2 = model_from_dict(model_to_dict(dm, rm))
+        assert (dm2, rm2) == (dm, rm)
+        assert dm2.sanity == dm.sanity
+
+    def test_omega_and_sanity_default(self):
+        doc = model_to_dict(DistortionModel(0.5, 0.25, 4.0, 0.5), RateModel(6400, -1, 3200, -1))
+        del doc["distortion"]["omega"], doc["distortion"]["sanity"]
+        dm, _ = model_from_dict(doc)
+        assert (dm.omega, dm.sanity) == (0.5, ())
 
 
 class TestSchedule:

@@ -1,0 +1,60 @@
+"""The benchmark's tracer must still find and hit every library name it patches.
+
+``perfbench/spans.py`` wraps library functions at the names their callers
+look up. A refactor that renames one of them, or routes a call around it,
+breaks every traced benchmark run; this guard runs one small exhaustive
+``simulate`` under the tracer and checks what it recorded.
+"""
+
+import json
+import sys
+from collections import Counter
+from pathlib import Path
+
+from pcbitalloc import allocator, cli, cloud, metrics, pipeline, simcodec
+from pcbitalloc.simcodec import random_spec, spec_to_dict
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import spans  # noqa: E402
+
+TARGETS = [800.0, 1000.0, 1400.0, 2000.0]
+
+
+def patched_attributes():
+    return [
+        (cloud, "load_ply"), (cloud, "save_ply"),
+        (metrics, "symmetric_distortion"), (metrics, "build_index"),
+        (metrics.NnIndex, "query"),
+        (allocator, "round_to_grid"), (allocator, "polish_rounding"),
+        (simcodec, "encode"),
+    ] + [(pipeline, name) for name in (
+        "run_pipeline", "write_report", "report_allocations_csv",
+        "solve_interior_point", "exhaustive_search", "encode",
+        *spans._FITS, *spans._EVALUATE)]
+
+
+def test_traced_simulate_hits_every_span(tmp_path):
+    config = {"codec": spec_to_dict(random_spec(seed=7)), "targets": TARGETS,
+              "omegas": [0.5], "run_exhaustive": True}
+    spec_path = tmp_path / "study.json"
+    spec_path.write_text(json.dumps(config))
+    before = [getattr(owner, name) for owner, name in patched_attributes()]
+
+    with spans.installed(spans.Tracer()) as tracer:
+        inside = [getattr(owner, name) for owner, name in patched_attributes()]
+        assert cli.main(["simulate", "--spec", str(spec_path),
+                         "-o", str(tmp_path / "report.json"), "--csv"]) == 0
+
+    assert all(a is not b for a, b in zip(before, inside))
+    assert [getattr(owner, name) for owner, name in patched_attributes()] == before
+    calls = Counter(name for name, *_ in tracer.spans)
+    for name in ("allocator.solve", "allocator.round_to_grid",
+                 "allocator.polish_rounding", "allocator.exhaustive_search",
+                 "models.fit", "evaluate", "simcodec.encode",
+                 "pipeline.run_pipeline", "pipeline.write_report",
+                 "pipeline.report_allocations_csv"):
+        assert calls[name] >= 1, name
+    assert calls["allocator.solve"] == len(TARGETS)
+    assert calls["allocator.exhaustive_search"] == len(TARGETS)
+    # three probes, the 441-pair sweep, one re-encode per target
+    assert calls["simcodec.encode"] == 3 + 441 + len(TARGETS)

@@ -6,9 +6,11 @@ import pytest
 from pcbitalloc.cli import main
 from pcbitalloc.cloud import PointCloud, save_ply
 from pcbitalloc.errors import ValidationError
-from pcbitalloc.models import RateModel, write_probe_log
+from pcbitalloc.models import QpPair, RateModel, write_probe_log
 from pcbitalloc.pipeline import run_pipeline, write_report
-from pcbitalloc.simcodec import SyntheticCodecSpec, run_probe_schedule
+from pcbitalloc.simcodec import (
+    SyntheticCodecSpec, encode, random_spec, run_probe_schedule,
+)
 
 from conftest import make_cloud
 
@@ -154,6 +156,53 @@ class TestCli:
         capsys.readouterr()
         assert main(["allocate", "--model", str(model_path), "--target", "10"]) == 3
         assert "infeasible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra_qps", [(), ((28, 30), (38, 27))],
+                             ids=["3-probes-exact", "5-probes-lstsq"])
+    def test_fit_matches_pipeline_models(self, tmp_path, capsys, extra_qps):
+        spec = random_spec(7, noise_rel=0.02)
+        records = run_probe_schedule(spec)
+        records += [encode(spec, QpPair(*qp)).to_record() for qp in extra_qps]
+        log = tmp_path / "probes.csv"
+        write_probe_log(log, records)
+        assert main(["fit", "--probes", str(log), "--omega", "0.25"]) == 0
+        fitted = json.loads(capsys.readouterr().out)
+        report = run_pipeline({"probe_log": str(log), "targets": [2000], "omegas": [0.25]})
+        assert fitted == report["models"]["0.25"]
+
+    def test_evaluate_short_curves_write_null_bd(self, tmp_path, capsys):
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps(worked_config(targets=[450, 700, 1000])))
+        out = tmp_path / "report.json"
+        assert main(["simulate", "--spec", str(cfg_path), "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["evaluation"]["bd_psnr_db"] == {"0.5": None}
+        assert main(["evaluate", "--pba", str(out), "--esa", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["bd_psnr_db"] == {"0.5": None}
+
+    @pytest.mark.parametrize("field, value, target", [
+        (None, None, "nan"),
+        (None, None, "inf"),
+        ("a", float("nan"), "1000"),
+        ("a", "0.5", "1000"),
+        ("b", None, "1000"),
+        ("c", True, "1000"),
+        ("gamma_g", "6400", "1000"),
+        ("theta_c", float("-inf"), "1000"),
+    ])
+    def test_allocate_rejects_malformed_input(self, tmp_path, capsys, field, value, target):
+        spec = SyntheticCodecSpec(rate=RateModel(**WORKED_SPEC["rate"]),
+                                  **{k: v for k, v in WORKED_SPEC.items() if k != "rate"})
+        log = tmp_path / "probes.csv"
+        write_probe_log(log, run_probe_schedule(spec))
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--probes", str(log), "--omega", "0.5",
+                     "-o", str(model_path)]) == 0
+        if field is not None:
+            doc = json.loads(model_path.read_text())
+            doc["rate" if field in doc["rate"] else "distortion"][field] = value
+            model_path.write_text(json.dumps(doc))
+        assert main(["allocate", "--model", str(model_path), "--target", target]) == 2
+        assert "validation" in capsys.readouterr().err
 
     def test_exit_code_io(self, tmp_path, capsys):
         assert main(["metric", str(tmp_path / "missing.ply"),
