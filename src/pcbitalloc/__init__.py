@@ -11,6 +11,7 @@ accuracy metrics (point-to-point distortion, PSNR, BE, QPE, CQ, BD-PSNR).
 from .allocator import (
     Allocation,
     AllocationProblem,
+    GridTable,
     SolverConfig,
     barrier_objective,
     exhaustive_search,

@@ -16,10 +16,14 @@ coarsening repair when the rounded pair overshoots the budget, and a
 bounded local re-optimization that spends budget stranded by rounding.
 
 An exhaustive 441-pair grid search over the same QP range serves as the
-reference baseline.
+reference baseline. It reads a ``GridTable``: the (rate, distortion) of
+every grid cell as two 21x21 arrays, filled once per codec sweep or
+model (``GridTable.of``, ``model_oracle``). ``exhaustive_search`` is then
+one masked lexicographic argmin over that table per budget.
 
-The solver's fixed settings are module constants: every solve starts at
-the step pair ``START`` (80, 80), the line search backtracks by
+The solver's fixed settings are module constants: a solve starts at the
+step pair ``START`` (80, 80), or at the coarsest grid step when the budget
+does not cover the rate at ``START``; the line search backtracks by
 ``BACKTRACK`` under the Armijo factor ``ARMIJO_C``, and the polish
 searches ``POLISH_RADIUS`` QPs around the rounded pair. The grid is
 ``qp_grid()`` with the steps ``step_grid()``.
@@ -32,6 +36,8 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import (
     ConvergenceError,
     InfeasibleBudgetError,
@@ -39,6 +45,7 @@ from .errors import (
     ValidationError,
 )
 from .models import (
+    QP_MIN,
     DistortionModel,
     QpPair,
     QuantPair,
@@ -83,6 +90,9 @@ class SolverConfig:
             raise ValidationError("eta must lie in (0, 1)")
         if self.eps <= 0:
             raise ValidationError("eps must be positive")
+        if isinstance(self.max_newton_iters, bool) or not isinstance(
+                self.max_newton_iters, int):
+            raise ValidationError("max_newton_iters must be an integer")
         if self.newton_tol <= 0 or self.max_newton_iters < 1:
             raise ValidationError("bad Newton settings")
 
@@ -193,19 +203,22 @@ def solve_interior_point(p: AllocationProblem, cfg: SolverConfig | None = None,
                          trace: list | None = None) -> Allocation:
     """Minimize modeled distortion under the budget and round onto the grid.
 
-    The outer loop starts at the coarsest steps and shrinks the barrier
-    weight by the decline factor until it drops below the accuracy
+    The outer loop starts at ``START``, or at the coarsest grid step when
+    the budget does not cover the rate at ``START``, and shrinks the
+    barrier weight by the decline factor until it drops below the accuracy
     threshold; each weight is handled by one damped Newton solve warm
     started from the previous optimum. A budget that cannot even fit the
-    coarsest encoding is rejected rather than repaired.
+    coarsest grid encoding is rejected rather than repaired.
     """
     cfg = cfg or SolverConfig()
     q_g, q_c = START.q_g, START.q_c
     if p.slack(q_g, q_c) <= 0:
-        raise InfeasibleStartError(
-            f"budget {p.r_target:.6g} kbpmp is below the rate at the starting "
-            f"steps ({q_g:g}, {q_c:g})"
-        )
+        q_g = q_c = _STEPS[-1]
+        if p.slack(q_g, q_c) <= 0:
+            raise InfeasibleStartError(
+                f"budget {p.r_target:.6g} kbpmp is below the rate at the "
+                f"coarsest grid steps ({q_g:g}, {q_c:g})"
+            )
     if trace is not None:
         trace.append((cfg.mu0, q_g, q_c, p.slack(q_g, q_c)))
     mu = cfg.mu0
@@ -298,38 +311,65 @@ def polish_rounding(p: AllocationProblem, qp: QpPair, radius: int) -> QpPair:
     return QpPair(best[2], best[3])
 
 
-def exhaustive_search(oracle: Callable[[QpPair], tuple[float, float]],
-                      r_target: float) -> QpPair:
-    """Evaluate every QP pair on the grid and keep the best admissible one.
+@dataclass(frozen=True, eq=False)
+class GridTable:
+    """(rate, distortion) of every QP grid cell, indexed [qp_g - 22, qp_c - 22].
 
-    The oracle maps a QP pair to (total rate, distortion). Among pairs
-    whose rate fits the budget, the lowest distortion wins; remaining
-    ties fall to lower rate, then lower qp_g, then lower qp_c.
+    Both arrays are read-only 21x21 float64. A table is also an oracle:
+    ``table(qp)`` returns one cell as (rate, distortion).
     """
-    best_key = None
-    best_qp = None
-    for qp_g in _QPS:
-        for qp_c in _QPS:
-            qp = QpPair(qp_g, qp_c)
-            rate, distortion = oracle(qp)
-            if rate > r_target:
-                continue
-            key = (distortion, rate, qp_g, qp_c)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_qp = qp
-    if best_qp is None:
+
+    rate: np.ndarray
+    distortion: np.ndarray
+
+    def __post_init__(self):
+        shape = (len(_QPS), len(_QPS))
+        for name in ("rate", "distortion"):
+            values = np.array(getattr(self, name), dtype=float)
+            if values.shape != shape:
+                raise ValidationError(f"grid table {name} must have shape {shape}")
+            if np.isnan(values).any():
+                raise ValidationError(f"grid table {name} must not contain NaN")
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+
+    @classmethod
+    def of(cls, oracle: Callable[[QpPair], tuple[float, float]]) -> GridTable:
+        """Tabulate an oracle: one call per cell, in g-major order."""
+        cells = [oracle(QpPair(qp_g, qp_c)) for qp_g in _QPS for qp_c in _QPS]
+        values = np.array(cells, dtype=float).reshape(len(_QPS), len(_QPS), 2)
+        return cls(values[..., 0], values[..., 1])
+
+    def __call__(self, qp: QpPair) -> tuple[float, float]:
+        cell = (qp.qp_g - QP_MIN, qp.qp_c - QP_MIN)
+        return float(self.rate[cell]), float(self.distortion[cell])
+
+
+def exhaustive_search(table: GridTable, r_target: float) -> QpPair:
+    """The best admissible cell of a grid table.
+
+    Among cells whose rate fits the budget, the lowest distortion wins;
+    remaining ties fall to lower rate, then lower qp_g, then lower qp_c,
+    the order of the key (distortion, rate, qp_g, qp_c).
+    """
+    best = table.rate <= r_target
+    if not best.any():
         raise InfeasibleBudgetError(
             f"no grid pair fits the budget {r_target:.6g} kbpmp"
         )
-    return best_qp
+    for values in (table.distortion, table.rate):
+        candidates = values[best]
+        best &= values == candidates.min()
+    # argmax finds the first remaining cell in row-major (qp_g, qp_c) order
+    i_g, i_c = divmod(int(np.argmax(best)), len(_QPS))
+    return QpPair(_QPS[i_g], _QPS[i_c])
 
 
-def model_oracle(p: AllocationProblem) -> Callable[[QpPair], tuple[float, float]]:
-    """Oracle view of the fitted models, for grid searches without a codec."""
+def model_oracle(p: AllocationProblem) -> GridTable:
+    """Grid table of the fitted models, for grid searches without a codec."""
 
     def oracle(qp: QpPair) -> tuple[float, float]:
         q = qp.steps()
         return p.rate(q), p.distortion(q)
 
-    return oracle
+    return GridTable.of(oracle)

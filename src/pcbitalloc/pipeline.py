@@ -17,7 +17,9 @@ The report is a JSON tree with sections ``models``, ``allocations`` and
 complexity quotient uses the simulated encode clock (a fixed cost per
 encode call), never wall time. With a synthetic codec backend the
 exhaustive baseline sweeps each grid pair once and reuses the sweep for
-every budget and omega, as a real 441-encode baseline would.
+every budget and omega, as a real 441-encode baseline would: each omega
+gets one ``GridTable`` built from the sweep's arrays, and each budget one
+``exhaustive_search`` over it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,15 @@ import json
 from dataclasses import fields
 from pathlib import Path
 
-from .allocator import AllocationProblem, SolverConfig, exhaustive_search, solve_interior_point
+import numpy as np
+
+from .allocator import (
+    AllocationProblem,
+    GridTable,
+    SolverConfig,
+    exhaustive_search,
+    solve_interior_point,
+)
 from .errors import InfeasibleBudgetError, ValidationError
 from .evaluate import bd_psnr, compute_be, compute_cq, compute_qpe
 from .metrics import psnr
@@ -134,6 +144,12 @@ def run_pipeline(config: dict) -> dict:
 
     sweep = _grid_sweep(spec) if run_esa else None
     esa_encode_calls = len(sweep) if sweep else 0
+    if sweep is not None:
+        # the sweep runs g-major, the row-major layout of a GridTable
+        n = len(qp_grid())
+        grid = {key: np.array([getattr(e, key) for e in sweep.values()]).reshape(n, n)
+                for key in ("r_g", "r_c", "d_g", "d_c")}
+        esa_rate_grid = grid["r_g"] + grid["r_c"]
 
     models_out = {}
     allocations = []
@@ -143,8 +159,7 @@ def run_pipeline(config: dict) -> dict:
         dm, rm = fit_models(records, omega)
         models_out[str(omega)] = model_to_dict(dm, rm)
         if sweep is not None:
-            table = {qp: (e.r_g + e.r_c, weighted(omega, e.d_g, e.d_c))
-                     for qp, e in sweep.items()}
+            table = GridTable(esa_rate_grid, weighted(omega, grid["d_g"], grid["d_c"]))
         pba_points = []
         esa_points = []
         for target in targets:
@@ -173,9 +188,9 @@ def run_pipeline(config: dict) -> dict:
                 # no codec to re-encode with: measure BE on the modeled rate
                 row["be_pct"] = compute_be(problem.rate(alloc.qp.steps()), budget)
             if sweep is not None:
-                esa_qp = exhaustive_search(table.__getitem__, budget)
+                esa_qp = exhaustive_search(table, budget)
                 e = sweep[esa_qp]
-                esa_rate, esa_distortion = table[esa_qp]
+                esa_rate, esa_distortion = table(esa_qp)
                 esa_quality = psnr(e.d_g, e.d_c, omega, geometry_peak, color_peak)
                 row["esa"] = {
                     "qp_g": esa_qp.qp_g, "qp_c": esa_qp.qp_c, "rate": esa_rate,

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcbitalloc.allocator import (
     AllocationProblem,
+    GridTable,
     SolverConfig,
     barrier_objective,
     exhaustive_search,
@@ -95,6 +97,14 @@ class TestSolver:
         with pytest.raises(InfeasibleStartError):
             solve_interior_point(worked_problem(100.0))
 
+    def test_budget_met_only_by_coarsest_grid_step(self):
+        # rate 120 at the (80, 80) start, 119.055 at the coarsest step 80.63
+        trace = []
+        alloc = solve_interior_point(worked_problem(119.07), trace=trace)
+        assert trace[0][1:3] == (qp_to_step(42), qp_to_step(42))
+        assert alloc.qp == QpPair(42, 42)
+        assert alloc.rounding_violation == 0.0
+
     def test_negative_slope_model_rejected(self):
         dm = DistortionModel(-0.1, 0.25, 4.0, 0.5)
         rm = RateModel(6400, -1, 3200, -1)
@@ -144,6 +154,9 @@ class TestSolver:
             SolverConfig(eta=1.5)
         with pytest.raises(ValidationError):
             SolverConfig(mu0=-1)
+        for cap in (1000.0, True):
+            with pytest.raises(ValidationError):
+                SolverConfig(max_newton_iters=cap)
 
 
 class TestRounding:
@@ -192,6 +205,20 @@ class TestRounding:
         assert alloc.qp == esa == QpPair(24, 23)
 
 
+def tuple_key_search(table, r_target):
+    """The reference double loop: the admissible cell of least
+    (distortion, rate, qp_g, qp_c), or None when no cell fits."""
+    best = None
+    for qp_g in range(22, 43):
+        for qp_c in range(22, 43):
+            rate, dist = table(QpPair(qp_g, qp_c))
+            if rate <= r_target:
+                key = (dist, rate, qp_g, qp_c)
+                if best is None or key < best:
+                    best = key
+    return None if best is None else QpPair(best[2], best[3])
+
+
 class TestExhaustiveSearch:
     def test_evaluates_exactly_441_pairs(self):
         p = worked_problem()
@@ -199,7 +226,7 @@ class TestExhaustiveSearch:
         def oracle(qp):
             calls.append(qp)
             return model_oracle(p)(qp)
-        exhaustive_search(oracle, 1000.0)
+        exhaustive_search(GridTable.of(oracle), 1000.0)
         assert len(calls) == 441
         assert len(set(calls)) == 441
 
@@ -212,27 +239,49 @@ class TestExhaustiveSearch:
         # constant distortion, rate decreasing in qp sum: unique lowest rate
         def oracle(qp):
             return 443.0 - qp.qp_g - qp.qp_c, 1.0
-        assert exhaustive_search(oracle, 400.0) == QpPair(42, 42)
+        assert exhaustive_search(GridTable.of(oracle), 400.0) == QpPair(42, 42)
         # fully constant oracle: lowest qp_g then qp_c wins
         def flat(qp):
             return 100.0, 1.0
-        assert exhaustive_search(flat, 400.0) == QpPair(22, 22)
+        assert exhaustive_search(GridTable.of(flat), 400.0) == QpPair(22, 22)
 
     def test_matches_naive_double_loop(self, rng):
         for seed in range(10):
             spec, omega, r_target = well_posed_instance(seed)
             p = AllocationProblem(spec.distortion_model(omega), spec.rate, r_target)
-            oracle = model_oracle(p)
-            best = None
-            for qp_g in range(22, 43):
-                for qp_c in range(22, 43):
-                    rate, dist = oracle(QpPair(qp_g, qp_c))
-                    if rate <= r_target:
-                        key = (dist, rate, qp_g, qp_c)
-                        if best is None or key < best:
-                            best = key
-            got = exhaustive_search(oracle, r_target)
-            assert (got.qp_g, got.qp_c) == best[2:]
+            table = model_oracle(p)
+            assert exhaustive_search(table, r_target) == tuple_key_search(table, r_target)
+
+    # few distinct values, so ties on distortion and on rate are frequent;
+    # a budget of 0.5 (or below every drawn rate) fits no cell
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4),
+           st.sampled_from([0.5, 1.0, 2.0, 2.5, 3.0, 4.0]))
+    def test_matches_tuple_key_loop_with_ties(self, seed, n_rates, n_distortions,
+                                              r_target):
+        rng = np.random.default_rng(seed)
+        rates = rng.choice([4.0, 2.5, 2.0, 1.0][:n_rates], size=(21, 21))
+        distortions = rng.choice([0.0, 1.0, 1.5, 3.0][:n_distortions], size=(21, 21))
+        table = GridTable(rates, distortions)
+        want = tuple_key_search(table, r_target)
+        if want is None:
+            with pytest.raises(InfeasibleBudgetError):
+                exhaustive_search(table, r_target)
+        else:
+            assert exhaustive_search(table, r_target) == want
+
+    def test_table_cells_and_shape(self):
+        p = worked_problem()
+        table = model_oracle(p)
+        q = QpPair(24, 23).steps()
+        assert table(QpPair(24, 23)) == (p.rate(q), p.distortion(q))
+        assert table.rate[24 - 22, 23 - 22] == table(QpPair(24, 23))[0]
+        with pytest.raises(ValueError):
+            table.rate[0, 0] = 0.0
+        with pytest.raises(ValidationError):
+            GridTable(np.zeros((21, 20)), np.zeros((21, 20)))
+        with pytest.raises(ValidationError):
+            GridTable(np.zeros((21, 21)), np.full((21, 21), math.nan))
 
 
 class TestAgreementStatistics:

@@ -6,10 +6,11 @@ import pytest
 from pcbitalloc.cli import main
 from pcbitalloc.cloud import PointCloud, save_ply
 from pcbitalloc.errors import ValidationError
-from pcbitalloc.models import QpPair, RateModel, write_probe_log
-from pcbitalloc.pipeline import run_pipeline, write_report
+from pcbitalloc.models import QpPair, RateModel, weighted, write_probe_log
+from pcbitalloc.pipeline import _grid_sweep, run_pipeline, write_report
 from pcbitalloc.simcodec import (
-    SyntheticCodecSpec, encode, random_spec, run_probe_schedule,
+    SyntheticCodecSpec, encode, random_spec, run_probe_schedule, spec_from_dict,
+    spec_to_dict,
 )
 
 from conftest import make_cloud
@@ -91,6 +92,18 @@ class TestRunPipeline:
         assert row["budget"] == pytest.approx(1000.0)
         assert row["continuous"]["q_g"] == pytest.approx(9.6, abs=1e-4)
 
+    def test_esa_picks_match_tuple_key_loop(self):
+        codec = spec_to_dict(random_spec(7, noise_rel=0.02))
+        report = run_pipeline({"codec": codec, "targets": [800, 1000, 1400, 2000, 3000],
+                               "omegas": [0.25, 0.5, 0.75], "run_exhaustive": True})
+        sweep = _grid_sweep(spec_from_dict(codec))
+        assert len(report["allocations"]) == 15
+        for row in report["allocations"]:
+            best = min((weighted(row["omega"], e.d_g, e.d_c), e.r_g + e.r_c, qp.qp_g, qp.qp_c)
+                       for qp, e in sweep.items() if e.r_g + e.r_c <= row["budget"])
+            esa = row["esa"]
+            assert (esa["distortion"], esa["rate"], esa["qp_g"], esa["qp_c"]) == best
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             run_pipeline({"targets": [100]})
@@ -144,6 +157,14 @@ class TestCli:
                                   **{k: v for k, v in WORKED_SPEC.items() if k != "rate"})
         write_probe_log(log, run_probe_schedule(spec))
         assert main(["fit", "--probes", str(log), "--omega", "2.0"]) == 2
+        assert "validation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", [1000.0, True])
+    def test_simulate_rejects_non_integer_newton_cap(self, tmp_path, capsys, cap):
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps(worked_config(solver={"max_newton_iters": cap})))
+        assert main(["simulate", "--spec", str(cfg_path),
+                     "-o", str(tmp_path / "report.json")]) == 2
         assert "validation" in capsys.readouterr().err
 
     def test_exit_code_infeasible(self, tmp_path, capsys):
