@@ -11,15 +11,15 @@ logarithmic barrier
 which is minimized by damped Newton iterations while the barrier weight
 mu is shrunk geometrically (mu <- eta * mu) until it falls below the
 accuracy threshold. The continuous optimum is then rounded onto the
-discrete step grid: per-component nearest rounding, a deterministic
-coarsening repair when the rounded pair overshoots the budget, and a
-bounded local re-optimization that spends budget stranded by rounding.
+discrete step grid: nearest-step rounding (ties to the larger step), a
+deterministic coarsening repair when the rounded pair overshoots the
+budget, and a polish over a small QP window that spends stranded budget.
 
 An exhaustive 441-pair grid search over the same QP range serves as the
 reference baseline. It reads a ``GridTable``: the (rate, distortion) of
-every grid cell as two 21x21 arrays, filled once per codec sweep or
-model (``GridTable.of``, ``model_oracle``). ``exhaustive_search`` is then
-one masked lexicographic argmin over that table per budget.
+every grid cell as two 21x21 arrays, filled once per codec sweep or, as
+outer sums of per-axis model terms, by ``model_oracle``. The search and
+the polish pick their cell with the same masked lexicographic argmin.
 
 The solver's fixed settings are module constants: a solve starts at the
 step pair ``START`` (80, 80), or at the coarsest grid step when the budget
@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -239,31 +238,20 @@ def solve_interior_point(p: AllocationProblem, cfg: SolverConfig | None = None,
     )
 
 
-def _nearest_step_index(steps: Sequence[float], x: float) -> int:
-    # nearest step wins; on a tie prefer the larger step (lower rate)
-    best = 0
-    for i, s in enumerate(steps):
-        if abs(s - x) < abs(steps[best] - x) or (
-            abs(s - x) == abs(steps[best] - x) and s > steps[best]
-        ):
-            best = i
-    return best
-
-
 def round_to_grid(p: AllocationProblem, continuous: QuantPair
                   ) -> tuple[QpPair, float]:
     """Map a continuous step pair onto the QP grid, repairing budget overshoot.
 
-    Each component is clamped into the grid range and snapped to the
-    nearest step (ties toward the larger step). If the snapped pair
-    exceeds the budget, the component whose distortion cost per unit of
-    recovered rate is smaller is coarsened one QP at a time until the
-    pair fits or the grid is exhausted; any residual overshoot is
-    reported as the rounding violation.
+    Each component is snapped to the nearest step, scanning from the
+    coarsest so that a tie goes to the larger step; values beyond the grid
+    land on its end steps. If the snapped pair exceeds the budget, the
+    component whose distortion cost per unit of recovered rate is smaller
+    is coarsened one QP at a time until the pair fits or the grid is
+    exhausted; any residual overshoot is reported as the rounding violation.
     """
     steps = _STEPS
-    i_g = _nearest_step_index(steps, min(max(continuous.q_g, steps[0]), steps[-1]))
-    i_c = _nearest_step_index(steps, min(max(continuous.q_c, steps[0]), steps[-1]))
+    i_g, i_c = (min(reversed(range(len(steps))), key=lambda i: abs(steps[i] - x))
+                for x in (continuous.q_g, continuous.q_c))
     last = len(steps) - 1
     while True:
         q = QuantPair(steps[i_g], steps[i_c])
@@ -279,8 +267,7 @@ def round_to_grid(p: AllocationProblem, continuous: QuantPair
             i_g += 1
         else:
             i_c += 1
-    qp = QpPair(_QPS[i_g], _QPS[i_c])
-    return qp, max(0.0, p.rate(QuantPair(steps[i_g], steps[i_c])) - p.r_target)
+    return QpPair(_QPS[i_g], _QPS[i_c]), max(0.0, overshoot)
 
 
 def polish_rounding(p: AllocationProblem, qp: QpPair, radius: int) -> QpPair:
@@ -289,26 +276,43 @@ def polish_rounding(p: AllocationProblem, qp: QpPair, radius: int) -> QpPair:
     Per-component rounding can strand a few percent of the budget; this
     re-minimizes the modeled distortion over the feasible cells within
     the window, using the same tie order as the exhaustive baseline.
-    Returns the input pair unchanged when radius is 0 or no window cell
-    fits the budget.
+    Returns the input pair unchanged when radius is not positive or no
+    window cell fits the budget.
     """
-    if radius == 0:
+    if radius <= 0:
         return qp
-    qps, steps = _QPS, _STEPS
-    i_g = qps.index(qp.qp_g)
-    i_c = qps.index(qp.qp_c)
-    best = None
-    for j_g in range(max(0, i_g - radius), min(len(qps), i_g + radius + 1)):
-        for j_c in range(max(0, i_c - radius), min(len(qps), i_c + radius + 1)):
-            q = QuantPair(steps[j_g], steps[j_c])
-            rate = p.rate(q)
-            if rate <= p.r_target:
-                key = (p.distortion(q), rate, qps[j_g], qps[j_c])
-                if best is None or key < best:
-                    best = key
-    if best is None:
+    i_g, i_c = qp.qp_g - QP_MIN, qp.qp_c - QP_MIN
+    g0, c0 = max(i_g - radius, 0), max(i_c - radius, 0)
+    rate, distortion = _model_cells(p, _STEPS[g0:i_g + radius + 1],
+                                    _STEPS[c0:i_c + radius + 1])
+    cell = _best_cell(rate, distortion, rate <= p.r_target)
+    if cell is None:
         return qp
-    return QpPair(best[2], best[3])
+    return QpPair(_QPS[g0 + cell[0]], _QPS[c0 + cell[1]])
+
+
+def _model_cells(p: AllocationProblem, steps_g, steps_c):
+    """Modeled (rate, distortion) of the cells steps_g x steps_c as outer sums
+    of per-axis terms. Python ``**`` (numpy's can differ in the last bit) and
+    the association of ``p.rate``/``p.distortion`` keep each cell bit-exact."""
+    rm, dm = p.rm, p.dm
+    r_g = np.array([rm.gamma_g * q**rm.theta_g for q in steps_g])
+    r_c = np.array([rm.gamma_c * q**rm.theta_c for q in steps_c])
+    q_g, q_c = np.array(steps_g), np.array(steps_c)
+    return (r_g[:, None] + r_c[None, :],
+            (dm.a * q_g[:, None] + dm.b * q_c[None, :]) + dm.c)
+
+
+def _best_cell(rate, distortion, admissible) -> tuple[int, int] | None:
+    """Index of the admissible cell of least (distortion, rate, row, column),
+    or None when no cell is admissible."""
+    if not admissible.any():
+        return None
+    best = admissible.copy()
+    for values in (distortion, rate):
+        best &= values == values[best].min()
+    # argmax finds the first remaining cell in row-major order
+    return divmod(int(np.argmax(best)), rate.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,13 +337,6 @@ class GridTable:
             values.flags.writeable = False
             object.__setattr__(self, name, values)
 
-    @classmethod
-    def of(cls, oracle: Callable[[QpPair], tuple[float, float]]) -> GridTable:
-        """Tabulate an oracle: one call per cell, in g-major order."""
-        cells = [oracle(QpPair(qp_g, qp_c)) for qp_g in _QPS for qp_c in _QPS]
-        values = np.array(cells, dtype=float).reshape(len(_QPS), len(_QPS), 2)
-        return cls(values[..., 0], values[..., 1])
-
     def __call__(self, qp: QpPair) -> tuple[float, float]:
         cell = (qp.qp_g - QP_MIN, qp.qp_c - QP_MIN)
         return float(self.rate[cell]), float(self.distortion[cell])
@@ -352,24 +349,14 @@ def exhaustive_search(table: GridTable, r_target: float) -> QpPair:
     remaining ties fall to lower rate, then lower qp_g, then lower qp_c,
     the order of the key (distortion, rate, qp_g, qp_c).
     """
-    best = table.rate <= r_target
-    if not best.any():
+    cell = _best_cell(table.rate, table.distortion, table.rate <= r_target)
+    if cell is None:
         raise InfeasibleBudgetError(
             f"no grid pair fits the budget {r_target:.6g} kbpmp"
         )
-    for values in (table.distortion, table.rate):
-        candidates = values[best]
-        best &= values == candidates.min()
-    # argmax finds the first remaining cell in row-major (qp_g, qp_c) order
-    i_g, i_c = divmod(int(np.argmax(best)), len(_QPS))
-    return QpPair(_QPS[i_g], _QPS[i_c])
+    return QpPair(_QPS[cell[0]], _QPS[cell[1]])
 
 
 def model_oracle(p: AllocationProblem) -> GridTable:
     """Grid table of the fitted models, for grid searches without a codec."""
-
-    def oracle(qp: QpPair) -> tuple[float, float]:
-        q = qp.steps()
-        return p.rate(q), p.distortion(q)
-
-    return GridTable.of(oracle)
+    return GridTable(*_model_cells(p, _STEPS, _STEPS))

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -68,6 +69,13 @@ def fit_models(records, omega):
         dm = fit_distortion_model_lstsq(probes, omega)
         rm = fit_rate_model_lstsq(probes)
     return dm, rm
+
+
+def _number(key: str, x) -> float:
+    """A finite config number as a float; booleans and strings are refused."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+        raise ValidationError(f"config '{key}' must hold finite numbers, got {x!r}")
+    return float(x)
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
@@ -121,15 +129,19 @@ def run_pipeline(config: dict) -> dict:
     has_codec = "codec" in config
     if not has_codec and "probe_log" not in config:
         raise ValidationError("config needs a 'codec' spec or a 'probe_log' path")
-    targets = [float(t) for t in config.get("targets", [])]
-    if not targets:
-        raise ValidationError("config needs a non-empty 'targets' list")
-    omegas = [float(w) for w in config.get("omegas", [0.5])]
-    run_esa = bool(config.get("run_exhaustive", False))
+    targets, omegas = config.get("targets"), config.get("omegas", [0.5])
+    for key, values in (("targets", targets), ("omegas", omegas)):
+        if not isinstance(values, (list, tuple)) or not values:
+            raise ValidationError(f"config needs a non-empty '{key}' list")
+    targets = [_number("targets", t) for t in targets]
+    omegas = [_number("omegas", w) for w in omegas]
+    run_esa = config.get("run_exhaustive", False)
+    if not isinstance(run_esa, bool):
+        raise ValidationError("config 'run_exhaustive' must be true or false")
     if run_esa and not has_codec:
         raise ValidationError("the exhaustive baseline needs a codec backend")
-    geometry_peak = float(config.get("geometry_peak", 1023.0))
-    color_peak = float(config.get("color_peak", 255.0))
+    geometry_peak = _number("geometry_peak", config.get("geometry_peak", 1023.0))
+    color_peak = _number("color_peak", config.get("color_peak", 255.0))
     solver_cfg = _solver_config(config.get("solver") or {})
 
     if has_codec:
@@ -139,7 +151,7 @@ def run_pipeline(config: dict) -> dict:
     else:
         spec = None
         records = read_probe_log(config["probe_log"])
-        overhead = float(config.get("overhead_kbpmp", 0.0))
+        overhead = _number("overhead_kbpmp", config.get("overhead_kbpmp", 0.0))
     pba_encode_calls = len(records)
 
     sweep = _grid_sweep(spec) if run_esa else None
@@ -215,12 +227,9 @@ def run_pipeline(config: dict) -> dict:
     if esa_encode_calls:
         evaluation["cq_pct"] = compute_cq(pba_encode_calls * ENCODE_TIME_MS,
                                           esa_encode_calls * ENCODE_TIME_MS)
-        qpes = [r["qpe"] for r in rows if "qpe" in r]
-        bes = [r["be_pct"] for r in rows if "be_pct" in r]
-        evaluation["average"] = {
-            "qpe": sum(qpes) / len(qpes) if qpes else None,
-            "be_pct": sum(bes) / len(bes) if bes else None,
-        }
+        # the baseline gives every row a qpe and a be_pct, and rows is never empty
+        evaluation["average"] = {key: sum(r[key] for r in rows) / len(rows)
+                                 for key in ("qpe", "be_pct")}
         evaluation["bd_psnr_db"] = curves
     return {
         "config": config,

@@ -50,12 +50,15 @@ class SyntheticCodecSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.alpha_g, self.alpha_gc, self.alpha_cc) < 0:
-            raise ValidationError("distortion slopes must be non-negative")
-        if self.noise_rel < 0:
-            raise ValidationError("noise_rel must be non-negative")
-        if self.overhead_kbpmp < 0:
-            raise ValidationError("overhead bitrate must be non-negative")
+        if not all(map(math.isfinite, (
+                self.alpha_g, self.beta_g, self.alpha_gc, self.alpha_cc, self.beta_c,
+                self.noise_rel, self.coupling, self.overhead_kbpmp))):
+            raise ValidationError("codec spec values must be finite")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValidationError("codec seed must be a non-negative integer")
+        if min(self.alpha_g, self.alpha_gc, self.alpha_cc,
+               self.noise_rel, self.overhead_kbpmp) < 0:
+            raise ValidationError("codec slopes, noise and overhead must be non-negative")
 
     def distortion_model(self, omega: float) -> DistortionModel:
         """Ground-truth combined distortion plane at a weighting factor."""

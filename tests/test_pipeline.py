@@ -110,6 +110,8 @@ class TestRunPipeline:
         with pytest.raises(ValidationError):
             run_pipeline(worked_config(targets=[]))
         with pytest.raises(ValidationError):
+            run_pipeline(worked_config(omegas=[]))
+        with pytest.raises(ValidationError):
             run_pipeline({"probe_log": "x.csv", "targets": [1], "run_exhaustive": True})
 
 
@@ -166,6 +168,38 @@ class TestCli:
         assert main(["simulate", "--spec", str(cfg_path),
                      "-o", str(tmp_path / "report.json")]) == 2
         assert "validation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("noise_rel", float("nan")),
+        ("overhead_kbpmp", float("inf")),
+        ("seed", 1.5),
+        ("seed", -1),
+    ], ids=["noise-nan", "overhead-inf", "seed-fractional", "seed-negative"])
+    def test_simulate_rejects_bad_codec_spec(self, tmp_path, capsys, field, value):
+        codec = dict(spec_to_dict(random_spec(7, noise_rel=0.02)), **{field: value})
+        self.assert_simulate_rejects(tmp_path, capsys, {
+            "codec": codec, "targets": [800, 1000, 1400, 2000]})
+
+    @pytest.mark.parametrize("field, value", [
+        ("targets", ["x"]),
+        ("targets", 900),
+        ("geometry_peak", float("nan")),
+        ("color_peak", float("nan")),
+        ("run_exhaustive", "no"),
+    ], ids=["targets-string", "targets-scalar", "geometry-peak-nan", "color-peak-nan",
+            "run-exhaustive-string"])
+    def test_simulate_rejects_bad_top_level_field(self, tmp_path, capsys, field, value):
+        self.assert_simulate_rejects(tmp_path, capsys, worked_config(**{field: value}))
+
+    @staticmethod
+    def assert_simulate_rejects(tmp_path, capsys, config):
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps(config))
+        report = tmp_path / "report.json"
+        assert main(["simulate", "--spec", str(cfg_path), "-o", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [validation]: ") and err.count("\n") == 1
+        assert not report.exists()
 
     def test_exit_code_infeasible(self, tmp_path, capsys):
         spec = SyntheticCodecSpec(rate=RateModel(**WORKED_SPEC["rate"]),
