@@ -8,13 +8,19 @@ point-to-point metric of MPEG's ``pc_error``). The neighbor of a query
 is exact: it minimizes the integer squared distance, and ties go to the
 smallest point index.
 
-``NnIndex`` gets there without a per-point loop. It dedupes the cloud
-once at build time, keeping the smallest original index of each site,
-and builds a kd-tree over the distinct sites. A query asks the tree for
-a few candidate sites per row, re-ranks them in int64 and takes the
-smallest original index among the candidates at the best distance. Only
-a row whose last candidate still ties the best can have more tied sites
-than were returned; those rows alone are re-queried by radius.
+``NnIndex`` gets there without a per-point loop. One Morton (z-order)
+key per point, its three 21-bit coordinates interleaved into 63 bits,
+orders everything: the cloud is sorted by it once at build time, equal
+keys are equal positions and merge into one site that keeps the
+smallest original index, and the sites are stored, and the kd-tree built
+over them, in key order. Queries are sorted by the same key, so
+neighboring rows walk neighboring tree nodes, and the results are
+scattered back to the caller's row order. The tree returns two candidate
+sites per row, nearest first; both are re-ranked in int64, and only a
+row whose second candidate ties the first can have more tied sites than
+were returned, so those rows alone are re-queried by radius.
+Coordinates of 2^21 or more do not fit the key; there the rows are
+ordered lexicographically instead, with the same results.
 
 Squared distances are integers (voxel coordinates are integers, luma is
 scaled to an integer grid), so the means are exact integer sums divided
@@ -53,13 +59,19 @@ class FitQuality:
     nrmse: float
 
 
-# kd candidates per query row; a row whose last candidate still ties the
-# best is re-queried by radius.
+# kd candidates per query row; a row whose second candidate ties the
+# first is re-queried by radius.
 _CANDIDATES = 2
 _NO_INDEX = np.iinfo(np.int64).max
 # Below 2^25 per axis a squared distance stays below 3 * 2^50, exact in
 # float64, so the kd-tree's float ranking is exact and int64 cannot overflow.
 _EXACT_LIMIT = 1 << 25
+# A Morton key interleaves 21 bits per axis into 63 bits of an int64.
+_MORTON_LIMIT = 1 << 21
+# Shift-and-mask steps that spread 21 bits to every third bit position.
+_SPREAD = ((32, 0x1F00000000FFFF), (16, 0x1F0000FF0000FF),
+           (8, 0x100F00F00F00F00F), (4, 0x10C30C30C30C30C3),
+           (2, 0x1249249249249249))
 
 
 def _check_exact_range(points: np.ndarray) -> None:
@@ -68,13 +80,36 @@ def _check_exact_range(points: np.ndarray) -> None:
             "exact nearest neighbors need coordinates in [0, 2^25)")
 
 
+def _morton_key(points: np.ndarray) -> np.ndarray | None:
+    """The z-order key of each row, or None if a coordinate needs more than 21 bits."""
+    if points.max(initial=0) >= _MORTON_LIMIT:
+        return None
+    key = np.zeros(len(points), dtype=np.int64)
+    for axis in range(3):
+        bits = points[:, axis].copy()
+        for shift, mask in _SPREAD:
+            bits |= bits << shift
+            bits &= mask
+        key |= bits << (2 - axis)
+    return key
+
+
+def _row_order(points: np.ndarray, key: np.ndarray | None) -> np.ndarray:
+    """An order of the rows in which equal rows are adjacent."""
+    if key is None:
+        return np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
+    return np.argsort(key)
+
+
 class NnIndex:
     """Exact nearest-neighbor index over one cloud's integer positions.
 
     Duplicate positions are merged at build time into one site that
     carries the smallest original index, so every tie left at query time
-    is between distinct sites. Coordinates of sites and queries must lie
-    in [0, 2^25), where the kd-tree's float ranking is exact.
+    is between distinct sites. Sites are kept in Morton order (in
+    lexicographic order when a coordinate reaches 2^21), and each query
+    batch is visited in the same order. Coordinates of sites and queries
+    must lie in [0, 2^25), where the kd-tree's float ranking is exact.
     """
 
     def __init__(self, cloud: PointCloud):
@@ -82,14 +117,21 @@ class NnIndex:
             raise ValidationError("cannot index an empty cloud")
         pts = cloud.positions
         _check_exact_range(pts)
-        # Stable sort: within a run of equal positions, original order.
-        order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
-        ordered = pts[order]
-        first = np.ones(len(pts), dtype=bool)
-        first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-        self._sites = ordered[first]
-        self._site_index = order[first]
-        self._tree = cKDTree(self._sites.astype(np.float64), balanced_tree=True)
+        key = _morton_key(pts)
+        order = _row_order(pts, key)
+        new_site = np.ones(len(pts), dtype=bool)
+        if key is None:
+            ordered = pts[order]
+            new_site[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        else:
+            ordered = key[order]
+            new_site[1:] = ordered[1:] != ordered[:-1]
+        starts = np.flatnonzero(new_site)
+        self._sites = pts[order[starts]]
+        # the sort need not be stable: take each run's smallest original index
+        self._site_index = np.minimum.reduceat(order, starts)
+        # sliding midpoint: results do not depend on the tree's shape
+        self._tree = cKDTree(self._sites.astype(np.float64), balanced_tree=False)
 
     def query(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Nearest neighbors of integer query points.
@@ -99,21 +141,27 @@ class NnIndex:
         the points at the minimal squared distance.
         """
         q = np.atleast_2d(np.asarray(queries, dtype=np.int64))
+        if q.ndim != 2 or q.shape[1] != 3:
+            raise ValidationError(f"queries must have shape (n, 3), got {q.shape}")
         _check_exact_range(q)
+        order = _row_order(q, _morton_key(q))
+        q = q[order]
         k = min(_CANDIDATES, len(self._sites))
         _, cand = self._tree.query(q.astype(np.float64), k=k)
         cand = cand.reshape(len(q), k)
         diff = self._sites[cand]
         diff -= q[:, None, :]
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        best = d2.min(axis=1)
-        tied = d2 == best[:, None]
-        idx = np.where(tied, self._site_index[cand], _NO_INDEX).min(axis=1)
-        if k < len(self._sites):
-            # Only these rows can have more tied sites than candidates.
-            rows = np.flatnonzero(tied[:, -1])
+        # the exact float ranking puts the best candidate first
+        nearest = self._site_index[cand[:, 0]]
+        if k > 1:
+            rows = np.flatnonzero(d2[:, 1] == d2[:, 0])
             if len(rows):
-                idx[rows] = self._smallest_tied(q[rows], best[rows])
+                nearest[rows] = self._smallest_tied(q[rows], d2[rows, 0])
+        idx = np.empty_like(nearest)
+        idx[order] = nearest
+        best = np.empty_like(nearest)
+        best[order] = d2[:, 0]
         return idx, best
 
     def _smallest_tied(self, q, best) -> np.ndarray:
@@ -152,13 +200,11 @@ def geometry_error(b: PointCloud, a: PointCloud) -> float:
     return _exact_mean(d2, len(b))
 
 
-def _directed_errors(b: PointCloud, a: PointCloud, index_a: NnIndex,
-                     luma_weights: str) -> tuple[float, float]:
+def _directed_errors(b: PointCloud, index_a: NnIndex, luma_b: np.ndarray,
+                     luma_a: np.ndarray) -> tuple[float, float]:
     nn, d2 = index_a.query(b.positions)
     e_g = _exact_mean(d2, len(b))
-    yb = luma_scaled(b.colors, luma_weights)
-    ya = luma_scaled(a.colors, luma_weights)[nn]
-    dy = yb - ya
+    dy = luma_b - luma_a[nn]
     e_c = _exact_mean(dy * dy, len(b) * LUMA_SCALE * LUMA_SCALE)
     return e_g, e_c
 
@@ -172,8 +218,10 @@ def symmetric_distortion(a: PointCloud, b: PointCloud,
     """
     idx_a = build_index(a)
     idx_b = build_index(b)
-    eg_ba, ec_ba = _directed_errors(b, a, idx_a, luma_weights)
-    eg_ab, ec_ab = _directed_errors(a, b, idx_b, luma_weights)
+    luma_a = luma_scaled(a.colors, luma_weights)
+    luma_b = luma_scaled(b.colors, luma_weights)
+    eg_ba, ec_ba = _directed_errors(b, idx_a, luma_b, luma_a)
+    eg_ab, ec_ab = _directed_errors(a, idx_b, luma_a, luma_b)
     return DistortionPair(max(eg_ba, eg_ab), max(ec_ba, ec_ab))
 
 

@@ -78,11 +78,16 @@ def _number(key: str, x) -> float:
     return float(x)
 
 
-def _solver_config(cfg: dict) -> SolverConfig:
+def _solver_config(cfg) -> SolverConfig:
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"config 'solver' must be an object, got {cfg!r}")
     unknown = set(cfg) - {f.name for f in fields(SolverConfig)}
     if unknown:
         raise ValidationError(f"unknown solver keys: {sorted(unknown)}")
-    return SolverConfig(**cfg)
+    # SolverConfig checks the Newton cap's integer type itself
+    values = {key: x if key == "max_newton_iters" else _number(f"solver.{key}", x)
+              for key, x in cfg.items()}
+    return SolverConfig(**values)
 
 
 def _grid_sweep(spec):
@@ -142,7 +147,7 @@ def run_pipeline(config: dict) -> dict:
         raise ValidationError("the exhaustive baseline needs a codec backend")
     geometry_peak = _number("geometry_peak", config.get("geometry_peak", 1023.0))
     color_peak = _number("color_peak", config.get("color_peak", 255.0))
-    solver_cfg = _solver_config(config.get("solver") or {})
+    solver_cfg = _solver_config(config.get("solver", {}))
 
     if has_codec:
         spec = spec_from_dict(config["codec"])
@@ -150,6 +155,8 @@ def run_pipeline(config: dict) -> dict:
         overhead = spec.overhead_kbpmp
     else:
         spec = None
+        if not isinstance(config["probe_log"], str):
+            raise ValidationError("config 'probe_log' must be a path string")
         records = read_probe_log(config["probe_log"])
         overhead = _number("overhead_kbpmp", config.get("overhead_kbpmp", 0.0))
     pba_encode_calls = len(records)

@@ -10,6 +10,7 @@ from pcbitalloc.metrics import (
     DistortionPair,
     NnIndex,
     _exact_mean,
+    _morton_key,
     build_index,
     combined_distortion,
     fit_quality,
@@ -47,6 +48,15 @@ class TestNnIndex:
             build_index(near).query(far.positions)
         with pytest.raises(ValidationError, match="2\\^25"):
             build_index(near).query([[-1, 0, 0]])
+
+    @pytest.mark.parametrize("queries", [[], [[1, 2]], np.zeros((2, 3, 1))],
+                             ids=["empty-list", "two-columns", "three-dims"])
+    def test_query_shape_checked(self, queries):
+        index = build_index(PointCloud([[1, 2, 3]], [[0, 0, 0]], 4))
+        with pytest.raises(ValidationError, match="shape"):
+            index.query(queries)
+        idx, d2 = index.query(np.zeros((0, 3), dtype=np.int64))
+        assert idx.shape == d2.shape == (0,)
 
     def test_equidistant_tie(self):
         # (0,0,0) and (2,0,0) are both at distance 1 from (1,0,0)
@@ -108,6 +118,39 @@ class TestNnIndex:
         cloud = PointCloud(np.array(sites) * 4, np.zeros((len(sites), 3)), 4)
         idx, d2 = build_index(cloud).query(queries)
         want_idx, want_d2 = brute_force_nn(cloud.positions, queries)
+        assert (idx == want_idx).all()
+        assert (d2 == want_d2).all()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.tuples(*[st.integers(0, 2**21 - 8)] * 3),
+           st.lists(st.tuples(*[st.integers(0, 7)] * 3), min_size=1, max_size=50),
+           st.lists(st.tuples(*[st.integers(-2, 9)] * 3), min_size=1, max_size=30),
+           st.data())
+    def test_morton_and_lexicographic_orders_agree(self, origin, sites, queries, data):
+        # clustered sites hold duplicates and equidistant ties; shifting the
+        # cloud by 2^21 moves it off the 63-bit Morton key onto the lexsort path
+        pos = np.array(origin) + np.array(sites)
+        q = np.clip(np.array(origin) + np.array(queries), 0, 2**21 - 1)
+        assert _morton_key(pos) is not None and _morton_key(pos + 2**21) is None
+        colors = np.zeros((len(pos), 3))
+        idx, d2 = build_index(PointCloud(pos, colors, 21)).query(q)
+        lex_idx, lex_d2 = build_index(PointCloud(pos + 2**21, colors, 22)).query(q + 2**21)
+        want_idx, want_d2 = brute_force_nn(pos, q)
+        assert (idx == want_idx).all() and (lex_idx == want_idx).all()
+        assert (d2 == want_d2).all() and (lex_d2 == want_d2).all()
+        perm = np.array(data.draw(st.permutations(range(len(q)))))
+        perm_idx, perm_d2 = build_index(PointCloud(pos, colors, 21)).query(q[perm])
+        assert (perm_idx == idx[perm]).all() and (perm_d2 == d2[perm]).all()
+
+    @pytest.mark.parametrize("top", [2**21 - 1, 2**21])
+    def test_coordinates_at_morton_key_limit(self, rng, top):
+        # queries reach past top, so one side can take the Morton key and the other not
+        pos = rng.integers(top - 3, top + 1, (40, 3))
+        pos[0] = top
+        queries = rng.integers(top - 5, top + 3, (80, 3))
+        assert (_morton_key(pos) is None) == (top >= 2**21)
+        idx, d2 = build_index(PointCloud(pos, np.zeros((40, 3)), 22)).query(queries)
+        want_idx, want_d2 = brute_force_nn(pos, queries)
         assert (idx == want_idx).all()
         assert (d2 == want_d2).all()
 

@@ -3,7 +3,8 @@
 ``perfbench/spans.py`` wraps library functions at the names their callers
 look up. A refactor that renames one of them, or routes a call around it,
 breaks every traced benchmark run; this guard runs one small exhaustive
-``simulate`` under the tracer and checks what it recorded.
+``simulate`` and one ``metric`` under the tracer and checks what they
+recorded.
 """
 
 import json
@@ -11,8 +12,12 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 from pcbitalloc import allocator, cli, cloud, metrics, pipeline, simcodec
 from pcbitalloc.simcodec import random_spec, spec_to_dict
+
+from conftest import make_cloud
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spans  # noqa: E402
@@ -58,3 +63,20 @@ def test_traced_simulate_hits_every_span(tmp_path):
     assert calls["allocator.exhaustive_search"] == len(TARGETS)
     # three probes, the 441-pair sweep, one re-encode per target
     assert calls["simcodec.encode"] == 3 + 441 + len(TARGETS)
+
+
+def test_traced_metric_hits_index_spans(tmp_path):
+    rng = np.random.default_rng(5)
+    for name in ("ref.ply", "rec.ply"):
+        cloud.save_ply(make_cloud(rng, 300, bit_depth=8), tmp_path / name, binary=True)
+
+    with spans.installed(spans.Tracer()) as tracer:
+        assert cli.main(["metric", str(tmp_path / "ref.ply"), str(tmp_path / "rec.ply"),
+                         "-o", str(tmp_path / "metric.json")]) == 0
+
+    calls = Counter(name for name, *_ in tracer.spans)
+    # one index and one query per direction of the symmetric distortion
+    assert calls["metrics.build_index"] == 2
+    assert calls["metrics.nn_query"] == 2
+    assert calls["metrics.symmetric_distortion"] == 1
+    assert calls["cloud.load_ply"] == 2

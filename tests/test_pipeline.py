@@ -186,10 +186,20 @@ class TestCli:
         ("geometry_peak", float("nan")),
         ("color_peak", float("nan")),
         ("run_exhaustive", "no"),
+        ("solver", {"mu0": "x"}),
+        ("solver", {"eps": None}),
+        ("solver", 5),
+        ("solver", None),
+        ("solver", {"mu0": True}),
     ], ids=["targets-string", "targets-scalar", "geometry-peak-nan", "color-peak-nan",
-            "run-exhaustive-string"])
+            "run-exhaustive-string", "solver-mu0-string", "solver-eps-null",
+            "solver-scalar", "solver-null", "solver-mu0-bool"])
     def test_simulate_rejects_bad_top_level_field(self, tmp_path, capsys, field, value):
         self.assert_simulate_rejects(tmp_path, capsys, worked_config(**{field: value}))
+
+    @pytest.mark.parametrize("path", [5, None], ids=["number", "null"])
+    def test_simulate_rejects_non_string_probe_log(self, tmp_path, capsys, path):
+        self.assert_simulate_rejects(tmp_path, capsys, {"probe_log": path, "targets": [1000]})
 
     @staticmethod
     def assert_simulate_rejects(tmp_path, capsys, config):
