@@ -27,7 +27,7 @@ def _emit(payload: dict, out: str | None) -> None:
 def _read_json(path, what: str):
     try:
         return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise ValidationError(f"bad {what} file {path}: {exc}") from exc
 
 

@@ -10,11 +10,20 @@ in a ``comment bit_depth N`` line so a save/load round trip restores it;
 absent that, the smallest depth containing all coordinates is used, and a
 comment smaller than that depth is rejected. The reader also rejects
 non-finite coordinates, coordinates of 2^31 or more in magnitude and
-fractional colors. Both bodies are parsed and written as whole arrays.
+fractional colors. Both bodies are parsed and written as whole arrays. An
+ascii body is parsed as int64 first, the common case for voxelized
+clouds, and parsed again as float64 only when a token is not an integer
+that fits; either way the rows reach the checks as the same float64
+values. The ascii writer builds one matrix of digit characters with
+whole-array ``// 10`` steps, masks the leading zeros and writes the rest
+as one byte string, the same bytes ``"%d"`` gives. The body is read to
+the end of the file once, so a binary vertex count is checked against
+the bytes there before any buffer is sized by it.
 """
 
 from __future__ import annotations
 
+import io
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -183,29 +192,39 @@ def _locate_columns(props):
     return {n: names.index(n) for n in known}
 
 
+def _load_ascii(body: bytes, n_vertex: int, props, dtype) -> np.ndarray:
+    with warnings.catch_warnings():
+        # loadtxt warns about blank lines, which it skips, and about an
+        # empty body, which the row count in _read_body rejects
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(io.BytesIO(body), dtype=dtype, comments=None, ndmin=2,
+                          usecols=range(len(props)), max_rows=n_vertex)
+
+
 def _read_body(fh, fmt: str, n_vertex: int, props) -> np.ndarray:
     """The vertex rows as an (n_vertex, len(props)) float64 array."""
+    # The rest of the file, so that a vertex count beyond it sizes no
+    # buffer and the ascii body can be parsed twice without seeking a pipe.
+    body = fh.read()
     if fmt == "ascii":
-        with warnings.catch_warnings():
-            # loadtxt warns about blank lines, which it skips, and about an
-            # empty body, which the row count below rejects
-            warnings.simplefilter("ignore", UserWarning)
+        try:
+            # int64 converts to the same float64 as parsing the token would
+            data = _load_ascii(body, n_vertex, props, np.int64).astype(np.float64)
+        except (ValueError, OverflowError):
+            # a float token, an integer beyond int64 or a malformed body
             try:
-                data = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2,
-                                  usecols=range(len(props)), max_rows=n_vertex)
+                data = _load_ascii(body, n_vertex, props, np.float64)
             except ValueError as exc:
                 raise PlyBodyError(f"vertex data: {exc}") from None
         if len(data) < n_vertex:
             raise PlyBodyError(f"vertex data truncated at row {len(data)}")
         return data
     dtype = np.dtype([(f"p{i}", _PLY_DTYPES[t]) for i, (_, t) in enumerate(props)])
-    blob = fh.read(dtype.itemsize * n_vertex)
-    if len(blob) < dtype.itemsize * n_vertex:
+    expected = dtype.itemsize * n_vertex
+    if len(body) < expected:
         raise PlyBodyError(
-            f"binary body truncated: expected {dtype.itemsize * n_vertex} bytes, "
-            f"got {len(blob)}"
-        )
-    rows = np.frombuffer(blob, dtype=dtype)
+            f"binary body truncated: expected {expected} bytes, got {len(body)}")
+    rows = np.frombuffer(body, dtype=dtype, count=n_vertex)
     return np.stack([rows[name] for name in dtype.names], axis=1).astype(np.float64)
 
 
@@ -255,6 +274,31 @@ def load_ply(path) -> PointCloud:
     return PointCloud(positions, rgb.astype(np.uint8), bit_depth_hint)
 
 
+def _ascii_rows(body: np.ndarray) -> bytes:
+    """Non-negative int64 rows as the bytes ``"%d %d ... %d\\n" % row`` gives.
+
+    One row of digit characters per value, filled from the last digit with
+    whole-array ``// 10`` steps; a digit is kept while the value has digits
+    left of it, and the last digit always, so 0 prints as ``0``.
+    """
+    width = len(str(int(body.max())))
+    chars = np.empty((body.size, width + 1), dtype=np.uint8)
+    keep = np.ones(chars.shape, dtype=bool)
+    value = body.ravel()
+    for j in range(width - 1, -1, -1):
+        quotient = value // 10
+        digit = value - 10 * quotient
+        digit += ord("0")
+        chars[:, j] = digit
+        if j:
+            keep[:, j - 1] = quotient > 0
+        value = quotient
+    columns = body.shape[1]
+    chars[:, width] = ord(" ")
+    chars[columns - 1::columns, width] = ord("\n")
+    return chars[keep].tobytes()
+
+
 def save_ply(cloud: PointCloud, path, binary: bool = False,
              coord_dtype: str = "float32") -> None:
     """Write a cloud as PLY; the bit depth is preserved in a header comment.
@@ -292,6 +336,4 @@ def save_ply(cloud: PointCloud, path, binary: bool = False,
                 + [(n, "<u1") for n in ("red", "green", "blue")])
             rows.tofile(fh)
         else:
-            body = np.concatenate([cloud.positions, cloud.colors], axis=1)
-            text = ("%d %d %d %d %d %d\n" * len(cloud)) % tuple(body.ravel().tolist())
-            fh.write(text.encode("ascii"))
+            fh.write(_ascii_rows(np.concatenate([cloud.positions, cloud.colors], axis=1)))

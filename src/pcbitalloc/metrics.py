@@ -13,12 +13,21 @@ key per point, its three 21-bit coordinates interleaved into 63 bits,
 orders everything: the cloud is sorted by it once at build time, equal
 keys are equal positions and merge into one site that keeps the
 smallest original index, and the sites are stored, and the kd-tree built
-over them, in key order. Queries are sorted by the same key, so
+over them, in key order. The index also records the site of each input
+row. ``symmetric_distortion`` queries each index with the other index's
+sites, which are distinct and already in key order, and gathers the
+answers back to rows through those records: duplicate rows have the
+same neighbor, so each distinct position is queried once and no cloud
+is keyed or sorted twice. Other queries are sorted by the same key, so
 neighboring rows walk neighboring tree nodes, and the results are
 scattered back to the caller's row order. The tree returns two candidate
 sites per row, nearest first; both are re-ranked in int64, and only a
 row whose second candidate ties the first can have more tied sites than
-were returned, so those rows alone are re-queried by radius.
+were returned. Those rows alone ask the tree again for their 4 nearest
+sites within a bound just past the largest of their best distances,
+re-rank them in int64 and take the smallest original index among the
+tied ones; a row whose last candidate still ties goes round again with
+twice as many candidates, until the count covers every site.
 Coordinates of 2^21 or more do not fit the key; there the rows are
 ordered lexicographically instead, with the same results.
 
@@ -30,7 +39,6 @@ integers beyond that. Results are reproducible bit for bit.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,8 +68,9 @@ class FitQuality:
 
 
 # kd candidates per query row; a row whose second candidate ties the
-# first is re-queried by radius.
+# first is re-queried with _TIED_CANDIDATES, doubled while the last still ties.
 _CANDIDATES = 2
+_TIED_CANDIDATES = 4
 _NO_INDEX = np.iinfo(np.int64).max
 # Below 2^25 per axis a squared distance stays below 3 * 2^50, exact in
 # float64, so the kd-tree's float ranking is exact and int64 cannot overflow.
@@ -106,10 +115,13 @@ class NnIndex:
 
     Duplicate positions are merged at build time into one site that
     carries the smallest original index, so every tie left at query time
-    is between distinct sites. Sites are kept in Morton order (in
-    lexicographic order when a coordinate reaches 2^21), and each query
-    batch is visited in the same order. Coordinates of sites and queries
-    must lie in [0, 2^25), where the kd-tree's float ranking is exact.
+    is between distinct sites; ``len`` of an index is its site count.
+    Sites are kept in Morton order (in lexicographic order when a
+    coordinate reaches 2^21), ``_row_site`` maps each input row to its
+    site, and each query batch is visited in the same order. Another
+    index can be the query: its sites are then the query points, already
+    distinct and in order. Coordinates of sites and queries must lie in
+    [0, 2^25), where the kd-tree's float ranking is exact.
     """
 
     def __init__(self, cloud: PointCloud):
@@ -130,22 +142,33 @@ class NnIndex:
         self._sites = pts[order[starts]]
         # the sort need not be stable: take each run's smallest original index
         self._site_index = np.minimum.reduceat(order, starts)
+        site = np.cumsum(new_site)
+        site -= 1
+        self._row_site = np.empty_like(site)
+        self._row_site[order] = site
         # sliding midpoint: results do not depend on the tree's shape
         self._tree = cKDTree(self._sites.astype(np.float64), balanced_tree=False)
 
-    def query(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def __len__(self) -> int:
+        return len(self._sites)
+
+    def query(self, queries) -> tuple[np.ndarray, np.ndarray]:
         """Nearest neighbors of integer query points.
 
         Returns (indices, squared_distances), both int64, one entry per
         query row; the index is the smallest original point index among
-        the points at the minimal squared distance.
+        the points at the minimal squared distance. When ``queries`` is
+        another ``NnIndex``, the rows are its sites in its stored order.
         """
-        q = np.atleast_2d(np.asarray(queries, dtype=np.int64))
-        if q.ndim != 2 or q.shape[1] != 3:
-            raise ValidationError(f"queries must have shape (n, 3), got {q.shape}")
-        _check_exact_range(q)
-        order = _row_order(q, _morton_key(q))
-        q = q[order]
+        if isinstance(queries, NnIndex):
+            q, order = queries._sites, None
+        else:
+            q = np.atleast_2d(np.asarray(queries, dtype=np.int64))
+            if q.ndim != 2 or q.shape[1] != 3:
+                raise ValidationError(f"queries must have shape (n, 3), got {q.shape}")
+            _check_exact_range(q)
+            order = _row_order(q, _morton_key(q))
+            q = q[order]
         k = min(_CANDIDATES, len(self._sites))
         _, cand = self._tree.query(q.astype(np.float64), k=k)
         cand = cand.reshape(len(q), k)
@@ -154,30 +177,46 @@ class NnIndex:
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
         # the exact float ranking puts the best candidate first
         nearest = self._site_index[cand[:, 0]]
+        best = d2[:, 0]
         if k > 1:
-            rows = np.flatnonzero(d2[:, 1] == d2[:, 0])
+            rows = np.flatnonzero(d2[:, 1] == best)
             if len(rows):
-                nearest[rows] = self._smallest_tied(q[rows], d2[rows, 0])
+                nearest[rows] = self._smallest_tied(q[rows], best[rows])
+        if order is None:
+            return nearest, best
         idx = np.empty_like(nearest)
         idx[order] = nearest
-        best = np.empty_like(nearest)
-        best[order] = d2[:, 0]
-        return idx, best
+        best_rows = np.empty_like(best)
+        best_rows[order] = best
+        return idx, best_rows
 
     def _smallest_tied(self, q, best) -> np.ndarray:
         """Smallest original index among all sites at squared distance best."""
-        # Inflate the radius past sqrt rounding; the exact test follows in ints.
-        radius = np.sqrt(best) * (1.0 + 1e-9) + 1e-9
-        hits = self._tree.query_ball_point(q.astype(np.float64), radius)
-        counts = np.fromiter(map(len, hits), dtype=np.int64, count=len(hits))
-        sites = np.fromiter(itertools.chain.from_iterable(hits),
-                            dtype=np.int64, count=int(counts.sum()))
-        row = np.repeat(np.arange(len(q)), counts)
-        diff = self._sites[sites] - q[row]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        index = np.where(d2 == best[row], self._site_index[sites], _NO_INDEX)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        return np.minimum.reduceat(index, starts)
+        n_sites = len(self._sites)
+        qf = q.astype(np.float64)
+        out = np.empty(len(q), dtype=np.int64)
+        rows = np.arange(len(q))
+        k = _TIED_CANDIDATES
+        while len(rows):
+            k = min(k, n_sites)
+            # Inflate the bound past sqrt rounding; the exact test follows in ints.
+            bound = np.sqrt(best[rows].max()) * (1.0 + 1e-9) + 1e-9
+            _, cand = self._tree.query(qf[rows], k=k, distance_upper_bound=bound)
+            cand = cand.reshape(len(rows), k)
+            found = cand < n_sites  # a missing neighbor comes back as n_sites
+            cand[~found] = 0
+            diff = self._sites[cand]
+            diff -= q[rows, None, :]
+            d2 = np.einsum("ijk,ijk->ij", diff, diff)
+            tied = found & (d2 == best[rows, None])
+            out[rows] = np.where(tied, self._site_index[cand], _NO_INDEX).min(axis=1)
+            if k == n_sites:
+                break
+            # the tree ranks exactly, so tied sites come first; more may lie
+            # beyond a row whose last candidate ties
+            rows = rows[tied[:, -1]]
+            k *= 2
+        return out
 
 
 def build_index(cloud: PointCloud) -> NnIndex:
@@ -200,12 +239,15 @@ def geometry_error(b: PointCloud, a: PointCloud) -> float:
     return _exact_mean(d2, len(b))
 
 
-def _directed_errors(b: PointCloud, index_a: NnIndex, luma_b: np.ndarray,
+def _directed_errors(index_b: NnIndex, index_a: NnIndex, luma_b: np.ndarray,
                      luma_a: np.ndarray) -> tuple[float, float]:
-    nn, d2 = index_a.query(b.positions)
-    e_g = _exact_mean(d2, len(b))
+    """Errors of b's rows against a; each of b's sites is queried once."""
+    nn, d2 = index_a.query(index_b)
+    nn, d2 = nn[index_b._row_site], d2[index_b._row_site]
+    n = len(luma_b)
+    e_g = _exact_mean(d2, n)
     dy = luma_b - luma_a[nn]
-    e_c = _exact_mean(dy * dy, len(b) * LUMA_SCALE * LUMA_SCALE)
+    e_c = _exact_mean(dy * dy, n * LUMA_SCALE * LUMA_SCALE)
     return e_g, e_c
 
 
@@ -220,8 +262,8 @@ def symmetric_distortion(a: PointCloud, b: PointCloud,
     idx_b = build_index(b)
     luma_a = luma_scaled(a.colors, luma_weights)
     luma_b = luma_scaled(b.colors, luma_weights)
-    eg_ba, ec_ba = _directed_errors(b, idx_a, luma_b, luma_a)
-    eg_ab, ec_ab = _directed_errors(a, idx_b, luma_a, luma_b)
+    eg_ba, ec_ba = _directed_errors(idx_b, idx_a, luma_b, luma_a)
+    eg_ab, ec_ab = _directed_errors(idx_a, idx_b, luma_a, luma_b)
     return DistortionPair(max(eg_ba, eg_ab), max(ec_ba, ec_ab))
 
 
@@ -233,12 +275,13 @@ def combined_distortion(pair: DistortionPair, omega: float) -> float:
 def psnr(d_g: float, d_c: float, omega: float,
          geometry_peak: float, color_peak: float) -> float:
     """PSNR in dB of the weighted normalized MSE; +inf when lossless."""
-    if geometry_peak <= 0 or color_peak <= 0:
-        raise ValidationError("peaks must be positive")
+    # chained comparisons are false for NaN, so they refuse it too
+    if not (0 < geometry_peak < math.inf and 0 < color_peak < math.inf):
+        raise ValidationError("peaks must be positive and finite")
     if not 0.0 <= omega <= 1.0:
         raise ValidationError("omega must lie in [0, 1]")
-    if d_g < 0 or d_c < 0:
-        raise ValidationError("distortions must be non-negative")
+    if not (0 <= d_g < math.inf and 0 <= d_c < math.inf):
+        raise ValidationError("distortions must be non-negative and finite")
     nmse = omega * d_g / geometry_peak**2 + (1.0 - omega) * d_c / color_peak**2
     if nmse == 0.0:
         return math.inf

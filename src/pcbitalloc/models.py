@@ -183,8 +183,10 @@ def _fit_power_law(q1: float, r1: float, q2: float, r2: float,
         raise NonMonotoneRateError(
             f"{label} exponent {theta:.4g} is not negative; rate does not decay"
         )
-    gamma = r1 / q1**theta
-    return gamma, theta
+    scale = q1**theta
+    if scale == 0.0:
+        raise ValidationError(f"{label} exponent {theta:.4g} is too steep to fit")
+    return r1 / scale, theta
 
 
 def fit_rate_model(p1: ProbePoint, p2: ProbePoint) -> RateModel:

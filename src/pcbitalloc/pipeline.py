@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import csv
 import json
-import math
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -73,7 +73,9 @@ def fit_models(records, omega):
 
 def _number(key: str, x) -> float:
     """A finite config number as a float; booleans and strings are refused."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+    # an integer beyond the float range is not finite either
+    if (isinstance(x, bool) or not isinstance(x, (int, float))
+            or not abs(x) <= sys.float_info.max):
         raise ValidationError(f"config '{key}' must hold finite numbers, got {x!r}")
     return float(x)
 
@@ -131,6 +133,8 @@ def bd_gap(esa_points, pba_points) -> float | None:
 
 def run_pipeline(config: dict) -> dict:
     """Execute probe -> fit -> allocate (-> exhaustive baseline) -> report."""
+    if not isinstance(config, dict):
+        raise ValidationError(f"config must be a JSON object, got {type(config).__name__}")
     has_codec = "codec" in config
     if not has_codec and "probe_log" not in config:
         raise ValidationError("config needs a 'codec' spec or a 'probe_log' path")

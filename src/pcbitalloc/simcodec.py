@@ -59,6 +59,9 @@ class SyntheticCodecSpec:
         if min(self.alpha_g, self.alpha_gc, self.alpha_cc,
                self.noise_rel, self.overhead_kbpmp) < 0:
             raise ValidationError("codec slopes, noise and overhead must be non-negative")
+        if self.noise_rel > 1:
+            # a larger lognormal sigma can overflow math.exp in encode
+            raise ValidationError("codec noise_rel must not exceed 1")
 
     def distortion_model(self, omega: float) -> DistortionModel:
         """Ground-truth combined distortion plane at a weighting factor."""
@@ -179,7 +182,7 @@ def spec_from_dict(d: dict) -> SyntheticCodecSpec:
         rate = RateModel(**d["rate"])
         fields = {k: v for k, v in d.items() if k != "rate"}
         return SyntheticCodecSpec(rate=rate, **fields)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValidationError(f"bad codec spec: {exc}") from exc
 
 

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -202,6 +203,36 @@ class TestPlyParsing:
         with pytest.raises(PlyBodyError):
             load_ply(tmp_path / "cut.ply")
 
+    def test_binary_vertex_count_beyond_file(self, tmp_path):
+        ref = load_ply(write(tmp_path, ASCII_3PT))
+        save_ply(ref, tmp_path / "bin.ply", binary=True)
+        blob = (tmp_path / "bin.ply").read_bytes()
+        (tmp_path / "huge.ply").write_bytes(
+            blob.replace(b"element vertex 3", b"element vertex 99999999999999"))
+        with pytest.raises(PlyBodyError, match="truncated: expected .* bytes, got 45$"):
+            load_ply(tmp_path / "huge.ply")
+
+    @pytest.mark.parametrize("old, new, positions, colors", [
+        ("4 4 4 0 0 255", "4 4 4.5 0 0 255.0", [[0, 0, 0], [1, 2, 3], [4, 4, 4]],
+         [[255, 0, 0], [0, 255, 0], [0, 0, 255]]),
+        ("1 2 3 0 255 0", "+1 -0 3 +0 255 -0", [[0, 0, 0], [1, 0, 3], [4, 4, 4]],
+         [[255, 0, 0], [0, 255, 0], [0, 0, 255]]),
+    ], ids=["float-in-last-row", "signed-integers"])
+    def test_ascii_tokens_read_as_numbers(self, tmp_path, old, new, positions, colors):
+        c = load_ply(write(tmp_path, ASCII_3PT.replace(old, new)))
+        assert c.positions.tolist() == positions
+        assert c.colors.tolist() == colors
+
+    @pytest.mark.parametrize("token, message", [
+        ("99999999999999999999", "coordinates [1e+20, 4.0, 4.0] are not finite"),
+        ("-9223372036854775808", "coordinates [-9.223372036854776e+18, 4.0, 4.0]"),
+        ("3000000000", "coordinates [3000000000.0, 4.0, 4.0] are not finite"),
+    ], ids=["over-int64", "int64-min", "over-2^31"])
+    def test_ascii_out_of_range_integer_reported_as_float(self, tmp_path, token, message):
+        with pytest.raises(PlyBodyError, match=f"^vertex row 2: {re.escape(message)}"):
+            load_ply(write(tmp_path, ASCII_3PT.replace("4 4 4 0 0 255",
+                                                       f"{token} 4 4 0 0 255")))
+
     def test_missing_color_property(self, tmp_path):
         text = ASCII_3PT.replace("property uchar blue\n", "")
         with pytest.raises(PlyPropertyError):
@@ -257,6 +288,19 @@ class TestRoundTrip:
             lines.append(f"{coords} {int(c[0])} {int(c[1])} {int(c[2])}\n")
         text = (tmp_path / "c.ply").read_text()
         assert text.split("end_header\n", 1)[1] == "".join(lines)
+
+    @pytest.mark.parametrize("bit_depth", range(1, 31))
+    def test_ascii_body_matches_percent_d(self, tmp_path, rng, bit_depth):
+        top = (1 << bit_depth) - 1
+        clouds = [make_cloud(rng, 50, bit_depth),
+                  PointCloud(np.zeros((4, 3)), np.zeros((4, 3)), bit_depth),
+                  PointCloud([[top, 0, top // 2]], [[0, 9, 255]], bit_depth)]
+        for cloud in clouds:
+            save_ply(cloud, tmp_path / "c.ply")
+            rows = np.concatenate([cloud.positions, cloud.colors], axis=1).tolist()
+            want = "".join("%d %d %d %d %d %d\n" % tuple(row) for row in rows)
+            body = (tmp_path / "c.ply").read_bytes().split(b"end_header\n", 1)[1]
+            assert body == want.encode()
 
     @pytest.mark.parametrize("coord_dtype, code", [("float32", "<fffBBB"),
                                                    ("int32", "<iiiBBB")])

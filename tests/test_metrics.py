@@ -111,6 +111,47 @@ class TestNnIndex:
         assert (idx == want_idx).all()
         assert (d2 == want_d2).all()
 
+    @pytest.mark.parametrize("offsets, ks", [
+        # the six face neighbors at squared distance 4
+        ([(2, 0, 0), (-2, 0, 0), (0, 2, 0), (0, -2, 0), (0, 0, 2), (0, 0, -2)], [4, 8]),
+        # the twelve cuboctahedron vertices at squared distance 2
+        ([(a, b, 0) for a in (-1, 1) for b in (-1, 1)]
+         + [(a, 0, b) for a in (-1, 1) for b in (-1, 1)]
+         + [(0, a, b) for a in (-1, 1) for b in (-1, 1)], [4, 8, 16]),
+    ], ids=["6-tied", "12-tied"])
+    def test_tie_loop_doubles_candidates(self, rng, offsets, ks):
+        center = np.array([8, 8, 8])
+        tied = center + np.array(offsets)
+        far = rng.integers(20, 32, (30, 3))
+        pos = np.vstack([far, tied, tied[rng.permutation(len(tied))]])
+        pos = pos[rng.permutation(len(pos))]
+        index = build_index(PointCloud(pos, np.zeros((len(pos), 3)), 5))
+        tree, asked = index._tree, []
+
+        class CountingTree:
+            def query(self, q, k, **kwargs):
+                asked.append(k)
+                return tree.query(q, k=k, **kwargs)
+
+        index._tree = CountingTree()
+        idx, d2 = index.query([center])
+        want_idx, want_d2 = brute_force_nn(pos, [center])
+        assert asked == [2] + ks
+        assert idx.tolist() == want_idx.tolist() and d2.tolist() == want_d2.tolist()
+
+    @pytest.mark.parametrize("sites", [
+        [[0, 0, 0]],
+        [[2, 0, 0], [0, 0, 0]],
+        [[2, 0, 0], [0, 0, 0], [1, 3, 0]],
+        [[0, 1, 1], [2, 1, 1], [1, 0, 1]],
+    ], ids=["one-site", "two-tied", "three-sites-two-tied", "three-tied"])
+    def test_fewer_sites_than_candidates(self, sites):
+        pos = np.array(sites + sites[::-1])
+        queries = [[1, 0, 0], [1, 1, 1], [0, 0, 0], [3, 3, 3]]
+        idx, d2 = build_index(PointCloud(pos, np.zeros((len(pos), 3)), 2)).query(queries)
+        want_idx, want_d2 = brute_force_nn(pos, queries)
+        assert (idx == want_idx).all() and (d2 == want_d2).all()
+
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=60),
            st.lists(st.tuples(*[st.integers(0, 15)] * 3), min_size=1, max_size=40))
@@ -232,6 +273,24 @@ class TestSymmetricDistortion:
             assert got.d_g == want_g
             assert got.d_c == want_c
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(0, 15)] * 3), min_size=1, max_size=80),
+           st.data())
+    def test_duplicate_heavy_lattice_pair_matches_brute_force(self, points, data):
+        # the reconstruction snaps the reference to a step-4 lattice, as a
+        # codec does, so its rows repeat positions and the references tie
+        ref = np.array(points)
+        rec = ref // 4 * 4
+        rows = data.draw(st.lists(st.integers(0, len(ref) - 1), min_size=1, max_size=120))
+        rec = rec[rows]
+        colors = data.draw(st.lists(st.tuples(*[st.integers(0, 255)] * 3),
+                                    min_size=len(ref) + len(rec),
+                                    max_size=len(ref) + len(rec)))
+        a = PointCloud(ref, colors[:len(ref)], 4)
+        b = PointCloud(rec, colors[len(ref):], 4)
+        got = symmetric_distortion(a, b)
+        assert (got.d_g, got.d_c) == brute_symmetric(a, b)
+
     def test_symmetric_in_arguments(self, rng):
         a = make_cloud(rng, 120)
         b = make_cloud(rng, 80)
@@ -286,6 +345,16 @@ class TestPsnr:
     def test_bad_peak(self):
         with pytest.raises(ValidationError):
             psnr(1.0, 1.0, 0.5, 0.0, 255.0)
+
+    @pytest.mark.parametrize("args", [
+        (1.0, 1.0, 0.5, math.nan, 255.0),
+        (1.0, 1.0, 0.5, 1023.0, math.inf),
+        (math.nan, 1.0, 0.5, 1023.0, 255.0),
+        (1.0, math.inf, 0.5, 1023.0, 255.0),
+    ], ids=["nan-geometry-peak", "inf-color-peak", "nan-d_g", "inf-d_c"])
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(ValidationError, match="finite"):
+            psnr(*args)
 
     def test_strictly_decreasing_in_each_distortion(self, rng):
         for _ in range(20):

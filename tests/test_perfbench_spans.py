@@ -80,3 +80,22 @@ def test_traced_metric_hits_index_spans(tmp_path):
     assert calls["metrics.nn_query"] == 2
     assert calls["metrics.symmetric_distortion"] == 1
     assert calls["cloud.load_ply"] == 2
+
+
+def test_traced_metric_queries_each_distinct_position_once(tmp_path):
+    # a codec-like reconstruction: the reference snapped to a step-4 lattice
+    rng = np.random.default_rng(6)
+    ref = make_cloud(rng, 400, bit_depth=4)
+    rec = cloud.PointCloud(ref.positions // 4 * 4, ref.colors, 4)
+    cloud.save_ply(ref, tmp_path / "ref.ply")
+    cloud.save_ply(rec, tmp_path / "rec.ply")
+    distinct = [len(np.unique(c.positions, axis=0)) for c in (ref, rec)]
+    assert distinct[0] < len(ref) and distinct[1] < len(rec) // 2
+
+    with spans.installed(spans.Tracer()) as tracer:
+        assert cli.main(["metric", str(tmp_path / "ref.ply"), str(tmp_path / "rec.ply"),
+                         "-o", str(tmp_path / "metric.json")]) == 0
+
+    calls = Counter(name for name, *_ in tracer.spans)
+    assert calls["metrics.nn_query"] == 2
+    assert tracer.counts["nn_query_points"] == sum(distinct)

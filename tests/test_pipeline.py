@@ -1,7 +1,11 @@
+import copy
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pcbitalloc.cli import main
 from pcbitalloc.cloud import PointCloud, save_ply
@@ -129,6 +133,27 @@ class TestCli:
         assert payload["geometry_peak"] == 511.0
         assert payload["d_g"] > 0
 
+    @pytest.mark.parametrize("flag, value", [("--geometry-peak", "nan"),
+                                             ("--color-peak", "inf")])
+    def test_metric_rejects_non_finite_peak(self, tmp_path, rng, capsys, flag, value):
+        save_ply(make_cloud(rng, 20, bit_depth=4), tmp_path / "a.ply")
+        rc = main(["metric", str(tmp_path / "a.ply"), str(tmp_path / "a.ply"),
+                   flag, value, "-o", str(tmp_path / "out.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error [validation]: peaks must be positive and finite\n"
+        assert not (tmp_path / "out.json").exists()
+
+    def test_metric_binary_vertex_count_beyond_file(self, tmp_path, rng, capsys):
+        save_ply(make_cloud(rng, 20, bit_depth=4), tmp_path / "a.ply", binary=True)
+        blob = (tmp_path / "a.ply").read_bytes()
+        (tmp_path / "huge.ply").write_bytes(
+            blob.replace(b"element vertex 20", b"element vertex 99999999999999"))
+        rc = main(["metric", str(tmp_path / "a.ply"), str(tmp_path / "huge.ply")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error [io]: binary body truncated: expected ")
+        assert err.count("\n") == 1
+
     def test_fit_allocate_chain(self, tmp_path, capsys):
         spec = SyntheticCodecSpec(rate=RateModel(**WORKED_SPEC["rate"]),
                                   **{k: v for k, v in WORKED_SPEC.items() if k != "rate"})
@@ -196,6 +221,11 @@ class TestCli:
             "solver-scalar", "solver-null", "solver-mu0-bool"])
     def test_simulate_rejects_bad_top_level_field(self, tmp_path, capsys, field, value):
         self.assert_simulate_rejects(tmp_path, capsys, worked_config(**{field: value}))
+
+    @pytest.mark.parametrize("config", [5, None, "codec x", [worked_config()]],
+                             ids=["number", "null", "string", "list"])
+    def test_simulate_rejects_non_object_config(self, tmp_path, capsys, config):
+        self.assert_simulate_rejects(tmp_path, capsys, config)
 
     @pytest.mark.parametrize("path", [5, None], ids=["number", "null"])
     def test_simulate_rejects_non_string_probe_log(self, tmp_path, capsys, path):
@@ -273,3 +303,59 @@ class TestCli:
         assert main(["metric", str(tmp_path / "missing.ply"),
                      str(tmp_path / "other.ply")]) == 4
         assert "io" in capsys.readouterr().err
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+                | st.floats(allow_nan=True, allow_infinity=True))
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+def _slots(tree, out):
+    """Every (container, key) of a JSON tree, containers included."""
+    keys = tree.keys() if isinstance(tree, dict) else range(len(tree))
+    for key in keys:
+        out.append((tree, key))
+        if isinstance(tree[key], (dict, list)):
+            _slots(tree[key], out)
+    return out
+
+
+@st.composite
+def malformed_configs(draw):
+    """A random JSON tree, or a valid config with a few slots replaced or deleted."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_TREES)
+    config = copy.deepcopy(draw(st.sampled_from([
+        worked_config(),
+        worked_config(run_exhaustive=False, omegas=[0.25, 0.75],
+                      solver={"mu0": 0.1, "eta": 1e-6, "max_newton_iters": 100}),
+        {"probe_log": "probes.csv", "targets": [1000, 1400], "overhead_kbpmp": 10.0},
+    ])))
+    for _ in range(draw(st.integers(1, 3))):
+        container, key = draw(st.sampled_from(_slots(config, [])))
+        if draw(st.booleans()) and isinstance(container, dict):
+            del container[key]
+        else:
+            container[key] = draw(JSON_TREES | JSON_SCALARS)
+    return config
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(malformed_configs())
+def test_simulate_survives_malformed_config_trees(config):
+    # every bad config gives an error line and an exit code of its category
+    spec = SyntheticCodecSpec(rate=RateModel(**WORKED_SPEC["rate"]),
+                              **{k: v for k, v in WORKED_SPEC.items() if k != "rate"})
+    with tempfile.TemporaryDirectory() as tmp:
+        write_probe_log(Path(tmp) / "probes.csv", run_probe_schedule(spec))
+        if isinstance(config, dict) and config.get("probe_log") == "probes.csv":
+            config["probe_log"] = str(Path(tmp) / "probes.csv")
+        cfg_path = Path(tmp) / "sim.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["simulate", "--spec", str(cfg_path),
+                     "-o", str(Path(tmp) / "report.json")]) in (0, 2, 3, 4)
