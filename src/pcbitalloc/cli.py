@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -82,6 +83,24 @@ def _read_rows(path) -> list[dict]:
     rows = doc.get("allocations") if isinstance(doc, dict) else doc
     if not isinstance(rows, list) or not rows:
         raise ValidationError(f"{path} holds no allocation rows")
+    what = f"{path} row"
+    for row in rows:
+        if not isinstance(row, dict):
+            raise ValidationError(f"{what}s must be objects, got {row!r}")
+        for key in ("omega", "target"):
+            pipeline._number(key, row.get(key), what)
+        for key in ("qp_g", "qp_c"):
+            qp = row.get(key)
+            if isinstance(qp, bool) or not isinstance(qp, int):
+                raise ValidationError(f"{what} '{key}' must be an integer, got {qp!r}")
+        if "actual" in row:
+            actual = row["actual"]
+            if not isinstance(actual, dict):
+                raise ValidationError(f"{what} 'actual' must be an object, got {actual!r}")
+            pipeline._number("actual.rate", actual.get("rate"), what)
+            # psnr_db is null when unmeasured and +inf when lossless
+            if actual.get("psnr_db") not in (None, math.inf):
+                pipeline._number("actual.psnr_db", actual["psnr_db"], what)
     return rows
 
 

@@ -31,6 +31,10 @@ twice as many candidates, until the count covers every site.
 Coordinates of 2^21 or more do not fit the key; there the rows are
 ordered lexicographically instead, with the same results.
 
+scipy is imported inside ``NnIndex`` when the first index is built, so
+importing this module, or any command that does not build an index,
+does not load it.
+
 Squared distances are integers (voxel coordinates are integers, luma is
 scaled to an integer grid), so the means are exact integer sums divided
 once at the end: int64 while the sum cannot overflow, arbitrary-precision
@@ -43,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .cloud import LUMA_SCALE, PointCloud, luma_scaled
 from .errors import SccUndefinedError, ValidationError
@@ -146,6 +149,9 @@ class NnIndex:
         site -= 1
         self._row_site = np.empty_like(site)
         self._row_site[order] = site
+        # imported here, not at module level, so only the metric path pays for scipy
+        from scipy.spatial import cKDTree
+
         # sliding midpoint: results do not depend on the tree's shape
         self._tree = cKDTree(self._sites.astype(np.float64), balanced_tree=False)
 

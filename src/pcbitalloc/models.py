@@ -297,23 +297,27 @@ def probes_from_records(records: Sequence[ProbeRecord],
 def read_probe_log(path) -> list[ProbeRecord]:
     """Read the probe-log CSV (header qp_g,qp_c,r_g_kbpmp,r_c_kbpmp,d_g,d_c)."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != PROBE_LOG_HEADER:
-            raise ValidationError(
-                f"probe log must start with header {','.join(PROBE_LOG_HEADER)}"
-            )
-        records = []
-        for row in reader:
-            try:
-                qp = QpPair(int(row["qp_g"]), int(row["qp_c"]))
-                records.append(ProbeRecord(
-                    qp,
-                    float(row["r_g_kbpmp"]), float(row["r_c_kbpmp"]),
-                    float(row["d_g"]), float(row["d_c"]),
-                ))
-            except (TypeError, ValueError, KeyError) as exc:
-                raise ValidationError(f"bad probe log row {row!r}") from exc
+    # undecodable bytes, or a field beyond the csv module's size limit
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or tuple(reader.fieldnames) != PROBE_LOG_HEADER:
+                raise ValidationError(
+                    f"probe log must start with header {','.join(PROBE_LOG_HEADER)}"
+                )
+            records = []
+            for row in reader:
+                try:
+                    qp = QpPair(int(row["qp_g"]), int(row["qp_c"]))
+                    records.append(ProbeRecord(
+                        qp,
+                        float(row["r_g_kbpmp"]), float(row["r_c_kbpmp"]),
+                        float(row["d_g"]), float(row["d_c"]),
+                    ))
+                except (TypeError, ValueError, KeyError) as exc:
+                    raise ValidationError(f"bad probe log row {row!r}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"probe log {path} is not CSV text: {exc}") from exc
     return records
 
 

@@ -71,12 +71,12 @@ def fit_models(records, omega):
     return dm, rm
 
 
-def _number(key: str, x) -> float:
-    """A finite config number as a float; booleans and strings are refused."""
+def _number(key: str, x, what: str = "config") -> float:
+    """A finite config or report number as a float; booleans and strings are refused."""
     # an integer beyond the float range is not finite either
     if (isinstance(x, bool) or not isinstance(x, (int, float))
             or not abs(x) <= sys.float_info.max):
-        raise ValidationError(f"config '{key}' must hold finite numbers, got {x!r}")
+        raise ValidationError(f"{what} '{key}' must hold finite numbers, got {x!r}")
     return float(x)
 
 

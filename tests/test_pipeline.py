@@ -37,6 +37,11 @@ def worked_config(**overrides):
     return config
 
 
+# one allocation row of a simulate report, as evaluate reads it
+EVAL_ROW = {"omega": 0.5, "target": 1000.0, "qp_g": 24, "qp_c": 23, "be_pct": 0.5,
+            "actual": {"rate": 995.0, "psnr_db": 40.0}}
+
+
 class TestRunPipeline:
     def test_worked_example_report(self):
         report = run_pipeline(worked_config())
@@ -304,6 +309,37 @@ class TestCli:
                      str(tmp_path / "other.ply")]) == 4
         assert "io" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [
+        {"allocations": [{"omega": 0.5}]},
+        [5],
+        [dict(EVAL_ROW, qp_g="x")],
+        [dict(EVAL_ROW, omega=[1])],
+        [dict(EVAL_ROW, actual=5)],
+        [dict(EVAL_ROW, actual={"rate": "x", "psnr_db": 30})],
+    ], ids=["no-target", "int-row", "qp-string", "omega-list", "actual-int",
+            "actual-rate-string"])
+    def test_evaluate_rejects_malformed_rows(self, tmp_path, capsys, doc):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(doc))
+        out = tmp_path / "eval.json"
+        assert main(["evaluate", "--pba", str(report), "--esa", str(report),
+                     "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [validation]: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    def test_non_utf8_probe_log_is_a_validation_error(self, tmp_path, capsys, command):
+        log = tmp_path / "probes.csv"
+        log.write_bytes(b"\xff\xfeqp_g,qp_c,r_g_kbpmp,r_c_kbpmp,d_g,d_c\n")
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps({"probe_log": str(log), "targets": [1000]}))
+        argv = {"fit": ["fit", "--probes", str(log), "--omega", "0.5"],
+                "simulate": ["simulate", "--spec", str(cfg_path)]}[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [validation]: probe log ") and err.count("\n") == 1
+
 
 JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.text(max_size=4)
                 | st.floats(allow_nan=True, allow_infinity=True))
@@ -359,3 +395,37 @@ def test_simulate_survives_malformed_config_trees(config):
         cfg_path.write_text(json.dumps(config))
         assert main(["simulate", "--spec", str(cfg_path),
                      "-o", str(Path(tmp) / "report.json")]) in (0, 2, 3, 4)
+
+
+@st.composite
+def malformed_reports(draw):
+    """A random JSON tree, or a valid report with a few slots replaced or deleted."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_TREES)
+    rows = [dict(EVAL_ROW, target=target, qp_g=qp, qp_c=qp - 1,
+                 actual={"rate": target - 5.0, "psnr_db": 30.0 + qp / 4})
+            for target, qp in ((300.0, 36), (450.0, 32), (700.0, 28), (1000.0, 24))]
+    report = copy.deepcopy(draw(st.sampled_from([{"allocations": rows}, rows])))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = _slots(report, [])
+        if not slots:  # the only key was deleted
+            break
+        container, key = draw(st.sampled_from(slots))
+        if draw(st.booleans()) and isinstance(container, dict):
+            del container[key]
+        else:
+            container[key] = draw(JSON_TREES | JSON_SCALARS)
+    return report
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(malformed_reports(), malformed_reports())
+def test_evaluate_survives_malformed_reports(pba, esa):
+    # evaluate never raises: a bad report is a validation error, exit 2
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / "pba.json", Path(tmp) / "esa.json"]
+        for path, doc in zip(paths, (pba, esa)):
+            path.write_text(json.dumps(doc))
+        assert main(["evaluate", "--pba", str(paths[0]), "--esa", str(paths[1]),
+                     "-o", str(Path(tmp) / "eval.json")]) in (0, 2)

@@ -1,0 +1,49 @@
+"""Only the metric path imports scipy; the other commands start without it."""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+from pcbitalloc.cloud import save_ply
+from pcbitalloc.models import write_probe_log
+from pcbitalloc.simcodec import random_spec, run_probe_schedule
+
+from conftest import make_cloud
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import sys
+
+import pcbitalloc
+import pcbitalloc.cli
+from pcbitalloc.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert main(["simulate", "--spec", "sim.json", "-o", "report.json", "--csv"]) == 0
+assert main(["fit", "--probes", "probes.csv", "--omega", "0.5", "-o", "model.json"]) == 0
+assert main(["allocate", "--model", "model.json", "--target", "1000", "-o", "alloc.json"]) == 0
+assert main(["evaluate", "--pba", "report.json", "--esa", "report.json", "-o", "eval.json"]) == 0
+assert not scipy_modules(), scipy_modules()[:5]
+assert main(["metric", "a.ply", "a.ply", "-o", "metric.json"]) == 0
+assert "scipy.spatial" in scipy_modules()
+"""
+
+
+def test_only_the_metric_command_imports_scipy(tmp_path, rng):
+    config = next(block for block in re.findall(r"```json\n(.*?)```",
+                                                (ROOT / "README.md").read_text(), flags=re.S)
+                  if '"run_exhaustive": true' in block)
+    (tmp_path / "sim.json").write_text(json.dumps(json.loads(config)))
+    write_probe_log(tmp_path / "probes.csv", run_probe_schedule(random_spec(7)))
+    save_ply(make_cloud(rng, 50, bit_depth=6), tmp_path / "a.ply")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", SCRIPT], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "metric.json").exists()
