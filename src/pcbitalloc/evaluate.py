@@ -35,6 +35,9 @@ def _check_curve(curve, label: str) -> tuple[np.ndarray, np.ndarray]:
     pts = np.asarray(curve, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 4:
         raise ValidationError(f"{label} needs at least 4 (rate, psnr) points")
+    if not np.isfinite(pts).all():
+        # a lossless point has psnr +inf, which no cubic fit can take
+        raise ValidationError(f"{label} needs finite rates and PSNRs")
     rates, quality = pts[:, 0], pts[:, 1]
     if rates.min() <= 0:
         raise ValidationError(f"{label} rates must be positive")

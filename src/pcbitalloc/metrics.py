@@ -31,9 +31,17 @@ twice as many candidates, until the count covers every site.
 Coordinates of 2^21 or more do not fit the key; there the rows are
 ordered lexicographically instead, with the same results.
 
-scipy is imported inside ``NnIndex`` when the first index is built, so
-importing this module, or any command that does not build an index,
-does not load it.
+``symmetric_distortion`` runs in two phases, each split over two
+threads, one worker and the caller: first the two indexes are built,
+then the two directions are computed. The directions share no mutable
+state, each only reads the other's index, and the kd-tree build and
+query and the large numpy operations release the GIL, so the halves
+overlap and the results are the same bits as one after the other. Wall
+time drops only when a second core is free; CPU time does not drop.
+
+scipy is imported inside ``NnIndex`` when the first index is built, and
+the thread pool inside ``symmetric_distortion``, so importing this
+module, or any command that does not build an index, loads neither.
 
 Squared distances are integers (voxel coordinates are integers, luma is
 scaled to an integer grid), so the means are exact integer sums divided
@@ -167,7 +175,8 @@ class NnIndex:
         another ``NnIndex``, the rows are its sites in its stored order.
         """
         if isinstance(queries, NnIndex):
-            q, order = queries._sites, None
+            # the other tree already holds its sites as contiguous float64
+            q, qf, order = queries._sites, queries._tree.data, None
         else:
             q = np.atleast_2d(np.asarray(queries, dtype=np.int64))
             if q.ndim != 2 or q.shape[1] != 3:
@@ -175,8 +184,9 @@ class NnIndex:
             _check_exact_range(q)
             order = _row_order(q, _morton_key(q))
             q = q[order]
+            qf = q.astype(np.float64)
         k = min(_CANDIDATES, len(self._sites))
-        _, cand = self._tree.query(q.astype(np.float64), k=k)
+        _, cand = self._tree.query(qf, k=k)
         cand = cand.reshape(len(q), k)
         diff = self._sites[cand]
         diff -= q[:, None, :]
@@ -262,14 +272,21 @@ def symmetric_distortion(a: PointCloud, b: PointCloud,
     """Symmetric point-to-point distortion: max over the two directions.
 
     The color error reuses the geometry neighbor assignment and compares
-    luma values only.
+    luma values only. The two indexes are built, and then the two
+    directions computed, on two threads: one worker and the caller.
     """
-    idx_a = build_index(a)
-    idx_b = build_index(b)
-    luma_a = luma_scaled(a.colors, luma_weights)
-    luma_b = luma_scaled(b.colors, luma_weights)
-    eg_ba, ec_ba = _directed_errors(idx_b, idx_a, luma_b, luma_a)
-    eg_ab, ec_ab = _directed_errors(idx_a, idx_b, luma_a, luma_b)
+    # imported here, as cKDTree is, so only the metric path pays for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        future = worker.submit(build_index, a)
+        idx_b = build_index(b)
+        idx_a = future.result()
+        luma_a = luma_scaled(a.colors, luma_weights)
+        luma_b = luma_scaled(b.colors, luma_weights)
+        future = worker.submit(_directed_errors, idx_b, idx_a, luma_b, luma_a)
+        eg_ab, ec_ab = _directed_errors(idx_a, idx_b, luma_a, luma_b)
+        eg_ba, ec_ba = future.result()
     return DistortionPair(max(eg_ba, eg_ab), max(ec_ba, ec_ab))
 
 

@@ -121,7 +121,8 @@ def rd_curve(points):
 
 def bd_gap(esa_points, pba_points) -> float | None:
     """BD-PSNR of the allocator's (rate, psnr) points over the baseline's,
-    or None when either curve is too short or the two do not overlap."""
+    or None when either curve is too short, holds a lossless (+inf PSNR)
+    point or the two do not overlap."""
     curve_esa, curve_pba = rd_curve(esa_points), rd_curve(pba_points)
     if not (curve_esa and curve_pba):
         return None

@@ -98,6 +98,16 @@ class TestBdPsnr:
         with pytest.raises(ValidationError):
             bd_psnr(a, b)
 
+    @pytest.mark.parametrize("bad", [(800.0, float("inf")), (800.0, float("nan")),
+                                     (float("inf"), 33.0)])
+    def test_non_finite_point_rejected(self, bad):
+        a = synthetic_curve(self.RATES[:3], lambda r: 30.0 + r / 1000) + [bad]
+        b = synthetic_curve(self.RATES[:4], lambda r: 30.0 + r / 1000)
+        with pytest.raises(ValidationError, match="finite"):
+            bd_psnr(a, b)
+        with pytest.raises(ValidationError, match="finite"):
+            bd_psnr(b, a)
+
     def test_unsorted_rejected(self):
         a = [(200.0, 31.0), (100.0, 30.0), (400.0, 32.0), (800.0, 33.0)]
         b = synthetic_curve(self.RATES[:4], lambda r: 30.0 + r / 1000)

@@ -1,14 +1,19 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcbitalloc.cloud import PointCloud
+from pcbitalloc.cli import main
+from pcbitalloc.cloud import PointCloud, luma_scaled, save_ply
 from pcbitalloc.errors import SccUndefinedError, ValidationError
 from pcbitalloc.metrics import (
     DistortionPair,
     NnIndex,
+    _directed_errors,
     _exact_mean,
     _morton_key,
     build_index,
@@ -304,6 +309,68 @@ class TestSymmetricDistortion:
         got = symmetric_distortion(a, b, luma_weights="bt601")
         want_g, want_c = brute_symmetric(a, b, luma_weights="bt601")
         assert got.d_g == want_g and got.d_c == want_c
+
+
+def seeded_pair(kind, seed):
+    """A (reference, reconstruction) pair of one of the metric's input shapes."""
+    rng = np.random.default_rng((kind, seed))
+    if kind == 0:  # sparse: distinct points jittered by up to 2 voxels
+        a = make_cloud(rng, 600, bit_depth=10)
+        jittered = np.clip(a.positions + rng.integers(-2, 3, a.positions.shape), 0, 1023)
+        return a, PointCloud(jittered, rng.integers(0, 256, (600, 3)), 10)
+    if kind == 1:  # duplicate-heavy: 600 and 500 rows on 512 voxels
+        return make_cloud(rng, 600, bit_depth=3), make_cloud(rng, 500, bit_depth=3)
+    # step-4 lattice: the reconstruction snaps reference rows, repeating some
+    a = make_cloud(rng, 500, bit_depth=6)
+    rows = rng.integers(0, len(a), 700)
+    return a, PointCloud(a.positions[rows] // 4 * 4, rng.integers(0, 256, (700, 3)), 6)
+
+
+class TestConcurrentDirections:
+    @pytest.mark.parametrize("seed", [3, 5])
+    @pytest.mark.parametrize("kind", [0, 1, 2], ids=["sparse", "duplicates", "lattice"])
+    def test_equals_sequential_directions_and_oracle(self, kind, seed):
+        a, b = seeded_pair(kind, seed)
+        idx_a, idx_b = build_index(a), build_index(b)
+        luma_a, luma_b = luma_scaled(a.colors, "bt709"), luma_scaled(b.colors, "bt709")
+        eg_ba, ec_ba = _directed_errors(idx_b, idx_a, luma_b, luma_a)
+        eg_ab, ec_ab = _directed_errors(idx_a, idx_b, luma_a, luma_b)
+        got = symmetric_distortion(a, b)
+        assert (got.d_g, got.d_c) == (max(eg_ba, eg_ab), max(ec_ba, ec_ab))
+        assert (got.d_g, got.d_c) == brute_symmetric(a, b)
+
+    def test_concurrent_callers_under_fast_switching(self):
+        pairs = [seeded_pair(kind, 7) for kind in range(3)] * 2
+        want = [DistortionPair(*brute_symmetric(a, b)) for a, b in pairs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(pairs)) as callers:
+                futures = [callers.submit(symmetric_distortion, a, b) for a, b in pairs]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    # the worker builds the reference's index and the caller the reconstruction's
+    @pytest.mark.parametrize("far_ref, far_rec", [(True, False), (False, True), (True, True)],
+                             ids=["worker", "caller", "both"])
+    def test_out_of_range_coordinate_raises_and_leaves_no_thread(
+            self, tmp_path, capsys, far_ref, far_rec):
+        threads = threading.active_count()
+        near = PointCloud([[0, 0, 0], [5, 5, 5]], [[0, 0, 0], [9, 9, 9]], 26)
+        far = PointCloud([[0, 0, 0], [1 << 25, 0, 0]], [[0, 0, 0], [9, 9, 9]], 26)
+        assert symmetric_distortion(near, near).d_g == 0.0
+        assert threading.active_count() == threads
+        ref, rec = far if far_ref else near, far if far_rec else near
+        with pytest.raises(ValidationError, match="2\\^25"):
+            symmetric_distortion(ref, rec)
+        assert threading.active_count() == threads
+        save_ply(ref, tmp_path / "ref.ply")
+        save_ply(rec, tmp_path / "rec.ply")
+        assert main(["metric", str(tmp_path / "ref.ply"), str(tmp_path / "rec.ply")]) == 2
+        assert capsys.readouterr().err.startswith("error [validation]: exact nearest")
+        assert threading.active_count() == threads
 
 
 class TestCombinedDistortion:

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from pcbitalloc.cli import main
 from pcbitalloc.cloud import PointCloud, save_ply
 from pcbitalloc.errors import ValidationError
 from pcbitalloc.models import QpPair, RateModel, weighted, write_probe_log
-from pcbitalloc.pipeline import _grid_sweep, run_pipeline, write_report
+from pcbitalloc.pipeline import _grid_sweep, bd_gap, run_pipeline, write_report
 from pcbitalloc.simcodec import (
     SyntheticCodecSpec, encode, random_spec, run_probe_schedule, spec_from_dict,
     spec_to_dict,
@@ -279,6 +280,21 @@ class TestCli:
         assert main(["evaluate", "--pba", str(out), "--esa", str(out)]) == 0
         assert json.loads(capsys.readouterr().out)["bd_psnr_db"] == {"0.5": None}
 
+    def test_evaluate_lossless_point_writes_null_bd(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        write_report(run_pipeline(worked_config()), out)
+        lossless = json.loads(out.read_text())
+        lossless["allocations"][-1]["actual"]["psnr_db"] = math.inf
+        (tmp_path / "lossless.json").write_text(json.dumps(lossless))
+        assert main(["evaluate", "--pba", str(tmp_path / "lossless.json"),
+                     "--esa", str(out), "-o", str(tmp_path / "eval.json")]) == 0
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        payload = json.loads((tmp_path / "eval.json").read_text(), parse_constant=refuse)
+        assert payload["bd_psnr_db"] == {"0.5": None}
+
     @pytest.mark.parametrize("field, value, target", [
         (None, None, "nan"),
         (None, None, "inf"),
@@ -429,3 +445,17 @@ def test_evaluate_survives_malformed_reports(pba, esa):
             path.write_text(json.dumps(doc))
         assert main(["evaluate", "--pba", str(paths[0]), "--esa", str(paths[1]),
                      "-o", str(Path(tmp) / "eval.json")]) in (0, 2)
+
+
+class TestBdGap:
+    ESA = [(300.0, 30.0), (450.0, 31.5), (700.0, 33.0), (1000.0, 34.0)]
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_psnr_gives_none(self, bad):
+        lossless = self.ESA[:3] + [(1000.0, bad)]
+        assert bd_gap(self.ESA, lossless) is None
+        assert bd_gap(lossless, self.ESA) is None
+        assert bd_gap(self.ESA, self.ESA) == pytest.approx(0.0, abs=1e-12)
+
+    def test_short_curve_gives_none(self):
+        assert bd_gap(self.ESA[:3], self.ESA) is None

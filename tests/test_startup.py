@@ -1,4 +1,5 @@
-"""Only the metric path imports scipy; the other commands start without it."""
+"""Only the metric path imports scipy and the thread pool; the other commands
+start without them."""
 
 import json
 import os
@@ -22,16 +23,18 @@ import pcbitalloc
 import pcbitalloc.cli
 from pcbitalloc.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def modules(package):
+    return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
 
 assert main(["simulate", "--spec", "sim.json", "-o", "report.json", "--csv"]) == 0
 assert main(["fit", "--probes", "probes.csv", "--omega", "0.5", "-o", "model.json"]) == 0
 assert main(["allocate", "--model", "model.json", "--target", "1000", "-o", "alloc.json"]) == 0
 assert main(["evaluate", "--pba", "report.json", "--esa", "report.json", "-o", "eval.json"]) == 0
-assert not scipy_modules(), scipy_modules()[:5]
+assert not modules("scipy"), modules("scipy")[:5]
+assert not modules("concurrent"), modules("concurrent")
 assert main(["metric", "a.ply", "a.ply", "-o", "metric.json"]) == 0
-assert "scipy.spatial" in scipy_modules()
+assert "scipy.spatial" in modules("scipy")
+assert "concurrent.futures.thread" in modules("concurrent")
 """
 
 
