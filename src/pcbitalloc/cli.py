@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -44,8 +43,8 @@ def _cmd_metric(args) -> None:
         "d_c": pair.d_c,
         "omega": args.omega,
         "combined": metrics.combined_distortion(pair, args.omega),
-        "psnr_db": metrics.psnr(pair.d_g, pair.d_c, args.omega,
-                                geometry_peak, args.color_peak),
+        **pipeline.psnr_fields(metrics.psnr(pair.d_g, pair.d_c, args.omega,
+                                            geometry_peak, args.color_peak)),
         "geometry_peak": geometry_peak,
         "color_peak": args.color_peak,
         "points": {"reference": len(ref), "reconstruction": len(rec)},
@@ -98,9 +97,7 @@ def _read_rows(path) -> list[dict]:
             if not isinstance(actual, dict):
                 raise ValidationError(f"{what} 'actual' must be an object, got {actual!r}")
             pipeline._number("actual.rate", actual.get("rate"), what)
-            # psnr_db is null when unmeasured and +inf when lossless
-            if actual.get("psnr_db") not in (None, math.inf):
-                pipeline._number("actual.psnr_db", actual["psnr_db"], what)
+            pipeline.read_psnr(actual, f"{what} actual")
     return rows
 
 
@@ -126,9 +123,8 @@ def _cmd_evaluate(args) -> None:
                 row[f"be_pct_{label}"] = r["be_pct"]
             actual = r.get("actual")
             if actual and "psnr_db" in actual:
-                curves.setdefault((key[0], label), []).append(
-                    (actual["rate"], actual["psnr_db"])
-                )
+                quality = pipeline.read_psnr(actual, f"{label} actual")
+                curves.setdefault((key[0], label), []).append((actual["rate"], quality))
         per_target.append(row)
     qpes = [r["qpe"] for r in per_target]
     payload = {

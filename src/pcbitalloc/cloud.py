@@ -299,20 +299,15 @@ def _ascii_rows(body: np.ndarray) -> bytes:
     return chars[keep].tobytes()
 
 
-def save_ply(cloud: PointCloud, path, binary: bool = False,
-             coord_dtype: str = "float32") -> None:
+def save_ply(cloud: PointCloud, path, binary: bool = False) -> None:
     """Write a cloud as PLY; the bit depth is preserved in a header comment.
 
-    Ascii coordinates are written as integers whatever ``coord_dtype`` says;
-    an integer literal is a valid value of a PLY ``float`` property.
+    Coordinates are ``float`` up to 24 bits, which float32 holds exactly,
+    and ``int`` above. Ascii coordinates are written as integers either
+    way; an integer literal is a valid value of a PLY ``float`` property.
     """
-    if coord_dtype not in ("float32", "int32"):
-        raise ValidationError("coord_dtype must be 'float32' or 'int32'")
-    if coord_dtype == "float32" and cloud.bit_depth > 24:
-        # float32 cannot hold >24-bit integers exactly
-        coord_dtype = "int32"
     fmt = "binary_little_endian" if binary else "ascii"
-    ctype = "float" if coord_dtype == "float32" else "int"
+    ctype = "float" if cloud.bit_depth <= 24 else "int"
     header = (
         "ply\n"
         f"format {fmt} 1.0\n"

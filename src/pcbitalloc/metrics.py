@@ -10,24 +10,24 @@ smallest point index.
 
 ``NnIndex`` gets there without a per-point loop. One Morton (z-order)
 key per point, its three 21-bit coordinates interleaved into 63 bits,
-orders everything: the cloud is sorted by it once at build time, equal
-keys are equal positions and merge into one site that keeps the
-smallest original index, and the sites are stored, and the kd-tree built
-over them, in key order. The index also records the site of each input
-row. ``symmetric_distortion`` queries each index with the other index's
-sites, which are distinct and already in key order, and gathers the
-answers back to rows through those records: duplicate rows have the
-same neighbor, so each distinct position is queried once and no cloud
-is keyed or sorted twice. Other queries are sorted by the same key, so
-neighboring rows walk neighboring tree nodes, and the results are
-scattered back to the caller's row order. The tree returns two candidate
-sites per row, nearest first; both are re-ranked in int64, and only a
-row whose second candidate ties the first can have more tied sites than
-were returned. Those rows alone ask the tree again for their 4 nearest
-sites within a bound just past the largest of their best distances,
-re-rank them in int64 and take the smallest original index among the
-tied ones; a row whose last candidate still ties goes round again with
-twice as many candidates, until the count covers every site.
+groups every batch of points the same way: sorted by it, equal keys are
+equal positions and form one run. At build time each run becomes a site
+that keeps the smallest original index, the sites are stored, and the
+kd-tree built over them, in key order, and each input row records its
+site. A query batch is grouped the same way: each distinct query point
+is answered once, in key order, so neighboring queries walk neighboring
+tree nodes, and every row takes its point's answer. An index passed as
+the query brings its sites and row records along, so
+``symmetric_distortion`` keys and sorts no cloud twice.
+
+One loop finds the answers. Each round asks the tree for k candidate
+sites per query, k = 2 at first, and re-ranks them in int64; the
+smallest original index among the candidates at the best distance wins.
+The tree ranks exactly, so tied sites come first, and only a query whose
+last candidate ties its best can have more tied sites than were
+returned. Those queries alone go round again with twice as many
+candidates, within a bound just past the largest of their best
+distances, until the count covers every site.
 Coordinates of 2^21 or more do not fit the key; there the rows are
 ordered lexicographically instead, with the same results.
 
@@ -78,10 +78,9 @@ class FitQuality:
     nrmse: float
 
 
-# kd candidates per query row; a row whose second candidate ties the
-# first is re-queried with _TIED_CANDIDATES, doubled while the last still ties.
+# kd candidates per query row in the first round; a row whose last
+# candidate ties its best goes round again with twice as many.
 _CANDIDATES = 2
-_TIED_CANDIDATES = 4
 _NO_INDEX = np.iinfo(np.int64).max
 # Below 2^25 per axis a squared distance stays below 3 * 2^50, exact in
 # float64, so the kd-tree's float ranking is exact and int64 cannot overflow.
@@ -114,11 +113,27 @@ def _morton_key(points: np.ndarray) -> np.ndarray | None:
     return key
 
 
-def _row_order(points: np.ndarray, key: np.ndarray | None) -> np.ndarray:
-    """An order of the rows in which equal rows are adjacent."""
+def _distinct(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group equal rows: (order, starts, row_site).
+
+    ``order`` sorts the rows by Morton key, or lexicographically when a
+    coordinate needs more than 21 bits, so equal rows are adjacent;
+    ``starts`` are the positions in that order where a run of equal rows
+    begins, and ``row_site`` is the run of each input row.
+    """
+    key = _morton_key(points)
+    new_site = np.ones(len(points), dtype=bool)
     if key is None:
-        return np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
-    return np.argsort(key)
+        order = np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
+        ordered = points[order]
+        new_site[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    else:
+        order = np.argsort(key)
+        ordered = key[order]
+        new_site[1:] = ordered[1:] != ordered[:-1]
+    row_site = np.empty(len(points), dtype=np.int64)
+    row_site[order] = np.cumsum(new_site) - 1
+    return order, np.flatnonzero(new_site), row_site
 
 
 class NnIndex:
@@ -128,10 +143,11 @@ class NnIndex:
     carries the smallest original index, so every tie left at query time
     is between distinct sites; ``len`` of an index is its site count.
     Sites are kept in Morton order (in lexicographic order when a
-    coordinate reaches 2^21), ``_row_site`` maps each input row to its
-    site, and each query batch is visited in the same order. Another
-    index can be the query: its sites are then the query points, already
-    distinct and in order. Coordinates of sites and queries must lie in
+    coordinate reaches 2^21), and ``_row_site`` maps each input row to
+    its site. A query is grouped the same way: each distinct query point
+    is answered once, in that order, and the answers are gathered back to
+    rows. Another index can be the query, which supplies its sites and
+    row map as they are. Coordinates of sites and queries must lie in
     [0, 2^25), where the kd-tree's float ranking is exact.
     """
 
@@ -140,23 +156,10 @@ class NnIndex:
             raise ValidationError("cannot index an empty cloud")
         pts = cloud.positions
         _check_exact_range(pts)
-        key = _morton_key(pts)
-        order = _row_order(pts, key)
-        new_site = np.ones(len(pts), dtype=bool)
-        if key is None:
-            ordered = pts[order]
-            new_site[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-        else:
-            ordered = key[order]
-            new_site[1:] = ordered[1:] != ordered[:-1]
-        starts = np.flatnonzero(new_site)
+        order, starts, self._row_site = _distinct(pts)
         self._sites = pts[order[starts]]
         # the sort need not be stable: take each run's smallest original index
         self._site_index = np.minimum.reduceat(order, starts)
-        site = np.cumsum(new_site)
-        site -= 1
-        self._row_site = np.empty_like(site)
-        self._row_site[order] = site
         # imported here, not at module level, so only the metric path pays for scipy
         from scipy.spatial import cKDTree
 
@@ -172,67 +175,50 @@ class NnIndex:
         Returns (indices, squared_distances), both int64, one entry per
         query row; the index is the smallest original point index among
         the points at the minimal squared distance. When ``queries`` is
-        another ``NnIndex``, the rows are its sites in its stored order.
+        another ``NnIndex``, the rows are the rows of its cloud.
         """
         if isinstance(queries, NnIndex):
             # the other tree already holds its sites as contiguous float64
-            q, qf, order = queries._sites, queries._tree.data, None
+            q, qf, row_site = queries._sites, queries._tree.data, queries._row_site
         else:
             q = np.atleast_2d(np.asarray(queries, dtype=np.int64))
             if q.ndim != 2 or q.shape[1] != 3:
                 raise ValidationError(f"queries must have shape (n, 3), got {q.shape}")
             _check_exact_range(q)
-            order = _row_order(q, _morton_key(q))
-            q = q[order]
+            order, starts, row_site = _distinct(q)
+            q = q[order[starts]]
             qf = q.astype(np.float64)
-        k = min(_CANDIDATES, len(self._sites))
-        _, cand = self._tree.query(qf, k=k)
-        cand = cand.reshape(len(q), k)
-        diff = self._sites[cand]
-        diff -= q[:, None, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        # the exact float ranking puts the best candidate first
-        nearest = self._site_index[cand[:, 0]]
-        best = d2[:, 0]
-        if k > 1:
-            rows = np.flatnonzero(d2[:, 1] == best)
-            if len(rows):
-                nearest[rows] = self._smallest_tied(q[rows], best[rows])
-        if order is None:
-            return nearest, best
-        idx = np.empty_like(nearest)
-        idx[order] = nearest
-        best_rows = np.empty_like(best)
-        best_rows[order] = best
-        return idx, best_rows
-
-    def _smallest_tied(self, q, best) -> np.ndarray:
-        """Smallest original index among all sites at squared distance best."""
+        # the candidate loop of the module docstring, over the distinct points q
         n_sites = len(self._sites)
-        qf = q.astype(np.float64)
-        out = np.empty(len(q), dtype=np.int64)
-        rows = np.arange(len(q))
-        k = _TIED_CANDIDATES
-        while len(rows):
-            k = min(k, n_sites)
-            # Inflate the bound past sqrt rounding; the exact test follows in ints.
-            bound = np.sqrt(best[rows].max()) * (1.0 + 1e-9) + 1e-9
+        nearest = np.empty(len(q), dtype=np.int64)
+        # a slice, not an index array, so the first round copies no row
+        rows, k, bound = slice(None), min(_CANDIDATES, n_sites), np.inf
+        while True:
             _, cand = self._tree.query(qf[rows], k=k, distance_upper_bound=bound)
-            cand = cand.reshape(len(rows), k)
+            # candidate j of every row is row j here: reductions over the
+            # candidates then run along whole rows
+            cand = cand.reshape(-1, k).T
             found = cand < n_sites  # a missing neighbor comes back as n_sites
             cand[~found] = 0
             diff = self._sites[cand]
-            diff -= q[rows, None, :]
+            diff -= q[rows]
             d2 = np.einsum("ijk,ijk->ij", diff, diff)
-            tied = found & (d2 == best[rows, None])
-            out[rows] = np.where(tied, self._site_index[cand], _NO_INDEX).min(axis=1)
+            if bound == np.inf:
+                # the first round has no bound, and its best candidate comes first
+                best = d2[0]
+            tied = found & (d2 == best[rows])
+            index = self._site_index[cand]
+            index[~tied] = _NO_INDEX
+            nearest[rows] = index.min(axis=0)
             if k == n_sites:
                 break
-            # the tree ranks exactly, so tied sites come first; more may lie
-            # beyond a row whose last candidate ties
-            rows = rows[tied[:, -1]]
-            k *= 2
-        return out
+            rows = np.arange(len(q))[rows][tied[-1]]
+            if not len(rows):
+                break
+            # Inflate the bound past sqrt rounding; the exact test follows in ints.
+            bound = np.sqrt(best[rows].max()) * (1.0 + 1e-9) + 1e-9
+            k = min(2 * k, n_sites)
+        return nearest[row_site], best[row_site]
 
 
 def build_index(cloud: PointCloud) -> NnIndex:
@@ -259,7 +245,6 @@ def _directed_errors(index_b: NnIndex, index_a: NnIndex, luma_b: np.ndarray,
                      luma_a: np.ndarray) -> tuple[float, float]:
     """Errors of b's rows against a; each of b's sites is queried once."""
     nn, d2 = index_a.query(index_b)
-    nn, d2 = nn[index_b._row_site], d2[index_b._row_site]
     n = len(luma_b)
     e_g = _exact_mean(d2, n)
     dy = luma_b - luma_a[nn]

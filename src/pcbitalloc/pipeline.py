@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -107,6 +108,23 @@ def allocation_fields(alloc) -> dict:
         "predicted_distortion": alloc.predicted_distortion,
         "rounding_violation": alloc.rounding_violation,
     }
+
+
+def psnr_fields(quality: float) -> dict:
+    """A PSNR as reports write it; a lossless +inf, not standard JSON, is null."""
+    lossless = quality == math.inf
+    return {"psnr_db": None, "lossless": True} if lossless else {"psnr_db": quality}
+
+
+def read_psnr(row: dict, what: str) -> float | None:
+    """The PSNR that ``psnr_fields`` wrote into row: +inf when lossless,
+    None when unmeasured."""
+    if "lossless" in row:
+        if row["lossless"] is not True or row.get("psnr_db", 0) is not None:
+            raise ValidationError(f"{what} 'lossless' must be true, with psnr_db null")
+        return math.inf
+    quality = row.get("psnr_db")
+    return None if quality is None else _number("psnr_db", quality, what)
 
 
 def rd_curve(points):
@@ -204,7 +222,7 @@ def run_pipeline(config: dict) -> dict:
                     "r_g": enc.r_g, "r_c": enc.r_c, "rate": actual_rate,
                     "d_g": enc.d_g, "d_c": enc.d_c,
                     "distortion": weighted(omega, enc.d_g, enc.d_c),
-                    "psnr_db": quality,
+                    **psnr_fields(quality),
                 }
                 row["be_pct"] = compute_be(actual_rate, budget)
                 pba_points.append((actual_rate, quality))
@@ -219,7 +237,7 @@ def run_pipeline(config: dict) -> dict:
                 row["esa"] = {
                     "qp_g": esa_qp.qp_g, "qp_c": esa_qp.qp_c, "rate": esa_rate,
                     "distortion": esa_distortion,
-                    "psnr_db": esa_quality,
+                    **psnr_fields(esa_quality),
                     "be_pct": compute_be(esa_rate, budget),
                 }
                 row["qpe"] = compute_qpe(alloc.qp, esa_qp)
@@ -227,7 +245,7 @@ def run_pipeline(config: dict) -> dict:
             allocations.append(row)
             eval_row = {k: row[k] for k in ("omega", "target", "be_pct", "qpe") if k in row}
             if "actual" in row:
-                eval_row["psnr_db"] = row["actual"]["psnr_db"]
+                eval_row.update(psnr_fields(quality))
             rows.append(eval_row)
         if pba_points and esa_points:
             curves[str(omega)] = bd_gap(esa_points, pba_points)

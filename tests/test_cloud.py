@@ -261,10 +261,13 @@ class TestRoundTrip:
         assert again.bit_depth == cloud.bit_depth
 
     def test_round_trip_int32_coords(self, tmp_path, rng):
-        cloud = make_cloud(rng, 200, bit_depth=8)
-        save_ply(cloud, tmp_path / "i.ply", binary=True, coord_dtype="int32")
+        # above 24 bits float32 cannot hold every coordinate, so they are written as int
+        cloud = make_cloud(rng, 200, bit_depth=25)
+        save_ply(cloud, tmp_path / "i.ply", binary=True)
+        assert b"property int x\n" in (tmp_path / "i.ply").read_bytes()
         again = load_ply(tmp_path / "i.ply")
         assert (again.positions == cloud.positions).all()
+        assert again.bit_depth == 25
 
     def test_round_trip_bit_depth_21_ascii(self, tmp_path):
         # six significant digits would turn 1234567 into 1234570
@@ -275,13 +278,13 @@ class TestRoundTrip:
         assert (again.positions == cloud.positions).all()
         assert again.bit_depth == 21
 
-    @pytest.mark.parametrize("coord_dtype", ["float32", "int32"])
-    def test_ascii_body_matches_per_point_writer(self, tmp_path, rng, coord_dtype):
-        cloud = make_cloud(rng, 500, bit_depth=19)
-        save_ply(cloud, tmp_path / "c.ply", coord_dtype=coord_dtype)
+    @pytest.mark.parametrize("bit_depth", [19, 25], ids=["float32", "int32"])
+    def test_ascii_body_matches_per_point_writer(self, tmp_path, rng, bit_depth):
+        cloud = make_cloud(rng, 500, bit_depth=bit_depth)
+        save_ply(cloud, tmp_path / "c.ply")
         lines = []
         for p, c in zip(cloud.positions, cloud.colors):
-            if coord_dtype == "float32":
+            if bit_depth <= 24:
                 coords = f"{float(p[0]):g} {float(p[1]):g} {float(p[2]):g}"
             else:
                 coords = f"{int(p[0])} {int(p[1])} {int(p[2])}"
@@ -302,11 +305,11 @@ class TestRoundTrip:
             body = (tmp_path / "c.ply").read_bytes().split(b"end_header\n", 1)[1]
             assert body == want.encode()
 
-    @pytest.mark.parametrize("coord_dtype, code", [("float32", "<fffBBB"),
-                                                   ("int32", "<iiiBBB")])
-    def test_binary_body_matches_struct_layout(self, tmp_path, rng, coord_dtype, code):
-        cloud = make_cloud(rng, 300, bit_depth=16)
-        save_ply(cloud, tmp_path / "c.ply", binary=True, coord_dtype=coord_dtype)
+    @pytest.mark.parametrize("bit_depth, code", [(16, "<fffBBB"), (25, "<iiiBBB")],
+                             ids=["float32-<fffBBB", "int32-<iiiBBB"])
+    def test_binary_body_matches_struct_layout(self, tmp_path, rng, bit_depth, code):
+        cloud = make_cloud(rng, 300, bit_depth=bit_depth)
+        save_ply(cloud, tmp_path / "c.ply", binary=True)
         want = b"".join(struct.pack(code, *map(int, p), *map(int, c))
                         for p, c in zip(cloud.positions, cloud.colors))
         blob = (tmp_path / "c.ply").read_bytes()

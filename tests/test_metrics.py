@@ -12,7 +12,6 @@ from pcbitalloc.cloud import PointCloud, luma_scaled, save_ply
 from pcbitalloc.errors import SccUndefinedError, ValidationError
 from pcbitalloc.metrics import (
     DistortionPair,
-    NnIndex,
     _directed_errors,
     _exact_mean,
     _morton_key,
@@ -90,29 +89,33 @@ class TestNnIndex:
         base = rng.integers(0, 64, (300, 3))
         pos = np.vstack([base, base[rng.integers(0, 300, 200)]])
         cloud = PointCloud(pos, rng.integers(0, 256, (500, 3)), 6)
-        queries = rng.integers(0, 64, (500, 3))
-        idx, d2 = build_index(cloud).query(queries)
-        want_idx, want_d2 = brute_force_nn(cloud.positions, queries)
-        assert (idx == want_idx).all()
-        assert (d2 == want_d2).all()
+        uniform = rng.integers(0, 64, (500, 3))
+        # each distinct query point is answered once and gathered back to its rows
+        repeated = np.vstack([uniform[:40], pos[:40]])[rng.integers(0, 80, 600)]
+        for queries in (uniform, repeated[rng.permutation(600)]):
+            idx, d2 = build_index(cloud).query(queries)
+            want_idx, want_d2 = brute_force_nn(cloud.positions, queries)
+            assert (idx == want_idx).all()
+            assert (d2 == want_d2).all()
 
-    def test_more_ties_than_candidates(self, rng, monkeypatch):
+    def test_more_ties_than_candidates(self, rng):
         # (1,1,1) is at squared distance 3 from all 8 corners of the cube
         corners = np.array([[x, y, z] for x in (0, 2) for y in (0, 2) for z in (0, 2)])
         pos = np.vstack([corners, corners[rng.integers(0, 8, 12)]])[rng.permutation(20)]
-        cloud = PointCloud(pos, np.zeros((20, 3)), 2)
+        index = build_index(PointCloud(pos, np.zeros((20, 3)), 2))
         queries = [[1, 1, 1], [1, 1, 0], [1, 0, 0], [0, 0, 0], [3, 3, 3], [1, 2, 1]]
-        fallback_rows = []
-        smallest_tied = NnIndex._smallest_tied
+        tree, rounds = index._tree, {}
 
-        def spy(self, q, best):
-            fallback_rows.extend(q.tolist())
-            return smallest_tied(self, q, best)
+        class CountingTree:
+            def query(self, q, k, **kwargs):
+                rounds[k] = q.tolist()
+                return tree.query(q, k=k, **kwargs)
 
-        monkeypatch.setattr(NnIndex, "_smallest_tied", spy)
-        idx, d2 = build_index(cloud).query(queries)
-        want_idx, want_d2 = brute_force_nn(cloud.positions, queries)
-        assert [1, 1, 1] in fallback_rows
+        index._tree = CountingTree()
+        idx, d2 = index.query(queries)
+        want_idx, want_d2 = brute_force_nn(pos, queries)
+        assert list(rounds) == [2, 4, 8]
+        assert [1, 1, 1] in rounds[4]
         assert (idx == want_idx).all()
         assert (d2 == want_d2).all()
 
@@ -337,6 +340,10 @@ class TestConcurrentDirections:
         eg_ab, ec_ab = _directed_errors(idx_a, idx_b, luma_a, luma_b)
         got = symmetric_distortion(a, b)
         assert (got.d_g, got.d_c) == (max(eg_ba, eg_ab), max(ec_ba, ec_ab))
+        # an index as the query answers its cloud's rows as the array query does
+        for index, other, cloud in ((idx_a, idx_b, b), (idx_b, idx_a, a)):
+            (nn, d2), (want_nn, want_d2) = index.query(other), index.query(cloud.positions)
+            assert nn.tolist() == want_nn.tolist() and d2.tolist() == want_d2.tolist()
         assert (got.d_g, got.d_c) == brute_symmetric(a, b)
 
     def test_concurrent_callers_under_fast_switching(self):

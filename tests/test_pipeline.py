@@ -38,6 +38,14 @@ def worked_config(**overrides):
     return config
 
 
+def standard_json(text: str):
+    """json.loads that refuses NaN and Infinity, which are not standard JSON."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 # one allocation row of a simulate report, as evaluate reads it
 EVAL_ROW = {"omega": 0.5, "target": 1000.0, "qp_g": 24, "qp_c": 23, "be_pct": 0.5,
             "actual": {"rate": 995.0, "psnr_db": 40.0}}
@@ -284,16 +292,48 @@ class TestCli:
         out = tmp_path / "report.json"
         write_report(run_pipeline(worked_config()), out)
         lossless = json.loads(out.read_text())
-        lossless["allocations"][-1]["actual"]["psnr_db"] = math.inf
+        lossless["allocations"][-1]["actual"].update(psnr_db=None, lossless=True)
         (tmp_path / "lossless.json").write_text(json.dumps(lossless))
         assert main(["evaluate", "--pba", str(tmp_path / "lossless.json"),
                      "--esa", str(out), "-o", str(tmp_path / "eval.json")]) == 0
-
-        def refuse(token):
-            raise ValueError(f"non-standard JSON token {token}")
-
-        payload = json.loads((tmp_path / "eval.json").read_text(), parse_constant=refuse)
+        payload = standard_json((tmp_path / "eval.json").read_text())
         assert payload["bd_psnr_db"] == {"0.5": None}
+
+    def test_every_command_writes_standard_json_when_lossless(self, tmp_path, capsys):
+        def stdout_json():
+            return standard_json(capsys.readouterr().out)
+
+        cloud = make_cloud(np.random.default_rng(4), 50, bit_depth=6)
+        save_ply(cloud, tmp_path / "a.ply")
+        assert main(["metric", str(tmp_path / "a.ply"), str(tmp_path / "a.ply")]) == 0
+        metric = stdout_json()
+        assert (metric["psnr_db"], metric["lossless"], metric["d_g"]) == (None, True, 0.0)
+
+        # no geometry distortion at omega 1: every encode is lossless
+        cfg = worked_config(omegas=[1.0])
+        cfg["codec"].update(alpha_g=0.0, beta_g=0.0)
+        (tmp_path / "sim.json").write_text(json.dumps(cfg))
+        report = tmp_path / "report.json"
+        assert main(["simulate", "--spec", str(tmp_path / "sim.json"), "-o", str(report)]) == 0
+        assert main(["simulate", "--spec", str(tmp_path / "sim.json")]) == 0
+        doc = standard_json(report.read_text())
+        assert stdout_json() == doc
+        for row in doc["allocations"]:
+            for entry in (row["actual"], row["esa"]):
+                assert (entry["psnr_db"], entry["lossless"]) == (None, True)
+        assert all(r["lossless"] for r in doc["evaluation"]["per_target"])
+        assert doc["evaluation"]["bd_psnr_db"] == {"1.0": None}
+        assert main(["evaluate", "--pba", str(report), "--esa", str(report)]) == 0
+        assert stdout_json()["bd_psnr_db"] == {"1.0": None}
+
+        log = tmp_path / "probes.csv"
+        write_probe_log(log, run_probe_schedule(spec_from_dict(WORKED_SPEC)))
+        assert main(["fit", "--probes", str(log), "--omega", "0.5",
+                     "-o", str(tmp_path / "model.json")]) == 0
+        standard_json((tmp_path / "model.json").read_text())
+        assert main(["allocate", "--model", str(tmp_path / "model.json"),
+                     "--target", "1000"]) == 0
+        assert stdout_json()["qp_g"] == 24
 
     @pytest.mark.parametrize("field, value, target", [
         (None, None, "nan"),
@@ -332,8 +372,13 @@ class TestCli:
         [dict(EVAL_ROW, omega=[1])],
         [dict(EVAL_ROW, actual=5)],
         [dict(EVAL_ROW, actual={"rate": "x", "psnr_db": 30})],
+        [dict(EVAL_ROW, actual={"rate": 995.0, "psnr_db": math.inf})],
+        [dict(EVAL_ROW, actual={"rate": 995.0, "psnr_db": 40.0, "lossless": True})],
+        [dict(EVAL_ROW, actual={"rate": 995.0, "lossless": True})],
+        [dict(EVAL_ROW, actual={"rate": 995.0, "psnr_db": None, "lossless": 1})],
     ], ids=["no-target", "int-row", "qp-string", "omega-list", "actual-int",
-            "actual-rate-string"])
+            "actual-rate-string", "psnr-infinity", "lossless-with-psnr",
+            "lossless-without-psnr", "lossless-not-true"])
     def test_evaluate_rejects_malformed_rows(self, tmp_path, capsys, doc):
         report = tmp_path / "report.json"
         report.write_text(json.dumps(doc))
@@ -421,6 +466,8 @@ def malformed_reports(draw):
     rows = [dict(EVAL_ROW, target=target, qp_g=qp, qp_c=qp - 1,
                  actual={"rate": target - 5.0, "psnr_db": 30.0 + qp / 4})
             for target, qp in ((300.0, 36), (450.0, 32), (700.0, 28), (1000.0, 24))]
+    if draw(st.booleans()):
+        rows[-1]["actual"].update(psnr_db=None, lossless=True)
     report = copy.deepcopy(draw(st.sampled_from([{"allocations": rows}, rows])))
     for _ in range(draw(st.integers(1, 3))):
         slots = _slots(report, [])
