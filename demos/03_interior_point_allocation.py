@@ -11,29 +11,27 @@ from pcbitalloc import (
     DistortionModel,
     QuantPair,
     RateModel,
-    SolverConfig,
     barrier_objective,
     exhaustive_search,
     model_oracle,
     round_to_grid,
     solve_interior_point,
 )
-from pcbitalloc.allocator import START
+from pcbitalloc.allocator import EPS, ETA, MU0, START
 
 problem = AllocationProblem(
     dm=DistortionModel(a=0.5, b=0.25, c=4.0, omega=0.5),
     rm=RateModel(gamma_g=6400, theta_g=-1, gamma_c=3200, theta_c=-1),
     r_target=1000.0,
 )
-config = SolverConfig()
 print(f"budget {problem.r_target} kbpmp, start ({START.q_g}, {START.q_c}), "
-      f"mu0={config.mu0}, eta={config.eta}, eps={config.eps}")
+      f"mu0={MU0}, eta={ETA}, eps={EPS}")
 
-value, grad, hess = barrier_objective(problem, START, config.mu0)
+value, grad, hess = barrier_objective(problem, START, MU0)
 print(f"barrier at start: value {value:.4f}, gradient ({grad[0]:.4f}, {grad[1]:.4f})")
 
 trace = []
-alloc = solve_interior_point(problem, config, trace=trace)
+alloc = solve_interior_point(problem, trace=trace)
 
 print("\nNewton iterates (mu, q_g, q_c, slack):")
 last_mu = None

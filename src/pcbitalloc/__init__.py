@@ -12,7 +12,6 @@ from .allocator import (
     Allocation,
     AllocationProblem,
     GridTable,
-    SolverConfig,
     barrier_objective,
     exhaustive_search,
     model_oracle,

@@ -23,10 +23,13 @@ the polish pick their cell with the same masked lexicographic argmin.
 
 The solver's fixed settings are module constants: a solve starts at the
 step pair ``START`` (80, 80), or at the coarsest grid step when the budget
-does not cover the rate at ``START``; the line search backtracks by
-``BACKTRACK`` under the Armijo factor ``ARMIJO_C``, and the polish
-searches ``POLISH_RADIUS`` QPs around the rounded pair. The grid is
-``qp_grid()`` with the steps ``step_grid()``.
+does not cover the rate at ``START``; the barrier weight starts at ``MU0``
+and shrinks by ``ETA`` while it is at least ``EPS``; each Newton solve
+stops once the gradient norm is below ``NEWTON_TOL``; the line search
+backtracks by ``BACKTRACK`` under the Armijo factor ``ARMIJO_C``, and the
+polish searches ``POLISH_RADIUS`` QPs around the rounded pair. The grid is
+``qp_grid()`` with the steps ``step_grid()``. The one setting a caller may
+change is the Newton iteration cap, ``MAX_NEWTON_ITERS`` by default.
 """
 
 from __future__ import annotations
@@ -56,6 +59,11 @@ from .models import (
 )
 
 START = QuantPair(80.0, 80.0)
+MU0 = 0.1
+ETA = 1e-6
+EPS = 1e-10
+NEWTON_TOL = 1e-9
+MAX_NEWTON_ITERS = 1000
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 POLISH_RADIUS = 2
@@ -64,36 +72,11 @@ _QPS = qp_grid()
 _STEPS = step_grid()
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """The barrier schedule and the Newton stopping rule.
-
-    Settable fields: the initial barrier weight ``mu0``, its decline
-    factor ``eta``, the accuracy threshold ``eps`` below which the outer
-    loop stops, the gradient-norm tolerance ``newton_tol`` and the
-    iteration cap ``max_newton_iters`` of each Newton solve.
-    """
-
-    mu0: float = 0.1
-    eta: float = 1e-6
-    eps: float = 1e-10
-    newton_tol: float = 1e-9
-    max_newton_iters: int = 100
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.mu0, self.eta, self.eps, self.newton_tol))):
-            raise ValidationError("solver settings must be finite")
-        if self.mu0 <= 0:
-            raise ValidationError("mu0 must be positive")
-        if not 0.0 < self.eta < 1.0:
-            raise ValidationError("eta must lie in (0, 1)")
-        if self.eps <= 0:
-            raise ValidationError("eps must be positive")
-        if isinstance(self.max_newton_iters, bool) or not isinstance(
-                self.max_newton_iters, int):
-            raise ValidationError("max_newton_iters must be an integer")
-        if self.newton_tol <= 0 or self.max_newton_iters < 1:
-            raise ValidationError("bad Newton settings")
+def check_newton_cap(cap) -> int:
+    """A Newton iteration cap: an integer of at least 1; booleans are refused."""
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        raise ValidationError(f"max_newton_iters must be a positive integer, got {cap!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -159,12 +142,12 @@ def barrier_objective(p: AllocationProblem, q: QuantPair, mu: float):
 
 
 def _newton_minimize(p: AllocationProblem, q_g: float, q_c: float, mu: float,
-                     cfg: SolverConfig, trace) -> tuple[float, float]:
+                     max_iters: int, trace) -> tuple[float, float]:
     """Damped Newton with feasibility-preserving backtracking line search."""
     value, grad, hess = barrier_objective(p, QuantPair(q_g, q_c), mu)
-    for _ in range(cfg.max_newton_iters):
+    for _ in range(max_iters):
         g_g, g_c = grad
-        if math.hypot(g_g, g_c) < cfg.newton_tol:
+        if math.hypot(g_g, g_c) < NEWTON_TOL:
             return q_g, q_c
         (h_gg, h_gc), (_, h_cc) = hess
         det = h_gg * h_cc - h_gc * h_gc
@@ -194,22 +177,23 @@ def _newton_minimize(p: AllocationProblem, q_g: float, q_c: float, mu: float,
         if trace is not None:
             trace.append((mu, q_g, q_c, p.slack(q_g, q_c)))
     raise ConvergenceError(
-        f"Newton did not converge within {cfg.max_newton_iters} iterations"
+        f"Newton did not converge within {max_iters} iterations"
     )
 
 
-def solve_interior_point(p: AllocationProblem, cfg: SolverConfig | None = None,
+def solve_interior_point(p: AllocationProblem, max_newton_iters: int = MAX_NEWTON_ITERS,
                          trace: list | None = None) -> Allocation:
     """Minimize modeled distortion under the budget and round onto the grid.
 
     The outer loop starts at ``START``, or at the coarsest grid step when
     the budget does not cover the rate at ``START``, and shrinks the
-    barrier weight by the decline factor until it drops below the accuracy
-    threshold; each weight is handled by one damped Newton solve warm
-    started from the previous optimum. A budget that cannot even fit the
-    coarsest grid encoding is rejected rather than repaired.
+    barrier weight from ``MU0`` by ``ETA`` until it drops below ``EPS``;
+    each weight is handled by one damped Newton solve warm
+    started from the previous optimum and capped at ``max_newton_iters``
+    steps. A budget that cannot even fit the coarsest grid encoding is
+    rejected rather than repaired.
     """
-    cfg = cfg or SolverConfig()
+    check_newton_cap(max_newton_iters)
     q_g, q_c = START.q_g, START.q_c
     if p.slack(q_g, q_c) <= 0:
         q_g = q_c = _STEPS[-1]
@@ -219,11 +203,11 @@ def solve_interior_point(p: AllocationProblem, cfg: SolverConfig | None = None,
                 f"coarsest grid steps ({q_g:g}, {q_c:g})"
             )
     if trace is not None:
-        trace.append((cfg.mu0, q_g, q_c, p.slack(q_g, q_c)))
-    mu = cfg.mu0
-    while mu >= cfg.eps:
-        q_g, q_c = _newton_minimize(p, q_g, q_c, mu, cfg, trace)
-        mu *= cfg.eta
+        trace.append((MU0, q_g, q_c, p.slack(q_g, q_c)))
+    mu = MU0
+    while mu >= EPS:
+        q_g, q_c = _newton_minimize(p, q_g, q_c, mu, max_newton_iters, trace)
+        mu *= ETA
     continuous = QuantPair(q_g, q_c)
     qp, violation = round_to_grid(p, continuous)
     polished = polish_rounding(p, qp, POLISH_RADIUS)

@@ -60,8 +60,7 @@ def _cmd_fit(args) -> None:
 def _cmd_allocate(args) -> None:
     dm, rm = models.model_from_dict(_read_json(args.model, "model"))
     problem = allocator.AllocationProblem(dm, rm, args.target)
-    cfg = allocator.SolverConfig(mu0=args.mu0, eta=args.eta, eps=args.eps)
-    alloc = allocator.solve_interior_point(problem, cfg)
+    alloc = allocator.solve_interior_point(problem)
     _emit({"target": args.target, **pipeline.allocation_fields(alloc)}, args.output)
 
 
@@ -87,7 +86,7 @@ def _read_rows(path) -> list[dict]:
         if not isinstance(row, dict):
             raise ValidationError(f"{what}s must be objects, got {row!r}")
         for key in ("omega", "target"):
-            pipeline._number(key, row.get(key), what)
+            models.finite_number(key, row.get(key), what)
         for key in ("qp_g", "qp_c"):
             qp = row.get(key)
             if isinstance(qp, bool) or not isinstance(qp, int):
@@ -96,7 +95,7 @@ def _read_rows(path) -> list[dict]:
             actual = row["actual"]
             if not isinstance(actual, dict):
                 raise ValidationError(f"{what} 'actual' must be an object, got {actual!r}")
-            pipeline._number("actual.rate", actual.get("rate"), what)
+            models.finite_number("actual.rate", actual.get("rate"), what)
             pipeline.read_psnr(actual, f"{what} actual")
     return rows
 
@@ -166,9 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("allocate", help="solve the bit allocation for a budget")
     p.add_argument("--model", required=True, help="model JSON from 'fit'")
     p.add_argument("--target", type=float, required=True, help="budget in kbpmp")
-    p.add_argument("--mu0", type=float, default=0.1)
-    p.add_argument("--eta", type=float, default=1e-6)
-    p.add_argument("--eps", type=float, default=1e-10)
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=_cmd_allocate)
 

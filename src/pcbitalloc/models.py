@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,6 +57,24 @@ def weighted(omega: float, d_g: float, d_c: float) -> float:
     if not 0.0 <= omega <= 1.0:
         raise ValidationError("omega must lie in [0, 1]")
     return omega * d_g + (1.0 - omega) * d_c
+
+
+def finite_number(key: str, x, what: str = "config") -> float:
+    """A JSON number as a finite float; booleans, strings and integers
+    beyond the float range are refused."""
+    if (isinstance(x, bool) or not isinstance(x, (int, float))
+            or not abs(x) <= sys.float_info.max):
+        raise ValidationError(f"{what} '{key}' must hold finite numbers, got {x!r}")
+    return float(x)
+
+
+def _check_probe(rates, distortions) -> None:
+    if not all(map(math.isfinite, (*rates, *distortions))):
+        raise ValidationError("probe rates and distortions must be finite")
+    if min(rates) <= 0:
+        raise ValidationError("probe bitrates must be positive")
+    if min(distortions) < 0:
+        raise ValidationError("probe distortions must be non-negative")
 
 
 def kbpmp(bits: float, n_points: int) -> float:
@@ -99,12 +118,7 @@ class ProbePoint:
     d: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.r_g, self.r_c, self.d))):
-            raise ValidationError("probe rates and distortion must be finite")
-        if self.r_g <= 0 or self.r_c <= 0:
-            raise ValidationError("probe bitrates must be positive")
-        if self.d < 0:
-            raise ValidationError("probe distortion must be non-negative")
+        _check_probe((self.r_g, self.r_c), (self.d,))
 
 
 @dataclass(frozen=True)
@@ -116,6 +130,9 @@ class ProbeRecord:
     r_c: float
     d_g: float
     d_c: float
+
+    def __post_init__(self):
+        _check_probe((self.r_g, self.r_c), (self.d_g, self.d_c))
 
     def to_probe_point(self, omega: float) -> ProbePoint:
         return ProbePoint(self.qp, self.r_g, self.r_c,
@@ -283,9 +300,8 @@ def model_from_dict(doc) -> tuple[DistortionModel, RateModel]:
         sanity = tuple(d.get("sanity", ()))
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"bad model: missing or misplaced field {exc}") from exc
-    for value in values:
-        if type(value) not in (int, float):
-            raise ValidationError(f"model fields must be finite reals, got {value!r}")
+    names = ("a", "b", "c", "omega") + _RATE_FIELDS
+    values = [finite_number(name, x, "model") for name, x in zip(names, values)]
     return DistortionModel(*values[:4], sanity), RateModel(*values[4:])
 
 
@@ -314,8 +330,8 @@ def read_probe_log(path) -> list[ProbeRecord]:
                         float(row["r_g_kbpmp"]), float(row["r_c_kbpmp"]),
                         float(row["d_g"]), float(row["d_c"]),
                     ))
-                except (TypeError, ValueError, KeyError) as exc:
-                    raise ValidationError(f"bad probe log row {row!r}") from exc
+                except (TypeError, ValueError, KeyError, ValidationError) as exc:
+                    raise ValidationError(f"bad probe log row {row!r}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ValidationError(f"probe log {path} is not CSV text: {exc}") from exc
     return records

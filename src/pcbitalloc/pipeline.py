@@ -7,12 +7,14 @@ A run is driven by a JSON-compatible config tree::
       "targets": [240, 450, 600],                  # kbpmp budgets
       "omegas": [0.25, 0.5],                       # default [0.5]
       "run_exhaustive": true,                      # default false
-      "solver": {"mu0": 0.1, "eta": 1e-6, ...},    # optional overrides
+      "solver": {"max_newton_iters": 1000},        # optional Newton cap
       "geometry_peak": 1023.0,                     # PSNR normalization
       "color_peak": 255.0
     }
 
-The report is a JSON tree with sections ``models``, ``allocations`` and
+The ``solver`` object may hold only the Newton iteration cap, a positive
+integer; the barrier schedule itself is fixed in ``allocator``. The report
+is a JSON tree with sections ``models``, ``allocations`` and
 ``evaluation``. Reports are byte-stable for a fixed config: the
 complexity quotient uses the simulated encode clock (a fixed cost per
 encode call), never wall time. With a synthetic codec backend the
@@ -27,16 +29,15 @@ from __future__ import annotations
 import csv
 import json
 import math
-import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .allocator import (
+    MAX_NEWTON_ITERS,
     AllocationProblem,
     GridTable,
-    SolverConfig,
+    check_newton_cap,
     exhaustive_search,
     solve_interior_point,
 )
@@ -44,6 +45,7 @@ from .errors import InfeasibleBudgetError, ValidationError
 from .evaluate import bd_psnr, compute_be, compute_cq, compute_qpe
 from .metrics import psnr
 from .models import (
+    finite_number,
     fit_distortion_model,
     fit_distortion_model_lstsq,
     fit_rate_model,
@@ -72,25 +74,14 @@ def fit_models(records, omega):
     return dm, rm
 
 
-def _number(key: str, x, what: str = "config") -> float:
-    """A finite config or report number as a float; booleans and strings are refused."""
-    # an integer beyond the float range is not finite either
-    if (isinstance(x, bool) or not isinstance(x, (int, float))
-            or not abs(x) <= sys.float_info.max):
-        raise ValidationError(f"{what} '{key}' must hold finite numbers, got {x!r}")
-    return float(x)
-
-
-def _solver_config(cfg) -> SolverConfig:
-    if not isinstance(cfg, dict):
-        raise ValidationError(f"config 'solver' must be an object, got {cfg!r}")
-    unknown = set(cfg) - {f.name for f in fields(SolverConfig)}
+def _newton_cap(solver) -> int:
+    """The config's Newton iteration cap, the one key its 'solver' object may hold."""
+    if not isinstance(solver, dict):
+        raise ValidationError(f"config 'solver' must be an object, got {solver!r}")
+    unknown = set(solver) - {"max_newton_iters"}
     if unknown:
         raise ValidationError(f"unknown solver keys: {sorted(unknown)}")
-    # SolverConfig checks the Newton cap's integer type itself
-    values = {key: x if key == "max_newton_iters" else _number(f"solver.{key}", x)
-              for key, x in cfg.items()}
-    return SolverConfig(**values)
+    return check_newton_cap(solver.get("max_newton_iters", MAX_NEWTON_ITERS))
 
 
 def _grid_sweep(spec):
@@ -124,7 +115,7 @@ def read_psnr(row: dict, what: str) -> float | None:
             raise ValidationError(f"{what} 'lossless' must be true, with psnr_db null")
         return math.inf
     quality = row.get("psnr_db")
-    return None if quality is None else _number("psnr_db", quality, what)
+    return None if quality is None else finite_number("psnr_db", quality, what)
 
 
 def rd_curve(points):
@@ -161,16 +152,16 @@ def run_pipeline(config: dict) -> dict:
     for key, values in (("targets", targets), ("omegas", omegas)):
         if not isinstance(values, (list, tuple)) or not values:
             raise ValidationError(f"config needs a non-empty '{key}' list")
-    targets = [_number("targets", t) for t in targets]
-    omegas = [_number("omegas", w) for w in omegas]
+    targets = [finite_number("targets", t) for t in targets]
+    omegas = [finite_number("omegas", w) for w in omegas]
     run_esa = config.get("run_exhaustive", False)
     if not isinstance(run_esa, bool):
         raise ValidationError("config 'run_exhaustive' must be true or false")
     if run_esa and not has_codec:
         raise ValidationError("the exhaustive baseline needs a codec backend")
-    geometry_peak = _number("geometry_peak", config.get("geometry_peak", 1023.0))
-    color_peak = _number("color_peak", config.get("color_peak", 255.0))
-    solver_cfg = _solver_config(config.get("solver", {}))
+    geometry_peak = finite_number("geometry_peak", config.get("geometry_peak", 1023.0))
+    color_peak = finite_number("color_peak", config.get("color_peak", 255.0))
+    max_newton_iters = _newton_cap(config.get("solver", {}))
 
     if has_codec:
         spec = spec_from_dict(config["codec"])
@@ -181,7 +172,7 @@ def run_pipeline(config: dict) -> dict:
         if not isinstance(config["probe_log"], str):
             raise ValidationError("config 'probe_log' must be a path string")
         records = read_probe_log(config["probe_log"])
-        overhead = _number("overhead_kbpmp", config.get("overhead_kbpmp", 0.0))
+        overhead = finite_number("overhead_kbpmp", config.get("overhead_kbpmp", 0.0))
     pba_encode_calls = len(records)
 
     sweep = _grid_sweep(spec) if run_esa else None
@@ -211,7 +202,7 @@ def run_pipeline(config: dict) -> dict:
                     f"target {target:g} kbpmp does not cover the overhead"
                 )
             problem = AllocationProblem(dm, rm, budget)
-            alloc = solve_interior_point(problem, solver_cfg)
+            alloc = solve_interior_point(problem, max_newton_iters)
             row = {"omega": omega, "target": target, "budget": budget,
                    **allocation_fields(alloc)}
             if spec is not None:

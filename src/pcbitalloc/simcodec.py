@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -27,6 +27,7 @@ from .models import (
     ProbeRecord,
     QpPair,
     RateModel,
+    finite_number,
     qp_to_step,
     weighted,
 )
@@ -171,6 +172,9 @@ def random_spec(seed: int, noise_rel: float = 0.0,
     )
 
 
+_FLOAT_FIELDS = {f.name for f in fields(SyntheticCodecSpec) if f.type == "float"}
+
+
 def spec_to_dict(spec: SyntheticCodecSpec) -> dict:
     d = asdict(spec)
     d["rate"] = asdict(spec.rate)
@@ -178,11 +182,15 @@ def spec_to_dict(spec: SyntheticCodecSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> SyntheticCodecSpec:
+    """Inverse of ``spec_to_dict``; every float field, the rate model's
+    included, must be a finite JSON number."""
     try:
-        rate = RateModel(**d["rate"])
-        fields = {k: v for k, v in d.items() if k != "rate"}
-        return SyntheticCodecSpec(rate=rate, **fields)
-    except (KeyError, TypeError, OverflowError) as exc:
+        rate = RateModel(**{k: finite_number(f"rate.{k}", v, "codec")
+                            for k, v in d["rate"].items()})
+        values = {k: finite_number(k, v, "codec") if k in _FLOAT_FIELDS else v
+                  for k, v in d.items() if k != "rate"}
+        return SyntheticCodecSpec(rate=rate, **values)
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"bad codec spec: {exc}") from exc
 
 

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pcbitalloc.allocator import (
+    EPS,
+    ETA,
+    MU0,
     AllocationProblem,
     GridTable,
-    SolverConfig,
     barrier_objective,
     exhaustive_search,
     model_oracle,
@@ -16,13 +18,14 @@ from pcbitalloc.allocator import (
     solve_interior_point,
 )
 from pcbitalloc.errors import (
+    ConvergenceError,
     InfeasibleBudgetError,
     InfeasibleStartError,
     ValidationError,
 )
 from pcbitalloc.evaluate import compute_qpe
 from pcbitalloc.models import (
-    DistortionModel, ProbePoint, QpPair, QuantPair, RateModel, qp_to_step,
+    DistortionModel, ProbePoint, ProbeRecord, QpPair, QuantPair, RateModel, qp_to_step,
 )
 
 from conftest import well_posed_instance
@@ -119,11 +122,10 @@ class TestSolver:
         assert alloc.predicted_rate <= 1000.0 + 1e-6
 
     def test_two_outer_iterations_with_defaults(self):
-        cfg = SolverConfig()
-        expected = math.ceil(math.log(cfg.eps / cfg.mu0) / math.log(cfg.eta))
+        expected = math.ceil(math.log(EPS / MU0) / math.log(ETA))
         assert expected == 2
         trace = []
-        solve_interior_point(worked_problem(), cfg, trace=trace)
+        solve_interior_point(worked_problem(), trace=trace)
         mus = sorted({mu for mu, *_ in trace}, reverse=True)
         assert mus == [0.1, 0.1 * 1e-6]
 
@@ -150,13 +152,11 @@ class TestSolver:
             assert a2.qp == a1.qp
 
     def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            SolverConfig(eta=1.5)
-        with pytest.raises(ValidationError):
-            SolverConfig(mu0=-1)
-        for cap in (1000.0, True):
-            with pytest.raises(ValidationError):
-                SolverConfig(max_newton_iters=cap)
+        for cap in (1000.0, True, 0, -1, "1000"):
+            with pytest.raises(ValidationError, match="max_newton_iters"):
+                solve_interior_point(worked_problem(), cap)
+        with pytest.raises(ConvergenceError, match="within 1 iterations"):
+            solve_interior_point(worked_problem(), 1)
 
 
 class TestRounding:
@@ -342,10 +342,9 @@ WORKED_RM = RateModel(6400, -1, 3200, -1)
     lambda: DistortionModel(0.5, 0.25, math.inf, 0.5),
     lambda: ProbePoint(QpPair(33, 25), math.nan, 1.0, 1.0),
     lambda: ProbePoint(QpPair(33, 25), 1.0, 1.0, math.inf),
-    lambda: SolverConfig(mu0=math.nan),
-    lambda: SolverConfig(eps=math.nan),
+    lambda: ProbeRecord(QpPair(33, 25), 1.0, 1.0, math.nan, 1.0),
 ], ids=["budget-nan", "budget-inf", "gamma-nan", "theta-inf", "slope-nan",
-        "offset-inf", "probe-rate-nan", "probe-distortion-inf", "mu0-nan", "eps-nan"])
+        "offset-inf", "probe-rate-nan", "probe-distortion-inf", "record-distortion-nan"])
 def test_non_finite_values_rejected(build):
     with pytest.raises(ValidationError, match="finite"):
         build()

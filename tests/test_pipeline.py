@@ -11,8 +11,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from pcbitalloc.cli import main
 from pcbitalloc.cloud import PointCloud, save_ply
 from pcbitalloc.errors import ValidationError
-from pcbitalloc.models import QpPair, RateModel, weighted, write_probe_log
-from pcbitalloc.pipeline import _grid_sweep, bd_gap, run_pipeline, write_report
+from pcbitalloc.models import (
+    PROBE_LOG_HEADER, QpPair, RateModel, model_to_dict, weighted, write_probe_log,
+)
+from pcbitalloc.pipeline import (
+    _grid_sweep, bd_gap, fit_models, run_pipeline, write_report,
+)
 from pcbitalloc.simcodec import (
     SyntheticCodecSpec, encode, random_spec, run_probe_schedule, spec_from_dict,
     spec_to_dict,
@@ -200,20 +204,21 @@ class TestCli:
         assert main(["fit", "--probes", str(log), "--omega", "2.0"]) == 2
         assert "validation" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cap", [1000.0, True])
+    @pytest.mark.parametrize("cap", [1000.0, True, 0])
     def test_simulate_rejects_non_integer_newton_cap(self, tmp_path, capsys, cap):
-        cfg_path = tmp_path / "sim.json"
-        cfg_path.write_text(json.dumps(worked_config(solver={"max_newton_iters": cap})))
-        assert main(["simulate", "--spec", str(cfg_path),
-                     "-o", str(tmp_path / "report.json")]) == 2
-        assert "validation" in capsys.readouterr().err
+        self.assert_simulate_rejects(tmp_path, capsys,
+                                     worked_config(solver={"max_newton_iters": cap}))
 
     @pytest.mark.parametrize("field, value", [
         ("noise_rel", float("nan")),
         ("overhead_kbpmp", float("inf")),
         ("seed", 1.5),
         ("seed", -1),
-    ], ids=["noise-nan", "overhead-inf", "seed-fractional", "seed-negative"])
+        ("alpha_g", True),
+        ("rate", dict(spec_to_dict(random_spec(7))["rate"], gamma_g=True)),
+        ("beta_c", 10**400),
+    ], ids=["noise-nan", "overhead-inf", "seed-fractional", "seed-negative",
+            "alpha-g-bool", "rate-gamma-g-bool", "beta-c-huge"])
     def test_simulate_rejects_bad_codec_spec(self, tmp_path, capsys, field, value):
         codec = dict(spec_to_dict(random_spec(7, noise_rel=0.02)), **{field: value})
         self.assert_simulate_rejects(tmp_path, capsys, {
@@ -230,9 +235,10 @@ class TestCli:
         ("solver", 5),
         ("solver", None),
         ("solver", {"mu0": True}),
+        ("solver", {"newton_tol": 1e-9, "max_newton_iters": 1000}),
     ], ids=["targets-string", "targets-scalar", "geometry-peak-nan", "color-peak-nan",
             "run-exhaustive-string", "solver-mu0-string", "solver-eps-null",
-            "solver-scalar", "solver-null", "solver-mu0-bool"])
+            "solver-scalar", "solver-null", "solver-mu0-bool", "solver-newton-tol"])
     def test_simulate_rejects_bad_top_level_field(self, tmp_path, capsys, field, value):
         self.assert_simulate_rejects(tmp_path, capsys, worked_config(**{field: value}))
 
@@ -344,6 +350,8 @@ class TestCli:
         ("c", True, "1000"),
         ("gamma_g", "6400", "1000"),
         ("theta_c", float("-inf"), "1000"),
+        pytest.param("a", 10**400, "1000", id="a-huge-1000"),
+        pytest.param("gamma_g", -10**400, "1000", id="gamma_g-minus-huge-1000"),
     ])
     def test_allocate_rejects_malformed_input(self, tmp_path, capsys, field, value, target):
         spec = SyntheticCodecSpec(rate=RateModel(**WORKED_SPEC["rate"]),
@@ -401,6 +409,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error [validation]: probe log ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("column, value", [
+        ("d_g", "-5.0"), ("d_c", "inf"), ("r_c_kbpmp", "0.0"),
+    ], ids=["negative-d_g", "infinite-d_c", "zero-r_c"])
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    def test_bad_probe_log_values_name_the_row(self, tmp_path, capsys, command,
+                                               column, value):
+        rows = [[r.qp.qp_g, r.qp.qp_c, r.r_g, r.r_c, r.d_g, r.d_c]
+                for r in run_probe_schedule(spec_from_dict(WORKED_SPEC))]
+        rows[1][PROBE_LOG_HEADER.index(column)] = value
+        log = tmp_path / "probes.csv"
+        log.write_text("".join(",".join(map(str, row)) + "\n"
+                               for row in [PROBE_LOG_HEADER, *rows]))
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps({"probe_log": str(log), "targets": [1000]}))
+        argv = {"fit": ["fit", "--probes", str(log), "--omega", "0.5"],
+                "simulate": ["simulate", "--spec", str(cfg_path)]}[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [validation]: bad probe log row ")
+        assert f"'{column}': '{value}'" in err and err.count("\n") == 1
+
 
 JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.text(max_size=4)
                 | st.floats(allow_nan=True, allow_infinity=True))
@@ -429,7 +458,7 @@ def malformed_configs(draw):
     config = copy.deepcopy(draw(st.sampled_from([
         worked_config(),
         worked_config(run_exhaustive=False, omegas=[0.25, 0.75],
-                      solver={"mu0": 0.1, "eta": 1e-6, "max_newton_iters": 100}),
+                      solver={"max_newton_iters": 1000}),
         {"probe_log": "probes.csv", "targets": [1000, 1400], "overhead_kbpmp": 10.0},
     ])))
     for _ in range(draw(st.integers(1, 3))):
@@ -456,6 +485,39 @@ def test_simulate_survives_malformed_config_trees(config):
         cfg_path.write_text(json.dumps(config))
         assert main(["simulate", "--spec", str(cfg_path),
                      "-o", str(Path(tmp) / "report.json")]) in (0, 2, 3, 4)
+
+
+HUGE_INTEGERS = st.sampled_from([10**400, -10**400])
+
+
+@st.composite
+def malformed_models(draw):
+    """A random JSON tree, or a valid model file with a few slots replaced or deleted."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_TREES)
+    model = model_to_dict(*fit_models(run_probe_schedule(spec_from_dict(WORKED_SPEC)), 0.5))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = _slots(model, [])
+        if not slots:  # both sections deleted
+            break
+        container, key = draw(st.sampled_from(slots))
+        if draw(st.booleans()) and isinstance(container, dict):
+            del container[key]
+        else:
+            container[key] = draw(JSON_TREES | JSON_SCALARS | HUGE_INTEGERS)
+    return model
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(malformed_models())
+def test_allocate_survives_malformed_model_trees(model):
+    # every bad model file gives an error line and an exit code of its category
+    with tempfile.TemporaryDirectory() as tmp:
+        model_path = Path(tmp) / "model.json"
+        model_path.write_text(json.dumps(model))
+        assert main(["allocate", "--model", str(model_path), "--target", "1000",
+                     "-o", str(Path(tmp) / "alloc.json")]) in (0, 2, 3)
 
 
 @st.composite

@@ -1,10 +1,13 @@
-"""The README's python examples run as written, in order, in one namespace."""
+"""The README's python examples run as written, in order, in one namespace,
+and its CLI synopsis lists only flags the parser accepts."""
 
+import argparse
 import re
 from pathlib import Path
 
 import numpy as np
 
+from pcbitalloc.cli import build_parser
 from pcbitalloc.cloud import PointCloud, save_ply
 
 from conftest import make_cloud
@@ -27,3 +30,20 @@ def test_python_examples_run(tmp_path, monkeypatch, rng, capsys):
     monkeypatch.chdir(tmp_path)
     exec(real_clouds, namespace)
     assert namespace["pair"].d_g > 0
+
+
+def test_cli_synopsis_flags_exist():
+    # every --flag the README's CLI block lists is one its subcommand accepts
+    block = README.read_text().split("## CLI\n", 1)[1].split("```")[1]
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    flags, command = {}, None
+    for line in block.splitlines():
+        words = line.split()
+        if words and words[0] == "pcbitalloc":
+            command = words[1]
+        if command:
+            flags.setdefault(command, set()).update(re.findall(r"(?<![\w-])--?[a-z][\w-]*", line))
+    assert set(flags) == set(subparsers)
+    for command, listed in flags.items():
+        assert listed <= set(subparsers[command]._option_string_actions), command
