@@ -46,10 +46,11 @@ print(f"predicted distortion {alloc.predicted_distortion:.6f} at rate "
 
 # Rounding: per-component nearest snaps to QP (24, 24); the bounded polish
 # then spends the stranded budget, landing on the grid optimum (24, 23).
-nearest, violation = round_to_grid(problem, alloc.continuous)
-print(f"\nnearest rounding: QP ({nearest.qp_g}, {nearest.qp_c}), violation {violation}")
-print(f"solver allocation: QP ({alloc.qp.qp_g}, {alloc.qp.qp_c}), "
-      f"violation {alloc.rounding_violation}")
+# Both pairs fit the budget.
+nearest = round_to_grid(problem, alloc.continuous)
+print()
+for label, qp in (("nearest rounding", nearest), ("solver allocation", alloc.qp)):
+    print(f"{label}: QP ({qp.qp_g}, {qp.qp_c}), rate {problem.rate(qp.steps()):.2f} kbpmp")
 
 esa = exhaustive_search(model_oracle(problem), problem.r_target)
 print(f"exhaustive search over 441 pairs: QP ({esa.qp_g}, {esa.qp_c})")

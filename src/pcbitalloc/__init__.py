@@ -57,7 +57,6 @@ from .models import (
 from .pipeline import run_pipeline, write_report
 from .simcodec import (
     ENCODE_TIME_MS,
-    EncodeResult,
     SeparabilityReport,
     SyntheticCodecSpec,
     encode,

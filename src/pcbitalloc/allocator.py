@@ -14,6 +14,9 @@ accuracy threshold. The continuous optimum is then rounded onto the
 discrete step grid: nearest-step rounding (ties to the larger step), a
 deterministic coarsening repair when the rounded pair overshoots the
 budget, and a polish over a small QP window that spends stranded budget.
+A budget that even the coarsest grid pair overshoots has no allocation
+and raises ``InfeasibleBudgetError``; the solver checks this before its
+first Newton step, so the pair it returns always fits the budget.
 
 An exhaustive 441-pair grid search over the same QP range serves as the
 reference baseline. It reads a ``GridTable``: the (rate, distortion) of
@@ -40,12 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    InfeasibleBudgetError,
-    InfeasibleStartError,
-    ValidationError,
-)
+from .errors import ConvergenceError, InfeasibleBudgetError, ValidationError
 from .models import (
     QP_MIN,
     DistortionModel,
@@ -111,7 +109,6 @@ class Allocation:
     qp: QpPair
     predicted_rate: float
     predicted_distortion: float
-    rounding_violation: float
 
 
 def barrier_objective(p: AllocationProblem, q: QuantPair, mu: float):
@@ -198,10 +195,7 @@ def solve_interior_point(p: AllocationProblem, max_newton_iters: int = MAX_NEWTO
     if p.slack(q_g, q_c) <= 0:
         q_g = q_c = _STEPS[-1]
         if p.slack(q_g, q_c) <= 0:
-            raise InfeasibleStartError(
-                f"budget {p.r_target:.6g} kbpmp is below the rate at the "
-                f"coarsest grid steps ({q_g:g}, {q_c:g})"
-            )
+            raise _below_coarsest(p)
     if trace is not None:
         trace.append((MU0, q_g, q_c, p.slack(q_g, q_c)))
     mu = MU0
@@ -209,29 +203,29 @@ def solve_interior_point(p: AllocationProblem, max_newton_iters: int = MAX_NEWTO
         q_g, q_c = _newton_minimize(p, q_g, q_c, mu, max_newton_iters, trace)
         mu *= ETA
     continuous = QuantPair(q_g, q_c)
-    qp, violation = round_to_grid(p, continuous)
-    polished = polish_rounding(p, qp, POLISH_RADIUS)
-    if polished != qp:
-        qp, violation = polished, 0.0
     return Allocation(
         continuous=continuous,
-        qp=qp,
+        qp=polish_rounding(p, round_to_grid(p, continuous), POLISH_RADIUS),
         predicted_rate=p.rate(continuous),
         predicted_distortion=p.distortion(continuous),
-        rounding_violation=violation,
     )
 
 
-def round_to_grid(p: AllocationProblem, continuous: QuantPair
-                  ) -> tuple[QpPair, float]:
+def _below_coarsest(p: AllocationProblem) -> InfeasibleBudgetError:
+    q = _STEPS[-1]
+    return InfeasibleBudgetError(f"budget {p.r_target:.6g} kbpmp is below the rate "
+                                 f"at the coarsest grid steps ({q:g}, {q:g})")
+
+
+def round_to_grid(p: AllocationProblem, continuous: QuantPair) -> QpPair:
     """Map a continuous step pair onto the QP grid, repairing budget overshoot.
 
     Each component is snapped to the nearest step, scanning from the
     coarsest so that a tie goes to the larger step; values beyond the grid
     land on its end steps. If the snapped pair exceeds the budget, the
     component whose distortion cost per unit of recovered rate is smaller
-    is coarsened one QP at a time until the pair fits or the grid is
-    exhausted; any residual overshoot is reported as the rounding violation.
+    is coarsened one QP at a time until the pair fits. When even the
+    coarsest pair overshoots, ``InfeasibleBudgetError`` is raised.
     """
     steps = _STEPS
     i_g, i_c = (min(reversed(range(len(steps))), key=lambda i: abs(steps[i] - x))
@@ -239,9 +233,10 @@ def round_to_grid(p: AllocationProblem, continuous: QuantPair
     last = len(steps) - 1
     while True:
         q = QuantPair(steps[i_g], steps[i_c])
-        overshoot = p.rate(q) - p.r_target
-        if overshoot <= 0 or (i_g == last and i_c == last):
-            break
+        if p.rate(q) <= p.r_target:
+            return QpPair(_QPS[i_g], _QPS[i_c])
+        if i_g == last and i_c == last:
+            raise _below_coarsest(p)
         # marginal distortion added per unit of rate saved by coarsening
         slope_g = -p.rm.gamma_g * p.rm.theta_g * q.q_g ** (p.rm.theta_g - 1.0)
         slope_c = -p.rm.gamma_c * p.rm.theta_c * q.q_c ** (p.rm.theta_c - 1.0)
@@ -251,7 +246,6 @@ def round_to_grid(p: AllocationProblem, continuous: QuantPair
             i_g += 1
         else:
             i_c += 1
-    return QpPair(_QPS[i_g], _QPS[i_c]), max(0.0, overshoot)
 
 
 def polish_rounding(p: AllocationProblem, qp: QpPair, radius: int) -> QpPair:

@@ -87,6 +87,8 @@ def _read_rows(path) -> list[dict]:
             raise ValidationError(f"{what}s must be objects, got {row!r}")
         for key in ("omega", "target"):
             models.finite_number(key, row.get(key), what)
+        if "be_pct" in row:
+            models.finite_number("be_pct", row["be_pct"], what)
         for key in ("qp_g", "qp_c"):
             qp = row.get(key)
             if isinstance(qp, bool) or not isinstance(qp, int):

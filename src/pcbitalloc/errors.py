@@ -27,18 +27,10 @@ class SccUndefinedError(ValidationError):
     """Squared correlation requested against a constant reference sequence."""
 
 
-class InfeasibleProblemError(PcBitAllocError):
-    """No admissible solution under the given bit budget."""
+class InfeasibleBudgetError(PcBitAllocError):
+    """No grid pair fits the budget, not even the coarsest one."""
 
     category = "infeasible"
-
-
-class InfeasibleStartError(InfeasibleProblemError):
-    """The solver's starting point already violates the rate constraint."""
-
-
-class InfeasibleBudgetError(InfeasibleProblemError):
-    """No grid pair fits the budget at all."""
 
 
 class ConvergenceError(PcBitAllocError):

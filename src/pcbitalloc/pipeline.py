@@ -97,7 +97,6 @@ def allocation_fields(alloc) -> dict:
         "qp_c": alloc.qp.qp_c,
         "predicted_rate": alloc.predicted_rate,
         "predicted_distortion": alloc.predicted_distortion,
-        "rounding_violation": alloc.rounding_violation,
     }
 
 
@@ -267,8 +266,7 @@ def write_report(report: dict, path) -> None:
 def report_allocations_csv(report: dict, path) -> None:
     """Flat CSV of the allocation rows, for table building."""
     fields = ["omega", "target", "budget", "qp_g", "qp_c",
-              "predicted_rate", "predicted_distortion", "rounding_violation",
-              "be_pct", "qpe"]
+              "predicted_rate", "predicted_distortion", "be_pct", "qpe"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fields)

@@ -8,6 +8,7 @@ step. Observations can be perturbed by seeded noise: multiplicative
 lognormal on rates, additive Gaussian scaled by the clean value on
 distortions. Encoding is a pure function of (spec, qp): the generator is
 PCG64 seeded from (spec.seed, qp_g, qp_c), so replays are bit-identical.
+An encode returns the ``ProbeRecord`` a probe log row holds.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import numpy as np
 from .errors import ValidationError
 from .metrics import FitQuality, fit_quality
 from .models import (
+    QP_MAX,
+    QP_MIN,
     DistortionModel,
     ProbeRecord,
     QpPair,
@@ -63,6 +66,24 @@ class SyntheticCodecSpec:
         if self.noise_rel > 1:
             # a larger lognormal sigma can overflow math.exp in encode
             raise ValidationError("codec noise_rel must not exceed 1")
+        # d_g is affine and d_c bilinear in the steps, so their least values
+        # on the grid lie at corners of its step box
+        ends = (qp_to_step(QP_MIN), qp_to_step(QP_MAX))
+        corners = [self.distortions(q_g, q_c) for q_g in ends for q_c in ends]
+        if min(d_g for d_g, _ in corners) < 0:
+            raise ValidationError(f"codec beta_g {self.beta_g:g} makes the geometry "
+                                  "distortion negative on the QP grid")
+        if min(d_c for _, d_c in corners) < 0:
+            raise ValidationError(f"codec beta_c {self.beta_c:g} and coupling "
+                                  f"{self.coupling:g} make the color distortion "
+                                  "negative on the QP grid")
+
+    def distortions(self, q_g: float, q_c: float) -> tuple[float, float]:
+        """Noise-free (geometry, color) distortion at a step pair."""
+        d_g = self.alpha_g * q_g + self.beta_g
+        d_c = (self.alpha_gc * q_g + self.alpha_cc * q_c + self.beta_c
+               + self.coupling * q_g * q_c)
+        return d_g, d_c
 
     def distortion_model(self, omega: float) -> DistortionModel:
         """Ground-truth combined distortion plane at a weighting factor."""
@@ -74,25 +95,10 @@ class SyntheticCodecSpec:
         )
 
 
-@dataclass(frozen=True)
-class EncodeResult:
-    qp: QpPair
-    r_g: float
-    r_c: float
-    d_g: float
-    d_c: float
-    encode_time_ms: float = ENCODE_TIME_MS
-
-    def to_record(self) -> ProbeRecord:
-        return ProbeRecord(self.qp, self.r_g, self.r_c, self.d_g, self.d_c)
-
-
-def encode(spec: SyntheticCodecSpec, qp: QpPair) -> EncodeResult:
+def encode(spec: SyntheticCodecSpec, qp: QpPair) -> ProbeRecord:
     """Simulate one encoding at a QP pair; deterministic for fixed inputs."""
     q_g, q_c = qp_to_step(qp.qp_g), qp_to_step(qp.qp_c)
-    d_g = spec.alpha_g * q_g + spec.beta_g
-    d_c = (spec.alpha_gc * q_g + spec.alpha_cc * q_c + spec.beta_c
-           + spec.coupling * q_g * q_c)
+    d_g, d_c = spec.distortions(q_g, q_c)
     r_g = spec.rate.gamma_g * q_g**spec.rate.theta_g
     r_c = spec.rate.gamma_c * q_c**spec.rate.theta_c
     if spec.noise_rel > 0:
@@ -102,7 +108,7 @@ def encode(spec: SyntheticCodecSpec, qp: QpPair) -> EncodeResult:
         r_c *= math.exp(spec.noise_rel * z[1])
         d_g = max(0.0, d_g * (1.0 + spec.noise_rel * z[2]))
         d_c = max(0.0, d_c * (1.0 + spec.noise_rel * z[3]))
-    return EncodeResult(qp, r_g, r_c, d_g, d_c)
+    return ProbeRecord(qp, r_g, r_c, d_g, d_c)
 
 
 def probe_schedule() -> tuple[QpPair, QpPair, QpPair]:
@@ -111,7 +117,7 @@ def probe_schedule() -> tuple[QpPair, QpPair, QpPair]:
 
 
 def run_probe_schedule(spec: SyntheticCodecSpec) -> list[ProbeRecord]:
-    return [encode(spec, qp).to_record() for qp in probe_schedule()]
+    return [encode(spec, qp) for qp in probe_schedule()]
 
 
 @dataclass(frozen=True)

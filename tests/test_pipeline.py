@@ -217,8 +217,11 @@ class TestCli:
         ("alpha_g", True),
         ("rate", dict(spec_to_dict(random_spec(7))["rate"], gamma_g=True)),
         ("beta_c", 10**400),
+        ("beta_g", -7.0),
+        ("beta_c", -9.0),
     ], ids=["noise-nan", "overhead-inf", "seed-fractional", "seed-negative",
-            "alpha-g-bool", "rate-gamma-g-bool", "beta-c-huge"])
+            "alpha-g-bool", "rate-gamma-g-bool", "beta-c-huge",
+            "beta-g-negative-distortion", "beta-c-negative-distortion"])
     def test_simulate_rejects_bad_codec_spec(self, tmp_path, capsys, field, value):
         codec = dict(spec_to_dict(random_spec(7, noise_rel=0.02)), **{field: value})
         self.assert_simulate_rejects(tmp_path, capsys, {
@@ -277,7 +280,7 @@ class TestCli:
     def test_fit_matches_pipeline_models(self, tmp_path, capsys, extra_qps):
         spec = random_spec(7, noise_rel=0.02)
         records = run_probe_schedule(spec)
-        records += [encode(spec, QpPair(*qp)).to_record() for qp in extra_qps]
+        records += [encode(spec, QpPair(*qp)) for qp in extra_qps]
         log = tmp_path / "probes.csv"
         write_probe_log(log, records)
         assert main(["fit", "--probes", str(log), "--omega", "0.25"]) == 0
@@ -384,9 +387,11 @@ class TestCli:
         [dict(EVAL_ROW, actual={"rate": 995.0, "psnr_db": 40.0, "lossless": True})],
         [dict(EVAL_ROW, actual={"rate": 995.0, "lossless": True})],
         [dict(EVAL_ROW, actual={"rate": 995.0, "psnr_db": None, "lossless": 1})],
+        [dict(EVAL_ROW, be_pct=math.nan)],
+        [dict(EVAL_ROW, be_pct="x")],
     ], ids=["no-target", "int-row", "qp-string", "omega-list", "actual-int",
             "actual-rate-string", "psnr-infinity", "lossless-with-psnr",
-            "lossless-without-psnr", "lossless-not-true"])
+            "lossless-without-psnr", "lossless-not-true", "be-pct-nan", "be-pct-string"])
     def test_evaluate_rejects_malformed_rows(self, tmp_path, capsys, doc):
         report = tmp_path / "report.json"
         report.write_text(json.dumps(doc))

@@ -1,5 +1,6 @@
 """The README's python examples run as written, in order, in one namespace,
-and its CLI synopsis lists only flags the parser accepts."""
+its CLI synopsis lists only flags the parser accepts, and every error class
+it names exists."""
 
 import argparse
 import re
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from pcbitalloc import errors
 from pcbitalloc.cli import build_parser
 from pcbitalloc.cloud import PointCloud, save_ply
 
@@ -47,3 +49,9 @@ def test_cli_synopsis_flags_exist():
     assert set(flags) == set(subparsers)
     for command, listed in flags.items():
         assert listed <= set(subparsers[command]._option_string_actions), command
+
+
+def test_error_names_exist():
+    names = set(re.findall(r"`(\w+Error)`", README.read_text()))
+    assert names, "the README names no error class"
+    assert {name for name in names if not hasattr(errors, name)} == set()

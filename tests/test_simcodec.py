@@ -1,11 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.optimize
 
 from pcbitalloc.errors import ValidationError
-from pcbitalloc.models import QpPair, RateModel, qp_to_step
+from pcbitalloc.models import ProbeRecord, QpPair, RateModel, qp_to_step
 from pcbitalloc.simcodec import (
-    ENCODE_TIME_MS,
     SyntheticCodecSpec,
     encode,
     load_spec,
@@ -51,7 +52,7 @@ class TestEncode:
             spec.alpha_gc * q_g + spec.alpha_cc * q_c + spec.beta_c, rel=1e-12)
         assert res.r_g == pytest.approx(5000 * q_g**-1.0, rel=1e-12)
         assert res.r_c == pytest.approx(3000 * q_c**-1.0, rel=1e-12)
-        assert res.encode_time_ms == ENCODE_TIME_MS
+        assert isinstance(res, ProbeRecord) and res.qp == qp
 
     def test_deterministic_replay(self):
         spec = base_spec(noise_rel=0.05)
@@ -95,6 +96,20 @@ class TestEncode:
             base_spec(alpha_g=-0.1)
         with pytest.raises(ValidationError):
             base_spec(noise_rel=-1)
+
+    # base_spec's noise-free distortions reach 0 at the ok value, at the
+    # finest corner for the offsets and at the coarsest for the coupling
+    @pytest.mark.parametrize("field, ok, bad", [
+        ("beta_g", -0.4, -0.41),
+        ("beta_c", -6.0, -6.01),
+        ("coupling", -0.0096, -0.0097),
+    ])
+    def test_negative_clean_distortion_names_the_field(self, field, ok, bad):
+        spec = base_spec(**{field: ok})
+        corners = [encode(spec, QpPair(g, c)) for g in (22, 42) for c in (22, 42)]
+        assert min(min(r.d_g, r.d_c) for r in corners) >= 0
+        with pytest.raises(ValidationError, match=re.escape(f"{field} {bad:g} ")):
+            base_spec(**{field: bad})
 
 
 class TestAdditivity:
