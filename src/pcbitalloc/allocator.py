@@ -188,14 +188,23 @@ def solve_interior_point(p: AllocationProblem, max_newton_iters: int = MAX_NEWTO
     each weight is handled by one damped Newton solve warm
     started from the previous optimum and capped at ``max_newton_iters``
     steps. A budget that cannot even fit the coarsest grid encoding is
-    rejected rather than repaired.
+    rejected rather than repaired. A budget that the coarsest pair meets
+    with no positive slack left, within an ulp or so of its rate, has no
+    interior to start from; the coarsest pair is then both the continuous
+    point and the QP.
     """
     check_newton_cap(max_newton_iters)
     q_g, q_c = START.q_g, START.q_c
     if p.slack(q_g, q_c) <= 0:
         q_g = q_c = _STEPS[-1]
         if p.slack(q_g, q_c) <= 0:
-            raise _below_coarsest(p)
+            # no interior to start from; the coarsest pair may still fit
+            # within rounding, by the test round_to_grid applies
+            coarsest = QuantPair(q_g, q_c)
+            if p.rate(coarsest) > p.r_target:
+                raise _below_coarsest(p)
+            return Allocation(coarsest, QpPair(_QPS[-1], _QPS[-1]),
+                              p.rate(coarsest), p.distortion(coarsest))
     if trace is not None:
         trace.append((MU0, q_g, q_c, p.slack(q_g, q_c)))
     mu = MU0

@@ -19,6 +19,10 @@ whole-array ``// 10`` steps, masks the leading zeros and writes the rest
 as one byte string, the same bytes ``"%d"`` gives. The body is read to
 the end of the file once, so a binary vertex count is checked against
 the bytes there before any buffer is sized by it.
+
+``PointCloud`` itself refuses positions and colors that are not finite
+integers in range rather than truncating or wrapping them; an integer
+array that casts safely, such as the reader's, skips that extra pass.
 """
 
 from __future__ import annotations
@@ -54,17 +58,43 @@ _PLY_DTYPES = {
 _COORD_LIMIT = float(1 << 31)
 
 
+def as_integers(values, dtype, what: str) -> np.ndarray:
+    """values as a C-contiguous array of the integer dtype, never rounded or wrapped.
+
+    Input whose dtype casts safely to ``dtype`` is taken as it is. Any
+    other input (floats, wider integers, objects) must hold finite
+    integers within the range of ``dtype``, or ``ValidationError`` is
+    raised.
+    """
+    arr = np.asarray(values)
+    if not np.can_cast(arr.dtype, dtype):
+        try:
+            real = arr.astype(np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{what} must be numbers") from exc
+        if not (np.isfinite(real) & (real == np.floor(real))).all():
+            raise ValidationError(f"{what} must be finite integers")
+        info = np.iinfo(dtype)
+        if real.size and (real.min() < info.min or real.max() >= info.max + 1.0):
+            raise ValidationError(f"{what} must lie in [{info.min}, {info.max}]")
+    return np.ascontiguousarray(arr, dtype=dtype)
+
+
 @dataclass(frozen=True)
 class PointCloud:
-    """Immutable voxelized cloud: positions (n,3) int64, colors (n,3) uint8."""
+    """Immutable voxelized cloud: positions (n,3) int64, colors (n,3) uint8.
+
+    Positions and colors must be integers; fractional, non-finite and
+    out-of-range values are refused rather than truncated or wrapped.
+    """
 
     positions: np.ndarray
     colors: np.ndarray
     bit_depth: int
 
     def __post_init__(self):
-        pos = np.ascontiguousarray(np.asarray(self.positions, dtype=np.int64))
-        col = np.ascontiguousarray(np.asarray(self.colors, dtype=np.uint8))
+        pos = as_integers(self.positions, np.int64, "positions")
+        col = as_integers(self.colors, np.uint8, "colors")
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValidationError("positions must have shape (n, 3)")
         if col.shape != pos.shape:

@@ -28,6 +28,17 @@ last candidate ties its best can have more tied sites than were
 returned. Those queries alone go round again with twice as many
 candidates, within a bound just past the largest of their best
 distances, until the count covers every site.
+
+The first round is bounded too. The nearest sites of a sample, every
+64th distinct query point in key order, set its bound just past the
+farthest of them, so the tree does not search far for a second
+candidate that cannot matter. A query whose first candidate comes back
+missing has no site within the bound and is asked again, in the same
+round, without one. The results stay exact: tied sites share one float
+distance, so they are inside the bound together or outside it together,
+and a query whose best is found but whose second candidate is missing
+has no tie.
+
 Coordinates of 2^21 or more do not fit the key; there the rows are
 ordered lexicographically instead, with the same results.
 
@@ -56,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import LUMA_SCALE, PointCloud, luma_scaled
+from .cloud import LUMA_SCALE, PointCloud, as_integers, luma_scaled
 from .errors import SccUndefinedError, ValidationError
 from .models import weighted
 
@@ -81,6 +92,9 @@ class FitQuality:
 # kd candidates per query row in the first round; a row whose last
 # candidate ties its best goes round again with twice as many.
 _CANDIDATES = 2
+# The first round's bound comes from the nearest sites of every this-many-th
+# distinct query point, in key order.
+_SAMPLE_STRIDE = 64
 _NO_INDEX = np.iinfo(np.int64).max
 # Below 2^25 per axis a squared distance stays below 3 * 2^50, exact in
 # float64, so the kd-tree's float ranking is exact and int64 cannot overflow.
@@ -97,6 +111,12 @@ def _check_exact_range(points: np.ndarray) -> None:
     if points.size and (points.min() < 0 or points.max() >= _EXACT_LIMIT):
         raise ValidationError(
             "exact nearest neighbors need coordinates in [0, 2^25)")
+
+
+def _past(distance):
+    """A kd bound just past a distance, inflated past sqrt rounding; the
+    exact tests follow in ints."""
+    return distance * (1.0 + 1e-9) + 1e-9
 
 
 def _morton_key(points: np.ndarray) -> np.ndarray | None:
@@ -148,7 +168,9 @@ class NnIndex:
     is answered once, in that order, and the answers are gathered back to
     rows. Another index can be the query, which supplies its sites and
     row map as they are. Coordinates of sites and queries must lie in
-    [0, 2^25), where the kd-tree's float ranking is exact.
+    [0, 2^25), where the kd-tree's float ranking is exact. The first kd
+    round is bounded by a radius taken from a sample of the queries; a
+    query with no site inside it is asked again without a bound.
     """
 
     def __init__(self, cloud: PointCloud):
@@ -175,13 +197,16 @@ class NnIndex:
         Returns (indices, squared_distances), both int64, one entry per
         query row; the index is the smallest original point index among
         the points at the minimal squared distance. When ``queries`` is
-        another ``NnIndex``, the rows are the rows of its cloud.
+        another ``NnIndex``, the rows are the rows of its cloud; otherwise
+        they must be finite integers, which are never rounded. The first
+        kd round is bounded by the sampled radius of the module docstring,
+        and rows beyond it are asked again without a bound.
         """
         if isinstance(queries, NnIndex):
             # the other tree already holds its sites as contiguous float64
             q, qf, row_site = queries._sites, queries._tree.data, queries._row_site
         else:
-            q = np.atleast_2d(np.asarray(queries, dtype=np.int64))
+            q = np.atleast_2d(as_integers(queries, np.int64, "queries"))
             if q.ndim != 2 or q.shape[1] != 3:
                 raise ValidationError(f"queries must have shape (n, 3), got {q.shape}")
             _check_exact_range(q)
@@ -191,20 +216,29 @@ class NnIndex:
         # the candidate loop of the module docstring, over the distinct points q
         n_sites = len(self._sites)
         nearest = np.empty(len(q), dtype=np.int64)
+        # the first round's bound: the farthest nearest site of a sample
+        sampled, _ = self._tree.query(qf[::_SAMPLE_STRIDE], k=1)
+        bound = _past(sampled.max(initial=0.0))
         # a slice, not an index array, so the first round copies no row
-        rows, k, bound = slice(None), min(_CANDIDATES, n_sites), np.inf
+        rows, k = slice(None), min(_CANDIDATES, n_sites)
         while True:
             _, cand = self._tree.query(qf[rows], k=k, distance_upper_bound=bound)
             # candidate j of every row is row j here: reductions over the
             # candidates then run along whole rows
             cand = cand.reshape(-1, k).T
+            first = isinstance(rows, slice)
+            if first:
+                # rows whose nearest site lies beyond the bound: unbounded
+                far = np.flatnonzero(cand[0] == n_sites)
+                if len(far):
+                    cand[:, far] = self._tree.query(qf[far], k=k)[1].reshape(-1, k).T
             found = cand < n_sites  # a missing neighbor comes back as n_sites
             cand[~found] = 0
             diff = self._sites[cand]
             diff -= q[rows]
             d2 = np.einsum("ijk,ijk->ij", diff, diff)
-            if bound == np.inf:
-                # the first round has no bound, and its best candidate comes first
+            if first:
+                # every row has its best candidate now, and it comes first
                 best = d2[0]
             tied = found & (d2 == best[rows])
             index = self._site_index[cand]
@@ -215,8 +249,7 @@ class NnIndex:
             rows = np.arange(len(q))[rows][tied[-1]]
             if not len(rows):
                 break
-            # Inflate the bound past sqrt rounding; the exact test follows in ints.
-            bound = np.sqrt(best[rows].max()) * (1.0 + 1e-9) + 1e-9
+            bound = _past(np.sqrt(best[rows].max()))
             k = min(2 * k, n_sites)
         return nearest[row_site], best[row_site]
 

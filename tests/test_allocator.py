@@ -114,6 +114,17 @@ class TestSolver:
         assert trace[0][1:3] == (qp_to_step(42), qp_to_step(42))
         assert alloc.qp == QpPair(42, 42)
 
+    def test_budget_equal_to_the_coarsest_rate(self):
+        # the slack there is 0, so the barrier has no interior, yet (42, 42) fits
+        coarsest = QpPair(42, 42).steps()
+        p = worked_problem(worked_problem().rate(coarsest))
+        assert p.slack(coarsest.q_g, coarsest.q_c) == 0.0
+        alloc = solve_interior_point(p)
+        assert alloc.qp == QpPair(42, 42) == exhaustive_search(model_oracle(p), p.r_target)
+        assert alloc.continuous == coarsest and alloc.predicted_rate == p.r_target
+        with pytest.raises(InfeasibleBudgetError, match="below the rate at the coarsest"):
+            solve_interior_point(worked_problem(math.nextafter(p.r_target, 0.0)))
+
     def test_negative_slope_model_rejected(self):
         dm = DistortionModel(-0.1, 0.25, 4.0, 0.5)
         rm = RateModel(6400, -1, 3200, -1)
@@ -180,18 +191,21 @@ class TestSolver:
                       "start": least_starting_budget(dm, rm)}[anchor]
             budget = math.nextafter(budget, offset * math.inf) if offset else budget
         p = AllocationProblem(dm, rm, budget)
-        start_slack = p.slack(coarsest.q_g, coarsest.q_c)
-        if start_slack <= 0:
+        if p.rate(coarsest) > budget:
             with pytest.raises(InfeasibleBudgetError):
                 solve_interior_point(p)
             return
+        start_slack = p.slack(coarsest.q_g, coarsest.q_c)
         try:
-            qp = solve_interior_point(p).qp
+            alloc = solve_interior_point(p)
         except ConvergenceError:
             # the known stall of a start only 1-2 ulps inside the budget
-            assert start_slack <= 2 * math.ulp(budget)
+            assert 0 < start_slack <= 2 * math.ulp(budget)
             return
-        assert p.rate(qp.steps()) <= budget
+        assert p.rate(alloc.qp.steps()) <= budget
+        if start_slack <= 0:
+            # the coarsest pair fits but leaves no interior to start from
+            assert alloc.qp == QpPair(42, 42) and alloc.continuous == coarsest
 
     @pytest.mark.xfail(raises=ConvergenceError, strict=True,
                        reason="Newton stalls when the start slack is one ulp")

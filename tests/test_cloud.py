@@ -70,6 +70,30 @@ class TestPointCloud:
         with pytest.raises(ValidationError):
             PointCloud([[-1, 0, 0]], [[0, 0, 0]], 2)
 
+    @pytest.mark.parametrize("positions, colors, message", [
+        ([[1.6, 0, 0]], [[0, 0, 0]], "positions must be finite integers"),
+        ([[np.nan, 0, 0]], [[0, 0, 0]], "positions must be finite integers"),
+        ([[np.inf, 0, 0]], [[0, 0, 0]], "positions must be finite integers"),
+        ([[2.0**70, 0, 0]], [[0, 0, 0]], "positions must lie in"),
+        ([[1, 0, 0]], [[300.0, 0, 0]], "colors must lie in \\[0, 255\\]"),
+        ([[1, 0, 0]], [[-1.0, 0, 0]], "colors must lie in \\[0, 255\\]"),
+        ([[1, 0, 0]], [[300, 0, 0]], "colors must lie in \\[0, 255\\]"),
+        ([[1, 0, 0]], [[0.5, 0, 0]], "colors must be finite integers"),
+        ([[1, 0, 0]], [[np.nan, 0, 0]], "colors must be finite integers"),
+    ], ids=["fractional", "nan", "inf", "beyond-int64", "color-300.0", "color--1.0",
+            "int-color-300", "fractional-color", "nan-color"])
+    def test_non_integer_values_refused_not_cast(self, positions, colors, message):
+        # the cast used to truncate 1.6 to 1 and wrap 300 to 44 and -1 to 255
+        with pytest.raises(ValidationError, match=message):
+            PointCloud(positions, colors, 2)
+
+    def test_integral_values_of_any_dtype_accepted(self):
+        c = PointCloud(np.array([[1.0, 2.0, 3.0]]), np.array([[255.0, 0.0, 7.0]]), 2)
+        assert c.positions.tolist() == [[1, 2, 3]] and c.colors.tolist() == [[255, 0, 7]]
+        big = 2**60 + 1  # not a float64: the integer path keeps it exact
+        c = PointCloud(np.array([[big, 0, 0]], dtype=np.uint64), [[0, 0, 0]], 61)
+        assert c.positions[0, 0] == big
+
     def test_duplicates_allowed(self):
         c = PointCloud([[1, 1, 1], [1, 1, 1]], [[0, 0, 0], [9, 9, 9]], 1)
         assert len(c) == 2

@@ -53,6 +53,18 @@ class TestNnIndex:
         with pytest.raises(ValidationError, match="2\\^25"):
             build_index(near).query([[-1, 0, 0]])
 
+    @pytest.mark.parametrize("queries, message", [
+        ([[1.6, 0, 0]], "finite integers"), ([[np.nan, 0, 0]], "finite integers"),
+        ([[np.inf, 0, 0]], "finite integers"), ([[2.0**64, 0, 0]], "must lie in"),
+    ], ids=["fractional", "nan", "inf", "beyond-int64"])
+    def test_non_integer_queries_refused(self, queries, message):
+        # 1.6 used to be truncated to 1 and answered with the site at 1
+        index = build_index(PointCloud([[1, 0, 0], [2, 0, 0]], np.zeros((2, 3)), 2))
+        with pytest.raises(ValidationError, match=message):
+            index.query(queries)
+        idx, d2 = index.query(np.array([[2.0, 0, 0]]))
+        assert idx.tolist() == [1] and d2.tolist() == [0]
+
     @pytest.mark.parametrize("queries", [[], [[1, 2]], np.zeros((2, 3, 1))],
                              ids=["empty-list", "two-columns", "three-dims"])
     def test_query_shape_checked(self, queries):
@@ -114,7 +126,8 @@ class TestNnIndex:
         index._tree = CountingTree()
         idx, d2 = index.query(queries)
         want_idx, want_d2 = brute_force_nn(pos, queries)
-        assert list(rounds) == [2, 4, 8]
+        # the sample's k = 1 call, then the doubling
+        assert list(rounds) == [1, 2, 4, 8]
         assert [1, 1, 1] in rounds[4]
         assert (idx == want_idx).all()
         assert (d2 == want_d2).all()
@@ -144,8 +157,71 @@ class TestNnIndex:
         index._tree = CountingTree()
         idx, d2 = index.query([center])
         want_idx, want_d2 = brute_force_nn(pos, [center])
-        assert asked == [2] + ks
+        assert asked == [1, 2] + ks
         assert idx.tolist() == want_idx.tolist() and d2.tolist() == want_d2.tolist()
+
+    def test_rows_beyond_the_sampled_bound_are_asked_again(self, rng):
+        # 641 distinct near queries come first in key order, so the sample
+        # (every 64th) takes positions 0, 64, ..., 640 and misses the far five;
+        # the near queries are sites, so the sampled bound is just past 0
+        near = np.stack(np.unravel_index(rng.choice(32**3, 641, replace=False),
+                                         (32,) * 3), axis=1)
+        far = 900 + np.array([[0, 0, 0], [3, 1, 4], [1, 5, 9], [2, 6, 5], [7, 7, 7]])
+        queries = np.vstack([near, far, far[::-1], near[:50]])
+        queries = queries[rng.permutation(len(queries))]
+        pos = np.vstack([near, near[rng.integers(0, 641, 100)]])
+        pos = pos[rng.permutation(len(pos))]
+        index = build_index(PointCloud(pos, np.zeros((len(pos), 3)), 10))
+        tree, calls = index._tree, []
+
+        class RecordingTree:
+            def query(self, q, k, distance_upper_bound=np.inf):
+                calls.append((k, distance_upper_bound, q.tolist()))
+                return tree.query(q, k=k, distance_upper_bound=distance_upper_bound)
+
+        index._tree = RecordingTree()
+        idx, d2 = index.query(queries)
+        want_idx, want_d2 = brute_force_nn(pos, queries)
+        assert (idx == want_idx).all() and (d2 == want_d2).all()
+        (k0, bound0, sample), (k1, bound1, _) = calls[:2]
+        assert (k0, bound0, len(sample), k1) == (1, np.inf, 11, 2) and bound1 < 1
+        unbounded = [rows for k, bound, rows in calls[1:] if bound == np.inf]
+        assert len(unbounded) == 1
+        assert sorted(unbounded[0]) == sorted(far.tolist())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.integers(1, 400),
+           st.integers(16, 2**12), st.sampled_from([0, 2**21]))
+    def test_shifted_subset_with_duplicates_matches_linear_scan(
+            self, seed, n_sites, n_queries, shift, origin):
+        # a shifted subset of the queries lies beyond the sampled bound;
+        # origin 2^21 moves the cloud off the Morton key onto the lexsort path
+        r = np.random.default_rng(seed)
+        pos = r.integers(0, 16, (n_sites, 3))
+        pos[r.random(n_sites) < 0.1] += shift
+        pos = np.vstack([pos, pos[r.integers(0, n_sites, n_sites // 3)]]) + origin
+        queries = r.integers(0, 16, (n_queries, 3))
+        queries[r.random(n_queries) < 0.05] += r.integers(0, shift, 3)
+        queries = np.vstack([queries, queries[r.integers(0, n_queries, n_queries // 2)]])
+        queries += origin
+        cloud = PointCloud(pos, np.zeros((len(pos), 3)), 23)
+        assert (_morton_key(pos) is None) == (origin > 0)
+        idx, d2 = build_index(cloud).query(queries)
+        want_idx, want_d2 = brute_force_nn(pos, queries)
+        assert (idx == want_idx).all() and (d2 == want_d2).all()
+
+    @pytest.mark.parametrize("sites", [[[5, 5, 5]], [[6, 5, 5], [4, 5, 5]]],
+                             ids=["one-site", "two-tied"])
+    @pytest.mark.parametrize("queries", [
+        [[5, 5, 5]], [[1000, 1000, 1000]],
+        [[5, 5, 6]] * 70 + [[1000, 1000, 1000]] + [[x, 0, 0] for x in range(100)],
+    ], ids=["one-near-row", "one-far-row", "far-row-between-strides"])
+    def test_one_or_two_sites_and_one_row(self, sites, queries):
+        pos = np.array(sites + sites[::-1])
+        index = build_index(PointCloud(pos, np.zeros((len(pos), 3)), 3))
+        idx, d2 = index.query(queries)
+        want_idx, want_d2 = brute_force_nn(pos, queries)
+        assert (idx == want_idx).all() and (d2 == want_d2).all()
 
     @pytest.mark.parametrize("sites", [
         [[0, 0, 0]],
