@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 validation error, 3 infeasible problem, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -140,7 +141,9 @@ def _cmd_evaluate(args) -> None:
     _emit(payload, args.output)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="pcbitalloc",
         description="Model-based joint geometry/color bit allocation tools",

@@ -10,11 +10,15 @@ in a ``comment bit_depth N`` line so a save/load round trip restores it;
 absent that, the smallest depth containing all coordinates is used, and a
 comment smaller than that depth is rejected. The reader also rejects
 non-finite coordinates, coordinates of 2^31 or more in magnitude and
-fractional colors. Both bodies are parsed and written as whole arrays. An
-ascii body is parsed as int64 first, the common case for voxelized
-clouds, and parsed again as float64 only when a token is not an integer
-that fits; either way the rows reach the checks as the same float64
-values. The ascii writer builds one matrix of digit characters with
+fractional colors. Both bodies are parsed and written as whole arrays,
+and the x,y,z and red,green,blue columns reach the checks in the type
+they were parsed to. Binary fields go straight to int64 positions and
+uint8 colors: only float coordinates are rounded, and colors are checked
+only when their type is not uchar. An ascii body is parsed as int64
+first, the common case for voxelized clouds, and parsed again as float64
+only when a token is not an integer that fits. Whatever the type, an
+error names the first bad row and prints its values as floats. The
+ascii writer builds one matrix of digit characters with
 whole-array ``// 10`` steps, masks the leading zeros and writes the rest
 as one byte string, the same bytes ``"%d"`` gives. The body is read to
 the end of the file once, so a binary vertex count is checked against
@@ -55,7 +59,7 @@ _PLY_DTYPES = {
     "double": "<f8", "float64": "<f8",
 }
 # Coordinates must lie below 2^31, the range of the PLY ``int`` the writer uses.
-_COORD_LIMIT = float(1 << 31)
+_COORD_LIMIT = 1 << 31
 
 
 def as_integers(values, dtype, what: str) -> np.ndarray:
@@ -86,6 +90,9 @@ class PointCloud:
 
     Positions and colors must be integers; fractional, non-finite and
     out-of-range values are refused rather than truncated or wrapped.
+    An array that is already C-contiguous int64 (uint8 for colors) is not
+    copied: the cloud holds a read-only view of it, so the caller's array
+    stays writable and a later write to it shows in the cloud.
     """
 
     positions: np.ndarray
@@ -108,6 +115,8 @@ class PointCloud:
             raise ValidationError(
                 f"coordinates must lie in [0, 2^{self.bit_depth})"
             )
+        # read-only views, so an array the caller passed in stays writable
+        pos, col = pos.view(), col.view()
         pos.setflags(write=False)
         col.setflags(write=False)
         object.__setattr__(self, "positions", pos)
@@ -231,15 +240,18 @@ def _load_ascii(body: bytes, n_vertex: int, props, dtype) -> np.ndarray:
                           usecols=range(len(props)), max_rows=n_vertex)
 
 
-def _read_body(fh, fmt: str, n_vertex: int, props) -> np.ndarray:
-    """The vertex rows as an (n_vertex, len(props)) float64 array."""
+def _read_body(fh, fmt: str, n_vertex: int, props, cols) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex rows' (xyz, rgb) columns, each (n_vertex, 3) in its parsed type.
+
+    A binary column keeps its property's type; an ascii body is int64, or
+    float64 when a token is not an integer that fits.
+    """
     # The rest of the file, so that a vertex count beyond it sizes no
     # buffer and the ascii body can be parsed twice without seeking a pipe.
     body = fh.read()
     if fmt == "ascii":
         try:
-            # int64 converts to the same float64 as parsing the token would
-            data = _load_ascii(body, n_vertex, props, np.int64).astype(np.float64)
+            data = _load_ascii(body, n_vertex, props, np.int64)
         except (ValueError, OverflowError):
             # a float token, an integer beyond int64 or a malformed body
             try:
@@ -248,14 +260,17 @@ def _read_body(fh, fmt: str, n_vertex: int, props) -> np.ndarray:
                 raise PlyBodyError(f"vertex data: {exc}") from None
         if len(data) < n_vertex:
             raise PlyBodyError(f"vertex data truncated at row {len(data)}")
-        return data
-    dtype = np.dtype([(f"p{i}", _PLY_DTYPES[t]) for i, (_, t) in enumerate(props)])
-    expected = dtype.itemsize * n_vertex
-    if len(body) < expected:
-        raise PlyBodyError(
-            f"binary body truncated: expected {expected} bytes, got {len(body)}")
-    rows = np.frombuffer(body, dtype=dtype, count=n_vertex)
-    return np.stack([rows[name] for name in dtype.names], axis=1).astype(np.float64)
+        fields = data.T
+    else:
+        dtype = np.dtype([(f"p{i}", _PLY_DTYPES[t]) for i, (_, t) in enumerate(props)])
+        expected = dtype.itemsize * n_vertex
+        if len(body) < expected:
+            raise PlyBodyError(
+                f"binary body truncated: expected {expected} bytes, got {len(body)}")
+        rows = np.frombuffer(body, dtype=dtype, count=n_vertex)
+        fields = [rows[name] for name in dtype.names]
+    return tuple(np.stack([fields[cols[n]] for n in names], axis=1)
+                 for names in (("x", "y", "z"), ("red", "green", "blue")))
 
 
 def _first_bad_row(bad: np.ndarray) -> int:
@@ -269,28 +284,34 @@ def load_ply(path) -> PointCloud:
         fmt, n_vertex, props, bit_depth_hint = _parse_header(fh)
         if n_vertex < 1:
             raise PlyHeaderError("vertex count must be >= 1")
-        cols = _locate_columns(props)
-        data = _read_body(fh, fmt, n_vertex, props)
+        xyz, rgb = _read_body(fh, fmt, n_vertex, props, _locate_columns(props))
 
-    xyz = data[:, [cols["x"], cols["y"], cols["z"]]]
-    rgb = data[:, [cols["red"], cols["green"], cols["blue"]]]
-    with np.errstate(invalid="ignore"):
-        bad = ~(np.abs(xyz) < _COORD_LIMIT)  # also true for NaN
+    is_float = xyz.dtype.kind == "f"
+    if is_float:
+        with np.errstate(invalid="ignore"):
+            bad = ~(np.abs(xyz) < _COORD_LIMIT)  # also true for NaN
+    else:
+        bad = (xyz <= -_COORD_LIMIT) | (xyz >= _COORD_LIMIT)
     if bad.any():
         row = _first_bad_row(bad)
         raise PlyBodyError(
-            f"vertex row {row}: coordinates {xyz[row].tolist()} are not finite "
-            "or not below 2^31 in magnitude"
+            f"vertex row {row}: coordinates {xyz[row].astype(np.float64).tolist()} "
+            "are not finite or not below 2^31 in magnitude"
         )
-    fractional = rgb != np.rint(rgb)  # also true for NaN
-    if fractional.any():
-        row = _first_bad_row(fractional)
-        raise PlyBodyError(f"vertex row {row}: color values {rgb[row].tolist()} "
-                           "are not integers")
-    if rgb.min() < 0 or rgb.max() > 255:
-        raise PlyBodyError("color values outside [0, 255]")
-    # np.rint rounds halves to even, matching the documented convention
-    positions = np.rint(xyz).astype(np.int64)
+    if rgb.dtype != np.uint8:
+        if rgb.dtype.kind == "f":
+            fractional = rgb != np.rint(rgb)  # also true for NaN
+            if fractional.any():
+                row = _first_bad_row(fractional)
+                raise PlyBodyError(f"vertex row {row}: color values "
+                                   f"{rgb[row].tolist()} are not integers")
+        if rgb.min() < 0 or rgb.max() > 255:
+            raise PlyBodyError("color values outside [0, 255]")
+    if is_float:
+        # np.rint rounds halves to even, matching the documented convention;
+        # xyz is the parser's own copy, so it is rounded in place
+        np.rint(xyz, out=xyz)
+    positions = xyz.astype(np.int64, copy=False)
     if positions.min() < 0:
         raise ValidationError("negative coordinates after rounding")
     needed = min_bit_depth(positions)
@@ -301,7 +322,7 @@ def load_ply(path) -> PointCloud:
             f"comment bit_depth {bit_depth_hint} is smaller than the data, "
             f"which needs {needed} bits"
         )
-    return PointCloud(positions, rgb.astype(np.uint8), bit_depth_hint)
+    return PointCloud(positions, rgb.astype(np.uint8, copy=False), bit_depth_hint)
 
 
 def _ascii_rows(body: np.ndarray) -> bytes:

@@ -12,32 +12,35 @@ smallest point index.
 key per point, its three 21-bit coordinates interleaved into 63 bits,
 groups every batch of points the same way: sorted by it, equal keys are
 equal positions and form one run. At build time each run becomes a site
-that keeps the smallest original index, the sites are stored, and the
-kd-tree built over them, in key order, and each input row records its
-site. A query batch is grouped the same way: each distinct query point
-is answered once, in key order, so neighboring queries walk neighboring
-tree nodes, and every row takes its point's answer. An index passed as
-the query brings its sites and row records along, so
-``symmetric_distortion`` keys and sorts no cloud twice.
+that keeps the smallest original index, and the sites are stored once,
+in key order, as the float64 array the kd-tree is built on; each input
+row records its site in an int32 map. A query batch is grouped the same
+way: each distinct query point is answered once, in key order, so
+neighboring queries walk neighboring tree nodes, and every row takes its
+point's answer. The distinct points are answered in chunks of at most
+2^16, so the loop's temporaries have the size of a chunk, not of the
+cloud. An index passed as the query brings its sites and row records
+along, so ``symmetric_distortion`` keys and sorts no cloud twice.
 
 One loop finds the answers. Each round asks the tree for k candidate
-sites per query, k = 2 at first, and re-ranks them in int64; the
-smallest original index among the candidates at the best distance wins.
-The tree ranks exactly, so tied sites come first, and only a query whose
-last candidate ties its best can have more tied sites than were
-returned. Those queries alone go round again with twice as many
-candidates, within a bound just past the largest of their best
-distances, until the count covers every site.
+sites per query, k = 2 at first, and re-ranks them by exact squared
+distance, computed from the float64 sites: below 2^25 per axis float64
+holds every squared distance exactly. The smallest original index among
+the candidates at the best distance wins. The tree ranks exactly, so
+tied sites come first, and only a query whose last candidate ties its
+best can have more tied sites than were returned. Those queries alone
+go round again with twice as many candidates, within a bound just past
+the largest of their best distances, until the count covers every site.
 
 The first round is bounded too. The nearest sites of a sample, every
 64th distinct query point in key order, set its bound just past the
-farthest of them, so the tree does not search far for a second
-candidate that cannot matter. A query whose first candidate comes back
-missing has no site within the bound and is asked again, in the same
-round, without one. The results stay exact: tied sites share one float
-distance, so they are inside the bound together or outside it together,
-and a query whose best is found but whose second candidate is missing
-has no tie.
+farthest of them, once per query, so the tree does not search far for a
+second candidate that cannot matter. A query whose first candidate
+comes back missing has no site within the bound and is asked again, in
+the same round, without one. The results stay exact: tied sites share
+one float distance, so they are inside the bound together or outside it
+together, and a query whose best is found but whose second candidate is
+missing has no tie, so only found second candidates are ranked.
 
 Coordinates of 2^21 or more do not fit the key; there the rows are
 ordered lexicographically instead, with the same results.
@@ -95,9 +98,15 @@ _CANDIDATES = 2
 # The first round's bound comes from the nearest sites of every this-many-th
 # distinct query point, in key order.
 _SAMPLE_STRIDE = 64
-_NO_INDEX = np.iinfo(np.int64).max
+# Distinct query points answered per pass of the candidate loop, so its
+# temporaries stay this size whatever the cloud's.
+_CHUNK = 1 << 16
+# Site maps are int32: an index or a query takes fewer than 2^31 rows.
+_ROW_LIMIT = 1 << 31
+_NO_INDEX = np.iinfo(np.int32).max
 # Below 2^25 per axis a squared distance stays below 3 * 2^50, exact in
-# float64, so the kd-tree's float ranking is exact and int64 cannot overflow.
+# float64, so the kd-tree's float ranking and the float64 re-rank are exact
+# and int64 cannot overflow.
 _EXACT_LIMIT = 1 << 25
 # A Morton key interleaves 21 bits per axis into 63 bits of an int64.
 _MORTON_LIMIT = 1 << 21
@@ -133,14 +142,16 @@ def _morton_key(points: np.ndarray) -> np.ndarray | None:
     return key
 
 
-def _distinct(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group equal rows: (order, starts, row_site).
+def _distinct(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal rows: (first, row_site), both int32.
 
-    ``order`` sorts the rows by Morton key, or lexicographically when a
-    coordinate needs more than 21 bits, so equal rows are adjacent;
-    ``starts`` are the positions in that order where a run of equal rows
-    begins, and ``row_site`` is the run of each input row.
+    The rows are sorted by Morton key, or lexicographically when a
+    coordinate needs more than 21 bits, so equal rows form adjacent runs;
+    ``first`` is the smallest input row of each run, in sorted order, and
+    ``row_site`` the run of each input row.
     """
+    if len(points) >= _ROW_LIMIT:
+        raise ValidationError("exact nearest neighbors take fewer than 2^31 points")
     key = _morton_key(points)
     new_site = np.ones(len(points), dtype=bool)
     if key is None:
@@ -151,9 +162,11 @@ def _distinct(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         order = np.argsort(key)
         ordered = key[order]
         new_site[1:] = ordered[1:] != ordered[:-1]
-    row_site = np.empty(len(points), dtype=np.int64)
-    row_site[order] = np.cumsum(new_site) - 1
-    return order, np.flatnonzero(new_site), row_site
+    row_site = np.empty(len(points), dtype=np.int32)
+    row_site[order] = np.cumsum(new_site, dtype=np.int32) - 1
+    # the sort need not be stable: take each run's smallest input row
+    first = np.minimum.reduceat(order, np.flatnonzero(new_site)).astype(np.int32)
+    return first, row_site
 
 
 class NnIndex:
@@ -162,31 +175,34 @@ class NnIndex:
     Duplicate positions are merged at build time into one site that
     carries the smallest original index, so every tie left at query time
     is between distinct sites; ``len`` of an index is its site count.
-    Sites are kept in Morton order (in lexicographic order when a
-    coordinate reaches 2^21), and ``_row_site`` maps each input row to
-    its site. A query is grouped the same way: each distinct query point
-    is answered once, in that order, and the answers are gathered back to
-    rows. Another index can be the query, which supplies its sites and
-    row map as they are. Coordinates of sites and queries must lie in
-    [0, 2^25), where the kd-tree's float ranking is exact. The first kd
-    round is bounded by a radius taken from a sample of the queries; a
-    query with no site inside it is asked again without a bound.
+    Sites are kept once, in Morton order (in lexicographic order when a
+    coordinate reaches 2^21), as the float64 array the kd-tree is built
+    on; ``_row_site`` maps each input row to its site and
+    ``_site_index`` each site to its smallest original index, both as
+    int32, so an index takes fewer than 2^31 points. A query is grouped
+    the same way: each distinct query point is answered once, in that
+    order and in chunks of at most ``_CHUNK`` points, and the answers are
+    gathered back to rows. Another index can be the query, which
+    supplies its sites and row map as they are. Coordinates of sites and
+    queries must lie in [0, 2^25), where float64 holds every squared
+    distance exactly. The first kd round is bounded by a radius taken
+    from a sample of the queries; a query with no site inside it is asked
+    again without a bound.
     """
 
     def __init__(self, cloud: PointCloud):
         if len(cloud) < 1:
             raise ValidationError("cannot index an empty cloud")
         pts = cloud.positions
-        _check_exact_range(pts)
-        order, starts, self._row_site = _distinct(pts)
-        self._sites = pts[order[starts]]
-        # the sort need not be stable: take each run's smallest original index
-        self._site_index = np.minimum.reduceat(order, starts)
+        self._site_index, self._row_site = _distinct(pts)
+        self._sites = pts[self._site_index].astype(np.float64)
+        _check_exact_range(self._sites)
         # imported here, not at module level, so only the metric path pays for scipy
         from scipy.spatial import cKDTree
 
-        # sliding midpoint: results do not depend on the tree's shape
-        self._tree = cKDTree(self._sites.astype(np.float64), balanced_tree=False)
+        # sliding midpoint: results do not depend on the tree's shape; the
+        # tree keeps the contiguous float64 sites as its data, uncopied
+        self._tree = cKDTree(self._sites, balanced_tree=False)
 
     def __len__(self) -> int:
         return len(self._sites)
@@ -203,55 +219,67 @@ class NnIndex:
         and rows beyond it are asked again without a bound.
         """
         if isinstance(queries, NnIndex):
-            # the other tree already holds its sites as contiguous float64
-            q, qf, row_site = queries._sites, queries._tree.data, queries._row_site
+            q, row_site = queries._sites, queries._row_site
         else:
             q = np.atleast_2d(as_integers(queries, np.int64, "queries"))
             if q.ndim != 2 or q.shape[1] != 3:
                 raise ValidationError(f"queries must have shape (n, 3), got {q.shape}")
             _check_exact_range(q)
-            order, starts, row_site = _distinct(q)
-            q = q[order[starts]]
-            qf = q.astype(np.float64)
-        # the candidate loop of the module docstring, over the distinct points q
-        n_sites = len(self._sites)
-        nearest = np.empty(len(q), dtype=np.int64)
+            first, row_site = _distinct(q)
+            q = q[first].astype(np.float64)
         # the first round's bound: the farthest nearest site of a sample
-        sampled, _ = self._tree.query(qf[::_SAMPLE_STRIDE], k=1)
-        bound = _past(sampled.max(initial=0.0))
-        # a slice, not an index array, so the first round copies no row
-        rows, k = slice(None), min(_CANDIDATES, n_sites)
-        while True:
-            _, cand = self._tree.query(qf[rows], k=k, distance_upper_bound=bound)
-            # candidate j of every row is row j here: reductions over the
-            # candidates then run along whole rows
+        sample = q[::_SAMPLE_STRIDE]
+        bound = _past(max((self._tree.query(sample[i:i + _CHUNK], k=1)[0].max()
+                           for i in range(0, len(sample), _CHUNK)), default=0.0))
+        nearest = np.empty(len(q), dtype=np.int64)
+        best = np.empty(len(q), dtype=np.int64)
+        for i in range(0, len(q), _CHUNK):
+            chunk = slice(i, i + _CHUNK)
+            nearest[chunk], best[chunk] = self._nearest(q[chunk], bound)
+        return nearest[row_site], best[row_site]
+
+    def _squared_distances(self, sites: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Exact int64 squared distances from the query rows q to the given sites."""
+        diff = self._sites[sites]
+        diff -= q
+        return np.einsum("...k,...k->...", diff, diff).astype(np.int64)
+
+    def _nearest(self, q: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
+        """(nearest index, squared distance) of each distinct point of one chunk.
+
+        The candidate loop of the module docstring; ``bound`` is the query's
+        sampled first-round bound.
+        """
+        n_sites = len(self._sites)
+        k = min(_CANDIDATES, n_sites)
+        _, cand = self._tree.query(q, k=k, distance_upper_bound=bound)
+        # candidate j of every row is row j here
+        cand = cand.reshape(-1, k).T
+        # rows whose nearest site lies beyond the bound: unbounded
+        far = np.flatnonzero(cand[0] == n_sites)
+        if len(far):
+            cand[:, far] = self._tree.query(q[far], k=k)[1].reshape(-1, k).T
+        # every row has its best candidate now, and it comes first; the last
+        # is ranked only where the tree found one (a missing one is n_sites)
+        best = self._squared_distances(cand[0], q)
+        nearest = self._site_index[cand[0]]
+        last = np.flatnonzero(cand[-1] < n_sites)
+        rows = last[self._squared_distances(cand[-1, last], q[last]) == best[last]]
+        nearest[rows] = np.minimum(nearest[rows], self._site_index[cand[-1, rows]])
+        # rows whose last candidate ties their best go round again
+        while len(rows) and k < n_sites:
+            bound = _past(np.sqrt(best[rows].max()))
+            k = min(2 * k, n_sites)
+            _, cand = self._tree.query(q[rows], k=k, distance_upper_bound=bound)
             cand = cand.reshape(-1, k).T
-            first = isinstance(rows, slice)
-            if first:
-                # rows whose nearest site lies beyond the bound: unbounded
-                far = np.flatnonzero(cand[0] == n_sites)
-                if len(far):
-                    cand[:, far] = self._tree.query(qf[far], k=k)[1].reshape(-1, k).T
-            found = cand < n_sites  # a missing neighbor comes back as n_sites
+            found = cand < n_sites
             cand[~found] = 0
-            diff = self._sites[cand]
-            diff -= q[rows]
-            d2 = np.einsum("ijk,ijk->ij", diff, diff)
-            if first:
-                # every row has its best candidate now, and it comes first
-                best = d2[0]
-            tied = found & (d2 == best[rows])
+            tied = found & (self._squared_distances(cand, q[rows]) == best[rows])
             index = self._site_index[cand]
             index[~tied] = _NO_INDEX
             nearest[rows] = index.min(axis=0)
-            if k == n_sites:
-                break
-            rows = np.arange(len(q))[rows][tied[-1]]
-            if not len(rows):
-                break
-            bound = _past(np.sqrt(best[rows].max()))
-            k = min(2 * k, n_sites)
-        return nearest[row_site], best[row_site]
+            rows = rows[tied[-1]]
+        return nearest, best
 
 
 def build_index(cloud: PointCloud) -> NnIndex:

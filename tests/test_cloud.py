@@ -44,6 +44,23 @@ def write(tmp_path, text, name="cloud.ply"):
     return p
 
 
+_CODES = {"float": "<f4", "double": "<f8", "int": "<i4", "uint": "<u4",
+          "short": "<i2", "uchar": "<u1"}
+
+
+def ply(rows, ctype="float", coltype="uchar", binary=True) -> bytes:
+    """A PLY file of (x, y, z, r, g, b) rows with the given property types."""
+    fmt = "binary_little_endian" if binary else "ascii"
+    header = (f"ply\nformat {fmt} 1.0\nelement vertex {len(rows)}\n"
+              + "".join(f"property {ctype} {n}\n" for n in "xyz")
+              + "".join(f"property {coltype} {n}\n" for n in ("red", "green", "blue"))
+              + "end_header\n").encode()
+    if not binary:
+        return header + "".join(" ".join(map(repr, row)) + "\n" for row in rows).encode()
+    dtype = [(n, _CODES[ctype]) for n in "xyz"] + [(n, _CODES[coltype]) for n in "rgb"]
+    return header + np.array([tuple(row) for row in rows], dtype=dtype).tobytes()
+
+
 class TestPointCloud:
     def test_basic_invariants(self):
         c = PointCloud([[0, 0, 0], [1, 2, 3]], [[10, 20, 30], [0, 0, 0]], 2)
@@ -55,6 +72,19 @@ class TestPointCloud:
         c = PointCloud([[0, 0, 0]], [[1, 2, 3]], 1)
         with pytest.raises(ValueError):
             c.positions[0, 0] = 5
+
+    def test_caller_array_stays_writable_and_aliased(self):
+        pos = np.array([[0, 0, 0], [1, 2, 3]], dtype=np.int64)
+        col = np.array([[9, 9, 9], [0, 0, 0]], dtype=np.uint8)
+        c = PointCloud(pos, col, 2)
+        assert np.shares_memory(pos, c.positions) and np.shares_memory(col, c.colors)
+        pos[0, 0] = 1
+        col[0, 0] = 7
+        assert c.positions[0].tolist() == [1, 0, 0] and c.colors[0].tolist() == [7, 9, 9]
+        with pytest.raises(ValueError):
+            c.positions[0, 0] = 2
+        with pytest.raises(ValueError):
+            c.colors[0, 0] = 2
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
@@ -206,6 +236,48 @@ class TestPlyParsing:
     def test_invalid_vertex_data_rejected(self, tmp_path, old, new, error, match):
         with pytest.raises(error, match=match):
             load_ply(write(tmp_path, ASCII_3PT.replace(old, new)))
+
+    @pytest.mark.parametrize("ctype", ["float", "double", "int", "short"])
+    @pytest.mark.parametrize("coltype", ["uchar", "float"])
+    def test_binary_property_types_round_trip(self, tmp_path, rng, ctype, coltype):
+        pos = rng.integers(0, 1000, (50, 3))
+        col = rng.integers(0, 256, (50, 3))
+        c = load_ply(write(tmp_path, ply(np.hstack([pos, col]), ctype, coltype)))
+        assert c.positions.dtype == np.int64 and c.colors.dtype == np.uint8
+        assert (c.positions == pos).all() and (c.colors == col).all()
+        assert c.bit_depth == min_bit_depth(pos)
+
+    @pytest.mark.parametrize("ctype", ["float", "double"])
+    def test_binary_float_coords_round_half_even(self, tmp_path, ctype):
+        rows = [(0.5, 1.5, 2.5, 0, 0, 0), (3.5, 4.5, 2.49, 0, 0, 0), (-0.5, 0.51, 7, 0, 0, 0)]
+        c = load_ply(write(tmp_path, ply(rows, ctype)))
+        assert c.positions.tolist() == [[0, 2, 2], [4, 4, 2], [0, 1, 7]]
+
+    @pytest.mark.parametrize("i, row, ctype, match", [
+        (1, (1, np.nan, 3, 0, 255, 0), "double", "row 1.*not finite"),
+        (2, (4, np.inf, 4, 0, 0, 255), "double", "row 2.*not finite"),
+        (2, (4, 4, 1e30, 0, 0, 255), "double", "row 2.*2\\^31"),
+        (2, (4, 4, -1e30, 0, 0, 255), "double", "row 2.*2\\^31"),
+        (2, (3000000000, 4, 4, 0, 0, 255), "uint", "row 2.*2\\^31"),
+        (1, (1, 2, 3, 3.5, 255, 0), "int", "row 1.*not integers"),
+        (1, (1, 2, 3, np.nan, 255, 0), "int", "row 1.*not integers"),
+        (2, (4, 4, 4, 0, 0, 256), "int", "outside \\[0, 255\\]"),
+        (0, (0, 0, 0, -1, 0, 0), "int", "outside \\[0, 255\\]"),
+    ], ids=["nan-coord", "inf-coord", "huge-coord", "huge-negative-coord",
+            "uint-over-2^31", "fractional-color", "nan-color", "color-over-255",
+            "negative-color"])
+    def test_binary_invalid_vertex_data_rejected_as_ascii(self, tmp_path, i, row, ctype,
+                                                          match):
+        # the binary reader refuses what the ascii reader does, with its message;
+        # the colors are float properties
+        rows = [(0, 0, 0, 255, 0, 0), (1, 2, 3, 0, 255, 0), (4, 4, 4, 0, 0, 255)]
+        rows[i] = row
+        errors = []
+        for binary in (True, False):
+            with pytest.raises(PlyBodyError, match=match) as exc:
+                load_ply(write(tmp_path, ply(rows, ctype, "float", binary)))
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
 
     def test_malformed_header(self, tmp_path):
         with pytest.raises(PlyHeaderError):

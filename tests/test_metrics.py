@@ -2,17 +2,20 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pcbitalloc import metrics
 from pcbitalloc.cli import main
 from pcbitalloc.cloud import PointCloud, luma_scaled, save_ply
 from pcbitalloc.errors import SccUndefinedError, ValidationError
 from pcbitalloc.metrics import (
     DistortionPair,
     _directed_errors,
+    _distinct,
     _exact_mean,
     _morton_key,
     build_index,
@@ -278,6 +281,63 @@ class TestNnIndex:
         want_idx, want_d2 = brute_force_nn(pos, queries)
         assert (idx == want_idx).all()
         assert (d2 == want_d2).all()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 7]),
+           st.integers(1, 40), st.integers(1, 60))
+    def test_chunked_query_matches_unchunked_and_linear_scan(
+            self, seed, chunk, n_sites, n_queries):
+        # even sites on a step-2 lattice: a query with odd coordinates ties
+        # up to eight sites; duplicated sites and query rows, and a fifth of
+        # the queries moved beyond the sampled bound, fall on both sides of
+        # the chunk edges
+        r = np.random.default_rng(seed)
+        pos = r.integers(0, 4, (n_sites, 3)) * 2
+        pos = np.vstack([pos, pos[r.integers(0, n_sites, n_sites // 2 + 1)]])
+        queries = r.integers(0, 8, (n_queries, 3))
+        queries[r.random(n_queries) < 0.2] += 40
+        queries = np.vstack([queries, queries[r.integers(0, n_queries, n_queries // 2 + 1)]])
+        queries = queries[r.permutation(len(queries))]
+        index = build_index(PointCloud(pos, np.zeros((len(pos), 3)), 6))
+        query_index = build_index(PointCloud(queries, np.zeros((len(queries), 3)), 6))
+        whole = index.query(queries)
+        with mock.patch.object(metrics, "_CHUNK", chunk):
+            for got in (index.query(queries), index.query(query_index)):
+                assert (got[0] == whole[0]).all() and (got[1] == whole[1]).all()
+        want_idx, want_d2 = brute_force_nn(pos, queries)
+        assert (whole[0] == want_idx).all() and (whole[1] == want_d2).all()
+
+    def test_no_kd_call_asks_for_more_than_a_chunk(self, rng):
+        # 1000 distinct queries and a chunk of 7: the 16-row sample and every
+        # round of the candidate loop go to the tree at most 7 rows at a time
+        lattice = np.stack(np.unravel_index(rng.choice(16**3, 1000, replace=False),
+                                            (16,) * 3), axis=1)
+        queries = lattice + np.array([0, 0, 300]) * (rng.random((1000, 1)) < 0.01)
+        pos = 2 * lattice[:300] + 1
+        index = build_index(PointCloud(pos, np.zeros((300, 3)), 9))
+        tree, rows = index._tree, []
+
+        class RecordingTree:
+            def query(self, q, k, **kwargs):
+                rows.append(len(q))
+                return tree.query(q, k=k, **kwargs)
+
+        index._tree = RecordingTree()
+        with mock.patch.object(metrics, "_CHUNK", 7):
+            idx, d2 = index.query(queries)
+        want_idx, want_d2 = brute_force_nn(pos, queries)
+        assert (idx == want_idx).all() and (d2 == want_d2).all()
+        assert max(rows) == 7 and sum(rows) >= 1000 + 16
+
+    def test_2_31_points_refused_before_any_work(self):
+        # a zero-stride view: 2^31 rows with no memory behind them
+        huge = np.broadcast_to(np.zeros(3, dtype=np.int64), (2**31, 3))
+        cloud = object.__new__(PointCloud)  # skips the checks, which would scan it
+        object.__setattr__(cloud, "positions", huge)
+        with pytest.raises(ValidationError, match="fewer than 2\\^31 points"):
+            build_index(cloud)
+        with pytest.raises(ValidationError, match="fewer than 2\\^31 points"):
+            _distinct(huge)
 
 
 class TestExactMean:

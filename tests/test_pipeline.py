@@ -1,6 +1,9 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from pcbitalloc.cli import main
+from pcbitalloc.cli import build_parser, main
 from pcbitalloc.cloud import PointCloud, save_ply
 from pcbitalloc.errors import ValidationError
 from pcbitalloc.models import (
@@ -171,6 +174,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error [io]: binary body truncated: expected ")
         assert err.count("\n") == 1
+
+    def test_repeated_main_calls_match_separate_processes(
+            self, tmp_path, rng, capsys, monkeypatch):
+        # main builds its parser once per process; neither other commands
+        # nor a usage error in between change what a later call does
+        save_ply(make_cloud(rng, 50, bit_depth=6), tmp_path / "a.ply")
+        save_ply(make_cloud(rng, 60, bit_depth=6), tmp_path / "b.ply", binary=True)
+        (tmp_path / "sim.json").write_text(json.dumps(worked_config()))
+        calls = [
+            ["metric", "a.ply", "b.ply", "--omega", "0.25"],
+            ["allocate", "--target", "1000"],  # usage error: --model is missing
+            ["simulate", "--spec", "sim.json"],
+            ["metric", "b.ply", "a.ply", "--luma-weights", "bt601"],
+            ["fit", "--probes", "missing.csv", "--omega", "0.5"],
+            ["metric", "a.ply", "b.ply"],
+        ]
+        monkeypatch.chdir(tmp_path)
+        in_process = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            in_process.append((code, *capsys.readouterr()))
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        separate = [subprocess.run([sys.executable, "-m", "pcbitalloc.cli", *argv],
+                                   capture_output=True, text=True, env=env, timeout=60)
+                    for argv in calls]
+        assert build_parser() is build_parser()
+        assert [code for code, _, _ in in_process] == [0, 2, 0, 0, 4, 0]
+        assert in_process == [(p.returncode, p.stdout, p.stderr) for p in separate]
 
     def test_fit_allocate_chain(self, tmp_path, capsys):
         spec = SyntheticCodecSpec(rate=RateModel(**WORKED_SPEC["rate"]),
