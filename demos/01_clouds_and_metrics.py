@@ -11,16 +11,16 @@ from pathlib import Path
 import numpy as np
 
 from pcbitalloc import (
+    NnIndex,
     PointCloud,
     build_index,
-    combined_distortion,
-    geometry_error,
     load_ply,
-    luminance,
     psnr,
     save_ply,
     symmetric_distortion,
 )
+from pcbitalloc.cloud import LUMA_SCALE, luma_scaled
+from pcbitalloc.models import weighted
 
 rng = np.random.default_rng(2024)
 
@@ -32,7 +32,8 @@ reference = PointCloud(
     bit_depth=10,
 )
 print(f"reference cloud: {len(reference)} points, {reference.bit_depth}-bit grid")
-print(f"luma of first point {reference.colors[0]} -> {luminance(reference.colors[0]):.3f}")
+luma = luma_scaled(reference.colors[:1])[0] / LUMA_SCALE
+print(f"luma of first point {reference.colors[0]} -> {luma:.3f}")
 
 # PLY round trip in both flavors.
 with tempfile.TemporaryDirectory() as tmp:
@@ -55,14 +56,20 @@ reconstructed = PointCloud(
 )
 
 # Directed errors are asymmetric; the symmetric metric takes the max.
-e_ba = geometry_error(reconstructed, reference)
-e_ab = geometry_error(reference, reconstructed)
+def directed_geometry_mse(b, a):
+    """Mean squared distance from each point of b to its nearest point of a."""
+    _, d2 = NnIndex(a).query(b.positions)
+    return int(d2.sum()) / len(b)
+
+
+e_ba = directed_geometry_mse(reconstructed, reference)
+e_ab = directed_geometry_mse(reference, reconstructed)
 pair = symmetric_distortion(reference, reconstructed)
 print(f"directed geometry MSE: B->A {e_ba:.4f}, A->B {e_ab:.4f}")
 print(f"symmetric distortion:  d_g {pair.d_g:.4f}, d_c {pair.d_c:.4f}")
 
 for omega in (0.25, 0.5):
-    d = combined_distortion(pair, omega)
+    d = weighted(omega, pair.d_g, pair.d_c)
     q = psnr(pair.d_g, pair.d_c, omega, geometry_peak=1023.0, color_peak=255.0)
     print(f"omega={omega}: combined MSE {d:.4f}, PSNR {q:.2f} dB")
 

@@ -57,7 +57,7 @@ for qp_g in qp_grid():
         actual_d.append(omega * res.d_g + (1 - omega) * res.d_c)
         fitted_d.append(predict_distortion(dm, steps))
         actual_r.append(res.r_g + res.r_c)
-        fitted_r.append(predict_rate(rm, steps).total)
+        fitted_r.append(predict_rate(rm, steps))
 
 fq_d = fit_quality(actual_d, fitted_d)
 fq_r = fit_quality(actual_r, fitted_r)

@@ -7,6 +7,8 @@ how much energy the cross term retains. A synthetic coupling knob lets
 us dial violations in and watch the validator catch them.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import scipy.optimize
 
@@ -16,7 +18,6 @@ from pcbitalloc import (
     validate_separability,
 )
 from pcbitalloc.models import qp_to_step
-from pcbitalloc.simcodec import perturbed
 
 spec = SyntheticCodecSpec(
     alpha_g=0.05, beta_g=0.3, alpha_gc=0.15, alpha_cc=0.6, beta_c=2.0,
@@ -45,7 +46,7 @@ def interaction_fraction(m):
 for target in (0.02, 0.10, 0.20):
     eps = scipy.optimize.brentq(
         lambda e: interaction_fraction(surface + e * G * C) - target, 1e-10, 1e4)
-    rep = validate_separability(perturbed(spec, coupling=eps), grid, grid)
+    rep = validate_separability(replace(spec, coupling=eps), grid, grid)
     print(f"coupling eps={eps:.5f} (target interaction {target:.0%}): "
           f"residual fraction {rep.residual_fraction:.4f}, SCC {rep.scc:.4f}")
 
@@ -54,7 +55,7 @@ print()
 for noise in (0.005, 0.01, 0.02, 0.05):
     sccs, fracs = [], []
     for seed in range(10):
-        rep = validate_separability(perturbed(spec, noise_rel=noise, seed=seed),
+        rep = validate_separability(replace(spec, noise_rel=noise, seed=seed),
                                     grid, grid)
         sccs.append(rep.scc)
         fracs.append(rep.residual_fraction)

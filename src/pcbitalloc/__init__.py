@@ -19,16 +19,14 @@ from .allocator import (
     round_to_grid,
     solve_interior_point,
 )
-from .cloud import PointCloud, load_ply, luminance, min_bit_depth, save_ply
+from .cloud import PointCloud, load_ply, min_bit_depth, save_ply
 from .evaluate import bd_psnr, compute_be, compute_cq, compute_qpe
 from .metrics import (
     DistortionPair,
     FitQuality,
     NnIndex,
     build_index,
-    combined_distortion,
     fit_quality,
-    geometry_error,
     psnr,
     symmetric_distortion,
 )
@@ -60,11 +58,9 @@ from .simcodec import (
     SeparabilityReport,
     SyntheticCodecSpec,
     encode,
-    load_spec,
     probe_schedule,
     random_spec,
     run_probe_schedule,
-    save_spec,
     validate_separability,
 )
 

@@ -93,7 +93,7 @@ class AllocationProblem:
             raise ValidationError("rate budget must be positive and finite")
 
     def rate(self, q: QuantPair) -> float:
-        return predict_rate(self.rm, q).total
+        return predict_rate(self.rm, q)
 
     def distortion(self, q: QuantPair) -> float:
         return predict_distortion(self.dm, q)

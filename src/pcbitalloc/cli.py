@@ -43,7 +43,7 @@ def _cmd_metric(args) -> None:
         "d_g": pair.d_g,
         "d_c": pair.d_c,
         "omega": args.omega,
-        "combined": metrics.combined_distortion(pair, args.omega),
+        "combined": models.weighted(args.omega, pair.d_g, pair.d_c),
         **pipeline.psnr_fields(metrics.psnr(pair.d_g, pair.d_c, args.omega,
                                             geometry_peak, args.color_peak)),
         "geometry_peak": geometry_peak,

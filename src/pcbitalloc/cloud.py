@@ -8,7 +8,8 @@ common use are supported: ``format ascii 1.0`` and
 properties are skipped with a warning. The writer records the bit depth
 in a ``comment bit_depth N`` line so a save/load round trip restores it;
 absent that, the smallest depth containing all coordinates is used, and a
-comment smaller than that depth is rejected. The reader also rejects
+comment smaller than that depth or above 31 is rejected; the writer
+refuses a cloud whose depth is above 31. The reader also rejects
 non-finite coordinates, coordinates of 2^31 or more in magnitude and
 fractional colors. Both bodies are parsed and written as whole arrays,
 and the x,y,z and red,green,blue columns reach the checks in the type
@@ -27,6 +28,10 @@ the bytes there before any buffer is sized by it.
 ``PointCloud`` itself refuses positions and colors that are not finite
 integers in range rather than truncating or wrapping them; an integer
 array that casts safely, such as the reader's, skips that extra pass.
+
+The color metric compares luma, which ``luma_scaled`` gives as exact
+integers: the BT.709 or BT.601 weights of ``LUMA_WEIGHTS`` in units of
+1/10000, so white is 255 * ``LUMA_SCALE``.
 """
 
 from __future__ import annotations
@@ -35,13 +40,10 @@ import io
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NewType
 
 import numpy as np
 
 from .errors import PlyBodyError, PlyHeaderError, PlyPropertyError, ValidationError
-
-Luma = NewType("Luma", float)
 
 # Integer per-10000 luma weights; both rows sum to exactly 10000 so white maps to 255.
 LUMA_WEIGHTS = {
@@ -58,8 +60,10 @@ _PLY_DTYPES = {
     "float": "<f4", "float32": "<f4",
     "double": "<f8", "float64": "<f8",
 }
-# Coordinates must lie below 2^31, the range of the PLY ``int`` the writer uses.
-_COORD_LIMIT = 1 << 31
+# Coordinates must lie below 2^31, the range of the PLY ``int`` the writer
+# uses, so a bit depth above 31 is neither read nor written.
+_MAX_BIT_DEPTH = 31
+_COORD_LIMIT = 1 << _MAX_BIT_DEPTH
 
 
 def as_integers(values, dtype, what: str) -> np.ndarray:
@@ -135,20 +139,17 @@ def min_bit_depth(positions) -> int:
     return d
 
 
-def luminance(color, weights: str = "bt709") -> Luma:
-    """Y value of an 8-bit (R,G,B) triple, real-valued and unrounded."""
-    r, g, b = (int(c) for c in color)
-    for c in (r, g, b):
-        if not 0 <= c <= 255:
-            raise ValidationError("color channels must lie in [0, 255]")
-    wr, wg, wb = LUMA_WEIGHTS[weights]
-    return Luma((wr * r + wg * g + wb * b) / LUMA_SCALE)
+def luma_scaled(colors, weights: str = "bt709") -> np.ndarray:
+    """Per-point luma times LUMA_SCALE as exact int64 (for integer metric sums).
 
-
-def luma_scaled(colors: np.ndarray, weights: str = "bt709") -> np.ndarray:
-    """Per-point luma times LUMA_SCALE as exact int64 (for integer metric sums)."""
+    ``colors`` holds (n, 3) RGB values in [0, 255]; ``weights`` names a row
+    of ``LUMA_WEIGHTS``. Anything else raises ``ValidationError``.
+    """
+    if not isinstance(weights, str) or weights not in LUMA_WEIGHTS:
+        raise ValidationError(f"unknown luma weights {weights!r}; "
+                              f"expected one of {', '.join(LUMA_WEIGHTS)}")
     wr, wg, wb = LUMA_WEIGHTS[weights]
-    c = np.asarray(colors, dtype=np.int64)
+    c = as_integers(colors, np.uint8, "colors").astype(np.int64)
     return wr * c[:, 0] + wg * c[:, 1] + wb * c[:, 2]
 
 
@@ -181,6 +182,10 @@ def _parse_header(fh):
                     bit_depth_hint = int(tok[2])
                 except ValueError:
                     pass
+                else:
+                    if bit_depth_hint > _MAX_BIT_DEPTH:
+                        raise PlyHeaderError(f"comment bit_depth {bit_depth_hint} is "
+                                             f"above {_MAX_BIT_DEPTH}")
         elif tok[0] == "element":
             if len(tok) != 3:
                 raise PlyHeaderError(f"malformed element line: {line!r}")
@@ -356,7 +361,12 @@ def save_ply(cloud: PointCloud, path, binary: bool = False) -> None:
     Coordinates are ``float`` up to 24 bits, which float32 holds exactly,
     and ``int`` above. Ascii coordinates are written as integers either
     way; an integer literal is a valid value of a PLY ``float`` property.
+    A cloud whose bit depth is above 31 is refused before the file is
+    opened: its coordinates need not fit a PLY ``int``.
     """
+    if cloud.bit_depth > _MAX_BIT_DEPTH:
+        raise ValidationError(f"cannot write bit depth {cloud.bit_depth}; "
+                              f"PLY coordinates take at most {_MAX_BIT_DEPTH} bits")
     fmt = "binary_little_endian" if binary else "ascii"
     ctype = "float" if cloud.bit_depth <= 24 else "int"
     header = (

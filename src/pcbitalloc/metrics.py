@@ -4,7 +4,9 @@ The geometry error of cloud B against cloud A is the mean squared
 Euclidean distance from each point of B to its nearest neighbor in A;
 the color error applies the same neighbor assignment to the luma values.
 Both are symmetrized by taking the max over the two directions (the D1
-point-to-point metric of MPEG's ``pc_error``). The neighbor of a query
+point-to-point metric of MPEG's ``pc_error``); ``models.weighted`` combines
+the two. One directed error is the mean of the squared distances that
+``NnIndex(a).query(b.positions)`` returns. The neighbor of a query
 is exact: it minimizes the integer squared distance, and ties go to the
 smallest point index.
 
@@ -72,7 +74,6 @@ import numpy as np
 
 from .cloud import LUMA_SCALE, PointCloud, as_integers, luma_scaled
 from .errors import SccUndefinedError, ValidationError
-from .models import weighted
 
 
 @dataclass(frozen=True)
@@ -296,12 +297,6 @@ def _exact_mean(int_values: np.ndarray, denom: int) -> float:
     return total / denom
 
 
-def geometry_error(b: PointCloud, a: PointCloud) -> float:
-    """Directed geometry MSE of cloud b against reference a."""
-    _, d2 = build_index(a).query(b.positions)
-    return _exact_mean(d2, len(b))
-
-
 def _directed_errors(index_b: NnIndex, index_a: NnIndex, luma_b: np.ndarray,
                      luma_a: np.ndarray) -> tuple[float, float]:
     """Errors of b's rows against a; each of b's sites is queried once."""
@@ -318,27 +313,24 @@ def symmetric_distortion(a: PointCloud, b: PointCloud,
     """Symmetric point-to-point distortion: max over the two directions.
 
     The color error reuses the geometry neighbor assignment and compares
-    luma values only. The two indexes are built, and then the two
+    luma values only; unknown ``luma_weights`` are refused before any
+    index is built. The two indexes are built, and then the two
     directions computed, on two threads: one worker and the caller.
     """
     # imported here, as cKDTree is, so only the metric path pays for it
     from concurrent.futures import ThreadPoolExecutor
 
+    # first, so that unknown weights are refused before any index is built
+    luma_a = luma_scaled(a.colors, luma_weights)
+    luma_b = luma_scaled(b.colors, luma_weights)
     with ThreadPoolExecutor(max_workers=1) as worker:
         future = worker.submit(build_index, a)
         idx_b = build_index(b)
         idx_a = future.result()
-        luma_a = luma_scaled(a.colors, luma_weights)
-        luma_b = luma_scaled(b.colors, luma_weights)
         future = worker.submit(_directed_errors, idx_b, idx_a, luma_b, luma_a)
         eg_ab, ec_ab = _directed_errors(idx_a, idx_b, luma_a, luma_b)
         eg_ba, ec_ba = future.result()
     return DistortionPair(max(eg_ba, eg_ab), max(ec_ba, ec_ab))
-
-
-def combined_distortion(pair: DistortionPair, omega: float) -> float:
-    """Weighted sum omega*d_g + (1-omega)*d_c."""
-    return weighted(omega, pair.d_g, pair.d_c)
 
 
 def psnr(d_g: float, d_c: float, omega: float,

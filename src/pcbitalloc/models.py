@@ -10,6 +10,12 @@ model-accuracy studies with longer probe logs.
 All fitting happens in the step domain; quantization parameters are
 mapped through the standard step = 2**((qp-4)/6) rule first. Bitrates
 are kilobits per million points (kbpmp) throughout.
+
+``weighted`` is the one combination of a geometry and a color distortion,
+omega*d_g + (1-omega)*d_c, for probes, reports and the metric command
+alike. ``predict_rate`` gives the total modeled rate. A fitted negative
+slope is only noted in ``DistortionModel.sanity`` and warned about; the
+allocator's ``AllocationProblem`` is what refuses such a model.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -151,10 +157,6 @@ class DistortionModel:
         if not all(map(math.isfinite, (self.a, self.b, self.c, self.omega))):
             raise ValidationError("distortion model parameters must be finite")
 
-    @property
-    def well_behaved(self) -> bool:
-        return self.a >= 0 and self.b >= 0
-
 
 @dataclass(frozen=True)
 class RateModel:
@@ -173,20 +175,13 @@ class RateModel:
             raise NonMonotoneRateError("rate exponents must be negative")
 
 
-class RatePrediction(NamedTuple):
-    r_g: float
-    r_c: float
-    total: float
-
-
 def predict_distortion(m: DistortionModel, q: QuantPair) -> float:
     return m.a * q.q_g + m.b * q.q_c + m.c
 
 
-def predict_rate(m: RateModel, q: QuantPair) -> RatePrediction:
-    r_g = m.gamma_g * q.q_g**m.theta_g
-    r_c = m.gamma_c * q.q_c**m.theta_c
-    return RatePrediction(r_g, r_c, r_g + r_c)
+def predict_rate(m: RateModel, q: QuantPair) -> float:
+    """Total modeled rate, geometry stream plus color stream."""
+    return m.gamma_g * q.q_g**m.theta_g + m.gamma_c * q.q_c**m.theta_c
 
 
 def _fit_power_law(q1: float, r1: float, q2: float, r2: float,

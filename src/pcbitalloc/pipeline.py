@@ -12,16 +12,20 @@ A run is driven by a JSON-compatible config tree::
       "color_peak": 255.0
     }
 
-The ``solver`` object may hold only the Newton iteration cap, a positive
-integer; the barrier schedule itself is fixed in ``allocator``. The report
-is a JSON tree with sections ``models``, ``allocations`` and
-``evaluation``. Reports are byte-stable for a fixed config: the
-complexity quotient uses the simulated encode clock (a fixed cost per
-encode call), never wall time. With a synthetic codec backend the
-exhaustive baseline sweeps each grid pair once and reuses the sweep for
-every budget and omega, as a real 441-encode baseline would: each omega
-gets one ``GridTable`` built from the sweep's arrays, and each budget one
-``exhaustive_search`` over it.
+A ``probe_log`` config may also give ``overhead_kbpmp`` (default 0); a
+codec carries its own. A config holds no other keys, and not both
+``codec`` and ``probe_log``. The ``solver`` object may hold only the
+Newton iteration cap, a positive integer; the barrier schedule itself is
+fixed in ``allocator``. The report is a JSON tree with sections
+``models``, ``allocations`` and ``evaluation``. Reports are byte-stable
+for a fixed config: the complexity quotient uses the simulated encode
+clock (a fixed cost per encode call), never wall time. With a synthetic
+codec backend the exhaustive baseline sweeps each grid pair once and
+reuses the sweep for every budget and omega, as a real 441-encode
+baseline would. The sweep
+is kept as four 21x21 arrays (r_g, r_c, d_g, d_c): each omega gets one
+``GridTable`` built from them, each budget one ``exhaustive_search`` over
+it, and the baseline's PSNR reads its cell's d_g and d_c.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .errors import InfeasibleBudgetError, ValidationError
 from .evaluate import bd_psnr, compute_be, compute_cq, compute_qpe
 from .metrics import psnr
 from .models import (
+    QP_MIN,
     finite_number,
     fit_distortion_model,
     fit_distortion_model_lstsq,
@@ -57,6 +62,10 @@ from .models import (
     weighted,
 )
 from .simcodec import ENCODE_TIME_MS, QpPair, encode, run_probe_schedule, spec_from_dict
+
+
+_CONFIG_KEYS = frozenset({"codec", "probe_log", "targets", "omegas", "run_exhaustive",
+                          "solver", "geometry_peak", "color_peak", "overhead_kbpmp"})
 
 
 def fit_models(records, omega):
@@ -84,9 +93,13 @@ def _newton_cap(solver) -> int:
     return check_newton_cap(solver.get("max_newton_iters", MAX_NEWTON_ITERS))
 
 
-def _grid_sweep(spec):
-    grid = [QpPair(qp_g, qp_c) for qp_g in qp_grid() for qp_c in qp_grid()]
-    return {qp: encode(spec, qp) for qp in grid}
+def _grid_sweep(spec) -> dict[str, np.ndarray]:
+    """r_g, r_c, d_g and d_c of every grid pair as 21x21 arrays indexed
+    [qp_g - QP_MIN, qp_c - QP_MIN], one ``encode`` per pair."""
+    encodes = [encode(spec, QpPair(qp_g, qp_c)) for qp_g in qp_grid() for qp_c in qp_grid()]
+    n = len(qp_grid())
+    return {key: np.array([getattr(e, key) for e in encodes]).reshape(n, n)
+            for key in ("r_g", "r_c", "d_g", "d_c")}
 
 
 def allocation_fields(alloc) -> dict:
@@ -144,9 +157,15 @@ def run_pipeline(config: dict) -> dict:
     """Execute probe -> fit -> allocate (-> exhaustive baseline) -> report."""
     if not isinstance(config, dict):
         raise ValidationError(f"config must be a JSON object, got {type(config).__name__}")
+    unknown = set(config) - _CONFIG_KEYS
+    if unknown:
+        raise ValidationError(f"unknown config keys: {', '.join(sorted(map(repr, unknown)))}")
     has_codec = "codec" in config
-    if not has_codec and "probe_log" not in config:
-        raise ValidationError("config needs a 'codec' spec or a 'probe_log' path")
+    if has_codec == ("probe_log" in config):
+        raise ValidationError("config needs a 'codec' spec or a 'probe_log' path, not both")
+    if has_codec and "overhead_kbpmp" in config:
+        raise ValidationError("config 'overhead_kbpmp' is for a probe log; "
+                              "a codec sets its own overhead_kbpmp")
     targets, omegas = config.get("targets"), config.get("omegas", [0.5])
     for key, values in (("targets", targets), ("omegas", omegas)):
         if not isinstance(values, (list, tuple)) or not values:
@@ -175,13 +194,9 @@ def run_pipeline(config: dict) -> dict:
     pba_encode_calls = len(records)
 
     sweep = _grid_sweep(spec) if run_esa else None
-    esa_encode_calls = len(sweep) if sweep else 0
+    esa_encode_calls = sweep["r_g"].size if sweep else 0
     if sweep is not None:
-        # the sweep runs g-major, the row-major layout of a GridTable
-        n = len(qp_grid())
-        grid = {key: np.array([getattr(e, key) for e in sweep.values()]).reshape(n, n)
-                for key in ("r_g", "r_c", "d_g", "d_c")}
-        esa_rate_grid = grid["r_g"] + grid["r_c"]
+        esa_rate_grid = sweep["r_g"] + sweep["r_c"]
 
     models_out = {}
     allocations = []
@@ -191,7 +206,7 @@ def run_pipeline(config: dict) -> dict:
         dm, rm = fit_models(records, omega)
         models_out[str(omega)] = model_to_dict(dm, rm)
         if sweep is not None:
-            table = GridTable(esa_rate_grid, weighted(omega, grid["d_g"], grid["d_c"]))
+            table = GridTable(esa_rate_grid, weighted(omega, sweep["d_g"], sweep["d_c"]))
         pba_points = []
         esa_points = []
         for target in targets:
@@ -221,9 +236,10 @@ def run_pipeline(config: dict) -> dict:
                 row["be_pct"] = compute_be(problem.rate(alloc.qp.steps()), budget)
             if sweep is not None:
                 esa_qp = exhaustive_search(table, budget)
-                e = sweep[esa_qp]
+                cell = (esa_qp.qp_g - QP_MIN, esa_qp.qp_c - QP_MIN)
                 esa_rate, esa_distortion = table(esa_qp)
-                esa_quality = psnr(e.d_g, e.d_c, omega, geometry_peak, color_peak)
+                esa_quality = psnr(float(sweep["d_g"][cell]), float(sweep["d_c"][cell]),
+                                   omega, geometry_peak, color_peak)
                 row["esa"] = {
                     "qp_g": esa_qp.qp_g, "qp_c": esa_qp.qp_c, "rate": esa_rate,
                     "distortion": esa_distortion,

@@ -4,19 +4,21 @@ Stands in for a real geometry+color encoder during studies. Geometry
 distortion is affine in the geometry step; color distortion is additive
 in the two steps (optionally with an injected cross-coupling term to
 stress that assumption); each bitstream follows a power law in its own
-step. Observations can be perturbed by seeded noise: multiplicative
+step. Observations can carry seeded noise: multiplicative
 lognormal on rates, additive Gaussian scaled by the clean value on
 distortions. Encoding is a pure function of (spec, qp): the generator is
 PCG64 seeded from (spec.seed, qp_g, qp_c), so replays are bit-identical.
 An encode returns the ``ProbeRecord`` a probe log row holds.
+
+A spec comes from a config's ``codec`` object through ``spec_from_dict``,
+the inverse of ``spec_to_dict``; a variant of a spec is
+``dataclasses.replace(spec, ...)``, which re-runs its checks.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
-from pathlib import Path
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -198,16 +200,3 @@ def spec_from_dict(d: dict) -> SyntheticCodecSpec:
         return SyntheticCodecSpec(rate=rate, **values)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"bad codec spec: {exc}") from exc
-
-
-def save_spec(spec: SyntheticCodecSpec, path) -> None:
-    Path(path).write_text(json.dumps(spec_to_dict(spec), indent=2, sort_keys=True))
-
-
-def load_spec(path) -> SyntheticCodecSpec:
-    return spec_from_dict(json.loads(Path(path).read_text()))
-
-
-def perturbed(spec: SyntheticCodecSpec, **changes) -> SyntheticCodecSpec:
-    """Copy of the spec with selected fields replaced."""
-    return replace(spec, **changes)

@@ -6,6 +6,7 @@ lines. Timing-limited criteria assert their own wall-clock budgets.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from pcbitalloc.models import (
 )
 from pcbitalloc.simcodec import (
     SyntheticCodecSpec,
-    perturbed,
     random_spec,
     run_probe_schedule,
     validate_separability,
@@ -188,9 +188,9 @@ def test_criterion_7_separability():
 
     eps = scipy.optimize.brentq(
         lambda e: interaction_fraction(surface + e * G * C) - 0.10, 1e-9, 10.0)
-    coupled_rep = validate_separability(perturbed(base, coupling=eps), grid, grid)
+    coupled_rep = validate_separability(replace(base, coupling=eps), grid, grid)
 
-    noisy_sccs = [validate_separability(perturbed(base, noise_rel=0.01, seed=s),
+    noisy_sccs = [validate_separability(replace(base, noise_rel=0.01, seed=s),
                                         grid, grid).scc for s in range(5)]
     ok = (clean_rep.residual_fraction < 1e-10
           and coupled_rep.residual_fraction >= 0.05

@@ -1,3 +1,4 @@
+import json
 import re
 import struct
 
@@ -5,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pcbitalloc.cli import main
 from pcbitalloc.cloud import (
+    LUMA_SCALE,
     PointCloud,
     load_ply,
-    luminance,
+    luma_scaled,
     min_bit_depth,
     save_ply,
 )
@@ -137,31 +140,39 @@ class TestPointCloud:
 
 
 class TestLuminance:
+    """``luma_scaled``: luma in units of 1/LUMA_SCALE, as exact integers."""
+
     def test_white(self):
-        assert luminance((255, 255, 255)) == 255.0
+        assert luma_scaled([[255, 255, 255]]).tolist() == [255 * LUMA_SCALE]
 
     def test_black(self):
-        assert luminance((0, 0, 0)) == 0.0
+        assert luma_scaled([[0, 0, 0]]).tolist() == [0]
 
     def test_pure_red(self):
-        assert luminance((255, 0, 0)) == pytest.approx(54.213, abs=1e-9)
+        assert luma_scaled([[255, 0, 0]]).tolist() == [542130]  # 54.213
 
     def test_bt601(self):
-        assert luminance((255, 0, 0), weights="bt601") == pytest.approx(76.245, abs=1e-9)
+        assert luma_scaled([[255, 0, 0]], weights="bt601").tolist() == [762450]  # 76.245
 
     def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            luminance((256, 0, 0))
+        for bad in ([[256, 0, 0]], [[0, -1, 0]], [[0, 0, 0.5]]):
+            with pytest.raises(ValidationError, match="colors"):
+                luma_scaled(bad)
+
+    @pytest.mark.parametrize("weights", ["foo", "BT709", None, ["bt709"]])
+    def test_unknown_weights_named(self, weights):
+        with pytest.raises(ValidationError, match="bt709, bt601"):
+            luma_scaled([[1, 2, 3]], weights)
 
     @given(st.tuples(*[st.integers(0, 255)] * 3))
     def test_bounded(self, c):
-        assert 0.0 <= luminance(c) <= 255.0
+        assert 0 <= luma_scaled([c])[0] <= 255 * LUMA_SCALE
 
     @given(st.tuples(*[st.integers(0, 254)] * 3), st.integers(0, 2))
     def test_monotone_in_each_channel(self, c, ch):
         bumped = list(c)
         bumped[ch] += 1
-        assert luminance(tuple(bumped)) > luminance(c)
+        assert luma_scaled([bumped])[0] > luma_scaled([c])[0]
 
 
 class TestPlyParsing:
@@ -410,3 +421,39 @@ class TestRoundTrip:
                         for p, c in zip(cloud.positions, cloud.colors))
         blob = (tmp_path / "c.ply").read_bytes()
         assert blob.split(b"end_header\n", 1)[1] == want
+
+
+class TestBitDepthLimit:
+    """Coordinates are written as PLY ``int`` above 24 bits, so bit depths
+    above 31 are neither read nor written."""
+
+    @pytest.mark.parametrize("depth", [32, 40, 1100, 10**6])
+    def test_metric_refuses_a_comment_above_31(self, tmp_path, capsys, depth):
+        text = ASCII_3PT.replace("element vertex",
+                                 f"comment bit_depth {depth}\nelement vertex")
+        path = write(tmp_path, text)
+        assert main(["metric", str(path), str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [io]: comment bit_depth {depth} is above 31")
+
+    def test_metric_takes_a_comment_of_31(self, tmp_path, capsys):
+        text = ASCII_3PT.replace("element vertex", "comment bit_depth 31\nelement vertex")
+        path = write(tmp_path, text)
+        assert main(["metric", str(path), str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["geometry_peak"] == 2**31 - 1
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["ascii", "binary"])
+    def test_save_refuses_depth_above_31_before_opening(self, tmp_path, binary):
+        cloud = PointCloud([[2**33 + 5, 0, 0]], [[1, 2, 3]], 40)
+        path = tmp_path / "c.ply"
+        with pytest.raises(ValidationError, match="bit depth 40"):
+            save_ply(cloud, path, binary=binary)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["ascii", "binary"])
+    def test_depth_31_round_trips_its_top_coordinate(self, tmp_path, binary):
+        cloud = PointCloud([[2**31 - 1, 0, 5]], [[1, 2, 3]], 31)
+        save_ply(cloud, tmp_path / "c.ply", binary=binary)
+        again = load_ply(tmp_path / "c.ply")
+        assert again.positions.tolist() == cloud.positions.tolist()
+        assert again.bit_depth == 31

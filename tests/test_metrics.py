@@ -14,19 +14,25 @@ from pcbitalloc.cloud import PointCloud, luma_scaled, save_ply
 from pcbitalloc.errors import SccUndefinedError, ValidationError
 from pcbitalloc.metrics import (
     DistortionPair,
+    NnIndex,
     _directed_errors,
     _distinct,
     _exact_mean,
     _morton_key,
     build_index,
-    combined_distortion,
     fit_quality,
-    geometry_error,
     psnr,
     symmetric_distortion,
 )
+from pcbitalloc.models import weighted
 
 from conftest import brute_force_nn, brute_symmetric, make_cloud
+
+
+def directed_geometry_mse(b: PointCloud, a: PointCloud) -> float:
+    """Directed geometry MSE of cloud b against reference a, the metric's way."""
+    _, d2 = NnIndex(a).query(b.positions)
+    return _exact_mean(d2, len(b))
 
 
 class TestNnIndex:
@@ -359,22 +365,22 @@ class TestExactMean:
         assert _exact_mean(values, 2731) == exact / 2731
         assert int(values.sum()) != exact
 
-    def test_bit_depth_25_geometry_error(self):
+    def test_bit_depth_25_directed_error(self):
         far = 2**25 - 1
         a = PointCloud([[0, 0, 0]], [[0, 0, 0]], 25)
         b = PointCloud(np.full((3000, 3), far), np.zeros((3000, 3)), 25)
-        assert geometry_error(b, a) == self.D2_MAX
+        assert directed_geometry_mse(b, a) == self.D2_MAX
 
 
 class TestGeometryError:
     def test_identity_is_zero(self, rng):
         c = make_cloud(rng, 100)
-        assert geometry_error(c, c) == 0.0
+        assert directed_geometry_mse(c, c) == 0.0
 
     def test_hand_case(self):
         a = PointCloud([[0, 0, 0]], [[0, 0, 0]], 3)
         b = PointCloud([[1, 0, 0], [0, 2, 0]], [[0, 0, 0], [0, 0, 0]], 3)
-        assert geometry_error(b, a) == pytest.approx(2.5)
+        assert directed_geometry_mse(b, a) == pytest.approx(2.5)
 
     def test_matches_brute_force(self, rng):
         for _ in range(5):
@@ -382,7 +388,7 @@ class TestGeometryError:
             b = make_cloud(rng, 500, bit_depth=8)
             _, d2 = brute_force_nn(a.positions, b.positions)
             want = int(d2.astype(object).sum()) / len(b)
-            assert geometry_error(b, a) == want
+            assert directed_geometry_mse(b, a) == want
 
     def test_permutation_invariant(self, rng):
         a = make_cloud(rng, 200)
@@ -391,7 +397,7 @@ class TestGeometryError:
         perm_b = rng.permutation(len(b))
         a2 = PointCloud(a.positions[perm_a], a.colors[perm_a], a.bit_depth)
         b2 = PointCloud(b.positions[perm_b], b.colors[perm_b], b.bit_depth)
-        assert geometry_error(b, a) == geometry_error(b2, a2)
+        assert directed_geometry_mse(b, a) == directed_geometry_mse(b2, a2)
 
 
 class TestSymmetricDistortion:
@@ -407,6 +413,12 @@ class TestSymmetricDistortion:
         pair = symmetric_distortion(a, b)
         assert pair.d_g == 0.0
         assert pair.d_c == pytest.approx(100.0)
+
+    def test_unknown_luma_weights_refused_before_any_index(self, rng):
+        c = make_cloud(rng, 20)
+        with mock.patch.object(metrics, "build_index", side_effect=AssertionError):
+            with pytest.raises(ValidationError, match="bt709, bt601"):
+                symmetric_distortion(c, c, luma_weights="foo")
 
     def test_matches_brute_force(self, rng):
         for _ in range(3):
@@ -517,27 +529,28 @@ class TestConcurrentDirections:
 
 
 class TestCombinedDistortion:
+    """``models.weighted``, which combines the metric's (d_g, d_c) pair."""
+
     def test_half(self):
-        assert combined_distortion(DistortionPair(4, 2), 0.5) == 3.0
+        assert weighted(0.5, 4, 2) == 3.0
 
     def test_pure_geometry(self):
-        assert combined_distortion(DistortionPair(4, 2), 1.0) == 4.0
+        assert weighted(1.0, 4, 2) == 4.0
 
     def test_hand_case(self):
-        assert combined_distortion(DistortionPair(1.2, 3.6), 0.25) == pytest.approx(3.0)
+        assert weighted(0.25, 1.2, 3.6) == pytest.approx(3.0)
 
     def test_omega_out_of_range(self):
         with pytest.raises(ValidationError):
-            combined_distortion(DistortionPair(1, 1), 1.5)
+            weighted(1.5, 1, 1)
 
     @settings(max_examples=50)
     @given(st.floats(0, 100), st.floats(0, 100),
            st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
     def test_linear_in_omega(self, d_g, d_c, w1, w2, lam):
-        pair = DistortionPair(d_g, d_c)
         mid = lam * w1 + (1 - lam) * w2
-        direct = combined_distortion(pair, mid)
-        blended = lam * combined_distortion(pair, w1) + (1 - lam) * combined_distortion(pair, w2)
+        direct = weighted(mid, d_g, d_c)
+        blended = lam * weighted(w1, d_g, d_c) + (1 - lam) * weighted(w2, d_g, d_c)
         assert direct == pytest.approx(blended, abs=1e-9)
 
 

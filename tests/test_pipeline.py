@@ -17,8 +17,9 @@ from pcbitalloc.errors import ValidationError
 from pcbitalloc.models import (
     PROBE_LOG_HEADER, QpPair, RateModel, model_to_dict, weighted, write_probe_log,
 )
+from pcbitalloc.metrics import psnr
 from pcbitalloc.pipeline import (
-    _grid_sweep, bd_gap, fit_models, run_pipeline, write_report,
+    bd_gap, fit_models, psnr_fields, run_pipeline, write_report,
 )
 from pcbitalloc.simcodec import (
     SyntheticCodecSpec, encode, random_spec, run_probe_schedule, spec_from_dict,
@@ -121,13 +122,32 @@ class TestRunPipeline:
         codec = spec_to_dict(random_spec(7, noise_rel=0.02))
         report = run_pipeline({"codec": codec, "targets": [800, 1000, 1400, 2000, 3000],
                                "omegas": [0.25, 0.5, 0.75], "run_exhaustive": True})
-        sweep = _grid_sweep(spec_from_dict(codec))
+        spec = spec_from_dict(codec)
+        sweep = [encode(spec, QpPair(qp_g, qp_c))
+                 for qp_g in range(22, 43) for qp_c in range(22, 43)]
         assert len(report["allocations"]) == 15
         for row in report["allocations"]:
-            best = min((weighted(row["omega"], e.d_g, e.d_c), e.r_g + e.r_c, qp.qp_g, qp.qp_c)
-                       for qp, e in sweep.items() if e.r_g + e.r_c <= row["budget"])
+            best = min((weighted(row["omega"], e.d_g, e.d_c), e.r_g + e.r_c,
+                        e.qp.qp_g, e.qp.qp_c)
+                       for e in sweep if e.r_g + e.r_c <= row["budget"])
             esa = row["esa"]
             assert (esa["distortion"], esa["rate"], esa["qp_g"], esa["qp_c"]) == best
+
+    def test_esa_psnr_matches_its_encode(self):
+        spec = random_spec(7, noise_rel=0.02)
+        report = run_pipeline({"codec": spec_to_dict(spec),
+                               "targets": [800, 1000, 1400, 2000, 3000],
+                               "omegas": [0.25, 0.5, 0.75], "run_exhaustive": True})
+        assert len(report["allocations"]) == 15
+        for row in report["allocations"]:
+            esa = row["esa"]
+            e = encode(spec, QpPair(esa["qp_g"], esa["qp_c"]))
+            want = psnr_fields(psnr(e.d_g, e.d_c, row["omega"], 1023.0, 255.0))
+            assert {k: esa[k] for k in ("psnr_db", "lossless") if k in esa} == want
+
+    def test_unknown_config_keys_named(self):
+        with pytest.raises(ValidationError, match="'omega', 'run_exhastive'"):
+            run_pipeline(worked_config(run_exhastive=True, omega=[0.25]))
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -273,9 +293,15 @@ class TestCli:
         ("solver", None),
         ("solver", {"mu0": True}),
         ("solver", {"newton_tol": 1e-9, "max_newton_iters": 1000}),
+        ("run_exhastive", True),
+        ("omega", [0.25]),
+        ("probe_log", "probes.csv"),
+        ("overhead_kbpmp", 5.0),
     ], ids=["targets-string", "targets-scalar", "geometry-peak-nan", "color-peak-nan",
             "run-exhaustive-string", "solver-mu0-string", "solver-eps-null",
-            "solver-scalar", "solver-null", "solver-mu0-bool", "solver-newton-tol"])
+            "solver-scalar", "solver-null", "solver-mu0-bool", "solver-newton-tol",
+            "unknown-misspelt-key", "unknown-omega-key", "codec-and-probe-log",
+            "overhead-beside-codec"])
     def test_simulate_rejects_bad_top_level_field(self, tmp_path, capsys, field, value):
         self.assert_simulate_rejects(tmp_path, capsys, worked_config(**{field: value}))
 

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +10,9 @@ from pcbitalloc.models import ProbeRecord, QpPair, RateModel, qp_to_step
 from pcbitalloc.simcodec import (
     SyntheticCodecSpec,
     encode,
-    load_spec,
-    perturbed,
     probe_schedule,
     random_spec,
     run_probe_schedule,
-    save_spec,
     spec_from_dict,
     spec_to_dict,
     validate_separability,
@@ -64,7 +62,7 @@ class TestEncode:
         spec = base_spec(noise_rel=0.05)
         r1 = encode(spec, QpPair(31, 27))
         r2 = encode(spec, QpPair(32, 27))
-        r3 = encode(perturbed(spec, seed=43), QpPair(31, 27))
+        r3 = encode(replace(spec, seed=43), QpPair(31, 27))
         assert r1.r_g != r2.r_g
         assert r1.r_g != r3.r_g
 
@@ -146,7 +144,7 @@ class TestSeparability:
         # independent calibration: coupling whose cross-term energy is 10%
         eps = scipy.optimize.brentq(
             lambda e: interaction_fraction(clean + e * G * C) - 0.10, 1e-9, 10.0)
-        rep = validate_separability(perturbed(spec, coupling=eps), self.GRID, self.GRID)
+        rep = validate_separability(replace(spec, coupling=eps), self.GRID, self.GRID)
         assert 0.05 <= rep.residual_fraction <= 0.15
         assert rep.residual_fraction == pytest.approx(0.10, abs=1e-9)
 
@@ -167,12 +165,6 @@ class TestSpecSerialization:
         spec = base_spec(noise_rel=0.02, coupling=0.01, overhead_kbpmp=3.5)
         again = spec_from_dict(spec_to_dict(spec))
         assert again == spec
-
-    def test_file_round_trip(self, tmp_path):
-        spec = random_spec(seed=77, noise_rel=0.005)
-        path = tmp_path / "spec.json"
-        save_spec(spec, path)
-        assert load_spec(path) == spec
 
     def test_bad_dict_rejected(self):
         with pytest.raises(ValidationError):
