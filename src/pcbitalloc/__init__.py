@@ -32,7 +32,6 @@ from .metrics import (
 )
 from .models import (
     DistortionModel,
-    ModelSanityWarning,
     ProbePoint,
     ProbeRecord,
     QpPair,

@@ -2,9 +2,10 @@
 
 The allocation problem minimizes the modeled distortion a*Qg + b*Qc + c
 subject to the modeled total rate gamma_g*Qg**theta_g + gamma_c*Qc**theta_c
-staying within the budget. Both the objective and the constraint are
-convex on Qg, Qc > 0 (theta < 0), so the inequality is folded into a
-logarithmic barrier
+staying within the budget. Both are convex on Qg, Qc > 0 because the
+models refuse theta >= 0 when they are built; they also refuse a, b < 0,
+which would leave the objective unbounded toward coarse steps. The
+inequality is folded into a logarithmic barrier
 
     F(Q; mu) = a*Qg + b*Qc + c - mu * ln(budget - R(Q))
 
@@ -79,16 +80,13 @@ def check_newton_cap(cap) -> int:
 
 @dataclass(frozen=True)
 class AllocationProblem:
+    """The allocation over models that check themselves, at a positive, finite budget."""
+
     dm: DistortionModel
     rm: RateModel
     r_target: float
 
     def __post_init__(self):
-        if self.dm.a < 0 or self.dm.b < 0:
-            raise ValidationError(
-                "distortion slopes must be non-negative; refusing a model whose "
-                "barrier objective is unbounded toward coarse steps"
-            )
         if not (math.isfinite(self.r_target) and self.r_target > 0):
             raise ValidationError("rate budget must be positive and finite")
 

@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--geometry-peak", type=float, default=None,
                    help="default: 2^bit_depth - 1 of the reference")
     p.add_argument("--color-peak", type=float, default=255.0)
-    p.add_argument("--luma-weights", choices=("bt709", "bt601"), default="bt709")
+    p.add_argument("--luma-weights", choices=tuple(cloud.LUMA_WEIGHTS), default="bt709")
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=_cmd_metric)
 

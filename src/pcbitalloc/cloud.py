@@ -10,8 +10,9 @@ in a ``comment bit_depth N`` line so a save/load round trip restores it;
 absent that, the smallest depth containing all coordinates is used, and a
 comment smaller than that depth or above 31 is rejected; the writer
 refuses a cloud whose depth is above 31. The reader also rejects
-non-finite coordinates, coordinates of 2^31 or more in magnitude and
-fractional colors. Both bodies are parsed and written as whole arrays,
+non-finite coordinates, coordinates of 2^31 or more in magnitude or
+negative once rounded, and fractional colors. Both bodies are parsed
+and written as whole arrays,
 and the x,y,z and red,green,blue columns reach the checks in the type
 they were parsed to. Binary fields go straight to int64 positions and
 uint8 colors: only float coordinates are rounded, and colors are checked
@@ -318,7 +319,10 @@ def load_ply(path) -> PointCloud:
         np.rint(xyz, out=xyz)
     positions = xyz.astype(np.int64, copy=False)
     if positions.min() < 0:
-        raise ValidationError("negative coordinates after rounding")
+        row = _first_bad_row(positions < 0)
+        raise PlyBodyError(f"vertex row {row}: coordinates "
+                           f"{positions[row].astype(np.float64).tolist()} "
+                           "are negative after rounding")
     needed = min_bit_depth(positions)
     if bit_depth_hint is None:
         bit_depth_hint = needed

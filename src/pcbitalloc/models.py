@@ -13,9 +13,9 @@ are kilobits per million points (kbpmp) throughout.
 
 ``weighted`` is the one combination of a geometry and a color distortion,
 omega*d_g + (1-omega)*d_c, for probes, reports and the metric command
-alike. ``predict_rate`` gives the total modeled rate. A fitted negative
-slope is only noted in ``DistortionModel.sanity`` and warned about; the
-allocator's ``AllocationProblem`` is what refuses such a model.
+alike. ``predict_rate`` gives the total modeled rate. A model refuses a
+negative distortion slope or a rate exponent that is not negative when it
+is built, whether by a fit, from a model file or by a caller.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -37,10 +36,6 @@ QP_MAX = 42
 
 PROBE_LOG_HEADER = ("qp_g", "qp_c", "r_g_kbpmp", "r_c_kbpmp", "d_g", "d_c")
 _RATE_FIELDS = ("gamma_g", "theta_g", "gamma_c", "theta_c")
-
-
-class ModelSanityWarning(UserWarning):
-    """Fitted distortion slope is negative; the model is suspect."""
 
 
 def qp_to_step(qp) -> float:
@@ -151,11 +146,14 @@ class DistortionModel:
     b: float
     c: float
     omega: float
-    sanity: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.a, self.b, self.c, self.omega))):
             raise ValidationError("distortion model parameters must be finite")
+        # a negative slope leaves the barrier objective unbounded toward coarse steps
+        for name, slope in (("geometry slope a", self.a), ("color slope b", self.b)):
+            if slope < 0:
+                raise ValidationError(f"distortion {name}={slope:.4g} is negative")
 
 
 @dataclass(frozen=True)
@@ -169,10 +167,13 @@ class RateModel:
         if not all(map(math.isfinite, (self.gamma_g, self.theta_g,
                                        self.gamma_c, self.theta_c))):
             raise ValidationError("rate model parameters must be finite")
-        if self.gamma_g <= 0 or self.gamma_c <= 0:
-            raise ValidationError("rate model gammas must be positive")
-        if self.theta_g >= 0 or self.theta_c >= 0:
-            raise NonMonotoneRateError("rate exponents must be negative")
+        for stream, gamma, theta in (("geometry", self.gamma_g, self.theta_g),
+                                     ("color", self.gamma_c, self.theta_c)):
+            if gamma <= 0:
+                raise ValidationError(f"{stream} rate gamma {gamma:.4g} is not positive")
+            if theta >= 0:
+                raise NonMonotoneRateError(f"{stream} rate exponent {theta:.4g} is not "
+                                           "negative; rate does not decay")
 
 
 def predict_distortion(m: DistortionModel, q: QuantPair) -> float:
@@ -186,19 +187,14 @@ def predict_rate(m: RateModel, q: QuantPair) -> float:
 
 def _fit_power_law(q1: float, r1: float, q2: float, r2: float,
                    label: str) -> tuple[float, float]:
-    if r1 <= 0 or r2 <= 0:
-        raise ValidationError(f"{label} rates must be positive")
     if q1 == q2:
         raise DegenerateProbesError(f"{label} steps are equal; power law unidentifiable")
-    theta = math.log(r1 / r2) / math.log(q1 / q2)
-    if theta >= 0:
-        raise NonMonotoneRateError(
-            f"{label} exponent {theta:.4g} is not negative; rate does not decay"
-        )
-    scale = q1**theta
-    if scale == 0.0:
-        raise ValidationError(f"{label} exponent {theta:.4g} is too steep to fit")
-    return r1 / scale, theta
+    try:
+        theta = math.log(r1 / r2) / math.log(q1 / q2)
+        return r1 / q1**theta, theta
+    except (ArithmeticError, ValueError):  # r1/r2 or q1**theta beyond the float range
+        raise ValidationError(f"{label} rates {r1:.4g} and {r2:.4g} are too far "
+                              "apart to fit a power law") from None
 
 
 def fit_rate_model(p1: ProbePoint, p2: ProbePoint) -> RateModel:
@@ -222,8 +218,6 @@ def fit_rate_model_lstsq(probes: Sequence[ProbePoint]) -> RateModel:
         if np.ptp(q) == 0:
             raise DegenerateProbesError(f"{label} steps are all equal")
         th, lg = np.polyfit(np.log(q), np.log(r), 1)
-        if th >= 0:
-            raise NonMonotoneRateError(f"{label} exponent {th:.4g} is not negative")
         return math.exp(lg), float(th)
 
     gamma_g, theta_g = solve(qg, rg, "geometry")
@@ -231,16 +225,15 @@ def fit_rate_model_lstsq(probes: Sequence[ProbePoint]) -> RateModel:
     return RateModel(gamma_g, theta_g, gamma_c, theta_c)
 
 
-def _finish_distortion_fit(a: float, b: float, c: float,
-                           omega: float) -> DistortionModel:
-    notes = []
-    if a < 0:
-        notes.append(f"geometry slope a={a:.4g} is negative")
-    if b < 0:
-        notes.append(f"color slope b={b:.4g} is negative")
-    if notes:
-        warnings.warn("; ".join(notes), ModelSanityWarning, stacklevel=3)
-    return DistortionModel(a, b, c, omega, tuple(notes))
+def _plane_system(probes: Sequence[ProbePoint]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows [q_g, q_c, 1] and distortions of the probes, for either
+    distortion fit; collinear step pairs cannot identify the plane."""
+    mat = np.array([[p.qp.steps().q_g, p.qp.steps().q_c, 1.0] for p in probes])
+    if np.linalg.cond(mat) > 1e12:
+        raise DegenerateProbesError(
+            "probe step pairs are collinear; distortion plane unidentifiable"
+        )
+    return mat, np.array([p.d for p in probes])
 
 
 def fit_distortion_model(p1: ProbePoint, p2: ProbePoint, p3: ProbePoint,
@@ -248,17 +241,9 @@ def fit_distortion_model(p1: ProbePoint, p2: ProbePoint, p3: ProbePoint,
     """Exact affine fit D = a*Qg + b*Qc + c through three probes.
 
     The 3x3 system is solved by LU elimination with partial pivoting.
-    Negative slopes are allowed but flagged on the result and warned about.
     """
-    probes = (p1, p2, p3)
-    mat = np.array([[p.qp.steps().q_g, p.qp.steps().q_c, 1.0] for p in probes])
-    rhs = np.array([p.d for p in probes])
-    if np.linalg.cond(mat) > 1e12:
-        raise DegenerateProbesError(
-            "probe step pairs are collinear; distortion plane unidentifiable"
-        )
-    a, b, c = np.linalg.solve(mat, rhs)
-    return _finish_distortion_fit(float(a), float(b), float(c), omega)
+    a, b, c = np.linalg.solve(*_plane_system((p1, p2, p3)))
+    return DistortionModel(float(a), float(b), float(c), omega)
 
 
 def fit_distortion_model_lstsq(probes: Sequence[ProbePoint],
@@ -266,19 +251,14 @@ def fit_distortion_model_lstsq(probes: Sequence[ProbePoint],
     """Least-squares affine fit over 3+ probes."""
     if len(probes) < 3:
         raise ValidationError("need at least three probes")
-    mat = np.array([[p.qp.steps().q_g, p.qp.steps().q_c, 1.0] for p in probes])
-    rhs = np.array([p.d for p in probes])
-    if np.linalg.matrix_rank(mat) < 3:
-        raise DegenerateProbesError("probe step pairs are collinear")
-    (a, b, c), *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    return _finish_distortion_fit(float(a), float(b), float(c), omega)
+    (a, b, c), *_ = np.linalg.lstsq(*_plane_system(probes), rcond=None)
+    return DistortionModel(float(a), float(b), float(c), omega)
 
 
 def model_to_dict(dm: DistortionModel, rm: RateModel) -> dict:
     """The model-file layout that ``fit`` writes and ``allocate`` reads."""
     return {
-        "distortion": {"a": dm.a, "b": dm.b, "c": dm.c, "omega": dm.omega,
-                       "sanity": list(dm.sanity)},
+        "distortion": {"a": dm.a, "b": dm.b, "c": dm.c, "omega": dm.omega},
         "rate": {name: getattr(rm, name) for name in _RATE_FIELDS},
     }
 
@@ -286,18 +266,18 @@ def model_to_dict(dm: DistortionModel, rm: RateModel) -> dict:
 def model_from_dict(doc) -> tuple[DistortionModel, RateModel]:
     """Inverse of ``model_to_dict``; every numeric field must be a finite real.
 
-    A missing ``omega`` reads as 0.5 and a missing ``sanity`` as no notes.
+    A missing ``omega`` reads as 0.5; a ``sanity`` list that older files
+    carry in ``distortion`` is ignored.
     """
     try:
         d, r = doc["distortion"], doc["rate"]
         values = [d["a"], d["b"], d["c"], d.get("omega", 0.5)]
         values += [r[name] for name in _RATE_FIELDS]
-        sanity = tuple(d.get("sanity", ()))
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"bad model: missing or misplaced field {exc}") from exc
     names = ("a", "b", "c", "omega") + _RATE_FIELDS
     values = [finite_number(name, x, "model") for name, x in zip(names, values)]
-    return DistortionModel(*values[:4], sanity), RateModel(*values[4:])
+    return DistortionModel(*values[:4]), RateModel(*values[4:])
 
 
 def probes_from_records(records: Sequence[ProbeRecord],

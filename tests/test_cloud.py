@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import struct
@@ -6,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pcbitalloc.cli import main
+from pcbitalloc.cli import build_parser, main
 from pcbitalloc.cloud import (
     LUMA_SCALE,
+    LUMA_WEIGHTS,
     PointCloud,
     load_ply,
     luma_scaled,
@@ -163,6 +165,12 @@ class TestLuminance:
     def test_unknown_weights_named(self, weights):
         with pytest.raises(ValidationError, match="bt709, bt601"):
             luma_scaled([[1, 2, 3]], weights)
+
+    def test_cli_choices_are_the_weight_names(self):
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        option = subparsers.choices["metric"]._option_string_actions["--luma-weights"]
+        assert list(option.choices) == list(LUMA_WEIGHTS)
 
     @given(st.tuples(*[st.integers(0, 255)] * 3))
     def test_bounded(self, c):
@@ -347,8 +355,25 @@ class TestPlyParsing:
 
     def test_negative_coordinate_rejected(self, tmp_path):
         text = ASCII_3PT.replace("1 2 3", "-1 2 3")
-        with pytest.raises(ValidationError):
+        with pytest.raises(PlyBodyError, match=r"row 1: coordinates \[-1.0, 2.0, 3.0\] "
+                                               "are negative after rounding"):
             load_ply(write(tmp_path, text))
+
+    @pytest.mark.parametrize("x, outcome", [
+        (-0.5, [0, 4, 4]),  # rounds half to even, to 0
+        (-0.4, [0, 4, 4]),
+        (-0.6, "vertex row 2: coordinates [-1.0, 4.0, 4.0] are negative after rounding"),
+    ])
+    def test_negative_float_coordinate_refused_once_rounded(self, tmp_path, x, outcome):
+        # the ascii and binary float readers load the same cloud or give the same error
+        rows = [(0, 0, 0, 255, 0, 0), (1, 2, 3, 0, 255, 0), (x, 4, 4, 0, 0, 255)]
+        for binary in (False, True):
+            try:
+                cloud = load_ply(write(tmp_path, ply(rows, "float", binary=binary)))
+            except PlyBodyError as exc:
+                assert str(exc) == outcome
+            else:
+                assert cloud.positions[2].tolist() == outcome
 
     def test_bit_depth_comment_honored(self, tmp_path):
         text = ASCII_3PT.replace("element vertex",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,6 @@ from pcbitalloc.errors import (
 )
 from pcbitalloc.models import (
     DistortionModel,
-    ModelSanityWarning,
     ProbePoint,
     ProbeRecord,
     QpPair,
@@ -121,8 +122,22 @@ class TestRateFit:
             probe(33, 25, 0.0, 100.0)
 
     def test_non_monotone_rejected(self):
-        with pytest.raises(NonMonotoneRateError):
+        with pytest.raises(NonMonotoneRateError, match="geometry rate exponent"):
             fit_rate_model(probe(33, 25, 100, 100), probe(34, 35, 120, 90))
+        probes = [probe(33, 25, 100, 100), probe(34, 35, 90, 120), probe(24, 33, 300, 110)]
+        with pytest.raises(NonMonotoneRateError, match="color rate exponent"):
+            fit_rate_model_lstsq(probes)
+
+    # rates so far apart that r1/r2 or the scale q**theta leaves the float range;
+    # qp 22 and 23 are one step apart, the smallest step ratio on the grid
+    @pytest.mark.parametrize("rates", [(1e-300, 1e300), (1e200, 1.0), (1.0, 1e200)],
+                             ids=["ratio-underflow", "scale-underflow", "scale-overflow"])
+    def test_rates_beyond_the_float_range_refused(self, rates):
+        probes = [probe(22, 22, rates[0], 100), probe(23, 35, rates[1], 90)]
+        message = f"geometry rates {rates[0]:.4g} and {rates[1]:.4g} are too far apart"
+        with pytest.raises(ValidationError, match=re.escape(message)) as exc:
+            fit_rate_model(*probes)
+        assert type(exc.value) is ValidationError
 
     def test_lstsq_matches_exact_on_clean_data(self):
         spec = random_spec(seed=10)
@@ -143,7 +158,6 @@ class TestDistortionFit:
         assert m.b == pytest.approx(0.25, rel=1e-12)
         assert m.c == pytest.approx(4.0, rel=1e-12)
         assert m.omega == 0.5
-        assert m.sanity == ()
 
     def test_exact_recovery(self):
         truth = (0.1, 0.3, 2.0)
@@ -172,14 +186,35 @@ class TestDistortionFit:
         with pytest.raises(DegenerateProbesError):
             fit_distortion_model(*probes, omega=0.5)
 
-    def test_negative_slope_warns_and_flags(self):
+    @pytest.mark.parametrize("fit", [lambda ps: fit_distortion_model(*ps, omega=0.5),
+                                     lambda ps: fit_distortion_model_lstsq(ps, 0.5)],
+                             ids=["exact", "lstsq"])
+    def test_negative_slope_refused(self, fit):
         probes = [probe_at_steps(8.0, 8.0, 1, 1, 10.0),
                   probe_at_steps(16.0, 8.0, 1, 1, 8.0),   # distortion drops with q_g
                   probe_at_steps(8.0, 16.0, 1, 1, 12.0)]
-        with pytest.warns(ModelSanityWarning):
-            m = fit_distortion_model(*probes, omega=0.5)
-        assert m.a < 0
-        assert m.sanity
+        with pytest.raises(ValidationError, match=r"geometry slope a=-0\.25 is negative"):
+            fit(probes)
+        with pytest.raises(ValidationError, match=r"color slope b=-0\.5 is negative"):
+            DistortionModel(0.5, -0.5, 4.0, 0.5)
+
+    # both fits build the same [q_g, q_c, 1] system and refuse it by one test
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(22, 42), st.integers(22, 42)),
+                    min_size=3, max_size=3))
+    def test_exact_and_lstsq_refuse_the_same_grid_triples(self, qps):
+        probes = [probe(g, c, 1, 1, 0.5 * qp_to_step(g) + 0.25 * qp_to_step(c) + 4.0)
+                  for g, c in qps]
+        refused = []
+        for fit in (lambda: fit_distortion_model(*probes, omega=0.5),
+                    lambda: fit_distortion_model_lstsq(probes, 0.5)):
+            try:
+                fit()
+            except DegenerateProbesError:
+                refused.append(True)
+            else:
+                refused.append(False)
+        assert refused[0] == refused[1]
 
     def test_lstsq_overdetermined(self, rng):
         truth = (0.2, 0.6, 1.5)
@@ -228,10 +263,15 @@ class TestPrediction:
         assert totals[0] > totals[1] > totals[2]
 
     def test_rate_model_invariants(self):
-        with pytest.raises(NonMonotoneRateError):
-            RateModel(100, 0.5, 100, -1)
-        with pytest.raises(ValidationError):
-            RateModel(-1, -1, 100, -1)
+        # each refusal names its stream and the value
+        for params, error, match in [
+            ((100, 0.5, 100, -1), NonMonotoneRateError, "geometry rate exponent 0.5 is not"),
+            ((100, -1, 100, 0.0), NonMonotoneRateError, "color rate exponent 0 is not"),
+            ((-1, -1, 100, -1), ValidationError, "geometry rate gamma -1 is not positive"),
+            ((100, -1, 0.0, -1), ValidationError, "color rate gamma 0 is not positive"),
+        ]:
+            with pytest.raises(error, match=match):
+                RateModel(*params)
 
 
 class TestProbeLog:
@@ -282,17 +322,18 @@ class TestProbeLog:
 
 class TestModelDict:
     def test_round_trip(self):
-        dm = DistortionModel(-0.1, 0.25, 4.0, 0.75, ("geometry slope a=-0.1 is negative",))
+        dm = DistortionModel(0.1, 0.25, 4.0, 0.75)
         rm = RateModel(6400.5, -1.25, 3200.0, -0.8)
-        dm2, rm2 = model_from_dict(model_to_dict(dm, rm))
-        assert (dm2, rm2) == (dm, rm)
-        assert dm2.sanity == dm.sanity
+        doc = model_to_dict(dm, rm)
+        assert set(doc["distortion"]) == {"a", "b", "c", "omega"}
+        assert model_from_dict(doc) == (dm, rm)
 
-    def test_omega_and_sanity_default(self):
+    def test_omega_default_and_old_sanity_key_ignored(self):
         doc = model_to_dict(DistortionModel(0.5, 0.25, 4.0, 0.5), RateModel(6400, -1, 3200, -1))
-        del doc["distortion"]["omega"], doc["distortion"]["sanity"]
+        del doc["distortion"]["omega"]
+        doc["distortion"]["sanity"] = ["geometry slope a=-0.1 is negative"]
         dm, _ = model_from_dict(doc)
-        assert (dm.omega, dm.sanity) == (0.5, ())
+        assert dm == DistortionModel(0.5, 0.25, 4.0, 0.5)
 
 
 class TestSchedule:

@@ -15,15 +15,16 @@ from pcbitalloc.cli import build_parser, main
 from pcbitalloc.cloud import PointCloud, save_ply
 from pcbitalloc.errors import ValidationError
 from pcbitalloc.models import (
-    PROBE_LOG_HEADER, QpPair, RateModel, model_to_dict, weighted, write_probe_log,
+    PROBE_LOG_HEADER, ProbeRecord, QpPair, RateModel, model_to_dict, weighted,
+    write_probe_log,
 )
 from pcbitalloc.metrics import psnr
 from pcbitalloc.pipeline import (
     bd_gap, fit_models, psnr_fields, run_pipeline, write_report,
 )
 from pcbitalloc.simcodec import (
-    SyntheticCodecSpec, encode, random_spec, run_probe_schedule, spec_from_dict,
-    spec_to_dict,
+    SyntheticCodecSpec, encode, probe_schedule, random_spec, run_probe_schedule,
+    spec_from_dict, spec_to_dict,
 )
 
 from conftest import make_cloud
@@ -324,6 +325,20 @@ class TestCli:
         assert err.startswith("error [validation]: ") and err.count("\n") == 1
         assert not report.exists()
 
+    def test_fit_refuses_a_negative_slope(self, tmp_path, capsys):
+        records = []
+        for qp in probe_schedule():
+            q = qp.steps()
+            d = -0.5 * q.q_g + 0.25 * q.q_c + 40.0  # falls as the geometry step coarsens
+            records.append(ProbeRecord(qp, 6400 / q.q_g, 3200 / q.q_c, d, d))
+        log, model_path = tmp_path / "probes.csv", tmp_path / "model.json"
+        write_probe_log(log, records)
+        assert main(["fit", "--probes", str(log), "--omega", "0.5",
+                     "-o", str(model_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [validation]: distortion geometry slope a=-0.5 is negative")
+        assert not model_path.exists()
+
     def test_exit_code_infeasible(self, tmp_path, capsys):
         spec = SyntheticCodecSpec(rate=RateModel(**WORKED_SPEC["rate"]),
                                   **{k: v for k, v in WORKED_SPEC.items() if k != "rate"})
@@ -415,6 +430,7 @@ class TestCli:
         ("theta_c", float("-inf"), "1000"),
         pytest.param("a", 10**400, "1000", id="a-huge-1000"),
         pytest.param("gamma_g", -10**400, "1000", id="gamma_g-minus-huge-1000"),
+        pytest.param("a", -0.05, "1000", id="a-negative-1000"),
     ])
     def test_allocate_rejects_malformed_input(self, tmp_path, capsys, field, value, target):
         spec = SyntheticCodecSpec(rate=RateModel(**WORKED_SPEC["rate"]),

@@ -1,8 +1,9 @@
 """The README's python examples run as written, in order, in one namespace,
-its CLI synopsis lists only flags the parser accepts, and every error class
-it names exists."""
+its CLI synopsis lists only flags the parser accepts, its model file is the
+one ``fit`` writes, and every error class it names exists."""
 
 import argparse
+import json
 import re
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import numpy as np
 from pcbitalloc import errors
 from pcbitalloc.cli import build_parser
 from pcbitalloc.cloud import PointCloud, save_ply
+from pcbitalloc.models import DistortionModel, RateModel, model_to_dict
 
 from conftest import make_cloud
 
@@ -49,6 +51,12 @@ def test_cli_synopsis_flags_exist():
     assert set(flags) == set(subparsers)
     for command, listed in flags.items():
         assert listed <= set(subparsers[command]._option_string_actions), command
+
+
+def test_model_file_block_is_the_written_layout():
+    block = README.read_text().split("one model file;", 1)[1].split("```json\n")[1]
+    worked = (DistortionModel(0.5, 0.25, 4.0, 0.5), RateModel(6400, -1, 3200, -1))
+    assert json.loads(block.split("```")[0]) == model_to_dict(*worked)
 
 
 def test_error_names_exist():
