@@ -212,7 +212,7 @@ def solve_interior_point(p: AllocationProblem, max_newton_iters: int = MAX_NEWTO
     continuous = QuantPair(q_g, q_c)
     return Allocation(
         continuous=continuous,
-        qp=polish_rounding(p, round_to_grid(p, continuous), POLISH_RADIUS),
+        qp=polish_rounding(p, round_to_grid(p, continuous)),
         predicted_rate=p.rate(continuous),
         predicted_distortion=p.distortion(continuous),
     )
@@ -255,17 +255,15 @@ def round_to_grid(p: AllocationProblem, continuous: QuantPair) -> QpPair:
             i_c += 1
 
 
-def polish_rounding(p: AllocationProblem, qp: QpPair, radius: int) -> QpPair:
-    """Best admissible pair within a small QP window around a rounded pair.
+def polish_rounding(p: AllocationProblem, qp: QpPair) -> QpPair:
+    """Best admissible pair within ``POLISH_RADIUS`` QPs of a rounded pair.
 
     Per-component rounding can strand a few percent of the budget; this
     re-minimizes the modeled distortion over the feasible cells within
     the window, using the same tie order as the exhaustive baseline.
-    Returns the input pair unchanged when radius is not positive or no
-    window cell fits the budget.
+    Returns the input pair unchanged when no window cell fits the budget.
     """
-    if radius <= 0:
-        return qp
+    radius = POLISH_RADIUS
     i_g, i_c = qp.qp_g - QP_MIN, qp.qp_c - QP_MIN
     g0, c0 = max(i_g - radius, 0), max(i_c - radius, 0)
     rate, distortion = _model_cells(p, _STEPS[g0:i_g + radius + 1],

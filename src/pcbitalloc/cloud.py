@@ -9,17 +9,16 @@ properties are skipped with a warning. The writer records the bit depth
 in a ``comment bit_depth N`` line so a save/load round trip restores it;
 absent that, the smallest depth containing all coordinates is used, and a
 comment smaller than that depth or above 31 is rejected; the writer
-refuses a cloud whose depth is above 31. The reader also rejects
-non-finite coordinates, coordinates of 2^31 or more in magnitude or
-negative once rounded, and fractional colors. Both bodies are parsed
-and written as whole arrays,
+refuses a cloud whose depth is above 31. Each coordinate, once
+rounded, must be an integer in [0, 2^31), and each color an integer in
+[0, 255]; every body error names the first bad row and prints its
+values as floats. Both bodies are parsed and written as whole arrays,
 and the x,y,z and red,green,blue columns reach the checks in the type
 they were parsed to. Binary fields go straight to int64 positions and
 uint8 colors: only float coordinates are rounded, and colors are checked
 only when their type is not uchar. An ascii body is parsed as int64
 first, the common case for voxelized clouds, and parsed again as float64
-only when a token is not an integer that fits. Whatever the type, an
-error names the first bad row and prints its values as floats. The
+only when a token is not an integer that fits. The
 ascii writer builds one matrix of digit characters with
 whole-array ``// 10`` steps, masks the leading zeros and writes the rest
 as one byte string, the same bytes ``"%d"`` gives. The body is read to
@@ -279,8 +278,12 @@ def _read_body(fh, fmt: str, n_vertex: int, props, cols) -> tuple[np.ndarray, np
                  for names in (("x", "y", "z"), ("red", "green", "blue")))
 
 
-def _first_bad_row(bad: np.ndarray) -> int:
-    return int(np.flatnonzero(bad.any(axis=1))[0])
+def _check_rows(ok: np.ndarray, values: np.ndarray, what: str, rule: str) -> None:
+    """Raise PlyBodyError naming the first row with a false entry in ok."""
+    if not ok.all():
+        row = int(np.flatnonzero(~ok.all(axis=1))[0])
+        raise PlyBodyError(f"vertex row {row}: {what} "
+                           f"{values[row].astype(np.float64).tolist()} {rule}")
 
 
 def load_ply(path) -> PointCloud:
@@ -292,37 +295,20 @@ def load_ply(path) -> PointCloud:
             raise PlyHeaderError("vertex count must be >= 1")
         xyz, rgb = _read_body(fh, fmt, n_vertex, props, _locate_columns(props))
 
-    is_float = xyz.dtype.kind == "f"
-    if is_float:
-        with np.errstate(invalid="ignore"):
-            bad = ~(np.abs(xyz) < _COORD_LIMIT)  # also true for NaN
-    else:
-        bad = (xyz <= -_COORD_LIMIT) | (xyz >= _COORD_LIMIT)
-    if bad.any():
-        row = _first_bad_row(bad)
-        raise PlyBodyError(
-            f"vertex row {row}: coordinates {xyz[row].astype(np.float64).tolist()} "
-            "are not finite or not below 2^31 in magnitude"
-        )
-    if rgb.dtype != np.uint8:
-        if rgb.dtype.kind == "f":
-            fractional = rgb != np.rint(rgb)  # also true for NaN
-            if fractional.any():
-                row = _first_bad_row(fractional)
-                raise PlyBodyError(f"vertex row {row}: color values "
-                                   f"{rgb[row].tolist()} are not integers")
-        if rgb.min() < 0 or rgb.max() > 255:
-            raise PlyBodyError("color values outside [0, 255]")
-    if is_float:
-        # np.rint rounds halves to even, matching the documented convention;
-        # xyz is the parser's own copy, so it is rounded in place
+    if xyz.dtype.kind == "f":
+        # np.rint rounds halves to even, matching the documented convention,
+        # and keeps NaN and inf; xyz is the parser's own copy, so in place
         np.rint(xyz, out=xyz)
+    with np.errstate(invalid="ignore"):
+        ok = (xyz >= 0) & (xyz < _COORD_LIMIT)  # false for NaN
+    _check_rows(ok, xyz, "coordinates", "are not finite integers in [0, 2^31) once rounded")
+    if rgb.dtype != np.uint8:
+        with np.errstate(invalid="ignore"):
+            ok = (rgb >= 0) & (rgb <= 255)
+            if rgb.dtype.kind == "f":
+                ok &= rgb == np.rint(rgb)
+        _check_rows(ok, rgb, "color values", "are not integers in [0, 255]")
     positions = xyz.astype(np.int64, copy=False)
-    if positions.min() < 0:
-        row = _first_bad_row(positions < 0)
-        raise PlyBodyError(f"vertex row {row}: coordinates "
-                           f"{positions[row].astype(np.float64).tolist()} "
-                           "are negative after rounding")
     needed = min_bit_depth(positions)
     if bit_depth_hint is None:
         bit_depth_hint = needed

@@ -218,7 +218,11 @@ def fit_rate_model_lstsq(probes: Sequence[ProbePoint]) -> RateModel:
         if np.ptp(q) == 0:
             raise DegenerateProbesError(f"{label} steps are all equal")
         th, lg = np.polyfit(np.log(q), np.log(r), 1)
-        return math.exp(lg), float(th)
+        try:
+            return math.exp(lg), float(th)
+        except OverflowError:
+            raise ValidationError(f"{label} rates {r.max():.4g} and {r.min():.4g} are too "
+                                  "far apart to fit a power law") from None
 
     gamma_g, theta_g = solve(qg, rg, "geometry")
     gamma_c, theta_c = solve(qc, rc, "color")

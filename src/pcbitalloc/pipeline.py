@@ -129,24 +129,21 @@ def read_psnr(row: dict, what: str) -> float | None:
 
 
 def rd_curve(points):
-    """Sorted, duplicate-free (rate, psnr) curve, or None if too short."""
+    """Sorted, duplicate-free (rate, psnr) curve."""
     pts = sorted(set((round(r, 9), q) for r, q in points if q is not None))
     dedup = []
     for r, q in pts:
         if not dedup or r > dedup[-1][0]:
             dedup.append((r, q))
-    return dedup if len(dedup) >= 4 else None
+    return dedup
 
 
 def bd_gap(esa_points, pba_points) -> float | None:
     """BD-PSNR of the allocator's (rate, psnr) points over the baseline's,
     or None when either curve is too short, holds a lossless (+inf PSNR)
     point or the two do not overlap."""
-    curve_esa, curve_pba = rd_curve(esa_points), rd_curve(pba_points)
-    if not (curve_esa and curve_pba):
-        return None
     try:
-        return bd_psnr(curve_esa, curve_pba)
+        return bd_psnr(rd_curve(esa_points), rd_curve(pba_points))
     except ValidationError:
         return None
 

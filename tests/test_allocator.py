@@ -8,6 +8,7 @@ from pcbitalloc.allocator import (
     EPS,
     ETA,
     MU0,
+    POLISH_RADIUS,
     AllocationProblem,
     GridTable,
     barrier_objective,
@@ -253,8 +254,7 @@ class TestRounding:
 
     def test_polish_spends_stranded_budget(self):
         p = worked_problem()
-        assert polish_rounding(p, QpPair(24, 24), radius=2) == QpPair(24, 23)
-        assert polish_rounding(p, QpPair(24, 24), radius=0) == QpPair(24, 24)
+        assert polish_rounding(p, QpPair(24, 24)) == QpPair(24, 23)
 
     def test_solver_qp_matches_exhaustive_on_worked_example(self):
         p = worked_problem()
@@ -274,23 +274,21 @@ class TestRounding:
     # seed 0 at 0.3x its budget: no cell of the (22, 22) window fits
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 1999), st.integers(22, 42), st.integers(22, 42),
-           st.integers(0, 3), st.floats(0.3, 2.0))
-    @example(0, 22, 22, 1, 0.3)
-    def test_polish_matches_window_loop(self, seed, qp_g, qp_c, radius, scale):
+           st.floats(0.3, 2.0))
+    @example(0, 22, 22, 0.3)
+    def test_polish_matches_window_loop(self, seed, qp_g, qp_c, scale):
         spec, omega, r_target = well_posed_instance(seed)
         p = AllocationProblem(spec.distortion_model(omega), spec.rate, r_target * scale)
         qp = QpPair(qp_g, qp_c)
-        assert polish_rounding(p, qp, radius) == window_key_search(p, qp, radius)
+        assert polish_rounding(p, qp) == window_key_search(p, qp)
         q = qp.steps()
         assert model_oracle(p)(qp) == (p.rate(q), p.distortion(q))
 
 
-def window_key_search(p, qp, radius):
+def window_key_search(p, qp, radius=POLISH_RADIUS):
     """The reference polish loop: the admissible cell of least
     (distortion, rate, qp_g, qp_c) within radius QPs of qp on each axis,
-    or qp itself when radius is 0 or no window cell fits."""
-    if radius == 0:
-        return qp
+    or qp itself when no window cell fits."""
     best = None
     for qp_g in range(max(22, qp.qp_g - radius), min(43, qp.qp_g + radius + 1)):
         for qp_c in range(max(22, qp.qp_c - radius), min(43, qp.qp_c + radius + 1)):

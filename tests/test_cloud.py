@@ -245,13 +245,17 @@ class TestPlyParsing:
         ("4 4 4 0 0 255", "4 inf 4 0 0 255", PlyBodyError, "row 2.*not finite"),
         ("4 4 4 0 0 255", "4 4 1e30 0 0 255", PlyBodyError, "row 2.*2\\^31"),
         ("4 4 4 0 0 255", "4 4 -1e30 0 0 255", PlyBodyError, "row 2.*2\\^31"),
+        ("4 4 4 0 0 255", "2147483647.6 4 4 0 0 255", PlyBodyError,
+         "row 2: coordinates \\[2147483648.0, 4.0, 4.0\\] .*2\\^31"),
+        ("4 4 4 0 0 255", "4 4 4 0 0 256", PlyBodyError,
+         "row 2: color values \\[0.0, 0.0, 256.0\\] are not integers in \\[0, 255\\]"),
         ("4 4 4 0 0 255", "4 4 4 0 0", PlyBodyError, None),
         ("4 4 4 0 0 255", "4 4 x 0 0 255", PlyBodyError, None),
         ("element vertex", "comment bit_depth 2\nelement vertex",
          PlyHeaderError, "bit_depth 2 is smaller"),
     ], ids=["fractional-color", "nan-color", "nan-coord", "inf-coord",
-            "huge-coord", "huge-negative-coord", "too-few-fields", "not-a-number",
-            "bit-depth-too-small"])
+            "huge-coord", "huge-negative-coord", "rounds-to-2^31", "uchar-color-over-255",
+            "too-few-fields", "not-a-number", "bit-depth-too-small"])
     def test_invalid_vertex_data_rejected(self, tmp_path, old, new, error, match):
         with pytest.raises(error, match=match):
             load_ply(write(tmp_path, ASCII_3PT.replace(old, new)))
@@ -278,13 +282,16 @@ class TestPlyParsing:
         (2, (4, 4, 1e30, 0, 0, 255), "double", "row 2.*2\\^31"),
         (2, (4, 4, -1e30, 0, 0, 255), "double", "row 2.*2\\^31"),
         (2, (3000000000, 4, 4, 0, 0, 255), "uint", "row 2.*2\\^31"),
+        (2, (2147483647.6, 4, 4, 0, 0, 255), "double",
+         "row 2: coordinates \\[2147483648.0, 4.0, 4.0\\] .*2\\^31"),
         (1, (1, 2, 3, 3.5, 255, 0), "int", "row 1.*not integers"),
         (1, (1, 2, 3, np.nan, 255, 0), "int", "row 1.*not integers"),
-        (2, (4, 4, 4, 0, 0, 256), "int", "outside \\[0, 255\\]"),
-        (0, (0, 0, 0, -1, 0, 0), "int", "outside \\[0, 255\\]"),
+        (2, (4, 4, 4, 0, 0, 256), "int",
+         "row 2: color values \\[0.0, 0.0, 256.0\\] are not integers in \\[0, 255\\]"),
+        (0, (0, 0, 0, -1, 0, 0), "int", "row 0: color values \\[-1.0, 0.0, 0.0\\]"),
     ], ids=["nan-coord", "inf-coord", "huge-coord", "huge-negative-coord",
-            "uint-over-2^31", "fractional-color", "nan-color", "color-over-255",
-            "negative-color"])
+            "uint-over-2^31", "rounds-to-2^31", "fractional-color", "nan-color",
+            "color-over-255", "negative-color"])
     def test_binary_invalid_vertex_data_rejected_as_ascii(self, tmp_path, i, row, ctype,
                                                           match):
         # the binary reader refuses what the ascii reader does, with its message;
@@ -356,13 +363,14 @@ class TestPlyParsing:
     def test_negative_coordinate_rejected(self, tmp_path):
         text = ASCII_3PT.replace("1 2 3", "-1 2 3")
         with pytest.raises(PlyBodyError, match=r"row 1: coordinates \[-1.0, 2.0, 3.0\] "
-                                               "are negative after rounding"):
+                                               r"are not finite integers in \[0, 2\^31\)"):
             load_ply(write(tmp_path, text))
 
     @pytest.mark.parametrize("x, outcome", [
         (-0.5, [0, 4, 4]),  # rounds half to even, to 0
         (-0.4, [0, 4, 4]),
-        (-0.6, "vertex row 2: coordinates [-1.0, 4.0, 4.0] are negative after rounding"),
+        (-0.6, "vertex row 2: coordinates [-1.0, 4.0, 4.0] are not finite integers "
+               "in [0, 2^31) once rounded"),
     ])
     def test_negative_float_coordinate_refused_once_rounded(self, tmp_path, x, outcome):
         # the ascii and binary float readers load the same cloud or give the same error
@@ -466,6 +474,24 @@ class TestBitDepthLimit:
         path = write(tmp_path, text)
         assert main(["metric", str(path), str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["geometry_peak"] == 2**31 - 1
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["ascii", "binary"])
+    def test_double_rounding_below_2_31_loads_at_depth_31(self, tmp_path, binary):
+        cloud = load_ply(write(tmp_path, ply([(2147483647.4, 0, 5, 1, 2, 3)], "double",
+                                             binary=binary)))
+        assert cloud.positions.tolist() == [[2**31 - 1, 0, 5]]
+        assert cloud.bit_depth == 31
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["ascii", "binary"])
+    def test_metric_refuses_a_double_rounding_to_2_31(self, tmp_path, capsys, binary):
+        # a body error, whatever the bit_depth comment says
+        blob = ply([(2147483647.6, 0, 5, 1, 2, 3)], "double", binary=binary)
+        path = write(tmp_path, blob.replace(b"element vertex",
+                                            b"comment bit_depth 31\nelement vertex"))
+        assert main(["metric", str(path), str(path)]) == 4
+        assert capsys.readouterr().err == (
+            "error [io]: vertex row 0: coordinates [2147483648.0, 0.0, 5.0] "
+            "are not finite integers in [0, 2^31) once rounded\n")
 
     @pytest.mark.parametrize("binary", [False, True], ids=["ascii", "binary"])
     def test_save_refuses_depth_above_31_before_opening(self, tmp_path, binary):

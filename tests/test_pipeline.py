@@ -339,6 +339,24 @@ class TestCli:
         assert err.startswith("error [validation]: distortion geometry slope a=-0.5 is negative")
         assert not model_path.exists()
 
+    def test_fit_refuses_rates_too_far_apart(self, tmp_path, capsys):
+        # the least-squares rate fit's gamma_g would be beyond the float range
+        records = []
+        for (qp_g, qp_c), r_g in zip([(22, 22), (23, 35), (22, 30), (30, 25)],
+                                     [1e300, 1e-300, 1e300, 1e-300]):
+            qp = QpPair(qp_g, qp_c)
+            q = qp.steps()
+            d = 0.5 * q.q_g + 0.25 * q.q_c + 10.0
+            records.append(ProbeRecord(qp, r_g, 3200 / q.q_c, d, d))
+        log, model_path = tmp_path / "probes.csv", tmp_path / "model.json"
+        write_probe_log(log, records)
+        assert main(["fit", "--probes", str(log), "--omega", "0.5",
+                     "-o", str(model_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error [validation]: geometry rates 1e+300 and 1e-300 are too far "
+                       "apart to fit a power law\n")
+        assert not model_path.exists()
+
     def test_exit_code_infeasible(self, tmp_path, capsys):
         spec = SyntheticCodecSpec(rate=RateModel(**WORKED_SPEC["rate"]),
                                   **{k: v for k, v in WORKED_SPEC.items() if k != "rate"})
