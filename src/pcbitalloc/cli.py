@@ -66,6 +66,8 @@ def _cmd_allocate(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
+    if args.csv and not args.output:
+        raise ValidationError("--csv needs -o: the CSV is written beside the report")
     report = pipeline.run_pipeline(_read_json(args.spec, "config"))
     if args.output:
         pipeline.write_report(report, args.output)

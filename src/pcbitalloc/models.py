@@ -150,6 +150,8 @@ class DistortionModel:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.a, self.b, self.c, self.omega))):
             raise ValidationError("distortion model parameters must be finite")
+        if not 0.0 <= self.omega <= 1.0:
+            raise ValidationError(f"distortion model omega={self.omega!r} is outside [0, 1]")
         # a negative slope leaves the barrier objective unbounded toward coarse steps
         for name, slope in (("geometry slope a", self.a), ("color slope b", self.b)):
             if slope < 0:

@@ -16,8 +16,12 @@ A ``probe_log`` config may also give ``overhead_kbpmp`` (default 0); a
 codec carries its own. A config holds no other keys, and not both
 ``codec`` and ``probe_log``. The ``solver`` object may hold only the
 Newton iteration cap, a positive integer; the barrier schedule itself is
-fixed in ``allocator``. The report is a JSON tree with sections
-``models``, ``allocations`` and ``evaluation``. Reports are byte-stable
+fixed in ``allocator``. Targets must be positive and cover the overhead,
+omegas lie in [0, 1]; the whole config is checked before the first encode.
+The report is a JSON tree with sections ``models``, ``allocations`` (one
+row per omega and target, the only place a per-target fact is written)
+and ``evaluation`` (``encode_calls``, plus ``cq_pct``, ``average`` and
+``bd_psnr_db`` when the baseline runs). Reports are byte-stable
 for a fixed config: the complexity quotient uses the simulated encode
 clock (a fixed cost per encode call), never wall time. With a synthetic
 codec backend the exhaustive baseline sweeps each grid pair once and
@@ -167,6 +171,12 @@ def run_pipeline(config: dict) -> dict:
             raise ValidationError(f"config needs a non-empty '{key}' list")
     targets = [finite_number("targets", t) for t in targets]
     omegas = [finite_number("omegas", w) for w in omegas]
+    for t in targets:
+        if t <= 0:
+            raise ValidationError(f"config 'targets' must be positive, got {t!r}")
+    for w in omegas:
+        if not 0 <= w <= 1:
+            raise ValidationError(f"config 'omegas' must lie in [0, 1], got {w!r}")
     run_esa = config.get("run_exhaustive", False)
     if not isinstance(run_esa, bool):
         raise ValidationError("config 'run_exhaustive' must be true or false")
@@ -178,14 +188,17 @@ def run_pipeline(config: dict) -> dict:
 
     if has_codec:
         spec = spec_from_dict(config["codec"])
-        records = run_probe_schedule(spec)
         overhead = spec.overhead_kbpmp
     else:
         spec = None
         if not isinstance(config["probe_log"], str):
             raise ValidationError("config 'probe_log' must be a path string")
-        records = read_probe_log(config["probe_log"])
         overhead = finite_number("overhead_kbpmp", config.get("overhead_kbpmp", 0.0))
+    for target in targets:
+        if target <= overhead:
+            raise InfeasibleBudgetError(f"target {target:g} kbpmp does not cover the overhead")
+
+    records = run_probe_schedule(spec) if has_codec else read_probe_log(config["probe_log"])
     pba_encode_calls = len(records)
 
     sweep = _grid_sweep(spec) if run_esa else None
@@ -195,7 +208,6 @@ def run_pipeline(config: dict) -> dict:
 
     models_out = {}
     allocations = []
-    rows = []
     curves = {}
     for omega in omegas:
         dm, rm = fit_models(records, omega)
@@ -206,10 +218,6 @@ def run_pipeline(config: dict) -> dict:
         esa_points = []
         for target in targets:
             budget = target - overhead
-            if budget <= 0:
-                raise InfeasibleBudgetError(
-                    f"target {target:g} kbpmp does not cover the overhead"
-                )
             problem = AllocationProblem(dm, rm, budget)
             alloc = solve_interior_point(problem, max_newton_iters)
             row = {"omega": omega, "target": target, "budget": budget,
@@ -244,22 +252,15 @@ def run_pipeline(config: dict) -> dict:
                 row["qpe"] = compute_qpe(alloc.qp, esa_qp)
                 esa_points.append((esa_rate, esa_quality))
             allocations.append(row)
-            eval_row = {k: row[k] for k in ("omega", "target", "be_pct", "qpe") if k in row}
-            if "actual" in row:
-                eval_row.update(psnr_fields(quality))
-            rows.append(eval_row)
         if pba_points and esa_points:
             curves[str(omega)] = bd_gap(esa_points, pba_points)
 
-    evaluation = {
-        "encode_calls": {"pba": pba_encode_calls, "esa": esa_encode_calls},
-        "per_target": rows,
-    }
+    evaluation = {"encode_calls": {"pba": pba_encode_calls, "esa": esa_encode_calls}}
     if esa_encode_calls:
         evaluation["cq_pct"] = compute_cq(pba_encode_calls * ENCODE_TIME_MS,
                                           esa_encode_calls * ENCODE_TIME_MS)
-        # the baseline gives every row a qpe and a be_pct, and rows is never empty
-        evaluation["average"] = {key: sum(r[key] for r in rows) / len(rows)
+        # the baseline gives every row a qpe and a be_pct, and there is always a row
+        evaluation["average"] = {key: sum(r[key] for r in allocations) / len(allocations)
                                  for key in ("qpe", "be_pct")}
         evaluation["bd_psnr_db"] = curves
     return {

@@ -90,6 +90,11 @@ class TestRunPipeline:
         assert ev["encode_calls"] == {"pba": 3, "esa": 441}
         assert ev["cq_pct"] == pytest.approx(3 / 441 * 100)
         assert ev["bd_psnr_db"]["0.5"] == pytest.approx(0.0, abs=1e-9)
+        # every per-target fact lives in the allocation rows alone
+        assert set(ev) == {"encode_calls", "cq_pct", "average", "bd_psnr_db"}
+        rows = report["allocations"]
+        assert ev["average"] == {key: sum(r[key] for r in rows) / len(rows)
+                                 for key in ("qpe", "be_pct")}
 
     def test_two_omegas(self):
         report = run_pipeline(worked_config(omegas=[0.25, 0.5]))
@@ -111,6 +116,7 @@ class TestRunPipeline:
         row = report["allocations"][0]
         assert row["continuous"]["q_g"] == pytest.approx(9.6, abs=1e-4)
         assert "esa" not in row
+        assert report["evaluation"] == {"encode_calls": {"pba": 3, "esa": 0}}
 
     def test_overhead_subtracted_from_budget(self):
         report = run_pipeline(worked_config(codec=dict(WORKED_SPEC, overhead_kbpmp=50.0),
@@ -298,11 +304,16 @@ class TestCli:
         ("omega", [0.25]),
         ("probe_log", "probes.csv"),
         ("overhead_kbpmp", 5.0),
+        ("targets", [-5, 300]),
+        ("targets", [0]),
+        ("omegas", [1.5]),
+        ("omegas", [-0.25]),
     ], ids=["targets-string", "targets-scalar", "geometry-peak-nan", "color-peak-nan",
             "run-exhaustive-string", "solver-mu0-string", "solver-eps-null",
             "solver-scalar", "solver-null", "solver-mu0-bool", "solver-newton-tol",
             "unknown-misspelt-key", "unknown-omega-key", "codec-and-probe-log",
-            "overhead-beside-codec"])
+            "overhead-beside-codec", "targets-negative", "targets-zero", "omegas-above-1",
+            "omegas-below-0"])
     def test_simulate_rejects_bad_top_level_field(self, tmp_path, capsys, field, value):
         self.assert_simulate_rejects(tmp_path, capsys, worked_config(**{field: value}))
 
@@ -316,14 +327,36 @@ class TestCli:
         self.assert_simulate_rejects(tmp_path, capsys, {"probe_log": path, "targets": [1000]})
 
     @staticmethod
-    def assert_simulate_rejects(tmp_path, capsys, config):
+    def assert_simulate_rejects(tmp_path, capsys, config, code=2, category="validation"):
+        # the whole config is checked before the first probe or encode
+        def no_encode(*args):
+            raise AssertionError("encoded before the config was checked")
+
         cfg_path = tmp_path / "sim.json"
         cfg_path.write_text(json.dumps(config))
         report = tmp_path / "report.json"
-        assert main(["simulate", "--spec", str(cfg_path), "-o", str(report)]) == 2
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("run_probe_schedule", "read_probe_log", "encode"):
+                mp.setattr(f"pcbitalloc.pipeline.{name}", no_encode)
+            assert main(["simulate", "--spec", str(cfg_path), "-o", str(report)]) == code
         err = capsys.readouterr().err
-        assert err.startswith("error [validation]: ") and err.count("\n") == 1
+        assert err.startswith(f"error [{category}]: ") and err.count("\n") == 1
         assert not report.exists()
+
+    @pytest.mark.parametrize("target", [50, 20], ids=["at-overhead", "below-overhead"])
+    def test_simulate_target_within_overhead_is_infeasible(self, tmp_path, capsys, target):
+        config = worked_config(codec=dict(WORKED_SPEC, overhead_kbpmp=50.0),
+                               targets=[1000, target])
+        self.assert_simulate_rejects(tmp_path, capsys, config, code=3, category="infeasible")
+
+    def test_simulate_csv_needs_an_output(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "sim.json").write_text(json.dumps(worked_config()))
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--spec", "sim.json", "--csv"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error [validation]: --csv needs -o: the CSV is written beside the report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.json"]
 
     def test_fit_refuses_a_negative_slope(self, tmp_path, capsys):
         records = []
@@ -423,7 +456,6 @@ class TestCli:
         for row in doc["allocations"]:
             for entry in (row["actual"], row["esa"]):
                 assert (entry["psnr_db"], entry["lossless"]) == (None, True)
-        assert all(r["lossless"] for r in doc["evaluation"]["per_target"])
         assert doc["evaluation"]["bd_psnr_db"] == {"1.0": None}
         assert main(["evaluate", "--pba", str(report), "--esa", str(report)]) == 0
         assert stdout_json()["bd_psnr_db"] == {"1.0": None}
@@ -449,6 +481,8 @@ class TestCli:
         pytest.param("a", 10**400, "1000", id="a-huge-1000"),
         pytest.param("gamma_g", -10**400, "1000", id="gamma_g-minus-huge-1000"),
         pytest.param("a", -0.05, "1000", id="a-negative-1000"),
+        pytest.param("omega", 7.5, "1000", id="omega-above-1-1000"),
+        pytest.param("omega", -0.5, "1000", id="omega-below-0-1000"),
     ])
     def test_allocate_rejects_malformed_input(self, tmp_path, capsys, field, value, target):
         spec = SyntheticCodecSpec(rate=RateModel(**WORKED_SPEC["rate"]),

@@ -1,6 +1,7 @@
 """The README's python examples run as written, in order, in one namespace,
 its CLI synopsis lists only flags the parser accepts, its model file is the
-one ``fit`` writes, and every error class it names exists."""
+one ``fit`` writes, the evaluation keys it names are the ones ``simulate``
+writes for its config, and every error class it names exists."""
 
 import argparse
 import json
@@ -13,6 +14,7 @@ from pcbitalloc import errors
 from pcbitalloc.cli import build_parser
 from pcbitalloc.cloud import PointCloud, save_ply
 from pcbitalloc.models import DistortionModel, RateModel, model_to_dict
+from pcbitalloc.pipeline import run_pipeline
 
 from conftest import make_cloud
 
@@ -57,6 +59,14 @@ def test_model_file_block_is_the_written_layout():
     block = README.read_text().split("one model file;", 1)[1].split("```json\n")[1]
     worked = (DistortionModel(0.5, 0.25, 4.0, 0.5), RateModel(6400, -1, 3200, -1))
     assert json.loads(block.split("```")[0]) == model_to_dict(*worked)
+
+
+def test_evaluation_keys_are_the_written_ones():
+    text = README.read_text()
+    config = json.loads(text.split("from a JSON config:", 1)[1].split("```json\n")[1]
+                        .split("```")[0])
+    sentence = text.split("`evaluation` holds ", 1)[1].split(".", 1)[0]
+    assert set(re.findall(r"`(\w+)`", sentence)) == set(run_pipeline(config)["evaluation"])
 
 
 def test_error_names_exist():
