@@ -11,10 +11,14 @@ inequality is folded into a logarithmic barrier
 
 which is minimized by damped Newton iterations while the barrier weight
 mu is shrunk geometrically (mu <- eta * mu) until it falls below the
-accuracy threshold. The continuous optimum is then rounded onto the
-discrete step grid: nearest-step rounding (ties to the larger step), a
-deterministic coarsening repair when the rounded pair overshoots the
-budget, and a polish over a small QP window that spends stranded budget.
+accuracy threshold. One evaluator gives F with its gradient and Hessian,
+both to ``barrier_objective`` and to the Newton loop, so there is one
+copy of the formula; the loop computes each trial point's slack once and
+hands it to the evaluator and the trace. The continuous optimum is then
+rounded onto the discrete step grid: nearest-step rounding by bisection
+on the ascending steps (ties to the larger step), a deterministic
+coarsening repair when the rounded pair overshoots the budget, and a
+polish over a small QP window that spends stranded budget.
 A budget that even the coarsest grid pair overshoots has no allocation
 and raises ``InfeasibleBudgetError``; the solver checks this before its
 first Newton step, so the pair it returns always fits the budget.
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,42 +114,60 @@ class Allocation:
     predicted_distortion: float
 
 
+def _barrier(p: AllocationProblem, mu: float):
+    """The barrier evaluator of one problem at one weight.
+
+    Returns ``evaluate(q_g, q_c, s)`` giving (value, g_g, g_c, h_gg, h_gc,
+    h_cc) at a point whose slack ``s`` is positive. The per-problem factors
+    are taken once and associated as ``(gamma*theta)*q**(theta-1)`` and
+    ``((gamma*theta)*(theta-1))*q**(theta-2)``.
+    """
+    a, b, c = p.dm.a, p.dm.b, p.dm.c
+    rm = p.rm
+    # dR/dq = k1 * q**e1 and d2R/dq2 = k2 * q**e2 for each power-law stream
+    k1g, e1g, e2g = rm.gamma_g * rm.theta_g, rm.theta_g - 1.0, rm.theta_g - 2.0
+    k1c, e1c, e2c = rm.gamma_c * rm.theta_c, rm.theta_c - 1.0, rm.theta_c - 2.0
+    k2g, k2c = k1g * e1g, k1c * e1c
+    log = math.log
+
+    def evaluate(q_g: float, q_c: float, s: float):
+        drg = k1g * q_g**e1g
+        drc = k1c * q_c**e1c
+        ss = s * s
+        return (a * q_g + b * q_c + c - mu * log(s),
+                a + mu * drg / s,
+                b + mu * drc / s,
+                mu * (k2g * q_g**e2g / s + drg * drg / ss),
+                mu * drg * drc / ss,
+                mu * (k2c * q_c**e2c / s + drc * drc / ss))
+
+    return evaluate
+
+
 def barrier_objective(p: AllocationProblem, q: QuantPair, mu: float):
     """Barrier value, gradient, and Hessian at a strictly feasible point.
 
     Returns (value, (g_g, g_c), ((h_gg, h_gc), (h_gc, h_cc))). The Hessian
     is positive definite at interior points of well-posed problems.
     """
-    if mu <= 0:
-        raise ValidationError("mu must be positive")
-    q_g, q_c = q.q_g, q.q_c
-    s = p.slack(q_g, q_c)
+    if not (math.isfinite(mu) and mu > 0):
+        raise ValidationError("mu must be positive and finite")
+    s = p.slack(q.q_g, q.q_c)
     if s <= 0:
         raise ValidationError("point violates the rate budget; barrier undefined")
-    dm, rm = p.dm, p.rm
-    value = dm.a * q_g + dm.b * q_c + dm.c - mu * math.log(s)
-    # dR/dq and d2R/dq2 for each power-law stream
-    drg = rm.gamma_g * rm.theta_g * q_g ** (rm.theta_g - 1.0)
-    drc = rm.gamma_c * rm.theta_c * q_c ** (rm.theta_c - 1.0)
-    d2rg = rm.gamma_g * rm.theta_g * (rm.theta_g - 1.0) * q_g ** (rm.theta_g - 2.0)
-    d2rc = rm.gamma_c * rm.theta_c * (rm.theta_c - 1.0) * q_c ** (rm.theta_c - 2.0)
-    g_g = dm.a + mu * drg / s
-    g_c = dm.b + mu * drc / s
-    h_gg = mu * (d2rg / s + drg * drg / (s * s))
-    h_cc = mu * (d2rc / s + drc * drc / (s * s))
-    h_gc = mu * drg * drc / (s * s)
+    value, g_g, g_c, h_gg, h_gc, h_cc = _barrier(p, mu)(q.q_g, q.q_c, s)
     return value, (g_g, g_c), ((h_gg, h_gc), (h_gc, h_cc))
 
 
-def _newton_minimize(p: AllocationProblem, q_g: float, q_c: float, mu: float,
-                     max_iters: int, trace) -> tuple[float, float]:
-    """Damped Newton with feasibility-preserving backtracking line search."""
-    value, grad, hess = barrier_objective(p, QuantPair(q_g, q_c), mu)
+def _newton_minimize(p: AllocationProblem, q_g: float, q_c: float, s: float,
+                     mu: float, max_iters: int, trace) -> tuple[float, float, float]:
+    """Damped Newton with feasibility-preserving backtracking line search
+    from a point of slack ``s > 0``; returns the last point and its slack."""
+    evaluate, slack = _barrier(p, mu), p.slack
+    value, g_g, g_c, h_gg, h_gc, h_cc = evaluate(q_g, q_c, s)
     for _ in range(max_iters):
-        g_g, g_c = grad
         if math.hypot(g_g, g_c) < NEWTON_TOL:
-            return q_g, q_c
-        (h_gg, h_gc), (_, h_cc) = hess
+            return q_g, q_c, s
         det = h_gg * h_cc - h_gc * h_gc
         if not math.isfinite(det) or det <= 0:
             raise ConvergenceError("barrier Hessian is not positive definite")
@@ -155,22 +178,23 @@ def _newton_minimize(p: AllocationProblem, q_g: float, q_c: float, mu: float,
         # float resolution of the objective, the remaining gradient is
         # cancellation noise in the slack and no representable step helps.
         if -descent * 0.5 <= 4.0 * sys.float_info.epsilon * (1.0 + abs(value)):
-            return q_g, q_c
+            return q_g, q_c, s
         t = 1.0
         while True:
             n_g, n_c = q_g + t * d_g, q_c + t * d_c
-            if n_g > 0 and n_c > 0 and p.slack(n_g, n_c) > 0:
-                n_value, n_grad, n_hess = barrier_objective(
-                    p, QuantPair(n_g, n_c), mu
-                )
-                if n_value <= value + ARMIJO_C * t * descent:
-                    break
+            if n_g > 0 and n_c > 0:
+                n_s = slack(n_g, n_c)
+                if n_s > 0:
+                    trial = evaluate(n_g, n_c, n_s)
+                    if trial[0] <= value + ARMIJO_C * t * descent:
+                        break
             t *= BACKTRACK
             if t < 1e-18:
                 raise ConvergenceError("line search collapsed to zero step")
-        q_g, q_c, value, grad, hess = n_g, n_c, n_value, n_grad, n_hess
+        q_g, q_c, s = n_g, n_c, n_s
+        value, g_g, g_c, h_gg, h_gc, h_cc = trial
         if trace is not None:
-            trace.append((mu, q_g, q_c, p.slack(q_g, q_c)))
+            trace.append((mu, q_g, q_c, s))
     raise ConvergenceError(
         f"Newton did not converge within {max_iters} iterations"
     )
@@ -193,9 +217,11 @@ def solve_interior_point(p: AllocationProblem, max_newton_iters: int = MAX_NEWTO
     """
     check_newton_cap(max_newton_iters)
     q_g, q_c = START.q_g, START.q_c
-    if p.slack(q_g, q_c) <= 0:
+    s = p.slack(q_g, q_c)
+    if s <= 0:
         q_g = q_c = _STEPS[-1]
-        if p.slack(q_g, q_c) <= 0:
+        s = p.slack(q_g, q_c)
+        if s <= 0:
             # no interior to start from; the coarsest pair may still fit
             # within rounding, by the test round_to_grid applies
             coarsest = QuantPair(q_g, q_c)
@@ -204,10 +230,10 @@ def solve_interior_point(p: AllocationProblem, max_newton_iters: int = MAX_NEWTO
             return Allocation(coarsest, QpPair(_QPS[-1], _QPS[-1]),
                               p.rate(coarsest), p.distortion(coarsest))
     if trace is not None:
-        trace.append((MU0, q_g, q_c, p.slack(q_g, q_c)))
+        trace.append((MU0, q_g, q_c, s))
     mu = MU0
     while mu >= EPS:
-        q_g, q_c = _newton_minimize(p, q_g, q_c, mu, max_newton_iters, trace)
+        q_g, q_c, s = _newton_minimize(p, q_g, q_c, s, mu, max_newton_iters, trace)
         mu *= ETA
     continuous = QuantPair(q_g, q_c)
     return Allocation(
@@ -227,16 +253,16 @@ def _below_coarsest(p: AllocationProblem) -> InfeasibleBudgetError:
 def round_to_grid(p: AllocationProblem, continuous: QuantPair) -> QpPair:
     """Map a continuous step pair onto the QP grid, repairing budget overshoot.
 
-    Each component is snapped to the nearest step, scanning from the
-    coarsest so that a tie goes to the larger step; values beyond the grid
-    land on its end steps. If the snapped pair exceeds the budget, the
-    component whose distortion cost per unit of recovered rate is smaller
-    is coarsened one QP at a time until the pair fits. When even the
-    coarsest pair overshoots, ``InfeasibleBudgetError`` is raised.
+    Each component is snapped to the nearest step, found by bisection and
+    one comparison of its two neighbours, with a tie going to the larger
+    step; values beyond the grid land on its end steps. If the snapped pair
+    exceeds the budget, the component whose distortion cost per unit of
+    recovered rate is smaller is coarsened one QP at a time until the pair
+    fits. When even the coarsest pair overshoots, ``InfeasibleBudgetError``
+    is raised.
     """
     steps = _STEPS
-    i_g, i_c = (min(reversed(range(len(steps))), key=lambda i: abs(steps[i] - x))
-                for x in (continuous.q_g, continuous.q_c))
+    i_g, i_c = _nearest_step(continuous.q_g), _nearest_step(continuous.q_c)
     last = len(steps) - 1
     while True:
         q = QuantPair(steps[i_g], steps[i_c])
@@ -253,6 +279,13 @@ def round_to_grid(p: AllocationProblem, continuous: QuantPair) -> QpPair:
             i_g += 1
         else:
             i_c += 1
+
+
+def _nearest_step(x: float) -> int:
+    """Index of the step nearest x, a tie going to the larger step. Clamping
+    the bisection point to [1, last] puts x beyond the grid on its end step."""
+    i = min(max(bisect_left(_STEPS, x), 1), len(_STEPS) - 1)
+    return i if _STEPS[i] - x <= x - _STEPS[i - 1] else i - 1
 
 
 def polish_rounding(p: AllocationProblem, qp: QpPair) -> QpPair:

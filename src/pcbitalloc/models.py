@@ -91,8 +91,9 @@ class QuantPair:
     q_c: float
 
     def __post_init__(self):
-        if self.q_g <= 0 or self.q_c <= 0:
-            raise ValidationError("quantization steps must be positive")
+        # NaN fails both comparisons
+        if not (0 < self.q_g < math.inf and 0 < self.q_c < math.inf):
+            raise ValidationError("quantization steps must be positive and finite")
 
 
 @dataclass(frozen=True, order=True)

@@ -1,14 +1,21 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pcbitalloc.allocator import (
+    ARMIJO_C,
+    BACKTRACK,
     EPS,
     ETA,
+    MAX_NEWTON_ITERS,
     MU0,
+    NEWTON_TOL,
     POLISH_RADIUS,
+    START,
+    Allocation,
     AllocationProblem,
     GridTable,
     barrier_objective,
@@ -22,6 +29,7 @@ from pcbitalloc.errors import ConvergenceError, InfeasibleBudgetError, Validatio
 from pcbitalloc.evaluate import compute_qpe
 from pcbitalloc.models import (
     DistortionModel, ProbePoint, ProbeRecord, QpPair, QuantPair, RateModel, qp_to_step,
+    step_grid,
 )
 
 from conftest import well_posed_instance
@@ -43,6 +51,98 @@ def least_starting_budget(dm, rm):
     while slack(budget) <= 0:
         budget = math.nextafter(budget, math.inf)
     return budget
+
+
+# a budget from the coarsest pair's rate to the finest pair's, or a float
+# neighbour of either end or of the least budget the solve starts at
+budget_points = st.one_of(
+    st.floats(0.0, 1.0),
+    st.tuples(st.sampled_from(["coarsest", "start", "finest"]), st.integers(-1, 1)))
+
+
+def budget_at(dm, rm, where):
+    coarsest, finest = QpPair(42, 42).steps(), QpPair(22, 22).steps()
+    rate = AllocationProblem(dm, rm, 1.0).rate
+    if isinstance(where, float):
+        return rate(coarsest) + where * (rate(finest) - rate(coarsest))
+    anchor, offset = where
+    budget = {"coarsest": rate(coarsest), "finest": rate(finest),
+              "start": least_starting_budget(dm, rm)}[anchor]
+    return math.nextafter(budget, offset * math.inf) if offset else budget
+
+
+def reference_barrier(p, q, mu):
+    """``barrier_objective`` with every term written out on its own."""
+    q_g, q_c = q.q_g, q.q_c
+    s = p.slack(q_g, q_c)
+    assert s > 0
+    dm, rm = p.dm, p.rm
+    value = dm.a * q_g + dm.b * q_c + dm.c - mu * math.log(s)
+    drg = rm.gamma_g * rm.theta_g * q_g ** (rm.theta_g - 1.0)
+    drc = rm.gamma_c * rm.theta_c * q_c ** (rm.theta_c - 1.0)
+    d2rg = rm.gamma_g * rm.theta_g * (rm.theta_g - 1.0) * q_g ** (rm.theta_g - 2.0)
+    d2rc = rm.gamma_c * rm.theta_c * (rm.theta_c - 1.0) * q_c ** (rm.theta_c - 2.0)
+    g_g = dm.a + mu * drg / s
+    g_c = dm.b + mu * drc / s
+    h_gg = mu * (d2rg / s + drg * drg / (s * s))
+    h_cc = mu * (d2rc / s + drc * drc / (s * s))
+    h_gc = mu * drg * drc / (s * s)
+    return value, (g_g, g_c), ((h_gg, h_gc), (h_gc, h_cc))
+
+
+def reference_newton(p, q_g, q_c, mu, max_iters, trace):
+    """The damped Newton loop written plainly: ``reference_barrier`` at a
+    new ``QuantPair`` per accepted trial, and ``p.slack`` for every
+    feasibility test and trace entry."""
+    value, grad, hess = reference_barrier(p, QuantPair(q_g, q_c), mu)
+    for _ in range(max_iters):
+        g_g, g_c = grad
+        if math.hypot(g_g, g_c) < NEWTON_TOL:
+            return q_g, q_c
+        (h_gg, h_gc), (_, h_cc) = hess
+        det = h_gg * h_cc - h_gc * h_gc
+        if not math.isfinite(det) or det <= 0:
+            raise ConvergenceError("barrier Hessian is not positive definite")
+        d_g = -(h_cc * g_g - h_gc * g_c) / det
+        d_c = -(h_gg * g_c - h_gc * g_g) / det
+        descent = g_g * d_g + g_c * d_c
+        if -descent * 0.5 <= 4.0 * sys.float_info.epsilon * (1.0 + abs(value)):
+            return q_g, q_c
+        t = 1.0
+        while True:
+            n_g, n_c = q_g + t * d_g, q_c + t * d_c
+            if n_g > 0 and n_c > 0 and p.slack(n_g, n_c) > 0:
+                n_value, n_grad, n_hess = reference_barrier(p, QuantPair(n_g, n_c), mu)
+                if n_value <= value + ARMIJO_C * t * descent:
+                    break
+            t *= BACKTRACK
+            if t < 1e-18:
+                raise ConvergenceError("line search collapsed to zero step")
+        q_g, q_c, value, grad, hess = n_g, n_c, n_value, n_grad, n_hess
+        trace.append((mu, q_g, q_c, p.slack(q_g, q_c)))
+    raise ConvergenceError(f"Newton did not converge within {max_iters} iterations")
+
+
+def reference_solve(p, trace):
+    """``solve_interior_point`` from an interior start, on ``reference_newton``."""
+    q_g, q_c = START.q_g, START.q_c
+    if p.slack(q_g, q_c) <= 0:
+        q_g = q_c = qp_to_step(42)
+    trace.append((MU0, q_g, q_c, p.slack(q_g, q_c)))
+    mu = MU0
+    while mu >= EPS:
+        q_g, q_c = reference_newton(p, q_g, q_c, mu, MAX_NEWTON_ITERS, trace)
+        mu *= ETA
+    continuous = QuantPair(q_g, q_c)
+    return Allocation(continuous, polish_rounding(p, round_to_grid(p, continuous)),
+                      p.rate(continuous), p.distortion(continuous))
+
+
+def scan_nearest_step(x):
+    """Index of the step nearest x by a scan from the coarsest step, so that
+    ``min`` keeps the larger step of a tie."""
+    steps = step_grid()
+    return min(reversed(range(len(steps))), key=lambda i: abs(steps[i] - x))
 
 
 class TestBarrierObjective:
@@ -132,11 +232,40 @@ class TestSolver:
             DistortionModel(-0.1, 0.25, 4.0, 0.5)
 
     def test_iterates_stay_strictly_feasible(self):
+        p = worked_problem()
         trace = []
-        alloc = solve_interior_point(worked_problem(), trace=trace)
+        alloc = solve_interior_point(p, trace=trace)
         assert trace
         assert all(slack > 0 for _, _, _, slack in trace)
+        # each entry carries the slack the line search computed at its point
+        assert all(slack == p.slack(q_g, q_c) for _, q_g, q_c, slack in trace)
         assert alloc.predicted_rate <= 1000.0 + 1e-6
+
+    # the same trial points, trace and allocation, bit for bit, as the plain
+    # reference loop; barrier_objective, which shares the solver's
+    # evaluator, gives the reference's bits at every iterate
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 1999), budget_points)
+    @example(0, 0.5)
+    def test_newton_matches_reference_loop(self, seed, where):
+        spec, omega, _ = well_posed_instance(seed)
+        dm, rm = spec.distortion_model(omega), spec.rate
+        p = AllocationProblem(dm, rm, budget_at(dm, rm, where))
+        coarsest = qp_to_step(42)
+        assume(p.slack(coarsest, coarsest) > 0)
+
+        def outcome(solve):
+            trace = []
+            try:
+                return trace, solve(p, trace)
+            except ConvergenceError as exc:
+                return trace, str(exc)
+
+        got = outcome(lambda p, trace: solve_interior_point(p, trace=trace))
+        assert got == outcome(reference_solve)
+        for mu, q_g, q_c, _ in got[0]:
+            q = QuantPair(q_g, q_c)
+            assert barrier_objective(p, q, mu) == reference_barrier(p, q, mu)
 
     def test_two_outer_iterations_with_defaults(self):
         expected = math.ceil(math.log(EPS / MU0) / math.log(ETA))
@@ -173,23 +302,13 @@ class TestSolver:
     @settings(max_examples=300, deadline=None)
     @given(st.floats(300.0, 20000.0), st.floats(-1.8, -0.6),
            st.floats(300.0, 20000.0), st.floats(-1.8, -0.6),
-           st.floats(0.01, 1.0), st.floats(0.01, 1.0),
-           st.one_of(st.floats(0.0, 1.0),
-                     st.tuples(st.sampled_from(["coarsest", "start", "finest"]),
-                               st.integers(-1, 1))))
+           st.floats(0.01, 1.0), st.floats(0.01, 1.0), budget_points)
     def test_allocation_fits_the_budget(self, gamma_g, theta_g, gamma_c, theta_c,
                                         a, b, where):
         rm = RateModel(gamma_g, theta_g, gamma_c, theta_c)
         dm = DistortionModel(a, b, 4.0, 0.5)
-        coarsest, finest = QpPair(42, 42).steps(), QpPair(22, 22).steps()
-        rate = AllocationProblem(dm, rm, 1.0).rate
-        if isinstance(where, float):
-            budget = rate(coarsest) + where * (rate(finest) - rate(coarsest))
-        else:
-            anchor, offset = where
-            budget = {"coarsest": rate(coarsest), "finest": rate(finest),
-                      "start": least_starting_budget(dm, rm)}[anchor]
-            budget = math.nextafter(budget, offset * math.inf) if offset else budget
+        coarsest = QpPair(42, 42).steps()
+        budget = budget_at(dm, rm, where)
         p = AllocationProblem(dm, rm, budget)
         if p.rate(coarsest) > budget:
             with pytest.raises(InfeasibleBudgetError):
@@ -270,6 +389,25 @@ class TestRounding:
         assert abs(lo - mid) == abs(hi - mid)
         qp = round_to_grid(worked_problem(1e7), QuantPair(mid, mid))
         assert qp == QpPair(qp_lo + 1, qp_lo + 1)
+
+    # every step and midpoint with both float neighbours, and values below
+    # and far above the grid; the budget is large enough for no repair
+    def test_bisection_matches_scan_on_grid_edges(self):
+        steps = step_grid()
+        xs = list(steps) + [(lo + hi) / 2 for lo, hi in zip(steps, steps[1:])]
+        xs += [math.nextafter(x, to) for x in list(xs) for to in (0.0, math.inf)]
+        xs += [5e-324, 1e-300, 0.5, 1.0, 7.99, 80.64, 100.0, 1e17, 1e300,
+               sys.float_info.max]
+        p = worked_problem(1e7)
+        for x in xs:
+            i = scan_nearest_step(x)
+            assert round_to_grid(p, QuantPair(x, x)) == QpPair(22 + i, 22 + i), x
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(0.0, exclude_min=True, allow_infinity=False), st.floats(7.0, 90.0))
+    def test_bisection_matches_scan(self, x, y):
+        qp = round_to_grid(worked_problem(1e7), QuantPair(x, y))
+        assert qp == QpPair(22 + scan_nearest_step(x), 22 + scan_nearest_step(y))
 
     # seed 0 at 0.3x its budget: no cell of the (22, 22) window fits
     @settings(max_examples=300, deadline=None)
@@ -398,8 +536,13 @@ WORKED_RM = RateModel(6400, -1, 3200, -1)
     lambda: ProbePoint(QpPair(33, 25), math.nan, 1.0, 1.0),
     lambda: ProbePoint(QpPair(33, 25), 1.0, 1.0, math.inf),
     lambda: ProbeRecord(QpPair(33, 25), 1.0, 1.0, math.nan, 1.0),
+    lambda: QuantPair(math.nan, 9.6),
+    lambda: QuantPair(9.6, math.inf),
+    lambda: barrier_objective(worked_problem(), QuantPair(20.0, 20.0), math.nan),
+    lambda: barrier_objective(worked_problem(), QuantPair(20.0, 20.0), math.inf),
 ], ids=["budget-nan", "budget-inf", "gamma-nan", "theta-inf", "slope-nan",
-        "offset-inf", "probe-rate-nan", "probe-distortion-inf", "record-distortion-nan"])
+        "offset-inf", "probe-rate-nan", "probe-distortion-inf", "record-distortion-nan",
+        "step-nan", "step-inf", "mu-nan", "mu-inf"])
 def test_non_finite_values_rejected(build):
     with pytest.raises(ValidationError, match="finite"):
         build()
