@@ -22,12 +22,15 @@ polish over a small QP window that spends stranded budget.
 A budget that even the coarsest grid pair overshoots has no allocation
 and raises ``InfeasibleBudgetError``; the solver checks this before its
 first Newton step, so the pair it returns always fits the budget.
+The repair and the polish read the cells of the fitted models' grid
+tables (``RateModel.grid``, ``DistortionModel.grid``), which each model
+instance tabulates once, so the targets of one omega share one table.
 
 An exhaustive 441-pair grid search over the same QP range serves as the
 reference baseline. It reads a ``GridTable``: the (rate, distortion) of
-every grid cell as two 21x21 arrays, filled once per codec sweep or, as
-outer sums of per-axis model terms, by ``model_oracle``. The search and
-the polish pick their cell with the same masked lexicographic argmin.
+every grid cell as two 21x21 arrays, filled once per codec sweep or,
+from the models' grid tables, by ``model_oracle``. The search and the
+polish pick their cell with the same masked lexicographic argmin.
 
 The solver's fixed settings are module constants: a solve starts at the
 step pair ``START`` (80, 80), or at the coarsest grid step when the budget
@@ -74,6 +77,8 @@ POLISH_RADIUS = 2
 
 _QPS = qp_grid()
 _STEPS = step_grid()
+# Newton decrement floor, relative to 1 + |objective|
+_DECREMENT_TOL = 4.0 * sys.float_info.epsilon
 
 
 def check_newton_cap(cap) -> int:
@@ -163,7 +168,10 @@ def _newton_minimize(p: AllocationProblem, q_g: float, q_c: float, s: float,
                      mu: float, max_iters: int, trace) -> tuple[float, float, float]:
     """Damped Newton with feasibility-preserving backtracking line search
     from a point of slack ``s > 0``; returns the last point and its slack."""
-    evaluate, slack = _barrier(p, mu), p.slack
+    evaluate = _barrier(p, mu)
+    # AllocationProblem.slack with its factors taken once
+    r_target, rm = p.r_target, p.rm
+    gamma_g, theta_g, gamma_c, theta_c = rm.gamma_g, rm.theta_g, rm.gamma_c, rm.theta_c
     value, g_g, g_c, h_gg, h_gc, h_cc = evaluate(q_g, q_c, s)
     for _ in range(max_iters):
         if math.hypot(g_g, g_c) < NEWTON_TOL:
@@ -177,13 +185,13 @@ def _newton_minimize(p: AllocationProblem, q_g: float, q_c: float, s: float,
         # Newton decrement rule: when the predicted improvement falls below
         # float resolution of the objective, the remaining gradient is
         # cancellation noise in the slack and no representable step helps.
-        if -descent * 0.5 <= 4.0 * sys.float_info.epsilon * (1.0 + abs(value)):
+        if -descent * 0.5 <= _DECREMENT_TOL * (1.0 + abs(value)):
             return q_g, q_c, s
         t = 1.0
         while True:
             n_g, n_c = q_g + t * d_g, q_c + t * d_c
             if n_g > 0 and n_c > 0:
-                n_s = slack(n_g, n_c)
+                n_s = r_target - gamma_g * n_g**theta_g - gamma_c * n_c**theta_c
                 if n_s > 0:
                     trial = evaluate(n_g, n_c, n_s)
                     if trial[0] <= value + ARMIJO_C * t * descent:
@@ -261,18 +269,17 @@ def round_to_grid(p: AllocationProblem, continuous: QuantPair) -> QpPair:
     fits. When even the coarsest pair overshoots, ``InfeasibleBudgetError``
     is raised.
     """
-    steps = _STEPS
     i_g, i_c = _nearest_step(continuous.q_g), _nearest_step(continuous.q_c)
-    last = len(steps) - 1
+    last = len(_STEPS) - 1
+    rm = p.rm
     while True:
-        q = QuantPair(steps[i_g], steps[i_c])
-        if p.rate(q) <= p.r_target:
+        if rm.grid[i_g, i_c] <= p.r_target:
             return QpPair(_QPS[i_g], _QPS[i_c])
         if i_g == last and i_c == last:
             raise _below_coarsest(p)
         # marginal distortion added per unit of rate saved by coarsening
-        slope_g = -p.rm.gamma_g * p.rm.theta_g * q.q_g ** (p.rm.theta_g - 1.0)
-        slope_c = -p.rm.gamma_c * p.rm.theta_c * q.q_c ** (p.rm.theta_c - 1.0)
+        slope_g = -rm.gamma_g * rm.theta_g * _STEPS[i_g] ** (rm.theta_g - 1.0)
+        slope_c = -rm.gamma_c * rm.theta_c * _STEPS[i_c] ** (rm.theta_c - 1.0)
         cost_g = p.dm.a / slope_g if i_g < last else math.inf
         cost_c = p.dm.b / slope_c if i_c < last else math.inf
         if cost_g <= cost_c:
@@ -299,24 +306,12 @@ def polish_rounding(p: AllocationProblem, qp: QpPair) -> QpPair:
     radius = POLISH_RADIUS
     i_g, i_c = qp.qp_g - QP_MIN, qp.qp_c - QP_MIN
     g0, c0 = max(i_g - radius, 0), max(i_c - radius, 0)
-    rate, distortion = _model_cells(p, _STEPS[g0:i_g + radius + 1],
-                                    _STEPS[c0:i_c + radius + 1])
+    window = (slice(g0, i_g + radius + 1), slice(c0, i_c + radius + 1))
+    rate, distortion = p.rm.grid[window], p.dm.grid[window]
     cell = _best_cell(rate, distortion, rate <= p.r_target)
     if cell is None:
         return qp
     return QpPair(_QPS[g0 + cell[0]], _QPS[c0 + cell[1]])
-
-
-def _model_cells(p: AllocationProblem, steps_g, steps_c):
-    """Modeled (rate, distortion) of the cells steps_g x steps_c as outer sums
-    of per-axis terms. Python ``**`` (numpy's can differ in the last bit) and
-    the association of ``p.rate``/``p.distortion`` keep each cell bit-exact."""
-    rm, dm = p.rm, p.dm
-    r_g = np.array([rm.gamma_g * q**rm.theta_g for q in steps_g])
-    r_c = np.array([rm.gamma_c * q**rm.theta_c for q in steps_c])
-    q_g, q_c = np.array(steps_g), np.array(steps_c)
-    return (r_g[:, None] + r_c[None, :],
-            (dm.a * q_g[:, None] + dm.b * q_c[None, :]) + dm.c)
 
 
 def _best_cell(rate, distortion, admissible) -> tuple[int, int] | None:
@@ -375,4 +370,4 @@ def exhaustive_search(table: GridTable, r_target: float) -> QpPair:
 
 def model_oracle(p: AllocationProblem) -> GridTable:
     """Grid table of the fitted models, for grid searches without a codec."""
-    return GridTable(*_model_cells(p, _STEPS, _STEPS))
+    return GridTable(p.rm.grid, p.dm.grid)

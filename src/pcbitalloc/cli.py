@@ -18,7 +18,7 @@ _EXIT_CODES = {"validation": 2, "infeasible": 3, "io": 4}
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = pipeline.json_text(payload)
     if out:
         Path(out).write_text(text)
     else:

@@ -16,6 +16,12 @@ omega*d_g + (1-omega)*d_c, for probes, reports and the metric command
 alike. ``predict_rate`` gives the total modeled rate. A model refuses a
 negative distortion slope or a rate exponent that is not negative when it
 is built, whether by a fit, from a model file or by a caller.
+
+Each model instance tabulates its grid once: ``RateModel.grid`` and
+``DistortionModel.grid`` are read-only 21x21 arrays indexed
+[qp_g - QP_MIN, qp_c - QP_MIN], computed on first use and kept on the
+instance, so they live as long as the model and no longer. Each cell
+equals ``predict_rate``/``predict_distortion`` at its step pair bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -158,6 +165,13 @@ class DistortionModel:
             if slope < 0:
                 raise ValidationError(f"distortion {name}={slope:.4g} is negative")
 
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """Modeled distortion of every grid cell, associated as
+        ``predict_distortion``: (a*q_g + b*q_c) + c."""
+        q = np.array(step_grid())
+        return _read_only((self.a * q[:, None] + self.b * q[None, :]) + self.c)
+
 
 @dataclass(frozen=True)
 class RateModel:
@@ -177,6 +191,21 @@ class RateModel:
             if theta >= 0:
                 raise NonMonotoneRateError(f"{stream} rate exponent {theta:.4g} is not "
                                            "negative; rate does not decay")
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """Modeled total rate of every grid cell, the outer sum of per-axis
+        terms. Python ``**`` (numpy's can differ in the last bit) keeps each
+        term, and so each cell, equal to ``predict_rate``'s."""
+        steps = step_grid()
+        r_g = np.array([self.gamma_g * q**self.theta_g for q in steps])
+        r_c = np.array([self.gamma_c * q**self.theta_c for q in steps])
+        return _read_only(r_g[:, None] + r_c[None, :])
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
 def predict_distortion(m: DistortionModel, q: QuantPair) -> float:

@@ -24,12 +24,14 @@ and ``evaluation`` (``encode_calls``, plus ``cq_pct``, ``average`` and
 ``bd_psnr_db`` when the baseline runs). Reports are byte-stable
 for a fixed config: the complexity quotient uses the simulated encode
 clock (a fixed cost per encode call), never wall time. With a synthetic
-codec backend the exhaustive baseline sweeps each grid pair once and
-reuses the sweep for every budget and omega, as a real 441-encode
-baseline would. The sweep
+codec backend each grid pair is encoded at most once per run: the probe
+records seed a run-local map from QP pair to record, and the exhaustive
+sweep and every row's ``actual`` read through it, so a baseline run
+makes exactly the 441 encodes a real baseline would. The sweep
 is kept as four 21x21 arrays (r_g, r_c, d_g, d_c): each omega gets one
 ``GridTable`` built from them, each budget one ``exhaustive_search`` over
-it, and the baseline's PSNR reads its cell's d_g and d_c.
+it, and the baseline's PSNR reads its cell's d_g and d_c. Each omega's
+fitted models tabulate their grid once, for all of its targets.
 """
 
 from __future__ import annotations
@@ -95,10 +97,24 @@ def _newton_cap(solver) -> int:
     return check_newton_cap(solver.get("max_newton_iters", MAX_NEWTON_ITERS))
 
 
-def _grid_sweep(spec) -> dict[str, np.ndarray]:
+def _measurer(spec, records):
+    """``measure(qp)``: the run's record at a QP pair, encoded on first use
+    and kept for the rest of the run; the probe records seed it."""
+    encoded = {r.qp: r for r in records}
+
+    def measure(qp: QpPair):
+        record = encoded.get(qp)
+        if record is None:
+            record = encoded[qp] = encode(spec, qp)
+        return record
+
+    return measure
+
+
+def _grid_sweep(measure) -> dict[str, np.ndarray]:
     """r_g, r_c, d_g and d_c of every grid pair as 21x21 arrays indexed
-    [qp_g - QP_MIN, qp_c - QP_MIN], one ``encode`` per pair."""
-    encodes = [encode(spec, QpPair(qp_g, qp_c)) for qp_g in qp_grid() for qp_c in qp_grid()]
+    [qp_g - QP_MIN, qp_c - QP_MIN], one ``measure`` per pair."""
+    encodes = [measure(QpPair(qp_g, qp_c)) for qp_g in qp_grid() for qp_c in qp_grid()]
     n = len(qp_grid())
     return {key: np.array([getattr(e, key) for e in encodes]).reshape(n, n)
             for key in ("r_g", "r_c", "d_g", "d_c")}
@@ -200,8 +216,9 @@ def run_pipeline(config: dict) -> dict:
 
     records = run_probe_schedule(spec) if has_codec else read_probe_log(config["probe_log"])
     pba_encode_calls = len(records)
+    measure = _measurer(spec, records) if has_codec else None
 
-    sweep = _grid_sweep(spec) if run_esa else None
+    sweep = _grid_sweep(measure) if run_esa else None
     esa_encode_calls = sweep["r_g"].size if sweep else 0
     if sweep is not None:
         esa_rate_grid = sweep["r_g"] + sweep["r_c"]
@@ -222,8 +239,8 @@ def run_pipeline(config: dict) -> dict:
             alloc = solve_interior_point(problem, max_newton_iters)
             row = {"omega": omega, "target": target, "budget": budget,
                    **allocation_fields(alloc)}
-            if spec is not None:
-                enc = encode(spec, alloc.qp)
+            if measure is not None:
+                enc = measure(alloc.qp)
                 actual_rate = enc.r_g + enc.r_c
                 quality = psnr(enc.d_g, enc.d_c, omega, geometry_peak, color_peak)
                 row["actual"] = {
@@ -271,8 +288,14 @@ def run_pipeline(config: dict) -> dict:
     }
 
 
+def json_text(payload) -> str:
+    """The one layout of every JSON document the tools write: two-space
+    indent, sorted keys, a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def write_report(report: dict, path) -> None:
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json_text(report))
 
 
 def report_allocations_csv(report: dict, path) -> None:

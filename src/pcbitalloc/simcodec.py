@@ -105,7 +105,7 @@ def encode(spec: SyntheticCodecSpec, qp: QpPair) -> ProbeRecord:
     r_c = spec.rate.gamma_c * q_c**spec.rate.theta_c
     if spec.noise_rel > 0:
         rng = np.random.default_rng((spec.seed, qp.qp_g, qp.qp_c))
-        z = rng.standard_normal(4)
+        z = rng.standard_normal(4).tolist()
         r_g *= math.exp(spec.noise_rel * z[0])
         r_c *= math.exp(spec.noise_rel * z[1])
         d_g = max(0.0, d_g * (1.0 + spec.noise_rel * z[2]))

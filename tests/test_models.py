@@ -2,8 +2,9 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from pcbitalloc import models
 from pcbitalloc.errors import (
     DegenerateProbesError,
     NonMonotoneRateError,
@@ -32,6 +33,7 @@ from pcbitalloc.models import (
     step_grid,
     write_probe_log,
 )
+from pcbitalloc.pipeline import fit_models
 from pcbitalloc.simcodec import probe_schedule, random_spec, run_probe_schedule
 
 
@@ -272,6 +274,43 @@ class TestPrediction:
         ]:
             with pytest.raises(error, match=match):
                 RateModel(*params)
+
+
+class TestGridTables:
+    # fitted from a noisy probe schedule; a fit the models refuse is skipped
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([0.0, 0.005, 0.02]),
+           st.floats(0.0, 1.0))
+    def test_cells_equal_scalar_predictions(self, seed, noise, omega):
+        try:
+            dm, rm = fit_models(run_probe_schedule(random_spec(seed, noise)), omega)
+        except ValidationError:
+            assume(False)
+        assert rm.grid.shape == dm.grid.shape == (21, 21)
+        for i, q_g in enumerate(step_grid()):
+            for j, q_c in enumerate(step_grid()):
+                q = QuantPair(q_g, q_c)
+                assert rm.grid[i, j].hex() == predict_rate(rm, q).hex()
+                assert dm.grid[i, j].hex() == predict_distortion(dm, q).hex()
+
+    @pytest.mark.parametrize("build", [
+        lambda: RateModel(6400.0, -1.2, 3200.0, -0.8),
+        lambda: DistortionModel(0.3, 0.7, 2.0, 0.5),
+    ], ids=["rate", "distortion"])
+    def test_each_instance_tabulates_once(self, build, monkeypatch):
+        tabulated = []
+        real = models.step_grid
+        monkeypatch.setattr(models, "step_grid", lambda: tabulated.append(1) or real())
+        first, second = build(), build()
+        assert first == second
+        table = first.grid
+        assert first.grid is table and len(tabulated) == 1
+        # an equal model computes its own table: nothing is shared by value
+        assert "grid" not in vars(second)
+        assert second.grid is not table and len(tabulated) == 2
+        assert np.array_equal(second.grid, table)
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
 
 
 class TestProbeLog:

@@ -61,8 +61,9 @@ def test_traced_simulate_hits_every_span(tmp_path):
         assert calls[name] >= 1, name
     assert calls["allocator.solve"] == len(TARGETS)
     assert calls["allocator.exhaustive_search"] == len(TARGETS)
-    # three probes, the 441-pair sweep, one re-encode per target
-    assert calls["simcodec.encode"] == 3 + 441 + len(TARGETS)
+    # each grid pair once: the three probes seed the 441-pair sweep, and
+    # every target's actual reads it
+    assert calls["simcodec.encode"] == 441
 
 
 def test_traced_metric_hits_index_spans(tmp_path):

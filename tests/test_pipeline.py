@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from pcbitalloc import pipeline, simcodec
 from pcbitalloc.cli import build_parser, main
 from pcbitalloc.cloud import PointCloud, save_ply
 from pcbitalloc.errors import ValidationError
@@ -53,6 +54,27 @@ def standard_json(text: str):
         raise ValueError(f"non-standard JSON token {token}")
 
     return json.loads(text, parse_constant=refuse)
+
+
+# a noisy codec whose rows repeat QP pairs, one of them a probe pair
+DEDUP_CONFIG = {"codec": spec_to_dict(random_spec(12, noise_rel=0.02)),
+                "targets": [636, 655, 800, 1000, 1400, 2000, 3000, 3010],
+                "omegas": [0.25, 0.5, 0.75], "run_exhaustive": True}
+
+
+def count_encodes(monkeypatch) -> list:
+    """Wrap ``encode`` at both names a run reaches it through (the probes
+    call simcodec's, the rest pipeline's); returns the QP pairs encoded."""
+    encoded = []
+    real = simcodec.encode
+
+    def counted(spec, qp):
+        encoded.append(qp)
+        return real(spec, qp)
+
+    for owner in (simcodec, pipeline):
+        monkeypatch.setattr(owner, "encode", counted)
+    return encoded
 
 
 # one allocation row of a simulate report, as evaluate reads it
@@ -151,6 +173,36 @@ class TestRunPipeline:
             e = encode(spec, QpPair(esa["qp_g"], esa["qp_c"]))
             want = psnr_fields(psnr(e.d_g, e.d_c, row["omega"], 1023.0, 255.0))
             assert {k: esa[k] for k in ("psnr_db", "lossless") if k in esa} == want
+
+    def test_baseline_run_encodes_each_grid_pair_once(self, monkeypatch):
+        encoded = count_encodes(monkeypatch)
+        report = run_pipeline(DEDUP_CONFIG)
+        assert len(encoded) == 441
+        assert set(encoded) == {QpPair(g, c) for g in range(22, 43) for c in range(22, 43)}
+        assert report["evaluation"]["encode_calls"] == {"pba": 3, "esa": 441}
+
+    def test_model_run_encodes_probes_and_new_row_pairs_once(self, monkeypatch):
+        encoded = count_encodes(monkeypatch)
+        report = run_pipeline(dict(DEDUP_CONFIG, run_exhaustive=False))
+        rows = {QpPair(r["qp_g"], r["qp_c"]) for r in report["allocations"]}
+        probes = set(probe_schedule())
+        # the config repeats row pairs and lands a row on a probe pair
+        assert len(rows) < len(report["allocations"]) and rows & probes
+        assert encoded[:3] == list(probe_schedule())
+        assert len(encoded) == len(set(encoded)) == 3 + len(rows - probes)
+        assert report["evaluation"]["encode_calls"] == {"pba": 3, "esa": 0}
+
+    @pytest.mark.parametrize("run_exhaustive", [True, False])
+    def test_actuals_equal_fresh_encodes(self, run_exhaustive):
+        report = run_pipeline(dict(DEDUP_CONFIG, run_exhaustive=run_exhaustive))
+        spec = spec_from_dict(DEDUP_CONFIG["codec"])
+        for row in report["allocations"]:
+            e = encode(spec, QpPair(row["qp_g"], row["qp_c"]))
+            want = {"r_g": e.r_g, "r_c": e.r_c, "rate": e.r_g + e.r_c,
+                    "d_g": e.d_g, "d_c": e.d_c,
+                    "distortion": weighted(row["omega"], e.d_g, e.d_c),
+                    **psnr_fields(psnr(e.d_g, e.d_c, row["omega"], 1023.0, 255.0))}
+            assert row["actual"] == want
 
     def test_unknown_config_keys_named(self):
         with pytest.raises(ValidationError, match="'omega', 'run_exhastive'"):

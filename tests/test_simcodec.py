@@ -66,6 +66,15 @@ class TestEncode:
         assert r1.r_g != r2.r_g
         assert r1.r_g != r3.r_g
 
+    def test_noisy_fields_are_python_floats(self):
+        # numpy scalars would differ from noise-free records in type only
+        spec = random_spec(3, noise_rel=0.005)
+        for qp_g in range(22, 43):
+            for qp_c in range(22, 43):
+                rec = encode(spec, QpPair(qp_g, qp_c))
+                for value in (rec.r_g, rec.r_c, rec.d_g, rec.d_c):
+                    assert type(value) is float
+
     def test_noise_is_centered(self):
         spec = base_spec(noise_rel=0.01)
         clean = base_spec()
