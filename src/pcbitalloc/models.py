@@ -1,11 +1,12 @@
 """Analytic rate and distortion models fitted from probe encodings.
 
-Distortion is affine in the two quantization steps, D = a*Qg + b*Qc + c,
-and each bitstream follows a power law in its own step, R = gamma*Q**theta
-with theta < 0. Three probe encodings identify the distortion plane
-exactly (3x3 linear solve); two probes identify each power law exactly
-(2x2 log-linear solve). Overdetermined least-squares variants exist for
-model-accuracy studies with longer probe logs.
+Geometry distortion is affine in the geometry step and color distortion in
+both steps; their omega-weighted plane is D = a*Qg + b*Qc + c. Each bitstream
+follows a power law in its own step, R = gamma*Q**theta with theta < 0.
+``fit`` and ``simulate`` fit every stream on its own by least squares over
+all probes, flooring each distortion slope at 0 with a warning. The exact
+fits, a plane through three probes and a power law through two, serve the
+noise-free recovery check and the quick start.
 
 All fitting happens in the step domain; quantization parameters are
 mapped through the standard step = 2**((qp-4)/6) rule first. Bitrates
@@ -27,8 +28,10 @@ equals ``predict_rate``/``predict_distortion`` at its step pair bit for bit.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -65,6 +68,13 @@ def weighted(omega: float, d_g: float, d_c: float) -> float:
     if not 0.0 <= omega <= 1.0:
         raise ValidationError("omega must lie in [0, 1]")
     return omega * d_g + (1.0 - omega) * d_c
+
+
+def weighted_distortion_model(omega: float, geometry, color) -> DistortionModel:
+    """The omega-weighted plane of d_g = a_g*Qg + c_g and d_c = a_gc*Qg + a_cc*Qc + c_c."""
+    (a_g, c_g), (a_gc, a_cc, c_c) = geometry, color
+    return DistortionModel(weighted(omega, a_g, a_gc), weighted(omega, 0.0, a_cc),
+                           weighted(omega, c_g, c_c), omega)
 
 
 def finite_number(key: str, x, what: str = "config") -> float:
@@ -237,58 +247,72 @@ def fit_rate_model(p1: ProbePoint, p2: ProbePoint) -> RateModel:
     return RateModel(gamma_g, theta_g, gamma_c, theta_c)
 
 
-def fit_rate_model_lstsq(probes: Sequence[ProbePoint]) -> RateModel:
-    """Log-log least-squares power-law fit over 2+ probes."""
+def fit_rate_model_lstsq(probes: Sequence[ProbeRecord]) -> RateModel:
+    """Log-log least-squares power-law fit over 2+ probes, each stream in its own step."""
     if len(probes) < 2:
         raise ValidationError("need at least two probes")
-    qg = np.array([p.qp.steps().q_g for p in probes])
-    qc = np.array([p.qp.steps().q_c for p in probes])
-    rg = np.array([p.r_g for p in probes])
-    rc = np.array([p.r_c for p in probes])
+    steps = [p.qp.steps() for p in probes]
 
     def solve(q, r, label):
-        if np.ptp(q) == 0:
+        if min(q) == max(q):
             raise DegenerateProbesError(f"{label} steps are all equal")
-        th, lg = np.polyfit(np.log(q), np.log(r), 1)
+        th, lg = np.linalg.lstsq(np.vander(np.log(q), 2), np.log(r), rcond=None)[0]
         try:
             return math.exp(lg), float(th)
         except OverflowError:
-            raise ValidationError(f"{label} rates {r.max():.4g} and {r.min():.4g} are too "
+            raise ValidationError(f"{label} rates {max(r):.4g} and {min(r):.4g} are too "
                                   "far apart to fit a power law") from None
 
-    gamma_g, theta_g = solve(qg, rg, "geometry")
-    gamma_c, theta_c = solve(qc, rc, "color")
+    gamma_g, theta_g = solve([s.q_g for s in steps], [p.r_g for p in probes], "geometry")
+    gamma_c, theta_c = solve([s.q_c for s in steps], [p.r_c for p in probes], "color")
     return RateModel(gamma_g, theta_g, gamma_c, theta_c)
 
 
-def _plane_system(probes: Sequence[ProbePoint]) -> tuple[np.ndarray, np.ndarray]:
-    """The rows [q_g, q_c, 1] and distortions of the probes, for either
-    distortion fit; collinear step pairs cannot identify the plane."""
-    mat = np.array([[p.qp.steps().q_g, p.qp.steps().q_c, 1.0] for p in probes])
+def _plane_rows(probes) -> np.ndarray:
+    """The probes' rows [q_g, q_c, 1]; collinear step pairs cannot identify a plane."""
+    mat = np.array([(s.q_g, s.q_c, 1.0) for s in (p.qp.steps() for p in probes)])
     if np.linalg.cond(mat) > 1e12:
-        raise DegenerateProbesError(
-            "probe step pairs are collinear; distortion plane unidentifiable"
-        )
-    return mat, np.array([p.d for p in probes])
+        raise DegenerateProbesError("probe step pairs are collinear; "
+                                    "distortion plane unidentifiable")
+    return mat
 
 
 def fit_distortion_model(p1: ProbePoint, p2: ProbePoint, p3: ProbePoint,
                          omega: float) -> DistortionModel:
-    """Exact affine fit D = a*Qg + b*Qc + c through three probes.
-
-    The 3x3 system is solved by LU elimination with partial pivoting.
-    """
-    a, b, c = np.linalg.solve(*_plane_system((p1, p2, p3)))
+    """Exact affine fit D = a*Qg + b*Qc + c through three probes, by an LU solve."""
+    a, b, c = np.linalg.solve(_plane_rows((p1, p2, p3)), [p1.d, p2.d, p3.d])
     return DistortionModel(float(a), float(b), float(c), omega)
 
 
-def fit_distortion_model_lstsq(probes: Sequence[ProbePoint],
+def _floored_lstsq(mat: np.ndarray, y, slopes: Sequence[str]) -> list[float]:
+    """Least squares y ~ mat with each slope (every column but the last, the
+    intercept) floored at 0, exactly: the best fit over the subsets of kept
+    slopes whose slopes are all non-negative. A floored slope warns."""
+    n, fits = len(slopes), []
+    for keep in itertools.product((1, 0), repeat=n):  # every slope kept first
+        cols = np.flatnonzero(keep + (1,))
+        fits.append(np.zeros(n + 1))
+        fits[-1][cols] = np.linalg.lstsq(mat[:, cols], y, rcond=None)[0]
+        if min(fits[0][:n]) >= 0:  # the plain fit needs no floor
+            return fits[0].tolist()
+    best = min((c for c in fits if min(c[:n]) >= 0), key=lambda c: np.sum((mat @ c - y) ** 2))
+    for name, value, kept in zip(slopes, fits[0], best):
+        if kept == 0:
+            warnings.warn(f"{name}={value:.4g} from least squares is floored at 0")
+    return best.tolist()
+
+
+def fit_distortion_model_lstsq(probes: Sequence[ProbeRecord],
                                omega: float) -> DistortionModel:
-    """Least-squares affine fit over 3+ probes."""
+    """Least squares over 3+ probes, d_g in Q_g and d_c in (Q_g, Q_c), slopes floored at 0."""
     if len(probes) < 3:
         raise ValidationError("need at least three probes")
-    (a, b, c), *_ = np.linalg.lstsq(*_plane_system(probes), rcond=None)
-    return DistortionModel(float(a), float(b), float(c), omega)
+    mat = _plane_rows(probes)
+    geometry = _floored_lstsq(mat[:, 0::2], [p.d_g for p in probes],
+                              ["geometry distortion slope a_g"])
+    color = _floored_lstsq(mat, [p.d_c for p in probes],
+                           ["color distortion slope a_gc", "color distortion slope a_cc"])
+    return weighted_distortion_model(omega, geometry, color)
 
 
 def model_to_dict(dm: DistortionModel, rm: RateModel) -> dict:

@@ -57,12 +57,12 @@ from .metrics import psnr
 from .models import (
     QP_MIN,
     finite_number,
+    # the exact fits are unused here; perfbench/spans.py looks all four up by name
     fit_distortion_model,
     fit_distortion_model_lstsq,
     fit_rate_model,
     fit_rate_model_lstsq,
     model_to_dict,
-    probes_from_records,
     qp_grid,
     read_probe_log,
     weighted,
@@ -75,16 +75,9 @@ _CONFIG_KEYS = frozenset({"codec", "probe_log", "targets", "omegas", "run_exhaus
 
 
 def fit_models(records, omega):
-    """Distortion and rate models for one omega: the exact fits through
-    three probes, least squares over more, which refuse fewer."""
-    probes = probes_from_records(records, omega)
-    if len(probes) == 3:
-        dm = fit_distortion_model(probes[0], probes[1], probes[2], omega)
-        rm = fit_rate_model(probes[0], probes[1])
-    else:
-        dm = fit_distortion_model_lstsq(probes, omega)
-        rm = fit_rate_model_lstsq(probes)
-    return dm, rm
+    """Distortion and rate models for one omega, each stream fitted on its own
+    by least squares over every probe, distortion slopes floored at 0."""
+    return fit_distortion_model_lstsq(records, omega), fit_rate_model_lstsq(records)
 
 
 def _newton_cap(solver) -> int:

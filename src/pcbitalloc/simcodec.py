@@ -34,7 +34,7 @@ from .models import (
     RateModel,
     finite_number,
     qp_to_step,
-    weighted,
+    weighted_distortion_model,
 )
 
 # Constant simulated wall time per encode call, so complexity quotients
@@ -89,12 +89,8 @@ class SyntheticCodecSpec:
 
     def distortion_model(self, omega: float) -> DistortionModel:
         """Ground-truth combined distortion plane at a weighting factor."""
-        return DistortionModel(
-            a=weighted(omega, self.alpha_g, self.alpha_gc),
-            b=weighted(omega, 0.0, self.alpha_cc),
-            c=weighted(omega, self.beta_g, self.beta_c),
-            omega=omega,
-        )
+        return weighted_distortion_model(omega, (self.alpha_g, self.beta_g),
+                                         (self.alpha_gc, self.alpha_cc, self.beta_c))
 
 
 def encode(spec: SyntheticCodecSpec, qp: QpPair) -> ProbeRecord:

@@ -1,7 +1,9 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, given, settings, strategies as st
 
 from pcbitalloc import models
@@ -39,6 +41,10 @@ from pcbitalloc.simcodec import probe_schedule, random_spec, run_probe_schedule
 
 def probe(qp_g, qp_c, r_g, r_c, d=1.0):
     return ProbePoint(QpPair(qp_g, qp_c), r_g, r_c, d)
+
+
+def record(qp_g, qp_c, r_g, r_c, d_g, d_c):
+    return ProbeRecord(QpPair(int(qp_g), int(qp_c)), r_g, r_c, d_g, d_c)
 
 
 def probe_at_steps(q_g, q_c, r_g, r_c, d=1.0):
@@ -188,30 +194,67 @@ class TestDistortionFit:
         with pytest.raises(DegenerateProbesError):
             fit_distortion_model(*probes, omega=0.5)
 
-    @pytest.mark.parametrize("fit", [lambda ps: fit_distortion_model(*ps, omega=0.5),
-                                     lambda ps: fit_distortion_model_lstsq(ps, 0.5)],
-                             ids=["exact", "lstsq"])
-    def test_negative_slope_refused(self, fit):
+    def test_negative_slope_refused(self):
         probes = [probe_at_steps(8.0, 8.0, 1, 1, 10.0),
                   probe_at_steps(16.0, 8.0, 1, 1, 8.0),   # distortion drops with q_g
                   probe_at_steps(8.0, 16.0, 1, 1, 12.0)]
         with pytest.raises(ValidationError, match=r"geometry slope a=-0\.25 is negative"):
-            fit(probes)
+            fit_distortion_model(*probes, omega=0.5)
         with pytest.raises(ValidationError, match=r"color slope b=-0\.5 is negative"):
             DistortionModel(0.5, -0.5, 4.0, 0.5)
 
-    # both fits build the same [q_g, q_c, 1] system and refuse it by one test
+    def test_lstsq_floors_a_negative_slope(self):
+        # steps 8 and 16; d_g drops with q_g, d_c = 0.1*q_g + 0.5*q_c + 2
+        records = [record(g, c, 1, 1, d_g, 0.1 * qp_to_step(g) + 0.5 * qp_to_step(c) + 2.0)
+                   for (g, c), d_g in zip([(22, 22), (28, 22), (22, 28)], [10.0, 8.0, 10.0])]
+        with pytest.warns(UserWarning) as caught:
+            m = fit_distortion_model_lstsq(records, omega=0.5)
+        assert [str(w.message) for w in caught] == [
+            "geometry distortion slope a_g=-0.25 from least squares is floored at 0"]
+        # d_g is held at its mean, 28/3; d_c is fitted exactly
+        assert m.a == pytest.approx(0.5 * 0.1, rel=1e-12)
+        assert m.b == pytest.approx(0.5 * 0.5, rel=1e-12)
+        assert m.c == pytest.approx(0.5 * 28 / 3 + 0.5 * 2.0, rel=1e-12)
+
+    # the floored fit is an exact non-negative least squares with a free intercept;
+    # scipy's NNLS on the centered columns is the reference
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(22, 42), st.integers(22, 42),
+                              st.floats(0.0, 50.0), st.floats(0.0, 50.0)),
+                    min_size=3, max_size=8))
+    def test_lstsq_floor_is_the_nonnegative_optimum(self, rows):
+        records = [record(g, c, 1, 1, d_g, d_c) for g, c, d_g, d_c in rows]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                fitted = [fit_distortion_model_lstsq(records, omega) for omega in (1.0, 0.0)]
+        except DegenerateProbesError:
+            assume(False)
+        steps = np.array([[qp_to_step(g), qp_to_step(c)] for g, c, _, _ in rows])
+        for m, x, y in ((fitted[0], steps[:, :1], [r[2] for r in rows]),
+                        (fitted[1], steps, [r[3] for r in rows])):
+            y = np.array(y)
+            slopes, _ = scipy.optimize.nnls(x - x.mean(0), y - y.mean())
+            best = np.sum((y - y.mean() - (x - x.mean(0)) @ slopes) ** 2)
+            ours = np.array([m.a, m.b][:x.shape[1]])
+            assert min(ours) >= 0
+            assert np.sum((y - steps[:, :x.shape[1]] @ ours - m.c) ** 2) <= best * (1 + 1e-9) + 1e-9
+
+    # both fits build the same [q_g, q_c, 1] rows and refuse them by one test
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.integers(22, 42), st.integers(22, 42)),
                     min_size=3, max_size=3))
     def test_exact_and_lstsq_refuse_the_same_grid_triples(self, qps):
-        probes = [probe(g, c, 1, 1, 0.5 * qp_to_step(g) + 0.25 * qp_to_step(c) + 4.0)
-                  for g, c in qps]
+        planes = [0.5 * qp_to_step(g) + 0.25 * qp_to_step(c) + 4.0 for g, c in qps]
+        probes = [probe(g, c, 1, 1, d) for (g, c), d in zip(qps, planes)]
+        records = [record(g, c, 1, 1, d, d) for (g, c), d in zip(qps, planes)]
         refused = []
         for fit in (lambda: fit_distortion_model(*probes, omega=0.5),
-                    lambda: fit_distortion_model_lstsq(probes, 0.5)):
+                    lambda: fit_distortion_model_lstsq(records, 0.5)):
             try:
-                fit()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    fit()
             except DegenerateProbesError:
                 refused.append(True)
             else:
@@ -219,15 +262,57 @@ class TestDistortionFit:
         assert refused[0] == refused[1]
 
     def test_lstsq_overdetermined(self, rng):
+        # d_g = 0.1*q_g + 1 and d_c = 0.3*q_g + 1.2*q_c + 2 weigh to (0.2, 0.6, 1.5) at 0.5
         truth = (0.2, 0.6, 1.5)
-        probes = []
+        records = []
         for _ in range(12):
-            g, c = rng.uniform(8, 80, 2)
-            probes.append(probe_at_steps(g, c, 1, 1, truth[0] * g + truth[1] * c + truth[2]))
-        m = fit_distortion_model_lstsq(probes, omega=0.5)
+            g, c = rng.integers(22, 43, 2)
+            q_g, q_c = qp_to_step(g), qp_to_step(c)
+            records.append(record(g, c, 1, 1, 0.1 * q_g + 1.0, 0.3 * q_g + 1.2 * q_c + 2.0))
+        m = fit_distortion_model_lstsq(records, omega=0.5)
         assert m.a == pytest.approx(truth[0], rel=1e-9)
         assert m.b == pytest.approx(truth[1], rel=1e-9)
         assert m.c == pytest.approx(truth[2], rel=1e-9)
+
+
+class TestPipelineFit:
+    # the one fit that simulate and fit use, on every noise-free codec at the omega ends
+    def test_noise_free_fits_are_exact_and_b_is_zero_at_omega_one(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(200):
+                spec = random_spec(seed)
+                records = run_probe_schedule(spec)
+                for omega in (0.0, 1.0):
+                    dm, rm = fit_models(records, omega)
+                    truth = spec.distortion_model(omega)
+                    for got, want in ((dm.a, truth.a), (dm.c, truth.c),
+                                      (rm.gamma_g, spec.rate.gamma_g),
+                                      (rm.theta_g, spec.rate.theta_g),
+                                      (rm.gamma_c, spec.rate.gamma_c),
+                                      (rm.theta_c, spec.rate.theta_c)):
+                        assert got == pytest.approx(want, rel=1e-9)
+                    assert dm.b == (0.0 if omega == 1.0 else
+                                    pytest.approx(truth.b, rel=1e-9))
+
+    def test_noisy_geometry_exponent_beats_the_two_probe_fit(self):
+        # the probes (33,25) and (34,35) sit one geometry QP apart, so an exact fit
+        # through them turns rate noise of 0.02 into a median theta_g error of ~0.15
+        lstsq, two_probe = [], []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for seed in range(200):
+                spec = random_spec(seed, noise_rel=0.02)
+                records = run_probe_schedule(spec)
+                truth = spec.rate.theta_g
+                lstsq.append(abs(fit_models(records, 0.5)[1].theta_g - truth))
+                p = probes_from_records(records, 0.5)
+                try:
+                    two_probe.append(abs(fit_rate_model(p[0], p[1]).theta_g - truth))
+                except NonMonotoneRateError:
+                    two_probe.append(np.inf)
+        assert np.median(two_probe) > 0.13
+        assert np.median(lstsq) < 0.02
 
 
 class TestPrediction:

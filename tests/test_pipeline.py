@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -410,7 +411,7 @@ class TestCli:
         assert err == "error [validation]: --csv needs -o: the CSV is written beside the report\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.json"]
 
-    def test_fit_refuses_a_negative_slope(self, tmp_path, capsys):
+    def test_fit_floors_a_negative_slope(self, tmp_path, capsys):
         records = []
         for qp in probe_schedule():
             q = qp.steps()
@@ -418,11 +419,61 @@ class TestCli:
             records.append(ProbeRecord(qp, 6400 / q.q_g, 3200 / q.q_c, d, d))
         log, model_path = tmp_path / "probes.csv", tmp_path / "model.json"
         write_probe_log(log, records)
-        assert main(["fit", "--probes", str(log), "--omega", "0.5",
-                     "-o", str(model_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error [validation]: distortion geometry slope a=-0.5 is negative")
-        assert not model_path.exists()
+        with pytest.warns(UserWarning) as caught:
+            assert main(["fit", "--probes", str(log), "--omega", "0.5",
+                         "-o", str(model_path)]) == 0
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 2
+        assert messages[0].startswith("geometry distortion slope a_g=-")
+        assert messages[1] == ("color distortion slope a_gc=-0.5 from least squares "
+                               "is floored at 0")
+        assert capsys.readouterr().err == ""
+        distortion = json.loads(model_path.read_text())["distortion"]
+        assert distortion["a"] == 0.0 and distortion["b"] > 0
+
+    def test_allocate_refuses_a_negative_slope_model(self, tmp_path, capsys):
+        model = model_to_dict(*fit_models(run_probe_schedule(spec_from_dict(WORKED_SPEC)), 0.5))
+        model["distortion"]["b"] = -0.25
+        model_path, out = tmp_path / "model.json", tmp_path / "alloc.json"
+        model_path.write_text(json.dumps(model))
+        assert main(["allocate", "--model", str(model_path), "--target", "1000",
+                     "-o", str(out)]) == 2
+        assert capsys.readouterr().err == ("error [validation]: distortion color slope "
+                                           "b=-0.25 is negative\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_noise_free_omega_ends_run(self, tmp_path, capsys, seed):
+        # at omega 1 the color slope b is exactly 0, not the sign of a rounding error
+        spec = random_spec(seed)
+        log, cfg_path = tmp_path / "probes.csv", tmp_path / "sim.json"
+        write_probe_log(log, run_probe_schedule(spec))
+        rate = spec.rate
+        coarsest = rate.gamma_g * 80.64**rate.theta_g + rate.gamma_c * 80.64**rate.theta_c
+        cfg_path.write_text(json.dumps({"codec": spec_to_dict(spec), "omegas": [0, 1],
+                                        "targets": [1.5 * coarsest, 3 * coarsest],
+                                        "run_exhaustive": True}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--spec", str(cfg_path)]) == 0
+            models = json.loads(capsys.readouterr().out)["models"]
+            for omega in (0, 1):
+                assert main(["fit", "--probes", str(log), "--omega", str(omega)]) == 0
+                assert json.loads(capsys.readouterr().out) == models[f"{omega:.1f}"]
+        assert models["1.0"]["distortion"]["b"] == 0.0
+
+    def test_noisy_fit_warns_on_stderr_and_writes_the_model(self, tmp_path):
+        # noise pulls the color distortion's small geometry slope below 0
+        log, model_path = tmp_path / "probes.csv", tmp_path / "model.json"
+        write_probe_log(log, run_probe_schedule(random_spec(59, noise_rel=0.005)))
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        result = subprocess.run([sys.executable, "-m", "pcbitalloc.cli", "fit",
+                                 "--probes", str(log), "--omega", "0", "-o", str(model_path)],
+                                capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 0
+        assert ("UserWarning: color distortion slope a_gc=-0.006717 from least squares "
+                "is floored at 0") in result.stderr
+        assert json.loads(model_path.read_text())["distortion"]["a"] == 0.0
 
     def test_fit_refuses_rates_too_far_apart(self, tmp_path, capsys):
         # the least-squares rate fit's gamma_g would be beyond the float range

@@ -1,11 +1,15 @@
 """The README's python examples run as written, in order, in one namespace,
 its CLI synopsis lists only flags the parser accepts, its model file is the
 one ``fit`` writes, the evaluation keys it names are the ones ``simulate``
-writes for its config, and every error class it names exists."""
+writes for its config, its paper table is the table demo's output, and every
+error class it names exists."""
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -73,3 +77,14 @@ def test_error_names_exist():
     names = set(re.findall(r"`(\w+Error)`", README.read_text()))
     assert names, "the README names no error class"
     assert {name for name in names if not hasattr(errors, name)} == set()
+
+
+def test_paper_table_is_the_demo_output():
+    root = README.parent
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, str(root / "demos" / "06_paper_table.py")],
+                            cwd=root, env={**os.environ, "PYTHONPATH": pythonpath},
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    table = README.read_text().split("## Paper table\n", 1)[1]
+    assert "\n\n" + result.stdout + "\n" in table
