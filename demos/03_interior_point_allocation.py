@@ -17,21 +17,23 @@ from pcbitalloc import (
     round_to_grid,
     solve_interior_point,
 )
-from pcbitalloc.allocator import EPS, ETA, MU0, START
+from pcbitalloc.allocator import EPS, ETA, MU0
 
 problem = AllocationProblem(
     dm=DistortionModel(a=0.5, b=0.25, c=4.0, omega=0.5),
     rm=RateModel(gamma_g=6400, theta_g=-1, gamma_c=3200, theta_c=-1),
     r_target=1000.0,
 )
-print(f"budget {problem.r_target} kbpmp, start ({START.q_g}, {START.q_c}), "
-      f"mu0={MU0}, eta={ETA}, eps={EPS}")
-
-value, grad, hess = barrier_objective(problem, START, MU0)
-print(f"barrier at start: value {value:.4f}, gradient ({grad[0]:.4f}, {grad[1]:.4f})")
-
 trace = []
 alloc = solve_interior_point(problem, trace=trace)
+
+# the trace opens with the start: the coarsest grid pair, strictly inside the budget
+_, q_g, q_c, _ = trace[0]
+print(f"budget {problem.r_target} kbpmp, start ({q_g:.4f}, {q_c:.4f}), "
+      f"mu0={MU0}, eta={ETA}, eps={EPS}")
+
+value, grad, hess = barrier_objective(problem, QuantPair(q_g, q_c), MU0)
+print(f"barrier at start: value {value:.4f}, gradient ({grad[0]:.4f}, {grad[1]:.4f})")
 
 print("\nNewton iterates (mu, q_g, q_c, slack):")
 last_mu = None

@@ -33,14 +33,15 @@ from the models' grid tables, by ``model_oracle``. The search and the
 polish pick their cell with the same masked lexicographic argmin.
 
 The solver's fixed settings are module constants: a solve starts at the
-step pair ``START`` (80, 80), or at the coarsest grid step when the budget
-does not cover the rate at ``START``; the barrier weight starts at ``MU0``
-and shrinks by ``ETA`` while it is at least ``EPS``; each Newton solve
-stops once the gradient norm is below ``NEWTON_TOL``; the line search
-backtracks by ``BACKTRACK`` under the Armijo factor ``ARMIJO_C``, and the
-polish searches ``POLISH_RADIUS`` QPs around the rounded pair. The grid is
-``qp_grid()`` with the steps ``step_grid()``. The one setting a caller may
-change is the Newton iteration cap, ``MAX_NEWTON_ITERS`` by default.
+coarsest grid pair, doubling both steps at most ``START_DOUBLINGS`` times
+while the slack there is rounding noise; the barrier weight starts at
+``MU0`` and shrinks by ``ETA`` while it is at least ``EPS``; each Newton
+solve stops once the gradient norm is below ``NEWTON_TOL``; the line
+search backtracks by ``BACKTRACK`` under the Armijo factor ``ARMIJO_C``,
+and the polish searches ``POLISH_RADIUS`` QPs around the rounded pair.
+The grid is ``qp_grid()`` with the steps ``step_grid()``. The one setting
+a caller may change is the Newton iteration cap, ``MAX_NEWTON_ITERS`` by
+default.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from .models import (
     step_grid,
 )
 
-START = QuantPair(80.0, 80.0)
+START_DOUBLINGS = 8
 MU0 = 0.1
 ETA = 1e-6
 EPS = 1e-10
@@ -79,6 +80,8 @@ _QPS = qp_grid()
 _STEPS = step_grid()
 # Newton decrement floor, relative to 1 + |objective|
 _DECREMENT_TOL = 4.0 * sys.float_info.epsilon
+# start slack, relative to the budget, below which it is rounding noise
+_START_SLACK = math.sqrt(sys.float_info.epsilon)
 
 
 def check_newton_cap(cap) -> int:
@@ -212,31 +215,31 @@ def solve_interior_point(p: AllocationProblem, max_newton_iters: int = MAX_NEWTO
                          trace: list | None = None) -> Allocation:
     """Minimize modeled distortion under the budget and round onto the grid.
 
-    The outer loop starts at ``START``, or at the coarsest grid step when
-    the budget does not cover the rate at ``START``, and shrinks the
-    barrier weight from ``MU0`` by ``ETA`` until it drops below ``EPS``;
-    each weight is handled by one damped Newton solve warm
-    started from the previous optimum and capped at ``max_newton_iters``
-    steps. A budget that cannot even fit the coarsest grid encoding is
-    rejected rather than repaired. A budget that the coarsest pair meets
-    with no positive slack left, within an ulp or so of its rate, has no
-    interior to start from; the coarsest pair is then both the continuous
-    point and the QP.
+    A budget that the coarsest grid cell does not fit, by the test
+    ``round_to_grid`` applies, raises ``InfeasibleBudgetError``. The outer
+    loop starts at the coarsest grid pair. Where the slack there is below
+    ``sqrt(machine epsilon)`` of the budget, as when the budget is within
+    rounding of the pair's rate, both steps are doubled until it is not,
+    at most ``START_DOUBLINGS`` times, and a slack still not positive
+    raises ``ConvergenceError``. The barrier weight then shrinks from
+    ``MU0`` by ``ETA`` until it drops below ``EPS``; each weight is handled
+    by one damped Newton solve warm started from the previous optimum and
+    capped at ``max_newton_iters`` steps.
     """
     check_newton_cap(max_newton_iters)
-    q_g, q_c = START.q_g, START.q_c
+    if p.rm.grid[-1, -1] > p.r_target:
+        raise _below_coarsest(p)
+    # a start whose slack is rounding noise would stall Newton: push it outward
+    q_g = q_c = _STEPS[-1]
     s = p.slack(q_g, q_c)
-    if s <= 0:
-        q_g = q_c = _STEPS[-1]
+    for _ in range(START_DOUBLINGS):
+        if s >= _START_SLACK * p.r_target:
+            break
+        q_g = q_c = 2.0 * q_g
         s = p.slack(q_g, q_c)
-        if s <= 0:
-            # no interior to start from; the coarsest pair may still fit
-            # within rounding, by the test round_to_grid applies
-            coarsest = QuantPair(q_g, q_c)
-            if p.rate(coarsest) > p.r_target:
-                raise _below_coarsest(p)
-            return Allocation(coarsest, QpPair(_QPS[-1], _QPS[-1]),
-                              p.rate(coarsest), p.distortion(coarsest))
+    if s <= 0:
+        raise ConvergenceError(f"no interior start within {START_DOUBLINGS} doublings "
+                               "of the coarsest step")
     if trace is not None:
         trace.append((MU0, q_g, q_c, s))
     mu = MU0
@@ -330,8 +333,7 @@ def _best_cell(rate, distortion, admissible) -> tuple[int, int] | None:
 class GridTable:
     """(rate, distortion) of every QP grid cell, indexed [qp_g - 22, qp_c - 22].
 
-    Both arrays are read-only 21x21 float64. A table is also an oracle:
-    ``table(qp)`` returns one cell as (rate, distortion).
+    Both arrays are read-only 21x21 float64.
     """
 
     rate: np.ndarray
@@ -347,10 +349,6 @@ class GridTable:
                 raise ValidationError(f"grid table {name} must not contain NaN")
             values.flags.writeable = False
             object.__setattr__(self, name, values)
-
-    def __call__(self, qp: QpPair) -> tuple[float, float]:
-        cell = (qp.qp_g - QP_MIN, qp.qp_c - QP_MIN)
-        return float(self.rate[cell]), float(self.distortion[cell])
 
 
 def exhaustive_search(table: GridTable, r_target: float) -> QpPair:

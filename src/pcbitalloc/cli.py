@@ -1,6 +1,8 @@
 """Command-line front end. Thin adapters only; numeric work lives in the library.
 
 Exit codes: 0 success, 2 validation error, 3 infeasible problem, 4 I/O error.
+Errors print as one ``error [category]: ...`` line on stderr, and library
+warnings, such as a floored fit slope, as one ``warning: ...`` line.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from . import allocator, cloud, evaluate, metrics, models, pipeline
@@ -193,6 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a shown warning is one line, like an error; a recorded one is not formatted
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         args.func(args)
     except PcBitAllocError as exc:
@@ -201,6 +207,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error [io]: {exc}", file=sys.stderr)
         return 4
+    finally:
+        warnings.formatwarning = formatwarning
     return 0
 
 

@@ -46,6 +46,7 @@ QP_MAX = 42
 
 PROBE_LOG_HEADER = ("qp_g", "qp_c", "r_g_kbpmp", "r_c_kbpmp", "d_g", "d_c")
 _RATE_FIELDS = ("gamma_g", "theta_g", "gamma_c", "theta_c")
+_LN_FLOAT_MIN, _LN_FLOAT_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 
 def qp_to_step(qp) -> float:
@@ -227,28 +228,16 @@ def predict_rate(m: RateModel, q: QuantPair) -> float:
     return m.gamma_g * q.q_g**m.theta_g + m.gamma_c * q.q_c**m.theta_c
 
 
-def _fit_power_law(q1: float, r1: float, q2: float, r2: float,
-                   label: str) -> tuple[float, float]:
-    if q1 == q2:
-        raise DegenerateProbesError(f"{label} steps are equal; power law unidentifiable")
-    try:
-        theta = math.log(r1 / r2) / math.log(q1 / q2)
-        return r1 / q1**theta, theta
-    except (ArithmeticError, ValueError):  # r1/r2 or q1**theta beyond the float range
-        raise ValidationError(f"{label} rates {r1:.4g} and {r2:.4g} are too far "
-                              "apart to fit a power law") from None
-
-
 def fit_rate_model(p1: ProbePoint, p2: ProbePoint) -> RateModel:
-    """Exact power-law fit from two probes, separately for geometry and color."""
-    s1, s2 = p1.qp.steps(), p2.qp.steps()
-    gamma_g, theta_g = _fit_power_law(s1.q_g, p1.r_g, s2.q_g, p2.r_g, "geometry")
-    gamma_c, theta_c = _fit_power_law(s1.q_c, p1.r_c, s2.q_c, p2.r_c, "color")
-    return RateModel(gamma_g, theta_g, gamma_c, theta_c)
+    """Exact power-law fit through two probes: the least-squares fit of two points."""
+    return fit_rate_model_lstsq((p1, p2))
 
 
-def fit_rate_model_lstsq(probes: Sequence[ProbeRecord]) -> RateModel:
-    """Log-log least-squares power-law fit over 2+ probes, each stream in its own step."""
+def fit_rate_model_lstsq(probes: Sequence[ProbeRecord | ProbePoint]) -> RateModel:
+    """Log-log least-squares power-law fit over 2+ probes, each stream in its own step.
+
+    Only ``qp``, ``r_g`` and ``r_c`` are read. Rates so far apart that the
+    fitted scale leaves the float range are refused."""
     if len(probes) < 2:
         raise ValidationError("need at least two probes")
     steps = [p.qp.steps() for p in probes]
@@ -257,11 +246,11 @@ def fit_rate_model_lstsq(probes: Sequence[ProbeRecord]) -> RateModel:
         if min(q) == max(q):
             raise DegenerateProbesError(f"{label} steps are all equal")
         th, lg = np.linalg.lstsq(np.vander(np.log(q), 2), np.log(r), rcond=None)[0]
-        try:
-            return math.exp(lg), float(th)
-        except OverflowError:
+        # the scale gamma = exp(lg) must neither overflow nor underflow
+        if not _LN_FLOAT_MIN <= lg <= _LN_FLOAT_MAX:
             raise ValidationError(f"{label} rates {max(r):.4g} and {min(r):.4g} are too "
-                                  "far apart to fit a power law") from None
+                                  "far apart to fit a power law")
+        return math.exp(lg), float(th)
 
     gamma_g, theta_g = solve([s.q_g for s in steps], [p.r_g for p in probes], "geometry")
     gamma_c, theta_c = solve([s.q_c for s in steps], [p.r_c for p in probes], "color")
@@ -295,7 +284,7 @@ def _floored_lstsq(mat: np.ndarray, y, slopes: Sequence[str]) -> list[float]:
         fits[-1][cols] = np.linalg.lstsq(mat[:, cols], y, rcond=None)[0]
         if min(fits[0][:n]) >= 0:  # the plain fit needs no floor
             return fits[0].tolist()
-    best = min((c for c in fits if min(c[:n]) >= 0), key=lambda c: np.sum((mat @ c - y) ** 2))
+    best = min((c for c in fits if min(c[:n]) >= 0), key=lambda c: math.hypot(*(mat @ c - y)))
     for name, value, kept in zip(slopes, fits[0], best):
         if kept == 0:
             warnings.warn(f"{name}={value:.4g} from least squares is floored at 0")

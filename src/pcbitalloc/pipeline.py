@@ -26,12 +26,12 @@ for a fixed config: the complexity quotient uses the simulated encode
 clock (a fixed cost per encode call), never wall time. With a synthetic
 codec backend each grid pair is encoded at most once per run: the probe
 records seed a run-local map from QP pair to record, and the exhaustive
-sweep and every row's ``actual`` read through it, so a baseline run
-makes exactly the 441 encodes a real baseline would. The sweep
-is kept as four 21x21 arrays (r_g, r_c, d_g, d_c): each omega gets one
-``GridTable`` built from them, each budget one ``exhaustive_search`` over
-it, and the baseline's PSNR reads its cell's d_g and d_c. Each omega's
-fitted models tabulate their grid once, for all of its targets.
+sweep and every row's ``actual`` and ``esa`` read through it, so a
+baseline run makes exactly the 441 encodes a real baseline would. The
+sweep is also kept as four 21x21 arrays (r_g, r_c, d_g, d_c): each omega
+gets one ``GridTable`` built from them and each budget one
+``exhaustive_search`` over it. Each omega's fitted models tabulate their
+grid once, for all of its targets.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .errors import InfeasibleBudgetError, ValidationError
 from .evaluate import bd_psnr, compute_be, compute_cq, compute_qpe
 from .metrics import psnr
 from .models import (
-    QP_MIN,
     finite_number,
     # the exact fits are unused here; perfbench/spans.py looks all four up by name
     fit_distortion_model,
@@ -193,6 +192,9 @@ def run_pipeline(config: dict) -> dict:
         raise ValidationError("the exhaustive baseline needs a codec backend")
     geometry_peak = finite_number("geometry_peak", config.get("geometry_peak", 1023.0))
     color_peak = finite_number("color_peak", config.get("color_peak", 255.0))
+    for key, peak in (("geometry_peak", geometry_peak), ("color_peak", color_peak)):
+        if peak <= 0:
+            raise ValidationError(f"config '{key}' must be positive, got {peak!r}")
     max_newton_iters = _newton_cap(config.get("solver", {}))
 
     if has_codec:
@@ -249,13 +251,12 @@ def run_pipeline(config: dict) -> dict:
                 row["be_pct"] = compute_be(problem.rate(alloc.qp.steps()), budget)
             if sweep is not None:
                 esa_qp = exhaustive_search(table, budget)
-                cell = (esa_qp.qp_g - QP_MIN, esa_qp.qp_c - QP_MIN)
-                esa_rate, esa_distortion = table(esa_qp)
-                esa_quality = psnr(float(sweep["d_g"][cell]), float(sweep["d_c"][cell]),
-                                   omega, geometry_peak, color_peak)
+                esa = measure(esa_qp)
+                esa_rate = esa.r_g + esa.r_c
+                esa_quality = psnr(esa.d_g, esa.d_c, omega, geometry_peak, color_peak)
                 row["esa"] = {
                     "qp_g": esa_qp.qp_g, "qp_c": esa_qp.qp_c, "rate": esa_rate,
-                    "distortion": esa_distortion,
+                    "distortion": weighted(omega, esa.d_g, esa.d_c),
                     **psnr_fields(esa_quality),
                     "be_pct": compute_be(esa_rate, budget),
                 }

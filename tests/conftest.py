@@ -53,8 +53,9 @@ def brute_symmetric(a, b, luma_weights="bt709"):
 def well_posed_instance(seed):
     """Random codec-plausible allocation instance with a feasible coarse start.
 
-    The budget is the true rate at a uniformly drawn interior step pair, so
-    every instance is solvable from the (80, 80) start.
+    The budget is the true rate at a uniformly drawn interior step pair,
+    above the rate at steps (80, 80) by more than 0.1%, so every instance
+    is solvable from the coarsest grid pair, strictly inside the budget.
     """
     rng = np.random.default_rng((77, seed))
     attempt = 0

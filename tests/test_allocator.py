@@ -14,7 +14,7 @@ from pcbitalloc.allocator import (
     MU0,
     NEWTON_TOL,
     POLISH_RADIUS,
-    START,
+    START_DOUBLINGS,
     Allocation,
     AllocationProblem,
     GridTable,
@@ -124,10 +124,14 @@ def reference_newton(p, q_g, q_c, mu, max_iters, trace):
 
 
 def reference_solve(p, trace):
-    """``solve_interior_point`` from an interior start, on ``reference_newton``."""
-    q_g, q_c = START.q_g, START.q_c
-    if p.slack(q_g, q_c) <= 0:
-        q_g = q_c = qp_to_step(42)
+    """``solve_interior_point`` on ``reference_newton``, from the coarsest
+    pair, its steps doubled while the slack there is below 2**-26 of the budget."""
+    q_g = q_c = qp_to_step(42)
+    for _ in range(START_DOUBLINGS):
+        if p.slack(q_g, q_c) >= 2.0**-26 * p.r_target:
+            break
+        q_g = q_c = 2.0 * q_g
+    assert p.slack(q_g, q_c) > 0
     trace.append((MU0, q_g, q_c, p.slack(q_g, q_c)))
     mu = MU0
     while mu >= EPS:
@@ -209,22 +213,29 @@ class TestSolver:
             solve_interior_point(worked_problem(100.0))
 
     def test_budget_met_only_by_coarsest_grid_step(self):
-        # rate 120 at the (80, 80) start, 119.055 at the coarsest step 80.63
+        # rate 119.055 at the coarsest step 80.63, a slack far above rounding
         trace = []
         alloc = solve_interior_point(worked_problem(119.07), trace=trace)
         assert trace[0][1:3] == (qp_to_step(42), qp_to_step(42))
         assert alloc.qp == QpPair(42, 42)
 
     def test_budget_equal_to_the_coarsest_rate(self):
-        # the slack there is 0, so the barrier has no interior, yet (42, 42) fits
+        # the slack there is 0, so the barrier starts further out, and (42, 42) fits
         coarsest = QpPair(42, 42).steps()
         p = worked_problem(worked_problem().rate(coarsest))
         assert p.slack(coarsest.q_g, coarsest.q_c) == 0.0
         alloc = solve_interior_point(p)
         assert alloc.qp == QpPair(42, 42) == exhaustive_search(model_oracle(p), p.r_target)
-        assert alloc.continuous == coarsest and alloc.predicted_rate == p.r_target
         with pytest.raises(InfeasibleBudgetError, match="below the rate at the coarsest"):
             solve_interior_point(worked_problem(math.nextafter(p.r_target, 0.0)))
+
+    def test_flat_rate_leaves_no_interior_start(self):
+        # rates so flat that every doubled step has the coarsest pair's rate
+        rm = RateModel(300.0, -1e-300, 300.0, -1e-300)
+        p = AllocationProblem(DistortionModel(0.5, 0.25, 4.0, 0.5), rm, 600.0)
+        assert p.rate(QuantPair(8.0, 8.0)) == p.r_target
+        with pytest.raises(ConvergenceError, match="no interior start within 8 doublings"):
+            solve_interior_point(p)
 
     def test_negative_slope_model_rejected(self):
         # the model refuses itself, so no problem can be built from it
@@ -314,20 +325,12 @@ class TestSolver:
             with pytest.raises(InfeasibleBudgetError):
                 solve_interior_point(p)
             return
-        start_slack = p.slack(coarsest.q_g, coarsest.q_c)
-        try:
-            alloc = solve_interior_point(p)
-        except ConvergenceError:
-            # the known stall of a start only 1-2 ulps inside the budget
-            assert 0 < start_slack <= 2 * math.ulp(budget)
-            return
+        alloc = solve_interior_point(p)
         assert p.rate(alloc.qp.steps()) <= budget
-        if start_slack <= 0:
-            # the coarsest pair fits but leaves no interior to start from
-            assert alloc.qp == QpPair(42, 42) and alloc.continuous == coarsest
+        if p.slack(coarsest.q_g, coarsest.q_c) <= 0:
+            # the coarsest pair fits, with no slack left over
+            assert alloc.qp == QpPair(42, 42)
 
-    @pytest.mark.xfail(raises=ConvergenceError, strict=True,
-                       reason="Newton stalls when the start slack is one ulp")
     def test_start_one_ulp_inside_the_budget(self):
         dm = DistortionModel(0.5, 0.5, 4.0, 0.5)
         rm = RateModel(300.0, -1.8, 300.0, -1.75)
@@ -335,6 +338,41 @@ class TestSolver:
         p = AllocationProblem(dm, rm, least_starting_budget(dm, rm))
         assert p.slack(coarsest.q_g, coarsest.q_c) <= math.ulp(p.r_target)
         assert solve_interior_point(p).qp == QpPair(42, 42)
+
+    # the Lagrangian point of Shoham & Gersho (IEEE Trans. ASSP, 1988): each
+    # Q_i(lambda) = (lambda*gamma_i*|theta_i| / a_i)**(1/(1 - theta_i)) is
+    # stationary, and bisection on ln(lambda) meets the budget; the rate
+    # falls as lambda grows. Budgets are the instance's own, or the coarsest
+    # pair's rate and its next 3 floats, where the start is pushed outward.
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 1999), st.one_of(st.none(), st.integers(0, 3)))
+    def test_continuous_point_matches_the_lagrangian_kkt_point(self, seed, floats_above):
+        spec, omega, budget = well_posed_instance(seed)
+        dm, rm = spec.distortion_model(omega), spec.rate
+        assume(dm.a > 0 and dm.b > 0)
+        if floats_above is not None:
+            budget = AllocationProblem(dm, rm, 1.0).rate(QpPair(42, 42).steps())
+            for _ in range(floats_above):
+                budget = math.nextafter(budget, math.inf)
+        terms = ((dm.a, rm.gamma_g, rm.theta_g), (dm.b, rm.gamma_c, rm.theta_c))
+
+        def steps(ln_lam):
+            return [math.exp((ln_lam + math.log(gamma * -theta / slope)) / (1.0 - theta))
+                    for slope, gamma, theta in terms]
+
+        def rate(ln_lam):
+            return sum(gamma * q**theta for (_, gamma, theta), q in zip(terms, steps(ln_lam)))
+
+        # lambda at which Q_g is 1e-3 and 1e6 brackets every budget here
+        lo, hi = ((1.0 - rm.theta_g) * math.log(q) + math.log(dm.a / (rm.gamma_g * -rm.theta_g))
+                  for q in (1e-3, 1e6))
+        assert rate(lo) > budget > rate(hi)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if rate(mid) > budget else (lo, mid)
+        alloc = solve_interior_point(AllocationProblem(dm, rm, budget))
+        got = (alloc.continuous.q_g, alloc.continuous.q_c)
+        assert got == pytest.approx(steps(hi), rel=1e-6)
 
     def test_config_validation(self):
         for cap in (1000.0, True, 0, -1, "1000"):
@@ -420,7 +458,8 @@ class TestRounding:
         qp = QpPair(qp_g, qp_c)
         assert polish_rounding(p, qp) == window_key_search(p, qp)
         q = qp.steps()
-        assert model_oracle(p)(qp) == (p.rate(q), p.distortion(q))
+        table, cell = model_oracle(p), (qp_g - 22, qp_c - 22)
+        assert (table.rate[cell], table.distortion[cell]) == (p.rate(q), p.distortion(q))
 
 
 def window_key_search(p, qp, radius=POLISH_RADIUS):
@@ -445,7 +484,8 @@ def tuple_key_search(table, r_target):
     best = None
     for qp_g in range(22, 43):
         for qp_c in range(22, 43):
-            rate, dist = table(QpPair(qp_g, qp_c))
+            cell = (qp_g - 22, qp_c - 22)
+            rate, dist = table.rate[cell], table.distortion[cell]
             if rate <= r_target:
                 key = (dist, rate, qp_g, qp_c)
                 if best is None or key < best:
@@ -498,8 +538,8 @@ class TestExhaustiveSearch:
         p = worked_problem()
         table = model_oracle(p)
         q = QpPair(24, 23).steps()
-        assert table(QpPair(24, 23)) == (p.rate(q), p.distortion(q))
-        assert table.rate[24 - 22, 23 - 22] == table(QpPair(24, 23))[0]
+        cell = (24 - 22, 23 - 22)
+        assert (table.rate[cell], table.distortion[cell]) == (p.rate(q), p.distortion(q))
         with pytest.raises(ValueError):
             table.rate[0, 0] = 0.0
         with pytest.raises(ValidationError):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from pcbitalloc import pipeline, simcodec
 from pcbitalloc.cli import build_parser, main
@@ -346,6 +346,8 @@ class TestCli:
         ("targets", 900),
         ("geometry_peak", float("nan")),
         ("color_peak", float("nan")),
+        ("geometry_peak", 0),
+        ("color_peak", -255.0),
         ("run_exhaustive", "no"),
         ("solver", {"mu0": "x"}),
         ("solver", {"eps": None}),
@@ -362,6 +364,7 @@ class TestCli:
         ("omegas", [1.5]),
         ("omegas", [-0.25]),
     ], ids=["targets-string", "targets-scalar", "geometry-peak-nan", "color-peak-nan",
+            "geometry-peak-zero", "color-peak-negative",
             "run-exhaustive-string", "solver-mu0-string", "solver-eps-null",
             "solver-scalar", "solver-null", "solver-mu0-bool", "solver-newton-tol",
             "unknown-misspelt-key", "unknown-omega-key", "codec-and-probe-log",
@@ -471,8 +474,8 @@ class TestCli:
                                  "--probes", str(log), "--omega", "0", "-o", str(model_path)],
                                 capture_output=True, text=True, env=env, timeout=60)
         assert result.returncode == 0
-        assert ("UserWarning: color distortion slope a_gc=-0.006717 from least squares "
-                "is floored at 0") in result.stderr
+        assert result.stderr == ("warning: color distortion slope a_gc=-0.006717 from "
+                                 "least squares is floored at 0\n")
         assert json.loads(model_path.read_text())["distortion"]["a"] == 0.0
 
     def test_fit_refuses_rates_too_far_apart(self, tmp_path, capsys):
@@ -709,6 +712,8 @@ def malformed_configs(draw):
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(malformed_configs())
+# a distortion offset so large that the floored fit's squared residual overflows
+@example(worked_config(codec=dict(WORKED_SPEC, beta_g=1.7703627518640612e172)))
 def test_simulate_survives_malformed_config_trees(config):
     # every bad config gives an error line and an exit code of its category
     spec = SyntheticCodecSpec(rate=RateModel(**WORKED_SPEC["rate"]),
