@@ -36,6 +36,11 @@ def _read_json(path, what: str):
 
 
 def _cmd_metric(args) -> None:
+    # refuse bad flags before either cloud is read, omega first as the payload
+    # does; a default geometry peak comes from the reference's bit depth
+    models.weighted(args.omega, 0.0, 0.0)
+    metrics.psnr(0.0, 0.0, args.omega, 1.0 if args.geometry_peak is None
+                 else args.geometry_peak, args.color_peak)
     ref = cloud.load_ply(args.reference)
     rec = cloud.load_ply(args.reconstruction)
     pair = metrics.symmetric_distortion(ref, rec, luma_weights=args.luma_weights)

@@ -6,8 +6,10 @@ in the two steps (optionally with an injected cross-coupling term to
 stress that assumption); each bitstream follows a power law in its own
 step. Observations can carry seeded noise: multiplicative
 lognormal on rates, additive Gaussian scaled by the clean value on
-distortions. Encoding is a pure function of (spec, qp): the generator is
-PCG64 seeded from (spec.seed, qp_g, qp_c), so replays are bit-identical.
+distortions. Encoding is a pure function of (spec, qp): a noisy spec
+draws one 21x21x4 table of standard normals on first use, from PCG64
+seeded with (spec.seed, 1), and each encode reads its cell's four, so
+replays are bit-identical.
 An encode returns the ``ProbeRecord`` a probe log row holds.
 
 A spec comes from a config's ``codec`` object through ``spec_from_dict``,
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +35,7 @@ from .models import (
     ProbeRecord,
     QpPair,
     RateModel,
+    _read_only,
     finite_number,
     qp_to_step,
     weighted_distortion_model,
@@ -87,6 +91,16 @@ class SyntheticCodecSpec:
                + self.coupling * q_g * q_c)
         return d_g, d_c
 
+    @cached_property
+    def noise_table(self) -> np.ndarray:
+        """Four standard normals per grid cell, [qp_g - QP_MIN, qp_c - QP_MIN]:
+        the (r_g, r_c, d_g, d_c) draws of that cell's encode."""
+        # SeedSequence drops trailing zero words, so (seed, 0) would replay
+        # the stream random_spec(seed) draws the codec's parameters from
+        rng = np.random.default_rng((self.seed, 1))
+        n = QP_MAX - QP_MIN + 1
+        return _read_only(rng.standard_normal((n, n, 4)))
+
     def distortion_model(self, omega: float) -> DistortionModel:
         """Ground-truth combined distortion plane at a weighting factor."""
         return weighted_distortion_model(omega, (self.alpha_g, self.beta_g),
@@ -94,14 +108,14 @@ class SyntheticCodecSpec:
 
 
 def encode(spec: SyntheticCodecSpec, qp: QpPair) -> ProbeRecord:
-    """Simulate one encoding at a QP pair; deterministic for fixed inputs."""
+    """Simulate one encoding at a QP pair, a pure function of its inputs; a
+    noisy spec's draws are its ``noise_table`` cell at the pair."""
     q_g, q_c = qp_to_step(qp.qp_g), qp_to_step(qp.qp_c)
     d_g, d_c = spec.distortions(q_g, q_c)
     r_g = spec.rate.gamma_g * q_g**spec.rate.theta_g
     r_c = spec.rate.gamma_c * q_c**spec.rate.theta_c
     if spec.noise_rel > 0:
-        rng = np.random.default_rng((spec.seed, qp.qp_g, qp.qp_c))
-        z = rng.standard_normal(4).tolist()
+        z = spec.noise_table[qp.qp_g - QP_MIN, qp.qp_c - QP_MIN].tolist()
         r_g *= math.exp(spec.noise_rel * z[0])
         r_c *= math.exp(spec.noise_rel * z[1])
         d_g = max(0.0, d_g * (1.0 + spec.noise_rel * z[2]))

@@ -58,7 +58,7 @@ def standard_json(text: str):
 
 
 # a noisy codec whose rows repeat QP pairs, one of them a probe pair
-DEDUP_CONFIG = {"codec": spec_to_dict(random_spec(12, noise_rel=0.02)),
+DEDUP_CONFIG = {"codec": spec_to_dict(random_spec(93, noise_rel=0.02)),
                 "targets": [636, 655, 800, 1000, 1400, 2000, 3000, 3010],
                 "omegas": [0.25, 0.5, 0.75], "run_exhaustive": True}
 
@@ -243,6 +243,19 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err == "error [validation]: peaks must be positive and finite\n"
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--omega", "2"], "omega must lie in [0, 1]"),
+        (["--color-peak", "0"], "peaks must be positive and finite"),
+        (["--geometry-peak", "-1"], "peaks must be positive and finite"),
+    ])
+    def test_metric_checks_flags_before_loading_clouds(self, tmp_path, capsys,
+                                                       flags, message):
+        # neither file exists, so reading one would exit 4 [io]
+        rc = main(["metric", str(tmp_path / "nope.ply"), str(tmp_path / "nope2.ply"),
+                   *flags])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error [validation]: {message}\n"
 
     def test_metric_binary_vertex_count_beyond_file(self, tmp_path, rng, capsys):
         save_ply(make_cloud(rng, 20, bit_depth=4), tmp_path / "a.ply", binary=True)
@@ -468,13 +481,13 @@ class TestCli:
     def test_noisy_fit_warns_on_stderr_and_writes_the_model(self, tmp_path):
         # noise pulls the color distortion's small geometry slope below 0
         log, model_path = tmp_path / "probes.csv", tmp_path / "model.json"
-        write_probe_log(log, run_probe_schedule(random_spec(59, noise_rel=0.005)))
+        write_probe_log(log, run_probe_schedule(random_spec(74, noise_rel=0.005)))
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
         result = subprocess.run([sys.executable, "-m", "pcbitalloc.cli", "fit",
                                  "--probes", str(log), "--omega", "0", "-o", str(model_path)],
                                 capture_output=True, text=True, env=env, timeout=60)
         assert result.returncode == 0
-        assert result.stderr == ("warning: color distortion slope a_gc=-0.006717 from "
+        assert result.stderr == ("warning: color distortion slope a_gc=-0.0014 from "
                                  "least squares is floored at 0\n")
         assert json.loads(model_path.read_text())["distortion"]["a"] == 0.0
 

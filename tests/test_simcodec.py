@@ -26,6 +26,9 @@ def base_spec(**overrides):
     return SyntheticCodecSpec(**kwargs)
 
 
+ALL_PAIRS = [QpPair(g, c) for g in range(22, 43) for c in range(22, 43)]
+
+
 def interaction_fraction(surface):
     """Two-way variance decomposition: interaction energy over total energy."""
     grand = surface.mean()
@@ -74,6 +77,40 @@ class TestEncode:
                 rec = encode(spec, QpPair(qp_g, qp_c))
                 for value in (rec.r_g, rec.r_c, rec.d_g, rec.d_c):
                     assert type(value) is float
+
+    def test_one_generator_per_spec_across_the_grid(self, monkeypatch):
+        spec = random_spec(3, noise_rel=0.005)
+        built = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *a: built.append(a) or real(*a))
+        for qp in ALL_PAIRS:
+            encode(spec, qp)
+        assert len(built) == 1
+
+    def test_noise_table_is_read_only(self):
+        table = base_spec(noise_rel=0.05).noise_table
+        assert table.shape == (21, 21, 4)
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 0.0
+
+    def test_dict_round_trip_encodes_the_same_bits(self):
+        spec = random_spec(8, noise_rel=0.02)
+        again = spec_from_dict(spec_to_dict(spec))
+        assert [encode(again, qp) for qp in ALL_PAIRS] == [encode(spec, qp) for qp in ALL_PAIRS]
+
+    def test_noise_free_spec_never_draws_the_table(self):
+        spec = base_spec()
+        for qp in ALL_PAIRS:
+            encode(spec, qp)
+        assert "noise_table" not in vars(spec)
+
+    def test_noise_is_not_the_parameter_stream(self):
+        # SeedSequence drops trailing zero words: (seed, 0) is the stream
+        # random_spec(seed) draws the codec's parameters from
+        spec = random_spec(4, noise_rel=0.01)
+        params = np.random.default_rng(spec.seed).standard_normal(spec.noise_table.shape)
+        assert not np.any(spec.noise_table == params)
 
     def test_noise_is_centered(self):
         spec = base_spec(noise_rel=0.01)
