@@ -28,9 +28,14 @@ instance tabulates once, so the targets of one omega share one table.
 
 An exhaustive 441-pair grid search over the same QP range serves as the
 reference baseline. It reads a ``GridTable``: the (rate, distortion) of
-every grid cell as two 21x21 arrays, filled once per codec sweep or,
-from the models' grid tables, by ``model_oracle``. The search and the
-polish pick their cell with the same masked lexicographic argmin.
+every grid cell as two 21x21 arrays, filled from a codec's grid or, from
+the models' grid tables, by ``model_oracle``. The search and the polish
+pick their cell the same way: sort the cells by (distortion, rate),
+stably so that ties keep row-major order, keep the running minimum rate
+along that order, and take the first cell where it fits the budget, found
+by bisection. That cell is the admissible one of least (distortion, rate,
+qp_g, qp_c). A table sorts its cells once, for all of its budgets; the
+polish sorts its window.
 
 The solver's fixed settings are module constants: a solve starts at the
 coarsest grid pair, doubling both steps at most ``START_DOUBLINGS`` times
@@ -303,37 +308,48 @@ def polish_rounding(p: AllocationProblem, qp: QpPair) -> QpPair:
 
     Per-component rounding can strand a few percent of the budget; this
     re-minimizes the modeled distortion over the feasible cells within
-    the window, using the same tie order as the exhaustive baseline.
+    the window, using the same pick as the exhaustive baseline.
     Returns the input pair unchanged when no window cell fits the budget.
     """
     radius = POLISH_RADIUS
     i_g, i_c = qp.qp_g - QP_MIN, qp.qp_c - QP_MIN
     g0, c0 = max(i_g - radius, 0), max(i_c - radius, 0)
     window = (slice(g0, i_g + radius + 1), slice(c0, i_c + radius + 1))
-    rate, distortion = p.rm.grid[window], p.dm.grid[window]
-    cell = _best_cell(rate, distortion, rate <= p.r_target)
+    rate = p.rm.grid[window]
+    cell = _pick(_frontier(rate, p.dm.grid[window]), p.r_target)
     if cell is None:
         return qp
-    return QpPair(_QPS[g0 + cell[0]], _QPS[c0 + cell[1]])
+    row, column = divmod(cell, rate.shape[1])
+    return QpPair(_QPS[g0 + row], _QPS[c0 + column])
 
 
-def _best_cell(rate, distortion, admissible) -> tuple[int, int] | None:
-    """Index of the admissible cell of least (distortion, rate, row, column),
-    or None when no cell is admissible."""
-    if not admissible.any():
-        return None
-    best = admissible.copy()
-    for values in (distortion, rate):
-        best &= values == values[best].min()
-    # argmax finds the first remaining cell in row-major order
-    return divmod(int(np.argmax(best)), rate.shape[1])
+def _frontier(rate: np.ndarray, distortion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of a table's cells in (distortion, rate) order, and
+    minus the running minimum rate along that order. The sort is stable, so
+    tied cells keep their row-major order."""
+    rate = rate.ravel()
+    order = np.lexsort((rate, distortion.ravel()))
+    return order, -np.minimum.accumulate(rate[order])
+
+
+def _pick(frontier, budget: float) -> int | None:
+    """Flat index of the admissible cell of least (distortion, rate, row,
+    column), or None when no cell fits the budget.
+
+    That cell is the first along the frontier order whose rate fits, which
+    is where the running minimum rate first fits; a NaN budget fits none.
+    """
+    order, ceiling = frontier
+    i = int(np.searchsorted(ceiling, -budget))
+    return int(order[i]) if i < len(order) else None
 
 
 @dataclass(frozen=True, eq=False)
 class GridTable:
     """(rate, distortion) of every QP grid cell, indexed [qp_g - 22, qp_c - 22].
 
-    Both arrays are read-only 21x21 float64.
+    Both arrays are read-only 21x21 float64. The table sorts its cells once,
+    into the frontier that each ``exhaustive_search`` over it reads.
     """
 
     rate: np.ndarray
@@ -349,6 +365,7 @@ class GridTable:
                 raise ValidationError(f"grid table {name} must not contain NaN")
             values.flags.writeable = False
             object.__setattr__(self, name, values)
+        object.__setattr__(self, "frontier", _frontier(self.rate, self.distortion))
 
 
 def exhaustive_search(table: GridTable, r_target: float) -> QpPair:
@@ -358,12 +375,13 @@ def exhaustive_search(table: GridTable, r_target: float) -> QpPair:
     remaining ties fall to lower rate, then lower qp_g, then lower qp_c,
     the order of the key (distortion, rate, qp_g, qp_c).
     """
-    cell = _best_cell(table.rate, table.distortion, table.rate <= r_target)
+    cell = _pick(table.frontier, r_target)
     if cell is None:
         raise InfeasibleBudgetError(
             f"no grid pair fits the budget {r_target:.6g} kbpmp"
         )
-    return QpPair(_QPS[cell[0]], _QPS[cell[1]])
+    row, column = divmod(cell, len(_QPS))
+    return QpPair(_QPS[row], _QPS[column])
 
 
 def model_oracle(p: AllocationProblem) -> GridTable:

@@ -23,15 +23,16 @@ row per omega and target, the only place a per-target fact is written)
 and ``evaluation`` (``encode_calls``, plus ``cq_pct``, ``average`` and
 ``bd_psnr_db`` when the baseline runs). Reports are byte-stable
 for a fixed config: the complexity quotient uses the simulated encode
-clock (a fixed cost per encode call), never wall time. With a synthetic
-codec backend each grid pair is encoded at most once per run: the probe
-records seed a run-local map from QP pair to record, and the exhaustive
-sweep and every row's ``actual`` and ``esa`` read through it, so a
-baseline run makes exactly the 441 encodes a real baseline would. The
-sweep is also kept as four 21x21 arrays (r_g, r_c, d_g, d_c): each omega
-gets one ``GridTable`` built from them and each budget one
-``exhaustive_search`` over it. Each omega's fitted models tabulate their
-grid once, for all of its targets.
+clock (a fixed cost per encode call), never wall time, and the baseline
+counts the 441 encodes a real one would make. With a synthetic codec
+backend the exhaustive sweep is the codec's ``grid``, the (r_g, r_c, d_g,
+d_c) of every grid pair as one 21x21x4 array computed once per run, and
+refused as its 441 encodes would refuse it (``sweep_grid``); each omega
+gets one ``GridTable`` built from its slices and each budget one
+``exhaustive_search`` over it. Every row's ``actual`` and ``esa`` read a
+run-local map from QP pair to record, seeded by the probe records; a pair
+not yet in it is encoded, which reads its cell of the grid. Each omega's
+fitted models tabulate their grid once, for all of its targets.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ import csv
 import json
 import math
 from pathlib import Path
-
-import numpy as np
 
 from .allocator import (
     MAX_NEWTON_ITERS,
@@ -62,11 +61,17 @@ from .models import (
     fit_rate_model,
     fit_rate_model_lstsq,
     model_to_dict,
-    qp_grid,
     read_probe_log,
     weighted,
 )
-from .simcodec import ENCODE_TIME_MS, QpPair, encode, run_probe_schedule, spec_from_dict
+from .simcodec import (
+    ENCODE_TIME_MS,
+    QpPair,
+    encode,
+    run_probe_schedule,
+    spec_from_dict,
+    sweep_grid,
+)
 
 
 _CONFIG_KEYS = frozenset({"codec", "probe_log", "targets", "omegas", "run_exhaustive",
@@ -101,15 +106,6 @@ def _measurer(spec, records):
         return record
 
     return measure
-
-
-def _grid_sweep(measure) -> dict[str, np.ndarray]:
-    """r_g, r_c, d_g and d_c of every grid pair as 21x21 arrays indexed
-    [qp_g - QP_MIN, qp_c - QP_MIN], one ``measure`` per pair."""
-    encodes = [measure(QpPair(qp_g, qp_c)) for qp_g in qp_grid() for qp_c in qp_grid()]
-    n = len(qp_grid())
-    return {key: np.array([getattr(e, key) for e in encodes]).reshape(n, n)
-            for key in ("r_g", "r_c", "d_g", "d_c")}
 
 
 def allocation_fields(alloc) -> dict:
@@ -213,10 +209,10 @@ def run_pipeline(config: dict) -> dict:
     pba_encode_calls = len(records)
     measure = _measurer(spec, records) if has_codec else None
 
-    sweep = _grid_sweep(measure) if run_esa else None
-    esa_encode_calls = sweep["r_g"].size if sweep else 0
+    sweep = sweep_grid(spec) if run_esa else None
+    esa_encode_calls = sweep[..., 0].size if sweep is not None else 0
     if sweep is not None:
-        esa_rate_grid = sweep["r_g"] + sweep["r_c"]
+        esa_rate_grid = sweep[..., 0] + sweep[..., 1]
 
     models_out = {}
     allocations = []
@@ -225,7 +221,7 @@ def run_pipeline(config: dict) -> dict:
         dm, rm = fit_models(records, omega)
         models_out[str(omega)] = model_to_dict(dm, rm)
         if sweep is not None:
-            table = GridTable(esa_rate_grid, weighted(omega, sweep["d_g"], sweep["d_c"]))
+            table = GridTable(esa_rate_grid, weighted(omega, sweep[..., 2], sweep[..., 3]))
         pba_points = []
         esa_points = []
         for target in targets:

@@ -6,11 +6,13 @@ in the two steps (optionally with an injected cross-coupling term to
 stress that assumption); each bitstream follows a power law in its own
 step. Observations can carry seeded noise: multiplicative
 lognormal on rates, additive Gaussian scaled by the clean value on
-distortions. Encoding is a pure function of (spec, qp): a noisy spec
-draws one 21x21x4 table of standard normals on first use, from PCG64
-seeded with (spec.seed, 1), and each encode reads its cell's four, so
-replays are bit-identical.
-An encode returns the ``ProbeRecord`` a probe log row holds.
+distortions. Encoding is a pure function of (spec, qp): each spec
+computes its ``grid``, the (r_g, r_c, d_g, d_c) of all 441 QP pairs as one
+read-only 21x21x4 array, on first use, and an encode reads its cell into
+the ``ProbeRecord`` a probe log row holds. A noisy spec's grid takes one
+21x21x4 table of standard normals, drawn from PCG64 seeded with
+(spec.seed, 1), so replays are bit-identical. ``sweep_grid`` is the grid
+an exhaustive baseline reads, refused as its 441 encodes would refuse it.
 
 A spec comes from a config's ``codec`` object through ``spec_from_dict``,
 the inverse of ``spec_to_dict``; a variant of a spec is
@@ -38,6 +40,7 @@ from .models import (
     _read_only,
     finite_number,
     qp_to_step,
+    step_grid,
     weighted_distortion_model,
 )
 
@@ -70,7 +73,7 @@ class SyntheticCodecSpec:
                self.noise_rel, self.overhead_kbpmp) < 0:
             raise ValidationError("codec slopes, noise and overhead must be non-negative")
         if self.noise_rel > 1:
-            # a larger lognormal sigma can overflow math.exp in encode
+            # a larger lognormal sigma can overflow math.exp in ``grid``
             raise ValidationError("codec noise_rel must not exceed 1")
         # d_g is affine and d_c bilinear in the steps, so their least values
         # on the grid lie at corners of its step box
@@ -85,7 +88,8 @@ class SyntheticCodecSpec:
                                   "negative on the QP grid")
 
     def distortions(self, q_g: float, q_c: float) -> tuple[float, float]:
-        """Noise-free (geometry, color) distortion at a step pair."""
+        """Noise-free (geometry, color) distortion at a step pair, or
+        elementwise over broadcast step arrays."""
         d_g = self.alpha_g * q_g + self.beta_g
         d_c = (self.alpha_gc * q_g + self.alpha_cc * q_c + self.beta_c
                + self.coupling * q_g * q_c)
@@ -101,6 +105,37 @@ class SyntheticCodecSpec:
         n = QP_MAX - QP_MIN + 1
         return _read_only(rng.standard_normal((n, n, 4)))
 
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """(r_g, r_c, d_g, d_c) of every grid cell, [qp_g - QP_MIN, qp_c - QP_MIN],
+        read-only: what ``encode`` reads. Rates follow the power laws and
+        distortions ``distortions``; a noisy spec scales each rate by
+        exp(noise_rel * z) and each distortion by 1 + noise_rel * z, z its
+        cell's ``noise_table`` draws, and clamps the distortions at 0.
+
+        Each cell equals a per-pair loop in Python floats bit for bit, as the
+        same operations run in the same order: Python ``**`` and
+        ``math.exp``, whose numpy counterparts can differ in the last bit;
+        the clamp ``max(0.0, x)`` written ``where(x > 0.0, x, 0.0)``, which
+        maps -0.0 and NaN to 0.0 as it does; and overflow to inf or NaN
+        passes without a warning, as it does in Python float arithmetic.
+        """
+        steps = step_grid()
+        q = np.array(steps)
+        n, rate, noise = len(steps), self.rate, self.noise_rel
+        grid = np.empty((n, n, 4))
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid[..., 0] = rate.gamma_g * np.array([s**rate.theta_g for s in steps])[:, None]
+            grid[..., 1] = rate.gamma_c * np.array([s**rate.theta_c for s in steps])
+            grid[..., 2], grid[..., 3] = self.distortions(q[:, None], q)
+            if noise > 0:
+                z = self.noise_table
+                exps = map(math.exp, (noise * z[..., :2]).ravel().tolist())
+                grid[..., :2] *= np.fromiter(exps, float, 2 * n * n).reshape(n, n, 2)
+                noisy = grid[..., 2:] * (1.0 + noise * z[..., 2:])
+                grid[..., 2:] = np.where(noisy > 0.0, noisy, 0.0)
+        return _read_only(grid)
+
     def distortion_model(self, omega: float) -> DistortionModel:
         """Ground-truth combined distortion plane at a weighting factor."""
         return weighted_distortion_model(omega, (self.alpha_g, self.beta_g),
@@ -108,19 +143,22 @@ class SyntheticCodecSpec:
 
 
 def encode(spec: SyntheticCodecSpec, qp: QpPair) -> ProbeRecord:
-    """Simulate one encoding at a QP pair, a pure function of its inputs; a
-    noisy spec's draws are its ``noise_table`` cell at the pair."""
-    q_g, q_c = qp_to_step(qp.qp_g), qp_to_step(qp.qp_c)
-    d_g, d_c = spec.distortions(q_g, q_c)
-    r_g = spec.rate.gamma_g * q_g**spec.rate.theta_g
-    r_c = spec.rate.gamma_c * q_c**spec.rate.theta_c
-    if spec.noise_rel > 0:
-        z = spec.noise_table[qp.qp_g - QP_MIN, qp.qp_c - QP_MIN].tolist()
-        r_g *= math.exp(spec.noise_rel * z[0])
-        r_c *= math.exp(spec.noise_rel * z[1])
-        d_g = max(0.0, d_g * (1.0 + spec.noise_rel * z[2]))
-        d_c = max(0.0, d_c * (1.0 + spec.noise_rel * z[3]))
-    return ProbeRecord(qp, r_g, r_c, d_g, d_c)
+    """Simulate one encoding at a QP pair, a pure function of its inputs:
+    the pair's cell of ``spec.grid``."""
+    return ProbeRecord(qp, *spec.grid[qp.qp_g - QP_MIN, qp.qp_c - QP_MIN].tolist())
+
+
+def sweep_grid(spec: SyntheticCodecSpec) -> np.ndarray:
+    """``spec.grid`` as an exhaustive sweep reads it, refused as encoding its
+    441 pairs would refuse it: the first cell in row-major order that fails
+    a ``ProbeRecord`` check raises that check's error."""
+    grid = spec.grid
+    fine = (np.isfinite(grid).all(axis=2) & (grid[..., :2] > 0).all(axis=2)
+            & (grid[..., 2:] >= 0).all(axis=2))
+    if not fine.all():
+        i_g, i_c = np.argwhere(~fine)[0].tolist()
+        encode(spec, QpPair(QP_MIN + i_g, QP_MIN + i_c))  # raises the cell's error
+    return grid
 
 
 def probe_schedule() -> tuple[QpPair, QpPair, QpPair]:

@@ -1,10 +1,13 @@
-"""Shared fixtures: random clouds, brute-force metric oracles, solver instances."""
+"""Shared fixtures: random clouds, brute-force metric oracles, solver
+instances, a counter of codec grid builds."""
+
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 from pcbitalloc.cloud import LUMA_SCALE, PointCloud, luma_scaled
-from pcbitalloc.simcodec import random_spec
+from pcbitalloc.simcodec import SyntheticCodecSpec, random_spec
 
 
 def make_cloud(rng, n, bit_depth=10):
@@ -69,6 +72,21 @@ def well_posed_instance(seed):
         if r_target > r_start * 1.001:
             return spec, omega, r_target
         attempt += 1
+
+
+def count_grid_builds(monkeypatch) -> list:
+    """Wrap ``SyntheticCodecSpec.grid``; returns the specs whose grid was built."""
+    built = []
+    real = SyntheticCodecSpec.grid.func
+
+    def counted(spec):
+        built.append(spec)
+        return real(spec)
+
+    grid = cached_property(counted)
+    grid.__set_name__(SyntheticCodecSpec, "grid")
+    monkeypatch.setattr(SyntheticCodecSpec, "grid", grid)
+    return built
 
 
 @pytest.fixture

@@ -452,6 +452,15 @@ class TestRounding:
     @given(st.integers(0, 1999), st.integers(22, 42), st.integers(22, 42),
            st.floats(0.3, 2.0))
     @example(0, 22, 22, 0.3)
+    # windows clipped at each corner and along each edge of the grid, each
+    # with cells in and out of the budget and a pick that moves the pair
+    @example(5, 22, 22, 2.0)
+    @example(3, 22, 42, 1.3)
+    @example(2, 42, 22, 0.5)
+    @example(1, 42, 42, 0.7)
+    @example(3, 23, 30, 2.0)
+    @example(1, 30, 41, 2.0)
+    @example(2, 41, 23, 0.5)
     def test_polish_matches_window_loop(self, seed, qp_g, qp_c, scale):
         spec, omega, r_target = well_posed_instance(seed)
         p = AllocationProblem(spec.distortion_model(omega), spec.rate, r_target * scale)
@@ -533,6 +542,45 @@ class TestExhaustiveSearch:
                 exhaustive_search(table, r_target)
         else:
             assert exhaustive_search(table, r_target) == want
+
+    def test_infinite_rates_fit_only_an_infinite_budget(self):
+        rates = np.full((21, 21), math.inf)
+        rates[20, 20] = 5.0
+        table = GridTable(rates, np.arange(441.0).reshape(21, 21))
+        for budget, want in ((4.0, None), (5.0, QpPair(42, 42)), (math.inf, QpPair(22, 22))):
+            assert tuple_key_search(table, budget) == want
+            if want is None:
+                with pytest.raises(InfeasibleBudgetError):
+                    exhaustive_search(table, budget)
+            else:
+                assert exhaustive_search(table, budget) == want
+
+    def test_signed_zero_distortions_tie(self):
+        # 0.0 == -0.0, so rate and then the QPs decide between them
+        distortion = np.ones((21, 21))
+        distortion[0, 0], distortion[0, 1], distortion[1, 0] = 0.0, -0.0, -0.0
+        rates = np.full((21, 21), 2.0)
+        table = GridTable(rates, distortion)
+        assert exhaustive_search(table, 2.0) == tuple_key_search(table, 2.0) == QpPair(22, 22)
+        rates[1, 0] = 1.0
+        table = GridTable(rates, distortion)
+        assert exhaustive_search(table, 2.0) == tuple_key_search(table, 2.0) == QpPair(23, 22)
+        rng = np.random.default_rng(3)
+        signed = np.where(rng.random((21, 21)) < 0.5, -0.0, 0.0)
+        table = GridTable(rng.choice([1.0, 2.0, 3.0], size=(21, 21)), signed)
+        for budget in (1.0, 2.0, 3.0):
+            assert exhaustive_search(table, budget) == tuple_key_search(table, budget)
+
+    def test_budget_equal_to_a_cell_rate_admits_it(self):
+        table = model_oracle(worked_problem())
+        for budget in table.rate.ravel()[::5].tolist():
+            assert exhaustive_search(table, budget) == tuple_key_search(table, budget)
+            qp = exhaustive_search(table, budget)
+            assert table.rate[qp.qp_g - 22, qp.qp_c - 22] <= budget
+
+    def test_nan_budget_fits_no_cell(self):
+        with pytest.raises(InfeasibleBudgetError):
+            exhaustive_search(model_oracle(worked_problem()), math.nan)
 
     def test_table_cells_and_shape(self):
         p = worked_problem()

@@ -17,7 +17,7 @@ import numpy as np
 from pcbitalloc import allocator, cli, cloud, metrics, pipeline, simcodec
 from pcbitalloc.simcodec import random_spec, spec_to_dict
 
-from conftest import make_cloud
+from conftest import count_grid_builds, make_cloud
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spans  # noqa: E402
@@ -38,12 +38,13 @@ def patched_attributes():
         *spans._FITS, *spans._EVALUATE)]
 
 
-def test_traced_simulate_hits_every_span(tmp_path):
+def test_traced_simulate_hits_every_span(tmp_path, monkeypatch):
     config = {"codec": spec_to_dict(random_spec(seed=7)), "targets": TARGETS,
               "omegas": [0.5], "run_exhaustive": True}
     spec_path = tmp_path / "study.json"
     spec_path.write_text(json.dumps(config))
     before = [getattr(owner, name) for owner, name in patched_attributes()]
+    built = count_grid_builds(monkeypatch)
 
     with spans.installed(spans.Tracer()) as tracer:
         inside = [getattr(owner, name) for owner, name in patched_attributes()]
@@ -61,9 +62,11 @@ def test_traced_simulate_hits_every_span(tmp_path):
         assert calls[name] >= 1, name
     assert calls["allocator.solve"] == len(TARGETS)
     assert calls["allocator.exhaustive_search"] == len(TARGETS)
-    # each grid pair once: the three probes seed the 441-pair sweep, and
-    # every target's actual reads it
-    assert calls["simcodec.encode"] == 441
+    # the probes and the rows encode, each a read of the grid computed once,
+    # and the report still counts the 441 encodes of a real baseline
+    assert len(built) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["evaluation"]["encode_calls"] == {"pba": 3, "esa": 441}
 
 
 def test_traced_metric_hits_index_spans(tmp_path):

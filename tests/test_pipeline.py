@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from pcbitalloc.simcodec import (
     spec_from_dict, spec_to_dict,
 )
 
-from conftest import make_cloud
+from conftest import count_grid_builds, make_cloud
 
 WORKED_SPEC = {
     "alpha_g": 0.6, "beta_g": 4.0, "alpha_gc": 0.4, "alpha_cc": 0.5, "beta_c": 4.0,
@@ -175,11 +176,15 @@ class TestRunPipeline:
             want = psnr_fields(psnr(e.d_g, e.d_c, row["omega"], 1023.0, 255.0))
             assert {k: esa[k] for k in ("psnr_db", "lossless") if k in esa} == want
 
-    def test_baseline_run_encodes_each_grid_pair_once(self, monkeypatch):
+    def test_baseline_run_computes_the_grid_once(self, monkeypatch):
+        built = count_grid_builds(monkeypatch)
         encoded = count_encodes(monkeypatch)
         report = run_pipeline(DEDUP_CONFIG)
-        assert len(encoded) == 441
-        assert set(encoded) == {QpPair(g, c) for g in range(22, 43) for c in range(22, 43)}
+        assert len(built) == 1
+        # the baseline reads the grid whole; only the probes and the rows' pairs encode
+        rows = {QpPair(r["qp_g"], r["qp_c"]) for r in report["allocations"]}
+        rows |= {QpPair(r["esa"]["qp_g"], r["esa"]["qp_c"]) for r in report["allocations"]}
+        assert len(encoded) == len(set(encoded)) == len(rows | set(probe_schedule()))
         assert report["evaluation"]["encode_calls"] == {"pba": 3, "esa": 441}
 
     def test_model_run_encodes_probes_and_new_row_pairs_once(self, monkeypatch):
@@ -519,6 +524,33 @@ class TestCli:
         capsys.readouterr()
         assert main(["allocate", "--model", str(model_path), "--target", "10"]) == 3
         assert "infeasible" in capsys.readouterr().err
+
+    # cells beyond the float range: alpha_g 2.5e306 overflows d_g at the
+    # coarsest geometry steps only, which no probe reaches; alpha_gc 1e307
+    # overflows d_c at every probe too
+    @pytest.mark.parametrize("field, value, run_exhaustive, code, err", [
+        ("alpha_g", 2.5e306, True, 2,
+         "error [validation]: probe rates and distortions must be finite\n"),
+        ("alpha_g", 2.5e306, False, 3,
+         "error [infeasible]: line search collapsed to zero step\n"),
+        ("alpha_gc", 1e307, True, 2,
+         "error [validation]: probe rates and distortions must be finite\n"),
+        ("alpha_gc", 1e307, False, 2,
+         "error [validation]: probe rates and distortions must be finite\n"),
+    ])
+    def test_simulate_refuses_overflowing_cells_as_their_encodes_do(
+            self, tmp_path, capsys, field, value, run_exhaustive, code, err):
+        spec = replace(random_spec(3, 0.02), **{field: value})
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps({"codec": spec_to_dict(spec), "targets": [3000],
+                                        "omegas": [0.5], "run_exhaustive": run_exhaustive}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--spec", str(cfg_path),
+                         "-o", str(tmp_path / "report.json")]) == code
+        assert capsys.readouterr().err == err
+        assert [str(w.message) for w in caught] == []
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("extra_qps", [(), ((28, 30), (38, 27))],
                              ids=["3-probes-exact", "5-probes-lstsq"])

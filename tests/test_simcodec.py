@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import pytest
 import scipy.optimize
 
 from pcbitalloc.errors import ValidationError
-from pcbitalloc.models import ProbeRecord, QpPair, RateModel, qp_to_step
+from pcbitalloc.models import QP_MIN, ProbeRecord, QpPair, RateModel, qp_to_step
 from pcbitalloc.simcodec import (
     SyntheticCodecSpec,
     encode,
@@ -15,6 +16,7 @@ from pcbitalloc.simcodec import (
     run_probe_schedule,
     spec_from_dict,
     spec_to_dict,
+    sweep_grid,
     validate_separability,
 )
 
@@ -27,6 +29,21 @@ def base_spec(**overrides):
 
 
 ALL_PAIRS = [QpPair(g, c) for g in range(22, 43) for c in range(22, 43)]
+
+
+def scalar_encode(spec, qp):
+    """The reference per-pair encode: (r_g, r_c, d_g, d_c) in Python floats."""
+    q_g, q_c = qp_to_step(qp.qp_g), qp_to_step(qp.qp_c)
+    d_g, d_c = spec.distortions(q_g, q_c)
+    r_g = spec.rate.gamma_g * q_g**spec.rate.theta_g
+    r_c = spec.rate.gamma_c * q_c**spec.rate.theta_c
+    if spec.noise_rel > 0:
+        z = spec.noise_table[qp.qp_g - QP_MIN, qp.qp_c - QP_MIN].tolist()
+        r_g *= math.exp(spec.noise_rel * z[0])
+        r_c *= math.exp(spec.noise_rel * z[1])
+        d_g = max(0.0, d_g * (1.0 + spec.noise_rel * z[2]))
+        d_c = max(0.0, d_c * (1.0 + spec.noise_rel * z[3]))
+    return r_g, r_c, d_g, d_c
 
 
 def interaction_fraction(surface):
@@ -94,6 +111,45 @@ class TestEncode:
         with pytest.raises(ValueError):
             table[0, 0, 0] = 0.0
 
+    def test_grid_equals_scalar_encodes_bit_for_bit(self):
+        specs = [random_spec(seed, noise, coupling) for seed in range(200)
+                 for noise in (0.0, 0.005, 0.02, 1.0) for coupling in (0.0, 0.002)]
+        # noise factors below 0 turn the zero geometry distortion into -0.0
+        specs.append(replace(random_spec(5, 1.0), alpha_g=0.0, beta_g=0.0))
+        for spec in specs:
+            want = np.array([scalar_encode(spec, qp) for qp in ALL_PAIRS])
+            assert spec.grid.tobytes() == want.tobytes(), spec
+            assert ("noise_table" in vars(spec)) == (spec.noise_rel > 0)
+
+    def test_grid_is_read_only(self):
+        grid = base_spec(noise_rel=0.05).grid
+        assert grid.shape == (21, 21, 4)
+        with pytest.raises(ValueError):
+            grid[0, 0, 0] = 0.0
+
+    # the first bad cell in row-major order names the error: the huge slopes
+    # overflow a distortion at coarse geometry steps, and theta_g -180
+    # underflows r_g to 0 from qp_g 40 on, before alpha_g's overflow
+    @pytest.mark.parametrize("overrides", [
+        {}, {"alpha_g": 2.5e306}, {"alpha_gc": 1e307},
+        {"rate": RateModel(5000, -180.0, 3000, -1.0)},
+        {"rate": RateModel(5000, -180.0, 3000, -1.0), "alpha_g": 2.5e306},
+    ])
+    @pytest.mark.parametrize("noise_rel", [0.0, 0.02])
+    def test_sweep_refuses_as_its_encodes_do(self, overrides, noise_rel):
+        spec = base_spec(noise_rel=noise_rel, **overrides)
+
+        def outcome(sweep):
+            try:
+                sweep()
+            except ValidationError as exc:
+                return str(exc)
+            return None
+
+        want = outcome(lambda: [encode(spec, qp) for qp in ALL_PAIRS])
+        assert outcome(lambda: sweep_grid(spec)) == want
+        assert (want is None) == (overrides == {})
+
     def test_dict_round_trip_encodes_the_same_bits(self):
         spec = random_spec(8, noise_rel=0.02)
         again = spec_from_dict(spec_to_dict(spec))
@@ -103,6 +159,7 @@ class TestEncode:
         spec = base_spec()
         for qp in ALL_PAIRS:
             encode(spec, qp)
+        sweep_grid(spec)
         assert "noise_table" not in vars(spec)
 
     def test_noise_is_not_the_parameter_stream(self):
