@@ -574,8 +574,8 @@ class TestExhaustiveSearch:
     def test_budget_equal_to_a_cell_rate_admits_it(self):
         table = model_oracle(worked_problem())
         for budget in table.rate.ravel()[::5].tolist():
-            assert exhaustive_search(table, budget) == tuple_key_search(table, budget)
             qp = exhaustive_search(table, budget)
+            assert qp == tuple_key_search(table, budget)
             assert table.rate[qp.qp_g - 22, qp.qp_c - 22] <= budget
 
     def test_nan_budget_fits_no_cell(self):
