@@ -24,15 +24,15 @@ and ``evaluation`` (``encode_calls``, plus ``cq_pct``, ``average`` and
 ``bd_psnr_db`` when the baseline runs). Reports are byte-stable
 for a fixed config: the complexity quotient uses the simulated encode
 clock (a fixed cost per encode call), never wall time, and the baseline
-counts the 441 encodes a real one would make. With a synthetic codec
-backend the exhaustive sweep is the codec's ``grid``, the (r_g, r_c, d_g,
-d_c) of every grid pair as one 21x21x4 array computed once per run, and
-refused as its 441 encodes would refuse it (``sweep_grid``); each omega
-gets one ``GridTable`` built from its slices and each budget one
-``exhaustive_search`` over it. Every row's ``actual`` and ``esa`` read a
-run-local map from QP pair to record, seeded by the probe records; a pair
-not yet in it is encoded, which reads its cell of the grid. Each omega's
-fitted models tabulate their grid once, for all of its targets.
+counts the 441 encodes a real one would make. A synthetic codec backend
+is its ``grid``, the (r_g, r_c, d_g, d_c) of every grid pair as one
+21x21x4 array, built and checked when the codec spec is, so a codec that
+the config can build has no cell to refuse. The probes are encoded, as
+probe log rows; everything else reads the array. The exhaustive sweep is
+the whole grid: each omega gets one ``GridTable`` built from its slices
+and each budget one ``exhaustive_search`` over it. Every row's ``actual``
+and ``esa`` read their pair's cell. Each omega's fitted models tabulate
+their grid once, for all of its targets.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .errors import InfeasibleBudgetError, ValidationError
 from .evaluate import bd_psnr, compute_be, compute_cq, compute_qpe
 from .metrics import psnr
 from .models import (
+    QP_MIN,
     finite_number,
     # the exact fits are unused here; perfbench/spans.py looks all four up by name
     fit_distortion_model,
@@ -66,11 +67,10 @@ from .models import (
 )
 from .simcodec import (
     ENCODE_TIME_MS,
-    QpPair,
+    # encode is unused here; perfbench/spans.py looks it up by name
     encode,
     run_probe_schedule,
     spec_from_dict,
-    sweep_grid,
 )
 
 
@@ -94,18 +94,9 @@ def _newton_cap(solver) -> int:
     return check_newton_cap(solver.get("max_newton_iters", MAX_NEWTON_ITERS))
 
 
-def _measurer(spec, records):
-    """``measure(qp)``: the run's record at a QP pair, encoded on first use
-    and kept for the rest of the run; the probe records seed it."""
-    encoded = {r.qp: r for r in records}
-
-    def measure(qp: QpPair):
-        record = encoded.get(qp)
-        if record is None:
-            record = encoded[qp] = encode(spec, qp)
-        return record
-
-    return measure
+def _cell(grid, qp) -> list[float]:
+    """The (r_g, r_c, d_g, d_c) of a codec grid's cell at a QP pair."""
+    return grid[qp.qp_g - QP_MIN, qp.qp_c - QP_MIN].tolist()
 
 
 def allocation_fields(alloc) -> dict:
@@ -207,12 +198,10 @@ def run_pipeline(config: dict) -> dict:
 
     records = run_probe_schedule(spec) if has_codec else read_probe_log(config["probe_log"])
     pba_encode_calls = len(records)
-    measure = _measurer(spec, records) if has_codec else None
-
-    sweep = sweep_grid(spec) if run_esa else None
-    esa_encode_calls = sweep[..., 0].size if sweep is not None else 0
-    if sweep is not None:
-        esa_rate_grid = sweep[..., 0] + sweep[..., 1]
+    grid = spec.grid if has_codec else None
+    esa_encode_calls = grid[..., 0].size if run_esa else 0
+    if run_esa:
+        esa_rate_grid = grid[..., 0] + grid[..., 1]
 
     models_out = {}
     allocations = []
@@ -220,8 +209,8 @@ def run_pipeline(config: dict) -> dict:
     for omega in omegas:
         dm, rm = fit_models(records, omega)
         models_out[str(omega)] = model_to_dict(dm, rm)
-        if sweep is not None:
-            table = GridTable(esa_rate_grid, weighted(omega, sweep[..., 2], sweep[..., 3]))
+        if run_esa:
+            table = GridTable(esa_rate_grid, weighted(omega, grid[..., 2], grid[..., 3]))
         pba_points = []
         esa_points = []
         for target in targets:
@@ -230,14 +219,14 @@ def run_pipeline(config: dict) -> dict:
             alloc = solve_interior_point(problem, max_newton_iters)
             row = {"omega": omega, "target": target, "budget": budget,
                    **allocation_fields(alloc)}
-            if measure is not None:
-                enc = measure(alloc.qp)
-                actual_rate = enc.r_g + enc.r_c
-                quality = psnr(enc.d_g, enc.d_c, omega, geometry_peak, color_peak)
+            if grid is not None:
+                r_g, r_c, d_g, d_c = _cell(grid, alloc.qp)
+                actual_rate = r_g + r_c
+                quality = psnr(d_g, d_c, omega, geometry_peak, color_peak)
                 row["actual"] = {
-                    "r_g": enc.r_g, "r_c": enc.r_c, "rate": actual_rate,
-                    "d_g": enc.d_g, "d_c": enc.d_c,
-                    "distortion": weighted(omega, enc.d_g, enc.d_c),
+                    "r_g": r_g, "r_c": r_c, "rate": actual_rate,
+                    "d_g": d_g, "d_c": d_c,
+                    "distortion": weighted(omega, d_g, d_c),
                     **psnr_fields(quality),
                 }
                 row["be_pct"] = compute_be(actual_rate, budget)
@@ -245,14 +234,14 @@ def run_pipeline(config: dict) -> dict:
             else:
                 # no codec to re-encode with: measure BE on the modeled rate
                 row["be_pct"] = compute_be(problem.rate(alloc.qp.steps()), budget)
-            if sweep is not None:
+            if run_esa:
                 esa_qp = exhaustive_search(table, budget)
-                esa = measure(esa_qp)
-                esa_rate = esa.r_g + esa.r_c
-                esa_quality = psnr(esa.d_g, esa.d_c, omega, geometry_peak, color_peak)
+                r_g, r_c, d_g, d_c = _cell(grid, esa_qp)
+                esa_rate = r_g + r_c
+                esa_quality = psnr(d_g, d_c, omega, geometry_peak, color_peak)
                 row["esa"] = {
                     "qp_g": esa_qp.qp_g, "qp_c": esa_qp.qp_c, "rate": esa_rate,
-                    "distortion": weighted(omega, esa.d_g, esa.d_c),
+                    "distortion": weighted(omega, d_g, d_c),
                     **psnr_fields(esa_quality),
                     "be_pct": compute_be(esa_rate, budget),
                 }

@@ -7,12 +7,14 @@ stress that assumption); each bitstream follows a power law in its own
 step. Observations can carry seeded noise: multiplicative
 lognormal on rates, additive Gaussian scaled by the clean value on
 distortions. Encoding is a pure function of (spec, qp): each spec
-computes its ``grid``, the (r_g, r_c, d_g, d_c) of all 441 QP pairs as one
-read-only 21x21x4 array, on first use, and an encode reads its cell into
-the ``ProbeRecord`` a probe log row holds. A noisy spec's grid takes one
+builds its ``grid``, the (r_g, r_c, d_g, d_c) of all 441 QP pairs as one
+read-only 21x21x4 array, when it is built, and refuses itself unless every
+cell has finite, positive rates and finite, non-negative distortions. An
+encode reads its cell into the ``ProbeRecord`` a probe log row holds, so
+it cannot fail for a spec that exists; an exhaustive baseline and a
+report's rows read the array itself. A noisy spec's grid takes one
 21x21x4 table of standard normals, drawn from PCG64 seeded with
-(spec.seed, 1), so replays are bit-identical. ``sweep_grid`` is the grid
-an exhaustive baseline reads, refused as its 441 encodes would refuse it.
+(spec.seed, 1), so replays are bit-identical.
 
 A spec comes from a config's ``codec`` object through ``spec_from_dict``,
 the inverse of ``spec_to_dict``; a variant of a spec is
@@ -47,6 +49,16 @@ from .models import (
 # Constant simulated wall time per encode call, so complexity quotients
 # reduce to call-count ratios.
 ENCODE_TIME_MS = 1000.0
+
+# The grid's streams, the spec fields each is computed from, and how its
+# cells can leave their range; ``_LEAST`` is the least finite value a cell
+# of each may hold: rates are positive, distortions non-negative.
+_STREAMS = (("geometry rate", "rate.gamma_g, rate.theta_g", "underflow to 0 or overflow"),
+            ("color rate", "rate.gamma_c, rate.theta_c", "underflow to 0 or overflow"),
+            ("geometry distortion", "alpha_g, beta_g", "overflow or turn negative"),
+            ("color distortion", "alpha_gc, alpha_cc, beta_c, coupling",
+             "overflow or turn negative"))
+_LEAST = np.array([math.ulp(0.0), math.ulp(0.0), 0.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -86,6 +98,12 @@ class SyntheticCodecSpec:
             raise ValidationError(f"codec beta_c {self.beta_c:g} and coupling "
                                   f"{self.coupling:g} make the color distortion "
                                   "negative on the QP grid")
+        bad = ~(np.isfinite(self.grid) & (self.grid >= _LEAST))
+        if bad.any():
+            raise ValidationError("; ".join(
+                f"codec {inputs} make the {stream} {rule} on the QP grid"
+                for (stream, inputs, rule), failed in zip(_STREAMS, bad.any(axis=(0, 1)))
+                if failed))
 
     def distortions(self, q_g: float, q_c: float) -> tuple[float, float]:
         """Noise-free (geometry, color) distortion at a step pair, or
@@ -148,19 +166,6 @@ def encode(spec: SyntheticCodecSpec, qp: QpPair) -> ProbeRecord:
     return ProbeRecord(qp, *spec.grid[qp.qp_g - QP_MIN, qp.qp_c - QP_MIN].tolist())
 
 
-def sweep_grid(spec: SyntheticCodecSpec) -> np.ndarray:
-    """``spec.grid`` as an exhaustive sweep reads it, refused as encoding its
-    441 pairs would refuse it: the first cell in row-major order that fails
-    a ``ProbeRecord`` check raises that check's error."""
-    grid = spec.grid
-    fine = (np.isfinite(grid).all(axis=2) & (grid[..., :2] > 0).all(axis=2)
-            & (grid[..., 2:] >= 0).all(axis=2))
-    if not fine.all():
-        i_g, i_c = np.argwhere(~fine)[0].tolist()
-        encode(spec, QpPair(QP_MIN + i_g, QP_MIN + i_c))  # raises the cell's error
-    return grid
-
-
 def probe_schedule() -> tuple[QpPair, QpPair, QpPair]:
     """The three (geometry, color) QP pairs used for model fitting."""
     return (QpPair(33, 25), QpPair(34, 35), QpPair(24, 33))
@@ -183,16 +188,20 @@ def validate_separability(spec: SyntheticCodecSpec,
                           qp_c_values: Sequence[int]) -> SeparabilityReport:
     """Check that measured color distortion is additive in the two steps.
 
-    Encodes the full product grid, least-squares fits the additive
-    surface f_g(Qg) + f_c(Qc) (row/column means on a complete grid), and
-    reports the residual cross-term energy as a fraction of the total
-    variance plus the squared correlation of the additive fit.
+    Reads the color distortion of the product of the QP values from the
+    spec's grid, least-squares fits the additive surface f_g(Qg) + f_c(Qc)
+    (row/column means on a complete grid), and reports the residual
+    cross-term energy as a fraction of the total variance plus the squared
+    correlation of the additive fit.
     """
     qg = sorted(set(int(v) for v in qp_g_values))
     qc = sorted(set(int(v) for v in qp_c_values))
     if len(qg) < 4 or len(qc) < 4:
         raise ValidationError("separability grid must span at least 4x4 QP pairs")
-    dc = np.array([[encode(spec, QpPair(g, c)).d_c for c in qc] for g in qg])
+    # the sorted ends refuse a QP off the grid
+    QpPair(qg[0], qc[0])
+    QpPair(qg[-1], qc[-1])
+    dc = spec.grid[..., 3][np.ix_(np.subtract(qg, QP_MIN), np.subtract(qc, QP_MIN))]
     grand = dc.mean()
     fit = dc.mean(axis=1, keepdims=True) + dc.mean(axis=0, keepdims=True) - grand
     ss_total = float(((dc - grand) ** 2).sum())

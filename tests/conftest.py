@@ -1,5 +1,6 @@
 """Shared fixtures: random clouds, brute-force metric oracles, solver
-instances, a counter of codec grid builds."""
+instances, codecs whose grid leaves its range, a counter of codec grid
+builds."""
 
 from functools import cached_property
 
@@ -72,6 +73,36 @@ def well_posed_instance(seed):
         if r_target > r_start * 1.001:
             return spec, omega, r_target
         attempt += 1
+
+
+# Codec fields that take a grid stream out of its range, with the refusal
+# that names them. On the tests' base specs, noisy or not: alpha_g
+# overflows d_g from qp_g 41 or 42 on, alpha_gc d_c from qp_g 29 or 30 on
+# (two of the three probes), and coupling d_c where qp_g and qp_c are both
+# 31 or more; theta_g -180 underflows r_g to 0 from qp_g 40 on, and
+# gamma_c 5e-324 underflows r_c to 0 in every cell.
+_RATE, _DISTORTION = "underflow to 0 or overflow", "overflow or turn negative"
+GRID_REFUSALS = [
+    ("alpha_g", 2.5e306, f"codec alpha_g, beta_g make the geometry distortion "
+                         f"{_DISTORTION} on the QP grid"),
+    ("alpha_gc", 1e307, f"codec alpha_gc, alpha_cc, beta_c, coupling make the color "
+                        f"distortion {_DISTORTION} on the QP grid"),
+    ("coupling", 1e305, f"codec alpha_gc, alpha_cc, beta_c, coupling make the color "
+                        f"distortion {_DISTORTION} on the QP grid"),
+    ("rate.theta_g", -180.0, f"codec rate.gamma_g, rate.theta_g make the geometry rate "
+                             f"{_RATE} on the QP grid"),
+    ("rate.gamma_c", 5e-324, f"codec rate.gamma_c, rate.theta_c make the color rate "
+                             f"{_RATE} on the QP grid"),
+]
+
+
+def with_field(codec: dict, field: str, value) -> dict:
+    """A copy of a ``spec_to_dict`` tree with one field set; "rate.<name>"
+    names a field of the rate model."""
+    codec = dict(codec, rate=dict(codec["rate"]))
+    owner, _, name = field.rpartition(".")
+    (codec["rate"] if owner else codec)[name] = value
+    return codec
 
 
 def count_grid_builds(monkeypatch) -> list:

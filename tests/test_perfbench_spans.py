@@ -62,8 +62,10 @@ def test_traced_simulate_hits_every_span(tmp_path, monkeypatch):
         assert calls[name] >= 1, name
     assert calls["allocator.solve"] == len(TARGETS)
     assert calls["allocator.exhaustive_search"] == len(TARGETS)
-    # the probes and the rows encode, each a read of the grid computed once,
-    # and the report still counts the 441 encodes of a real baseline
+    # only the probes encode; the rows and the baseline read the grid that
+    # the spec built once, and the report still counts the 441 encodes of a
+    # real baseline
+    assert calls["simcodec.encode"] == 3
     assert len(built) == 1
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["evaluation"]["encode_calls"] == {"pba": 3, "esa": 441}

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ from pcbitalloc.simcodec import (
     spec_from_dict, spec_to_dict,
 )
 
-from conftest import count_grid_builds, make_cloud
+from conftest import GRID_REFUSALS, count_grid_builds, make_cloud, with_field
 
 WORKED_SPEC = {
     "alpha_g": 0.6, "beta_g": 4.0, "alpha_gc": 0.4, "alpha_cc": 0.5, "beta_c": 4.0,
@@ -65,8 +64,9 @@ DEDUP_CONFIG = {"codec": spec_to_dict(random_spec(93, noise_rel=0.02)),
 
 
 def count_encodes(monkeypatch) -> list:
-    """Wrap ``encode`` at both names a run reaches it through (the probes
-    call simcodec's, the rest pipeline's); returns the QP pairs encoded."""
+    """Wrap ``encode`` at both names a tracer patches (the probes call
+    simcodec's; pipeline's is looked up by name only); returns the QP pairs
+    encoded."""
     encoded = []
     real = simcodec.encode
 
@@ -180,22 +180,21 @@ class TestRunPipeline:
         built = count_grid_builds(monkeypatch)
         encoded = count_encodes(monkeypatch)
         report = run_pipeline(DEDUP_CONFIG)
+        # the spec builds its grid; the baseline and the rows read it, and
+        # only the probes encode
         assert len(built) == 1
-        # the baseline reads the grid whole; only the probes and the rows' pairs encode
-        rows = {QpPair(r["qp_g"], r["qp_c"]) for r in report["allocations"]}
-        rows |= {QpPair(r["esa"]["qp_g"], r["esa"]["qp_c"]) for r in report["allocations"]}
-        assert len(encoded) == len(set(encoded)) == len(rows | set(probe_schedule()))
+        assert encoded == list(probe_schedule())
         assert report["evaluation"]["encode_calls"] == {"pba": 3, "esa": 441}
 
-    def test_model_run_encodes_probes_and_new_row_pairs_once(self, monkeypatch):
+    def test_model_run_encodes_only_its_probes(self, monkeypatch):
+        built = count_grid_builds(monkeypatch)
         encoded = count_encodes(monkeypatch)
         report = run_pipeline(dict(DEDUP_CONFIG, run_exhaustive=False))
         rows = {QpPair(r["qp_g"], r["qp_c"]) for r in report["allocations"]}
-        probes = set(probe_schedule())
         # the config repeats row pairs and lands a row on a probe pair
-        assert len(rows) < len(report["allocations"]) and rows & probes
-        assert encoded[:3] == list(probe_schedule())
-        assert len(encoded) == len(set(encoded)) == 3 + len(rows - probes)
+        assert len(rows) < len(report["allocations"]) and rows & set(probe_schedule())
+        assert len(built) == 1
+        assert encoded == list(probe_schedule())
         assert report["evaluation"]["encode_calls"] == {"pba": 3, "esa": 0}
 
     @pytest.mark.parametrize("run_exhaustive", [True, False])
@@ -525,31 +524,26 @@ class TestCli:
         assert main(["allocate", "--model", str(model_path), "--target", "10"]) == 3
         assert "infeasible" in capsys.readouterr().err
 
-    # cells beyond the float range: alpha_g 2.5e306 overflows d_g at the
-    # coarsest geometry steps only, which no probe reaches; alpha_gc 1e307
-    # overflows d_c at every probe too
-    @pytest.mark.parametrize("field, value, run_exhaustive, code, err", [
-        ("alpha_g", 2.5e306, True, 2,
-         "error [validation]: probe rates and distortions must be finite\n"),
-        ("alpha_g", 2.5e306, False, 3,
-         "error [infeasible]: line search collapsed to zero step\n"),
-        ("alpha_gc", 1e307, True, 2,
-         "error [validation]: probe rates and distortions must be finite\n"),
-        ("alpha_gc", 1e307, False, 2,
-         "error [validation]: probe rates and distortions must be finite\n"),
-    ])
+    # the spec refuses a grid out of range when it is built, before any
+    # encode, whether or not a probe or a row would reach a bad cell
+    @pytest.mark.parametrize("noise_rel", [0.0, 0.02])
+    @pytest.mark.parametrize("run_exhaustive", [True, False])
+    @pytest.mark.parametrize("field, value, message", GRID_REFUSALS)
     def test_simulate_refuses_overflowing_cells_as_their_encodes_do(
-            self, tmp_path, capsys, field, value, run_exhaustive, code, err):
-        spec = replace(random_spec(3, 0.02), **{field: value})
+            self, tmp_path, capsys, monkeypatch, field, value, message, run_exhaustive,
+            noise_rel):
+        codec = with_field(spec_to_dict(random_spec(3, noise_rel)), field, value)
         cfg_path = tmp_path / "sim.json"
-        cfg_path.write_text(json.dumps({"codec": spec_to_dict(spec), "targets": [3000],
+        cfg_path.write_text(json.dumps({"codec": codec, "targets": [3000],
                                         "omegas": [0.5], "run_exhaustive": run_exhaustive}))
+        encoded = count_encodes(monkeypatch)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["simulate", "--spec", str(cfg_path),
-                         "-o", str(tmp_path / "report.json")]) == code
-        assert capsys.readouterr().err == err
+                         "-o", str(tmp_path / "report.json")]) == 2
+        assert capsys.readouterr().err == f"error [validation]: {message}\n"
         assert [str(w.message) for w in caught] == []
+        assert encoded == []
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("extra_qps", [(), ((28, 30), (38, 27))],

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 import scipy.optimize
 
 from pcbitalloc.errors import ValidationError
+from pcbitalloc.metrics import fit_quality
 from pcbitalloc.models import QP_MIN, ProbeRecord, QpPair, RateModel, qp_to_step
 from pcbitalloc.simcodec import (
+    SeparabilityReport,
     SyntheticCodecSpec,
     encode,
     probe_schedule,
@@ -16,9 +19,10 @@ from pcbitalloc.simcodec import (
     run_probe_schedule,
     spec_from_dict,
     spec_to_dict,
-    sweep_grid,
     validate_separability,
 )
+
+from conftest import GRID_REFUSALS, with_field
 
 
 def base_spec(**overrides):
@@ -44,6 +48,21 @@ def scalar_encode(spec, qp):
         d_g = max(0.0, d_g * (1.0 + spec.noise_rel * z[2]))
         d_c = max(0.0, d_c * (1.0 + spec.noise_rel * z[3]))
     return r_g, r_c, d_g, d_c
+
+
+def looped_separability(spec, qp_g_values, qp_c_values):
+    """The separability report from one encode per QP pair."""
+    qg, qc = sorted(set(qp_g_values)), sorted(set(qp_c_values))
+    dc = np.array([[encode(spec, QpPair(g, c)).d_c for c in qc] for g in qg])
+    grand = dc.mean()
+    fit = dc.mean(axis=1, keepdims=True) + dc.mean(axis=0, keepdims=True) - grand
+    ss_total = float(((dc - grand) ** 2).sum())
+    ss_resid = float(((dc - fit) ** 2).sum())
+    rmse = math.sqrt(ss_resid / dc.size)
+    if ss_total == 0.0:
+        return SeparabilityReport(0.0, 1.0, rmse, (len(qg), len(qc)))
+    quality = fit_quality(dc.ravel(), fit.ravel())
+    return SeparabilityReport(ss_resid / ss_total, quality.scc, rmse, (len(qg), len(qc)))
 
 
 def interaction_fraction(surface):
@@ -96,14 +115,16 @@ class TestEncode:
                     assert type(value) is float
 
     def test_one_generator_per_spec_across_the_grid(self, monkeypatch):
-        spec = random_spec(3, noise_rel=0.005)
         built = []
         real = np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng",
                             lambda *a: built.append(a) or real(*a))
+        # random_spec draws its parameters from one generator, the spec's
+        # grid its noise from a second, when the spec is built
+        spec = random_spec(3, noise_rel=0.005)
         for qp in ALL_PAIRS:
             encode(spec, qp)
-        assert len(built) == 1
+        assert built == [(3,), ((3, 1),)]
 
     def test_noise_table_is_read_only(self):
         table = base_spec(noise_rel=0.05).noise_table
@@ -127,28 +148,35 @@ class TestEncode:
         with pytest.raises(ValueError):
             grid[0, 0, 0] = 0.0
 
-    # the first bad cell in row-major order names the error: the huge slopes
-    # overflow a distortion at coarse geometry steps, and theta_g -180
-    # underflows r_g to 0 from qp_g 40 on, before alpha_g's overflow
-    @pytest.mark.parametrize("overrides", [
-        {}, {"alpha_g": 2.5e306}, {"alpha_gc": 1e307},
-        {"rate": RateModel(5000, -180.0, 3000, -1.0)},
-        {"rate": RateModel(5000, -180.0, 3000, -1.0), "alpha_g": 2.5e306},
-    ])
+    @pytest.mark.parametrize("field, value, message", GRID_REFUSALS,
+                             ids=[field for field, *_ in GRID_REFUSALS])
     @pytest.mark.parametrize("noise_rel", [0.0, 0.02])
-    def test_sweep_refuses_as_its_encodes_do(self, overrides, noise_rel):
-        spec = base_spec(noise_rel=noise_rel, **overrides)
+    def test_spec_refuses_a_grid_out_of_range(self, field, value, message, noise_rel):
+        valid = base_spec(noise_rel=noise_rel)
+        codec = with_field(spec_to_dict(valid), field, value)
+        rate = RateModel(**codec["rate"])
+        changed = {"rate": rate} if field.startswith("rate.") else {field: value}
+        builds = [
+            lambda: SyntheticCodecSpec(rate=rate,
+                                       **{k: v for k, v in codec.items() if k != "rate"}),
+            lambda: replace(valid, **changed),
+            lambda: spec_from_dict(codec),
+        ]
+        for build in builds:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(ValidationError) as refused:
+                    build()
+            assert str(refused.value) == message
+            assert [str(w.message) for w in caught] == []
 
-        def outcome(sweep):
-            try:
-                sweep()
-            except ValidationError as exc:
-                return str(exc)
-            return None
-
-        want = outcome(lambda: [encode(spec, qp) for qp in ALL_PAIRS])
-        assert outcome(lambda: sweep_grid(spec)) == want
-        assert (want is None) == (overrides == {})
+    def test_refusal_names_every_stream_out_of_range(self):
+        with pytest.raises(ValidationError) as refused:
+            base_spec(alpha_g=2.5e306, rate=RateModel(5000, -180.0, 3000, -1.0))
+        assert str(refused.value) == (
+            "codec rate.gamma_g, rate.theta_g make the geometry rate underflow to 0 or "
+            "overflow on the QP grid; codec alpha_g, beta_g make the geometry "
+            "distortion overflow or turn negative on the QP grid")
 
     def test_dict_round_trip_encodes_the_same_bits(self):
         spec = random_spec(8, noise_rel=0.02)
@@ -159,7 +187,6 @@ class TestEncode:
         spec = base_spec()
         for qp in ALL_PAIRS:
             encode(spec, qp)
-        sweep_grid(spec)
         assert "noise_table" not in vars(spec)
 
     def test_noise_is_not_the_parameter_stream(self):
@@ -261,6 +288,21 @@ class TestSeparability:
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ValidationError):
             validate_separability(base_spec(), [22, 26, 30], self.GRID)
+
+    def test_off_grid_qp_rejected(self):
+        for low, high in ((21, 42), (22, 43)):
+            with pytest.raises(ValidationError, match="outside grid"):
+                validate_separability(base_spec(), [low, 30, 34, high], self.GRID)
+
+    def test_grid_read_equals_per_pair_encodes(self):
+        rng = np.random.default_rng(26)
+        for seed in range(40):
+            spec = random_spec(seed, (0.0, 0.005, 0.02)[seed % 3], (0.0, 0.002)[seed % 2])
+            # uneven subsets of 4 to 17 QPs, given unsorted and with repeats
+            qp_g, qp_c = (rng.choice(range(22, 43), int(rng.integers(4, 25))).tolist()
+                          for _ in range(2))
+            assert validate_separability(spec, qp_g, qp_c) == looped_separability(
+                spec, qp_g, qp_c)
 
 
 class TestSpecSerialization:
