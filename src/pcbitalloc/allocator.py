@@ -60,7 +60,6 @@ import numpy as np
 
 from .errors import ConvergenceError, InfeasibleBudgetError, ValidationError
 from .models import (
-    QP_MIN,
     DistortionModel,
     QpPair,
     QuantPair,
@@ -312,7 +311,7 @@ def polish_rounding(p: AllocationProblem, qp: QpPair) -> QpPair:
     Returns the input pair unchanged when no window cell fits the budget.
     """
     radius = POLISH_RADIUS
-    i_g, i_c = qp.qp_g - QP_MIN, qp.qp_c - QP_MIN
+    i_g, i_c = qp.cell
     g0, c0 = max(i_g - radius, 0), max(i_c - radius, 0)
     window = (slice(g0, i_g + radius + 1), slice(c0, i_c + radius + 1))
     rate = p.rm.grid[window]
@@ -346,7 +345,7 @@ def _pick(frontier, budget: float) -> int | None:
 
 @dataclass(frozen=True, eq=False)
 class GridTable:
-    """(rate, distortion) of every QP grid cell, indexed [qp_g - 22, qp_c - 22].
+    """(rate, distortion) of every QP grid cell, indexed by ``QpPair.cell``.
 
     Both arrays are read-only 21x21 float64. The table sorts its cells once,
     into the frontier that each ``exhaustive_search`` over it reads.

@@ -100,10 +100,10 @@ def _read_rows(path) -> list[dict]:
             models.finite_number(key, row.get(key), what)
         if "be_pct" in row:
             models.finite_number("be_pct", row["be_pct"], what)
-        for key in ("qp_g", "qp_c"):
-            qp = row.get(key)
-            if isinstance(qp, bool) or not isinstance(qp, int):
-                raise ValidationError(f"{what} '{key}' must be an integer, got {qp!r}")
+        try:
+            models.QpPair(row.get("qp_g"), row.get("qp_c"))
+        except ValidationError as exc:
+            raise ValidationError(f"{what} {exc}") from exc
         if "actual" in row:
             actual = row["actual"]
             if not isinstance(actual, dict):

@@ -18,11 +18,14 @@ alike. ``predict_rate`` gives the total modeled rate. A model refuses a
 negative distortion slope or a rate exponent that is not negative when it
 is built, whether by a fit, from a model file or by a caller.
 
-Each model instance tabulates its grid once: ``RateModel.grid`` and
-``DistortionModel.grid`` are read-only 21x21 arrays indexed
-[qp_g - QP_MIN, qp_c - QP_MIN], computed on first use and kept on the
-instance, so they live as long as the model and no longer. Each cell
-equals ``predict_rate``/``predict_distortion`` at its step pair bit for bit.
+``QpPair`` is the one rule for a grid QP, an integer in [QP_MIN, QP_MAX]
+that is not a bool, and ``QpPair.cell``, (qp_g - QP_MIN, qp_c - QP_MIN),
+the one address of its cell in every 21x21 table. Each model instance
+tabulates its grid once: ``RateModel.grid`` and ``DistortionModel.grid``
+are read-only 21x21 arrays indexed by that cell, computed on first use and
+kept on the instance, so they live as long as the model and no longer. Each
+cell equals ``predict_rate``/``predict_distortion`` at its step pair bit
+for bit.
 """
 
 from __future__ import annotations
@@ -121,8 +124,16 @@ class QpPair:
 
     def __post_init__(self):
         for qp in (self.qp_g, self.qp_c):
+            # the pairs a run builds hold Python ints, which skip the isinstance call
+            if type(qp) is not int and not isinstance(qp, np.integer):
+                raise ValidationError(f"qp must be an integer, got {qp!r}")
             if not QP_MIN <= qp <= QP_MAX:
                 raise ValidationError(f"qp {qp} outside grid [{QP_MIN}, {QP_MAX}]")
+
+    @property
+    def cell(self) -> tuple[int, int]:
+        """The pair's [row, column] in every 21x21 grid table."""
+        return self.qp_g - QP_MIN, self.qp_c - QP_MIN
 
     def steps(self) -> QuantPair:
         return QuantPair(qp_to_step(self.qp_g), qp_to_step(self.qp_c))

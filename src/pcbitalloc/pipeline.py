@@ -54,7 +54,6 @@ from .errors import InfeasibleBudgetError, ValidationError
 from .evaluate import bd_psnr, compute_be, compute_cq, compute_qpe
 from .metrics import psnr
 from .models import (
-    QP_MIN,
     finite_number,
     # the exact fits are unused here; perfbench/spans.py looks all four up by name
     fit_distortion_model,
@@ -92,11 +91,6 @@ def _newton_cap(solver) -> int:
     if unknown:
         raise ValidationError(f"unknown solver keys: {sorted(unknown)}")
     return check_newton_cap(solver.get("max_newton_iters", MAX_NEWTON_ITERS))
-
-
-def _cell(grid, qp) -> list[float]:
-    """The (r_g, r_c, d_g, d_c) of a codec grid's cell at a QP pair."""
-    return grid[qp.qp_g - QP_MIN, qp.qp_c - QP_MIN].tolist()
 
 
 def allocation_fields(alloc) -> dict:
@@ -220,7 +214,7 @@ def run_pipeline(config: dict) -> dict:
             row = {"omega": omega, "target": target, "budget": budget,
                    **allocation_fields(alloc)}
             if grid is not None:
-                r_g, r_c, d_g, d_c = _cell(grid, alloc.qp)
+                r_g, r_c, d_g, d_c = grid[alloc.qp.cell].tolist()
                 actual_rate = r_g + r_c
                 quality = psnr(d_g, d_c, omega, geometry_peak, color_peak)
                 row["actual"] = {
@@ -236,7 +230,7 @@ def run_pipeline(config: dict) -> dict:
                 row["be_pct"] = compute_be(problem.rate(alloc.qp.steps()), budget)
             if run_esa:
                 esa_qp = exhaustive_search(table, budget)
-                r_g, r_c, d_g, d_c = _cell(grid, esa_qp)
+                r_g, r_c, d_g, d_c = grid[esa_qp.cell].tolist()
                 esa_rate = r_g + r_c
                 esa_quality = psnr(d_g, d_c, omega, geometry_peak, color_peak)
                 row["esa"] = {

@@ -8,11 +8,12 @@ step. Observations can carry seeded noise: multiplicative
 lognormal on rates, additive Gaussian scaled by the clean value on
 distortions. Encoding is a pure function of (spec, qp): each spec
 builds its ``grid``, the (r_g, r_c, d_g, d_c) of all 441 QP pairs as one
-read-only 21x21x4 array, when it is built, and refuses itself unless every
-cell has finite, positive rates and finite, non-negative distortions. An
-encode reads its cell into the ``ProbeRecord`` a probe log row holds, so
-it cannot fail for a spec that exists; an exhaustive baseline and a
-report's rows read the array itself. A noisy spec's grid takes one
+read-only 21x21x4 array, when it is built. Its one cell rule refuses it
+unless every cell has finite, positive rates and finite, non-negative
+distortions, the noise-free ones under a noisy grid's clamp at 0 included.
+An encode reads the cell at ``QpPair.cell`` into the ``ProbeRecord`` a
+probe log row holds, so it cannot fail for a spec that exists; an
+exhaustive baseline and a report's rows read the array itself. A noisy spec's grid takes one
 21x21x4 table of standard normals, drawn from PCG64 seeded with
 (spec.seed, 1), so replays are bit-identical.
 
@@ -41,7 +42,6 @@ from .models import (
     RateModel,
     _read_only,
     finite_number,
-    qp_to_step,
     step_grid,
     weighted_distortion_model,
 )
@@ -87,18 +87,14 @@ class SyntheticCodecSpec:
         if self.noise_rel > 1:
             # a larger lognormal sigma can overflow math.exp in ``grid``
             raise ValidationError("codec noise_rel must not exceed 1")
-        # d_g is affine and d_c bilinear in the steps, so their least values
-        # on the grid lie at corners of its step box
-        ends = (qp_to_step(QP_MIN), qp_to_step(QP_MAX))
-        corners = [self.distortions(q_g, q_c) for q_g in ends for q_c in ends]
-        if min(d_g for d_g, _ in corners) < 0:
-            raise ValidationError(f"codec beta_g {self.beta_g:g} makes the geometry "
-                                  "distortion negative on the QP grid")
-        if min(d_c for _, d_c in corners) < 0:
-            raise ValidationError(f"codec beta_c {self.beta_c:g} and coupling "
-                                  f"{self.coupling:g} make the color distortion "
-                                  "negative on the QP grid")
         bad = ~(np.isfinite(self.grid) & (self.grid >= _LEAST))
+        # noise clamps the grid's distortions at 0, so a negative noise-free
+        # distortion shows only in the planes under it
+        q = np.array(step_grid())
+        with np.errstate(over="ignore", invalid="ignore"):
+            d_g, d_c = self.distortions(q[:, None], q)
+        bad[..., 2] |= d_g < 0
+        bad[..., 3] |= d_c < 0
         if bad.any():
             raise ValidationError("; ".join(
                 f"codec {inputs} make the {stream} {rule} on the QP grid"
@@ -115,7 +111,7 @@ class SyntheticCodecSpec:
 
     @cached_property
     def noise_table(self) -> np.ndarray:
-        """Four standard normals per grid cell, [qp_g - QP_MIN, qp_c - QP_MIN]:
+        """Four standard normals per grid cell, indexed by ``QpPair.cell``:
         the (r_g, r_c, d_g, d_c) draws of that cell's encode."""
         # SeedSequence drops trailing zero words, so (seed, 0) would replay
         # the stream random_spec(seed) draws the codec's parameters from
@@ -125,7 +121,7 @@ class SyntheticCodecSpec:
 
     @cached_property
     def grid(self) -> np.ndarray:
-        """(r_g, r_c, d_g, d_c) of every grid cell, [qp_g - QP_MIN, qp_c - QP_MIN],
+        """(r_g, r_c, d_g, d_c) of every grid cell, indexed by ``QpPair.cell``,
         read-only: what ``encode`` reads. Rates follow the power laws and
         distortions ``distortions``; a noisy spec scales each rate by
         exp(noise_rel * z) and each distortion by 1 + noise_rel * z, z its
@@ -163,7 +159,7 @@ class SyntheticCodecSpec:
 def encode(spec: SyntheticCodecSpec, qp: QpPair) -> ProbeRecord:
     """Simulate one encoding at a QP pair, a pure function of its inputs:
     the pair's cell of ``spec.grid``."""
-    return ProbeRecord(qp, *spec.grid[qp.qp_g - QP_MIN, qp.qp_c - QP_MIN].tolist())
+    return ProbeRecord(qp, *spec.grid[qp.cell].tolist())
 
 
 def probe_schedule() -> tuple[QpPair, QpPair, QpPair]:
@@ -188,30 +184,27 @@ def validate_separability(spec: SyntheticCodecSpec,
                           qp_c_values: Sequence[int]) -> SeparabilityReport:
     """Check that measured color distortion is additive in the two steps.
 
-    Reads the color distortion of the product of the QP values from the
-    spec's grid, least-squares fits the additive surface f_g(Qg) + f_c(Qc)
+    Reads the color distortion of the product of the QP values, each a
+    grid QP as ``QpPair`` takes it and repeats folded, from the spec's
+    grid, least-squares fits the additive surface f_g(Qg) + f_c(Qc)
     (row/column means on a complete grid), and reports the residual
     cross-term energy as a fraction of the total variance plus the squared
     correlation of the additive fit.
     """
-    qg = sorted(set(int(v) for v in qp_g_values))
-    qc = sorted(set(int(v) for v in qp_c_values))
-    if len(qg) < 4 or len(qc) < 4:
+    rows = sorted({QpPair(qp, QP_MIN).cell[0] for qp in qp_g_values})
+    columns = sorted({QpPair(QP_MIN, qp).cell[1] for qp in qp_c_values})
+    if len(rows) < 4 or len(columns) < 4:
         raise ValidationError("separability grid must span at least 4x4 QP pairs")
-    # the sorted ends refuse a QP off the grid
-    QpPair(qg[0], qc[0])
-    QpPair(qg[-1], qc[-1])
-    dc = spec.grid[..., 3][np.ix_(np.subtract(qg, QP_MIN), np.subtract(qc, QP_MIN))]
+    dc = spec.grid[..., 3][np.ix_(rows, columns)]
     grand = dc.mean()
     fit = dc.mean(axis=1, keepdims=True) + dc.mean(axis=0, keepdims=True) - grand
     ss_total = float(((dc - grand) ** 2).sum())
     ss_resid = float(((dc - fit) ** 2).sum())
     rmse = math.sqrt(ss_resid / dc.size)
     if ss_total == 0.0:
-        return SeparabilityReport(0.0, 1.0, rmse, (len(qg), len(qc)))
+        return SeparabilityReport(0.0, 1.0, rmse, dc.shape)
     quality: FitQuality = fit_quality(dc.ravel(), fit.ravel())
-    return SeparabilityReport(ss_resid / ss_total, quality.scc, rmse,
-                              (len(qg), len(qc)))
+    return SeparabilityReport(ss_resid / ss_total, quality.scc, rmse, dc.shape)
 
 
 def random_spec(seed: int, noise_rel: float = 0.0,
@@ -241,9 +234,7 @@ _FLOAT_FIELDS = {f.name for f in fields(SyntheticCodecSpec) if f.type == "float"
 
 
 def spec_to_dict(spec: SyntheticCodecSpec) -> dict:
-    d = asdict(spec)
-    d["rate"] = asdict(spec.rate)
-    return d
+    return asdict(spec)
 
 
 def spec_from_dict(d: dict) -> SyntheticCodecSpec:

@@ -1,7 +1,8 @@
 """Shared fixtures: random clouds, brute-force metric oracles, solver
-instances, codecs whose grid leaves its range, a counter of codec grid
-builds."""
+instances, codecs whose grid leaves its range, values that are not grid
+QPs, a counter of codec grid builds."""
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -94,6 +95,12 @@ GRID_REFUSALS = [
     ("rate.gamma_c", 5e-324, f"codec rate.gamma_c, rate.theta_c make the color rate "
                              f"{_RATE} on the QP grid"),
 ]
+
+
+# Values that are not grid QPs though some compare or convert like one;
+# every boundary that takes a QP refuses each as a validation error.
+NOT_QPS = [True, 22.0, 22.5, "22", None, math.nan, math.inf]
+NOT_QP_IDS = ["bool", "integral-float", "float", "string", "none", "nan", "inf"]
 
 
 def with_field(codec: dict, field: str, value) -> dict:

@@ -38,6 +38,8 @@ from pcbitalloc.models import (
 from pcbitalloc.pipeline import fit_models
 from pcbitalloc.simcodec import probe_schedule, random_spec, run_probe_schedule
 
+from conftest import NOT_QP_IDS, NOT_QPS
+
 
 def probe(qp_g, qp_c, r_g, r_c, d=1.0):
     return ProbePoint(QpPair(qp_g, qp_c), r_g, r_c, d)
@@ -82,6 +84,33 @@ class TestQpToStep:
     def test_increasing_and_doubles_every_six(self, qp):
         assert qp_to_step(qp + 1) > qp_to_step(qp)
         assert qp_to_step(qp + 6) == pytest.approx(2 * qp_to_step(qp), rel=1e-12)
+
+
+class TestQpPair:
+    @pytest.mark.parametrize("bad", NOT_QPS + [21, 43], ids=NOT_QP_IDS + ["21", "43"])
+    def test_refuses_what_is_not_a_grid_qp(self, bad):
+        for args in ((bad, 30), (30, bad)):
+            with pytest.raises(ValidationError, match=r"^qp (must be an integer, got "
+                               r"|\S+ outside grid \[22, 42\]$)"):
+                QpPair(*args)
+
+    def test_refuses_numpy_bools_and_floats(self):
+        for bad in (np.bool_(True), np.float64(30.0)):
+            with pytest.raises(ValidationError, match="must be an integer"):
+                QpPair(bad, 30)
+
+    @pytest.mark.parametrize("integer", [np.int8, np.int32, np.int64, np.uint8, np.uint64])
+    def test_accepts_numpy_integers(self, integer):
+        qp = QpPair(integer(22), integer(42))
+        assert qp == QpPair(22, 42)
+        assert qp.cell == (0, 20)
+        with pytest.raises(ValidationError, match="outside grid"):
+            QpPair(integer(43), 30)
+
+    def test_cell_is_the_offset_from_the_grid_start(self):
+        cells = [QpPair(g, c).cell for g in qp_grid() for c in qp_grid()]
+        assert cells == [(g, c) for g in range(21) for c in range(21)]
+        assert all(type(i) is int for cell in cells for i in cell)
 
 
 class TestKbpmp:

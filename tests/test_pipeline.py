@@ -29,7 +29,14 @@ from pcbitalloc.simcodec import (
     spec_from_dict, spec_to_dict,
 )
 
-from conftest import GRID_REFUSALS, count_grid_builds, make_cloud, with_field
+from conftest import (
+    GRID_REFUSALS,
+    NOT_QP_IDS,
+    NOT_QPS,
+    count_grid_builds,
+    make_cloud,
+    with_field,
+)
 
 WORKED_SPEC = {
     "alpha_g": 0.6, "beta_g": 4.0, "alpha_gc": 0.4, "alpha_cc": 0.5, "beta_c": 4.0,
@@ -673,6 +680,22 @@ class TestCli:
                      "-o", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error [validation]: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", NOT_QPS + [50], ids=NOT_QP_IDS + ["off-grid"])
+    @pytest.mark.parametrize("key", ["qp_g", "qp_c"])
+    @pytest.mark.parametrize("shared", [False, True], ids=["unshared", "shared"])
+    def test_evaluate_refuses_a_row_qp_off_the_grid(self, tmp_path, capsys, bad, key,
+                                                    shared):
+        # every row's QPs are checked, not only those of the rows both share
+        pba, esa = tmp_path / "pba.json", tmp_path / "esa.json"
+        pba.write_text(json.dumps([EVAL_ROW, dict(EVAL_ROW, target=2000.0, **{key: bad})]))
+        esa.write_text(json.dumps([EVAL_ROW] + [dict(EVAL_ROW, target=2000.0)] * shared))
+        out = tmp_path / "eval.json"
+        assert main(["evaluate", "--pba", str(pba), "--esa", str(esa),
+                     "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [validation]: {pba} row qp ") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fit", "simulate"])

@@ -1,7 +1,7 @@
 import math
-import re
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from pcbitalloc.simcodec import (
     validate_separability,
 )
 
-from conftest import GRID_REFUSALS, with_field
+from conftest import GRID_REFUSALS, NOT_QP_IDS, NOT_QPS, with_field
 
 
 def base_spec(**overrides):
@@ -33,6 +33,15 @@ def base_spec(**overrides):
 
 
 ALL_PAIRS = [QpPair(g, c) for g in range(22, 43) for c in range(22, 43)]
+
+# the grid rule's refusals of a negative noise-free distortion, by field
+NEGATIVE_DISTORTION = {
+    "beta_g": "codec alpha_g, beta_g make the geometry distortion overflow or "
+              "turn negative on the QP grid",
+    "beta_c": "codec alpha_gc, alpha_cc, beta_c, coupling make the color distortion "
+              "overflow or turn negative on the QP grid",
+}
+NEGATIVE_DISTORTION["coupling"] = NEGATIVE_DISTORTION["beta_c"]
 
 
 def scalar_encode(spec, qp):
@@ -226,18 +235,70 @@ class TestEncode:
             base_spec(noise_rel=-1)
 
     # base_spec's noise-free distortions reach 0 at the ok value, at the
-    # finest corner for the offsets and at the coarsest for the coupling
+    # finest corner for the offsets and at the coarsest for the coupling. A
+    # noisy grid clamps its distortions at 0, so the rule reads the
+    # noise-free planes under it too.
     @pytest.mark.parametrize("field, ok, bad", [
         ("beta_g", -0.4, -0.41),
         ("beta_c", -6.0, -6.01),
         ("coupling", -0.0096, -0.0097),
     ])
     def test_negative_clean_distortion_names_the_field(self, field, ok, bad):
-        spec = base_spec(**{field: ok})
-        corners = [encode(spec, QpPair(g, c)) for g in (22, 42) for c in (22, 42)]
-        assert min(min(r.d_g, r.d_c) for r in corners) >= 0
-        with pytest.raises(ValidationError, match=re.escape(f"{field} {bad:g} ")):
-            base_spec(**{field: bad})
+        for noise_rel in (0.0, 0.02):
+            spec = base_spec(noise_rel=noise_rel, **{field: ok})
+            ends = (qp_to_step(22), qp_to_step(42))
+            assert min(min(spec.distortions(g, c)) for g in ends for c in ends) >= 0
+            with pytest.raises(ValidationError) as refused:
+                base_spec(noise_rel=noise_rel, **{field: bad})
+            assert str(refused.value) == NEGATIVE_DISTORTION[field]
+
+    def test_grid_rule_refuses_as_the_corner_rule_did(self):
+        # The rule the grid rule replaced, kept as the reference: d_g is
+        # affine and d_c bilinear in the steps, so their least noise-free
+        # values on the grid lie at corners of its step box. Negative offsets
+        # and coupling move no rate, and a noisy grid clamps its distortions
+        # at 0, so the old grid check refused none of these specs.
+        ends = (qp_to_step(22), qp_to_step(42))
+        q_min, q_max = ends
+        rng = np.random.default_rng(27)
+        verdicts = []
+        for seed in range(60):
+            base = spec_to_dict(random_spec(seed))
+            a_g, a_gc, a_cc = base["alpha_g"], base["alpha_gc"], base["alpha_cc"]
+            # each field's boundary where the corner rule's verdict flips,
+            # its neighbours, and draws on a log scale on both sides of it
+            edges = {
+                "beta_g": -(a_g * q_min),
+                "beta_c": -(a_gc * q_min + a_cc * q_min),
+                "coupling": -(a_gc * q_max + a_cc * q_max + base["beta_c"]) / q_max**2,
+            }
+            for field, edge in edges.items():
+                values = [edge, np.nextafter(edge, 0.0), np.nextafter(edge, -math.inf),
+                          *(edge * 10 ** rng.uniform(-1.0, 1.0, 4))]
+                for value in map(float, values):
+                    for noise_rel in (0.0, 0.02, 1.0):
+                        codec = dict(base, noise_rel=noise_rel, **{field: value})
+                        unchecked = SimpleNamespace(**codec)
+                        corners = [SyntheticCodecSpec.distortions(unchecked, g, c)
+                                   for g in ends for c in ends]
+                        refuse = min(min(corner) for corner in corners) < 0
+                        try:
+                            spec_from_dict(codec)
+                            message = None
+                        except ValidationError as exc:
+                            message = str(exc)
+                        assert message == (NEGATIVE_DISTORTION[field] if refuse else None), \
+                            codec
+                        verdicts.append(refuse)
+        assert 0.25 < np.mean(verdicts) < 0.75
+
+    def test_cell_indexes_the_grid_where_encode_reads(self):
+        for spec in (random_spec(6), random_spec(6, 0.02, 0.002)):
+            for qp in ALL_PAIRS:
+                want = scalar_encode(spec, qp)
+                assert spec.grid[qp.cell].tolist() == list(want)
+                rec = encode(spec, qp)
+                assert (rec.r_g, rec.r_c, rec.d_g, rec.d_c) == want
 
 
 class TestAdditivity:
@@ -293,6 +354,22 @@ class TestSeparability:
         for low, high in ((21, 42), (22, 43)):
             with pytest.raises(ValidationError, match="outside grid"):
                 validate_separability(base_spec(), [low, 30, 34, high], self.GRID)
+
+    @pytest.mark.parametrize("bad", NOT_QPS, ids=NOT_QP_IDS)
+    def test_non_qp_rejected(self, bad):
+        # checked before repeats fold, so 22.0 next to 22 is refused too
+        for qp_g, qp_c in ((self.GRID + [bad], self.GRID), (self.GRID, [bad] + self.GRID)):
+            with pytest.raises(ValidationError, match="^qp must be an integer, got "):
+                validate_separability(base_spec(), qp_g, qp_c)
+
+    def test_fractional_qps_are_not_truncated(self):
+        with pytest.raises(ValidationError, match=r"^qp must be an integer, got 22\.9$"):
+            validate_separability(base_spec(), [22.9, 26.5, 30.2, 34.99], self.GRID)
+
+    def test_numpy_integers_accepted(self):
+        spec = random_spec(4, 0.02)
+        assert validate_separability(spec, np.array(self.GRID), np.array(self.GRID, np.int32)) \
+            == validate_separability(spec, self.GRID, self.GRID)
 
     def test_grid_read_equals_per_pair_encodes(self):
         rng = np.random.default_rng(26)
