@@ -345,6 +345,21 @@ def probes_from_records(records: Sequence[ProbeRecord],
     return [r.to_probe_point(omega) for r in records]
 
 
+def _log_qp(text) -> int:
+    """A probe log QP field: ASCII digits only, not the signs, blanks and
+    ``_`` that ``int`` also takes."""
+    if not (isinstance(text, str) and text.isascii() and text.isdigit()):
+        raise ValueError(f"QP {text!r} is not a string of digits")
+    return int(text)
+
+
+def _log_number(text) -> float:
+    """A probe log rate or distortion field, as ``float`` reads it but without ``_``."""
+    if "_" in text:
+        raise ValueError(f"{text!r} is not a plain number")
+    return float(text)
+
+
 def read_probe_log(path) -> list[ProbeRecord]:
     """Read the probe-log CSV (header qp_g,qp_c,r_g_kbpmp,r_c_kbpmp,d_g,d_c)."""
     path = Path(path)
@@ -359,12 +374,9 @@ def read_probe_log(path) -> list[ProbeRecord]:
             records = []
             for row in reader:
                 try:
-                    qp = QpPair(int(row["qp_g"]), int(row["qp_c"]))
+                    qp = QpPair(*(_log_qp(row[k]) for k in PROBE_LOG_HEADER[:2]))
                     records.append(ProbeRecord(
-                        qp,
-                        float(row["r_g_kbpmp"]), float(row["r_c_kbpmp"]),
-                        float(row["d_g"]), float(row["d_c"]),
-                    ))
+                        qp, *(_log_number(row[k]) for k in PROBE_LOG_HEADER[2:])))
                 except (TypeError, ValueError, KeyError, ValidationError) as exc:
                     raise ValidationError(f"bad probe log row {row!r}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:

@@ -31,15 +31,17 @@ the config can build has no cell to refuse. The probes are encoded, as
 probe log rows; everything else reads the array. The exhaustive sweep is
 the whole grid: each omega gets one ``GridTable`` built from its slices
 and each budget one ``exhaustive_search`` over it. Every row's ``actual``
-and ``esa`` read their pair's cell. Each omega's fitted models tabulate
-their grid once, for all of its targets.
+and ``esa`` read their pair's cell. The rate model does not depend on
+omega, so it is fitted once per run and its grid tabulated once for every
+omega and target; each omega's distortion model tabulates its grid once,
+for all of that omega's targets.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .allocator import (
@@ -79,8 +81,12 @@ _CONFIG_KEYS = frozenset({"codec", "probe_log", "targets", "omegas", "run_exhaus
 
 def fit_models(records, omega):
     """Distortion and rate models for one omega, each stream fitted on its own
-    by least squares over every probe, distortion slopes floored at 0."""
-    return fit_distortion_model_lstsq(records, omega), fit_rate_model_lstsq(records)
+    by least squares over every probe, distortion slopes floored at 0.
+    ``run_pipeline`` calls the two fits itself, the rate fit once per run.
+    Both fit the rate model first, so ``fit`` and ``simulate`` report the
+    same error for a log that both fits refuse."""
+    rm = fit_rate_model_lstsq(records)
+    return fit_distortion_model_lstsq(records, omega), rm
 
 
 def _newton_cap(solver) -> int:
@@ -200,8 +206,10 @@ def run_pipeline(config: dict) -> dict:
     models_out = {}
     allocations = []
     curves = {}
+    # the rate fit reads no omega: one model, and one tabulated grid, per run
+    rm = fit_rate_model_lstsq(records)
     for omega in omegas:
-        dm, rm = fit_models(records, omega)
+        dm = fit_distortion_model_lstsq(records, omega)
         models_out[str(omega)] = model_to_dict(dm, rm)
         if run_esa:
             table = GridTable(esa_rate_grid, weighted(omega, grid[..., 2], grid[..., 3]))
@@ -261,10 +269,86 @@ def run_pipeline(config: dict) -> dict:
     }
 
 
+def _scalar_text(o) -> str:
+    """JSON text of a value that is not a container, dispatched in the order
+    json's encoder tests types, so str, int and float subclasses encode as
+    their base types do."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def json_text(payload) -> str:
     """The one layout of every JSON document the tools write: two-space
-    indent, sorted keys, a final newline."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    indent, sorted keys, ``,`` and ``: `` separators, ``{}`` and ``[]`` for
+    empty containers, a final newline.
+
+    The text is ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``
+    byte for byte, but made in one pass that appends every token to one
+    list: with ``indent`` set, ``json.dumps`` uses its pure-Python generator
+    encoder, not the C one, and that was the largest cost of a study report
+    after the solve. The leaf text comes from the functions json itself
+    uses: ``json.encoder.encode_basestring_ascii`` for strings and keys,
+    ``int.__repr__`` for ints and ``float.__repr__`` for floats, with NaN
+    and the infinities written as ``allow_nan`` writes them. A value json
+    cannot encode, such as a set or a numpy integer, raises ``TypeError``
+    as it does. So does a key that is not a string: json would convert an
+    int, float, bool or None key, but no document the tools write has one.
+    """
+    out = []
+    append = out.append
+
+    def emit(o, indent):
+        if isinstance(o, dict):
+            if not o:
+                append("{}")
+                return
+            inner = indent + "  "
+            head = "{" + inner
+            for key, item in sorted(o.items()):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                # a finite float, most leaves of a report, takes no call
+                if type(item) is float and -math.inf < item < math.inf:
+                    append(head + encode_basestring_ascii(key) + ": " + float.__repr__(item))
+                else:
+                    append(head + encode_basestring_ascii(key) + ": ")
+                    emit(item, inner)
+                head = "," + inner
+            append(indent + "}")
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                append("[]")
+                return
+            inner = indent + "  "
+            head = "[" + inner
+            for item in o:
+                append(head)
+                emit(item, inner)
+                head = "," + inner
+            append(indent + "]")
+        else:
+            append(_scalar_text(o))
+
+    emit(payload, "\n")
+    append("\n")
+    return "".join(out)
 
 
 def write_report(report: dict, path) -> None:

@@ -432,7 +432,8 @@ class TestRoundTrip:
         text = (tmp_path / "c.ply").read_text()
         assert text.split("end_header\n", 1)[1] == "".join(lines)
 
-    @pytest.mark.parametrize("bit_depth", range(1, 31))
+    # depth 31 writes the largest coordinate, 2**31 - 1, beside a 0
+    @pytest.mark.parametrize("bit_depth", range(1, 32))
     def test_ascii_body_matches_percent_d(self, tmp_path, rng, bit_depth):
         top = (1 << bit_depth) - 1
         clouds = [make_cloud(rng, 50, bit_depth),

@@ -22,7 +22,7 @@ from pcbitalloc.models import (
 )
 from pcbitalloc.metrics import psnr
 from pcbitalloc.pipeline import (
-    bd_gap, fit_models, psnr_fields, run_pipeline, write_report,
+    bd_gap, fit_models, json_text, psnr_fields, run_pipeline, write_report,
 )
 from pcbitalloc.simcodec import (
     SyntheticCodecSpec, encode, probe_schedule, random_spec, run_probe_schedule,
@@ -203,6 +203,19 @@ class TestRunPipeline:
         assert len(built) == 1
         assert encoded == list(probe_schedule())
         assert report["evaluation"]["encode_calls"] == {"pba": 3, "esa": 0}
+
+    def test_one_rate_fit_per_simulate_run(self, tmp_path, monkeypatch):
+        # the rate fit reads no omega, so a 3-omega run fits (and tabulates) one model
+        fits = []
+        real = pipeline.fit_rate_model_lstsq
+        monkeypatch.setattr(pipeline, "fit_rate_model_lstsq",
+                            lambda records: fits.append(records) or real(records))
+        cfg_path, out = tmp_path / "sim.json", tmp_path / "report.json"
+        cfg_path.write_text(json.dumps(DEDUP_CONFIG))
+        assert main(["simulate", "--spec", str(cfg_path), "-o", str(out)]) == 0
+        rates = [m["rate"] for m in json.loads(out.read_text())["models"].values()]
+        assert len(fits) == 1
+        assert len(rates) == 3 and all(rate == rates[0] for rate in rates)
 
     @pytest.mark.parametrize("run_exhaustive", [True, False])
     def test_actuals_equal_fresh_encodes(self, run_exhaustive):
@@ -712,7 +725,11 @@ class TestCli:
 
     @pytest.mark.parametrize("column, value", [
         ("d_g", "-5.0"), ("d_c", "inf"), ("r_c_kbpmp", "0.0"),
-    ], ids=["negative-d_g", "infinite-d_c", "zero-r_c"])
+        # literal forms int() and float() take, each read as a valid value
+        ("qp_g", "3_4"), ("qp_g", " 34 "), ("qp_c", "+35"), ("qp_c", "\uff13\uff15"),
+        ("r_g_kbpmp", "1_0"), ("d_c", "1_0"),
+    ], ids=["negative-d_g", "infinite-d_c", "zero-r_c", "underscore-qp_g", "blank-qp_g",
+            "plus-qp_c", "fullwidth-qp_c", "underscore-r_g", "underscore-d_c"])
     @pytest.mark.parametrize("command", ["fit", "simulate"])
     def test_bad_probe_log_values_name_the_row(self, tmp_path, capsys, command,
                                                column, value):
@@ -857,6 +874,86 @@ def test_evaluate_survives_malformed_reports(pba, esa):
             path.write_text(json.dumps(doc))
         assert main(["evaluate", "--pba", str(paths[0]), "--esa", str(paths[1]),
                      "-o", str(Path(tmp) / "eval.json")]) in (0, 2)
+
+
+# quotes, backslashes, control, non-ASCII and astral characters and a lone surrogate
+WRITER_STRINGS = st.text(st.sampled_from('"\\\x00\x1f\x7f\xe9\u2028\U0001f600\ud800')
+                         | st.characters(), max_size=6)
+WRITER_LEAVES = (st.none() | st.booleans() | st.integers(-10**30, 10**30) | WRITER_STRINGS
+                 | st.floats() | st.floats().map(np.float64)
+                 | st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf]))
+WRITER_TREES = st.recursive(
+    WRITER_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(WRITER_STRINGS, inner, max_size=4)),
+    max_leaves=24)
+
+
+def dumps_text(payload) -> str:
+    """The reference layout that ``json_text`` matches."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonText:
+    """``json_text`` writes every document as ``json.dumps(payload, indent=2,
+    sort_keys=True) + "\\n"`` does, byte for byte."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(WRITER_TREES)
+    @example({"": [], "b": {}, "a": [{}, [[]], ()]})
+    @example([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf, 10**30, -10**30])
+    def test_matches_json_dumps(self, payload):
+        assert json_text(payload) == dumps_text(payload)
+
+    @pytest.mark.parametrize("payload", [{1, 2}, np.int64(1), {"a": [np.int64(1)]}],
+                             ids=["set", "numpy-int64", "nested-numpy-int64"])
+    def test_refuses_what_json_dumps_refuses(self, payload):
+        with pytest.raises(TypeError):
+            dumps_text(payload)
+        with pytest.raises(TypeError):
+            json_text(payload)
+
+    def test_refuses_an_int_key(self):
+        # json.dumps would write "1"; no document the tools write has such a key
+        assert dumps_text({1: "a"}) == '{\n  "1": "a"\n}\n'
+        with pytest.raises(TypeError):
+            json_text({1: "a"})
+
+    @pytest.mark.parametrize("command",
+                             ["metric", "fit", "allocate", "simulate", "evaluate"])
+    def test_each_command_writes_its_document_as_json_dumps(self, tmp_path, rng,
+                                                            monkeypatch, command):
+        log, model, esa, pba = (tmp_path / name for name in
+                                ("probes.csv", "model.json", "esa.json", "pba.json"))
+        records = run_probe_schedule(spec_from_dict(DEDUP_CONFIG["codec"]))
+        write_probe_log(log, records)
+        model.write_text(json.dumps(model_to_dict(*fit_models(records, 0.25))))
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps(DEDUP_CONFIG))
+        esa.write_text(dumps_text(run_pipeline(DEDUP_CONFIG)))
+        pba.write_text(dumps_text(run_pipeline(dict(DEDUP_CONFIG, run_exhaustive=False))))
+        a = make_cloud(rng, 300, bit_depth=9)
+        save_ply(a, tmp_path / "a.ply")
+        save_ply(PointCloud(a.positions[::2], a.colors[::2], 9), tmp_path / "b.ply")
+        out = tmp_path / "out.json"
+        argv = {
+            "metric": ["metric", str(tmp_path / "a.ply"), str(tmp_path / "b.ply")],
+            "fit": ["fit", "--probes", str(log), "--omega", "0.25"],
+            "allocate": ["allocate", "--model", str(model), "--target", "1000"],
+            "simulate": ["simulate", "--spec", str(config)],
+            "evaluate": ["evaluate", "--pba", str(pba), "--esa", str(esa)],
+        }[command]
+        written = []
+        real = pipeline.json_text
+
+        def recorded(payload):
+            written.append(payload)
+            return real(payload)
+
+        monkeypatch.setattr(pipeline, "json_text", recorded)
+        assert main(argv + ["-o", str(out)]) == 0
+        assert len(written) == 1
+        assert out.read_text() == dumps_text(written[0])
 
 
 class TestBdGap:
