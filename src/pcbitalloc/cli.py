@@ -3,6 +3,9 @@
 Exit codes: 0 success, 2 validation error, 3 infeasible problem, 4 I/O error.
 Errors print as one ``error [category]: ...`` line on stderr, and library
 warnings, such as a floored fit slope, as one ``warning: ...`` line.
+
+Only ``metric`` imports ``cloud`` and ``metrics``, and with them scipy, inside
+its handler, so the other commands start without them.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from . import allocator, cloud, evaluate, metrics, models, pipeline
+from . import allocator, evaluate, models, pipeline
 from .errors import PcBitAllocError, ValidationError
 
 _EXIT_CODES = {"validation": 2, "infeasible": 3, "io": 4}
@@ -36,11 +39,15 @@ def _read_json(path, what: str):
 
 
 def _cmd_metric(args) -> None:
-    # refuse bad flags before either cloud is read, omega first as the payload
-    # does; a default geometry peak comes from the reference's bit depth
+    from . import cloud, metrics
+
+    # refuse bad flags before either cloud is read: the luma weights, then omega
+    # and the peaks in the payload's order; a default geometry peak comes from
+    # the reference's bit depth
+    cloud.check_luma_weights(args.luma_weights)
     models.weighted(args.omega, 0.0, 0.0)
-    metrics.psnr(0.0, 0.0, args.omega, 1.0 if args.geometry_peak is None
-                 else args.geometry_peak, args.color_peak)
+    evaluate.psnr(0.0, 0.0, args.omega, 1.0 if args.geometry_peak is None
+                  else args.geometry_peak, args.color_peak)
     ref = cloud.load_ply(args.reference)
     rec = cloud.load_ply(args.reconstruction)
     pair = metrics.symmetric_distortion(ref, rec, luma_weights=args.luma_weights)
@@ -52,8 +59,8 @@ def _cmd_metric(args) -> None:
         "d_c": pair.d_c,
         "omega": args.omega,
         "combined": models.weighted(args.omega, pair.d_g, pair.d_c),
-        **pipeline.psnr_fields(metrics.psnr(pair.d_g, pair.d_c, args.omega,
-                                            geometry_peak, args.color_peak)),
+        **pipeline.psnr_fields(evaluate.psnr(pair.d_g, pair.d_c, args.omega,
+                                             geometry_peak, args.color_peak)),
         "geometry_peak": geometry_peak,
         "color_peak": args.color_peak,
         "points": {"reference": len(ref), "reconstruction": len(rec)},
@@ -167,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--geometry-peak", type=float, default=None,
                    help="default: 2^bit_depth - 1 of the reference")
     p.add_argument("--color-peak", type=float, default=255.0)
-    p.add_argument("--luma-weights", choices=tuple(cloud.LUMA_WEIGHTS), default="bt709")
+    p.add_argument("--luma-weights", default="bt709",
+                   help="luma weights of the color error: bt709 or bt601")
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=_cmd_metric)
 

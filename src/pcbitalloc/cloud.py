@@ -139,15 +139,20 @@ def min_bit_depth(positions) -> int:
     return d
 
 
+def check_luma_weights(weights) -> None:
+    """Refuse, with ``ValidationError``, a ``weights`` that names no row of ``LUMA_WEIGHTS``."""
+    if not isinstance(weights, str) or weights not in LUMA_WEIGHTS:
+        raise ValidationError(f"unknown luma weights {weights!r}; "
+                              f"expected one of {', '.join(LUMA_WEIGHTS)}")
+
+
 def luma_scaled(colors, weights: str = "bt709") -> np.ndarray:
     """Per-point luma times LUMA_SCALE as exact int64 (for integer metric sums).
 
     ``colors`` holds (n, 3) RGB values in [0, 255]; ``weights`` names a row
     of ``LUMA_WEIGHTS``. Anything else raises ``ValidationError``.
     """
-    if not isinstance(weights, str) or weights not in LUMA_WEIGHTS:
-        raise ValidationError(f"unknown luma weights {weights!r}; "
-                              f"expected one of {', '.join(LUMA_WEIGHTS)}")
+    check_luma_weights(weights)
     wr, wg, wb = LUMA_WEIGHTS[weights]
     c = as_integers(colors, np.uint8, "colors").astype(np.int64)
     return wr * c[:, 0] + wg * c[:, 1] + wb * c[:, 2]

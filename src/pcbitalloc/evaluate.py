@@ -1,12 +1,17 @@
-"""Allocator-vs-baseline evaluation: BE, QPE, CQ, and BD-PSNR."""
+"""Allocator-vs-baseline evaluation: BE, QPE, CQ and BD-PSNR, plus two
+quality statistics: the PSNR of a weighted distortion and the fit quality
+(SCC, RMSE, NRMSE) of modeled against actual values.
+"""
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SccUndefinedError, ValidationError
 from .models import QpPair
 
 
@@ -68,3 +73,51 @@ def bd_psnr(curve_a: Sequence, curve_b: Sequence) -> float:
     int_a = np.polyval(ia, hi) - np.polyval(ia, lo)
     int_b = np.polyval(ib, hi) - np.polyval(ib, lo)
     return float((int_b - int_a) / (hi - lo))
+
+
+@dataclass(frozen=True)
+class FitQuality:
+    scc: float
+    rmse: float
+    nrmse: float
+
+
+def psnr(d_g: float, d_c: float, omega: float,
+         geometry_peak: float, color_peak: float) -> float:
+    """PSNR in dB of the weighted normalized MSE; +inf when lossless."""
+    # chained comparisons are false for NaN, so they refuse it too
+    if not (0 < geometry_peak < math.inf and 0 < color_peak < math.inf):
+        raise ValidationError("peaks must be positive and finite")
+    if not 0.0 <= omega <= 1.0:
+        raise ValidationError("omega must lie in [0, 1]")
+    if not (0 <= d_g < math.inf and 0 <= d_c < math.inf):
+        raise ValidationError("distortions must be non-negative and finite")
+    nmse = omega * d_g / geometry_peak**2 + (1.0 - omega) * d_c / color_peak**2
+    if nmse == 0.0:
+        return math.inf
+    return 10.0 * math.log10(1.0 / nmse)
+
+
+def fit_quality(actual, fitted) -> FitQuality:
+    """Squared correlation, RMSE, and RMSE normalized by the largest observation."""
+    x = np.asarray(actual, dtype=np.float64)
+    y = np.asarray(fitted, dtype=np.float64)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValidationError("actual and fitted must be 1-d sequences of equal length")
+    if len(x) < 2:
+        raise ValidationError("need at least two observations")
+    xc = x - x.mean()
+    yc = y - y.mean()
+    sxx = float(xc @ xc)
+    if sxx == 0.0:
+        raise SccUndefinedError("correlation undefined for a constant reference")
+    syy = float(yc @ yc)
+    if syy == 0.0:
+        scc = 0.0
+    else:
+        r = float(xc @ yc) / math.sqrt(sxx * syy)
+        scc = min(r * r, 1.0)
+    rmse = float(np.sqrt(np.mean((x - y) ** 2)))
+    xmax = float(x.max())
+    nrmse = rmse / xmax if xmax > 0 else math.nan
+    return FitQuality(scc, rmse, nrmse)

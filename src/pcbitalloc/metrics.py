@@ -1,4 +1,4 @@
-"""Point-to-point distortion metrics and fit-quality statistics.
+"""Point-to-point distortion: the exact nearest-neighbor index and D1.
 
 The geometry error of cloud B against cloud A is the mean squared
 Euclidean distance from each point of B to its nearest neighbor in A;
@@ -67,13 +67,12 @@ integers beyond that. Results are reproducible bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cloud import LUMA_SCALE, PointCloud, as_integers, luma_scaled
-from .errors import SccUndefinedError, ValidationError
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -84,13 +83,6 @@ class DistortionPair:
     def __post_init__(self):
         if self.d_g < 0 or self.d_c < 0:
             raise ValidationError("distortions must be non-negative")
-
-
-@dataclass(frozen=True)
-class FitQuality:
-    scc: float
-    rmse: float
-    nrmse: float
 
 
 # kd candidates per query row in the first round; a row whose last
@@ -332,43 +324,3 @@ def symmetric_distortion(a: PointCloud, b: PointCloud,
         eg_ba, ec_ba = future.result()
     return DistortionPair(max(eg_ba, eg_ab), max(ec_ba, ec_ab))
 
-
-def psnr(d_g: float, d_c: float, omega: float,
-         geometry_peak: float, color_peak: float) -> float:
-    """PSNR in dB of the weighted normalized MSE; +inf when lossless."""
-    # chained comparisons are false for NaN, so they refuse it too
-    if not (0 < geometry_peak < math.inf and 0 < color_peak < math.inf):
-        raise ValidationError("peaks must be positive and finite")
-    if not 0.0 <= omega <= 1.0:
-        raise ValidationError("omega must lie in [0, 1]")
-    if not (0 <= d_g < math.inf and 0 <= d_c < math.inf):
-        raise ValidationError("distortions must be non-negative and finite")
-    nmse = omega * d_g / geometry_peak**2 + (1.0 - omega) * d_c / color_peak**2
-    if nmse == 0.0:
-        return math.inf
-    return 10.0 * math.log10(1.0 / nmse)
-
-
-def fit_quality(actual, fitted) -> FitQuality:
-    """Squared correlation, RMSE, and RMSE normalized by the largest observation."""
-    x = np.asarray(actual, dtype=np.float64)
-    y = np.asarray(fitted, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValidationError("actual and fitted must be 1-d sequences of equal length")
-    if len(x) < 2:
-        raise ValidationError("need at least two observations")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sxx = float(xc @ xc)
-    if sxx == 0.0:
-        raise SccUndefinedError("correlation undefined for a constant reference")
-    syy = float(yc @ yc)
-    if syy == 0.0:
-        scc = 0.0
-    else:
-        r = float(xc @ yc) / math.sqrt(sxx * syy)
-        scc = min(r * r, 1.0)
-    rmse = float(np.sqrt(np.mean((x - y) ** 2)))
-    xmax = float(x.max())
-    nrmse = rmse / xmax if xmax > 0 else math.nan
-    return FitQuality(scc, rmse, nrmse)

@@ -53,8 +53,7 @@ from .allocator import (
     solve_interior_point,
 )
 from .errors import InfeasibleBudgetError, ValidationError
-from .evaluate import bd_psnr, compute_be, compute_cq, compute_qpe
-from .metrics import psnr
+from .evaluate import bd_psnr, compute_be, compute_cq, compute_qpe, psnr
 from .models import (
     finite_number,
     # the exact fits are unused here; perfbench/spans.py looks all four up by name

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .metrics import FitQuality, fit_quality
+from .evaluate import FitQuality, fit_quality
 from .models import (
     QP_MAX,
     QP_MIN,

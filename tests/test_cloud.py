@@ -170,7 +170,8 @@ class TestLuminance:
         subparsers = next(a for a in build_parser()._actions
                           if isinstance(a, argparse._SubParsersAction))
         option = subparsers.choices["metric"]._option_string_actions["--luma-weights"]
-        assert list(option.choices) == list(LUMA_WEIGHTS)
+        # the parser does not import cloud, so its help names the rows itself
+        assert option.help.endswith(": " + " or ".join(LUMA_WEIGHTS))
 
     @given(st.tuples(*[st.integers(0, 255)] * 3))
     def test_bounded(self, c):

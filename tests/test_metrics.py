@@ -12,6 +12,7 @@ from pcbitalloc import metrics
 from pcbitalloc.cli import main
 from pcbitalloc.cloud import PointCloud, luma_scaled, save_ply
 from pcbitalloc.errors import SccUndefinedError, ValidationError
+from pcbitalloc.evaluate import fit_quality, psnr
 from pcbitalloc.metrics import (
     DistortionPair,
     NnIndex,
@@ -20,8 +21,6 @@ from pcbitalloc.metrics import (
     _exact_mean,
     _morton_key,
     build_index,
-    fit_quality,
-    psnr,
     symmetric_distortion,
 )
 from pcbitalloc.models import weighted

@@ -16,11 +16,11 @@ from pcbitalloc import pipeline, simcodec
 from pcbitalloc.cli import build_parser, main
 from pcbitalloc.cloud import PointCloud, save_ply
 from pcbitalloc.errors import ValidationError
+from pcbitalloc.evaluate import psnr
 from pcbitalloc.models import (
     PROBE_LOG_HEADER, ProbeRecord, QpPair, RateModel, model_to_dict, weighted,
     write_probe_log,
 )
-from pcbitalloc.metrics import psnr
 from pcbitalloc.pipeline import (
     bd_gap, fit_models, json_text, psnr_fields, run_pipeline, write_report,
 )
@@ -272,6 +272,8 @@ class TestCli:
         (["--omega", "2"], "omega must lie in [0, 1]"),
         (["--color-peak", "0"], "peaks must be positive and finite"),
         (["--geometry-peak", "-1"], "peaks must be positive and finite"),
+        (["--luma-weights", "foo"],
+         "unknown luma weights 'foo'; expected one of bt709, bt601"),
     ])
     def test_metric_checks_flags_before_loading_clouds(self, tmp_path, capsys,
                                                        flags, message):

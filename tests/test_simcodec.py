@@ -8,7 +8,7 @@ import pytest
 import scipy.optimize
 
 from pcbitalloc.errors import ValidationError
-from pcbitalloc.metrics import fit_quality
+from pcbitalloc.evaluate import fit_quality
 from pcbitalloc.models import QP_MIN, ProbeRecord, QpPair, RateModel, qp_to_step
 from pcbitalloc.simcodec import (
     SeparabilityReport,
