@@ -14,9 +14,8 @@ BE is the actual rate's error against the budget; QPE is the summed QP
 distance from the exhaustive pick; BD-PSNR is each (codec, omega) curve's gap
 to the baseline's, over the curves it is defined for. At omega 1 the color
 step does not change the distortion, so under noise the baseline's color QP,
-and with it the QPE there, follows the noise. CQ is not measured: the
-simulated encode clock charges a fixed cost per call, so it is the ratio of
-encode calls, 3 probes against the 441-pair sweep.
+and with it the QPE there, follows the noise. CQ is not measured: it is
+the ratio of encode calls, 3 probes against the 441-pair sweep.
 """
 
 import numpy as np

@@ -41,8 +41,8 @@ _EXPORTS = {
     ),
     "pipeline": ("run_pipeline", "write_report"),
     "simcodec": (
-        "ENCODE_TIME_MS", "SeparabilityReport", "SyntheticCodecSpec", "encode",
-        "probe_schedule", "random_spec", "run_probe_schedule", "validate_separability",
+        "SeparabilityReport", "SyntheticCodecSpec", "encode", "probe_schedule",
+        "random_spec", "run_probe_schedule", "validate_separability",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PlyBodyError, PlyHeaderError, PlyPropertyError, ValidationError
+from .errors import PlyError, ValidationError
 
 # Integer per-10000 luma weights; both rows sum to exactly 10000 so white maps to 255.
 LUMA_WEIGHTS = {
@@ -88,7 +88,7 @@ def as_integers(values, dtype, what: str) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=dtype)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
     """Immutable voxelized cloud: positions (n,3) int64, colors (n,3) uint8.
 
@@ -96,7 +96,8 @@ class PointCloud:
     out-of-range values are refused rather than truncated or wrapped.
     An array that is already C-contiguous int64 (uint8 for colors) is not
     copied: the cloud holds a read-only view of it, so the caller's array
-    stays writable and a later write to it shows in the cloud.
+    stays writable and a later write to it shows in the cloud. Clouds compare
+    and hash by identity.
     """
 
     positions: np.ndarray
@@ -112,7 +113,8 @@ class PointCloud:
             raise ValidationError("colors must match positions in shape")
         if len(pos) < 1:
             raise ValidationError("cloud must contain at least one point")
-        if not isinstance(self.bit_depth, int) or self.bit_depth < 1:
+        if (isinstance(self.bit_depth, bool) or not isinstance(self.bit_depth, int)
+                or self.bit_depth < 1):
             raise ValidationError("bit_depth must be a positive integer")
         hi = 1 << self.bit_depth
         if pos.min() < 0 or pos.max() >= hi:
@@ -162,7 +164,7 @@ def _parse_header(fh):
     """Read the PLY header; returns (fmt, n_vertex, properties, bit_depth_hint)."""
     magic = fh.readline()
     if magic.strip() != b"ply":
-        raise PlyHeaderError("not a PLY file (missing 'ply' magic)")
+        raise PlyError("not a PLY file (missing 'ply' magic)")
     fmt = None
     n_vertex = None
     props = []
@@ -172,14 +174,14 @@ def _parse_header(fh):
     while True:
         raw = fh.readline()
         if not raw:
-            raise PlyHeaderError("header ended before end_header")
+            raise PlyError("header ended before end_header")
         line = raw.decode("ascii", errors="replace").strip()
         if not line:
             continue
         tok = line.split()
         if tok[0] == "format":
             if len(tok) < 2 or tok[1] not in ("ascii", "binary_little_endian"):
-                raise PlyHeaderError(f"unsupported format line: {line!r}")
+                raise PlyError(f"unsupported format line: {line!r}")
             fmt = tok[1]
         elif tok[0] == "comment":
             if len(tok) >= 3 and tok[1] == "bit_depth":
@@ -189,18 +191,18 @@ def _parse_header(fh):
                     pass
                 else:
                     if bit_depth_hint > _MAX_BIT_DEPTH:
-                        raise PlyHeaderError(f"comment bit_depth {bit_depth_hint} is "
-                                             f"above {_MAX_BIT_DEPTH}")
+                        raise PlyError(f"comment bit_depth {bit_depth_hint} is "
+                                       f"above {_MAX_BIT_DEPTH}")
         elif tok[0] == "element":
             if len(tok) != 3:
-                raise PlyHeaderError(f"malformed element line: {line!r}")
+                raise PlyError(f"malformed element line: {line!r}")
             if tok[1] == "vertex":
                 if seen_other_element:
-                    raise PlyHeaderError("vertex element must come first")
+                    raise PlyError("vertex element must come first")
                 try:
                     n_vertex = int(tok[2])
                 except ValueError:
-                    raise PlyHeaderError(f"bad vertex count: {tok[2]!r}")
+                    raise PlyError(f"bad vertex count: {tok[2]!r}")
                 in_vertex = True
             else:
                 in_vertex = False
@@ -208,21 +210,21 @@ def _parse_header(fh):
         elif tok[0] == "property":
             if in_vertex:
                 if tok[1] == "list":
-                    raise PlyHeaderError("list properties on vertices are not supported")
+                    raise PlyError("list properties on vertices are not supported")
                 if len(tok) != 3:
-                    raise PlyHeaderError(f"malformed property line: {line!r}")
+                    raise PlyError(f"malformed property line: {line!r}")
                 ptype, pname = tok[1], tok[2]
                 if ptype not in _PLY_DTYPES:
-                    raise PlyHeaderError(f"unknown property type {ptype!r}")
+                    raise PlyError(f"unknown property type {ptype!r}")
                 props.append((pname, ptype))
         elif tok[0] == "end_header":
             break
         else:
-            raise PlyHeaderError(f"unrecognized header line: {line!r}")
+            raise PlyError(f"unrecognized header line: {line!r}")
     if fmt is None:
-        raise PlyHeaderError("header has no format line")
+        raise PlyError("header has no format line")
     if n_vertex is None:
-        raise PlyHeaderError("header declares no vertex element")
+        raise PlyError("header declares no vertex element")
     return fmt, n_vertex, props, bit_depth_hint
 
 
@@ -230,10 +232,10 @@ def _locate_columns(props):
     names = [p[0] for p in props]
     for want in ("x", "y", "z"):
         if want not in names:
-            raise PlyPropertyError(f"vertex property {want!r} is missing")
+            raise PlyError(f"vertex property {want!r} is missing")
     for want in ("red", "green", "blue"):
         if want not in names:
-            raise PlyPropertyError(f"color property {want!r} is missing")
+            raise PlyError(f"color property {want!r} is missing")
     known = {"x", "y", "z", "red", "green", "blue"}
     extra = [n for n in names if n not in known]
     if extra:
@@ -267,16 +269,15 @@ def _read_body(fh, fmt: str, n_vertex: int, props, cols) -> tuple[np.ndarray, np
             try:
                 data = _load_ascii(body, n_vertex, props, np.float64)
             except ValueError as exc:
-                raise PlyBodyError(f"vertex data: {exc}") from None
+                raise PlyError(f"vertex data: {exc}") from None
         if len(data) < n_vertex:
-            raise PlyBodyError(f"vertex data truncated at row {len(data)}")
+            raise PlyError(f"vertex data truncated at row {len(data)}")
         fields = data.T
     else:
         dtype = np.dtype([(f"p{i}", _PLY_DTYPES[t]) for i, (_, t) in enumerate(props)])
         expected = dtype.itemsize * n_vertex
         if len(body) < expected:
-            raise PlyBodyError(
-                f"binary body truncated: expected {expected} bytes, got {len(body)}")
+            raise PlyError(f"binary body truncated: expected {expected} bytes, got {len(body)}")
         rows = np.frombuffer(body, dtype=dtype, count=n_vertex)
         fields = [rows[name] for name in dtype.names]
     return tuple(np.stack([fields[cols[n]] for n in names], axis=1)
@@ -284,11 +285,11 @@ def _read_body(fh, fmt: str, n_vertex: int, props, cols) -> tuple[np.ndarray, np
 
 
 def _check_rows(ok: np.ndarray, values: np.ndarray, what: str, rule: str) -> None:
-    """Raise PlyBodyError naming the first row with a false entry in ok."""
+    """Raise PlyError naming the first row with a false entry in ok."""
     if not ok.all():
         row = int(np.flatnonzero(~ok.all(axis=1))[0])
-        raise PlyBodyError(f"vertex row {row}: {what} "
-                           f"{values[row].astype(np.float64).tolist()} {rule}")
+        raise PlyError(f"vertex row {row}: {what} "
+                       f"{values[row].astype(np.float64).tolist()} {rule}")
 
 
 def load_ply(path) -> PointCloud:
@@ -297,7 +298,7 @@ def load_ply(path) -> PointCloud:
     with open(path, "rb") as fh:
         fmt, n_vertex, props, bit_depth_hint = _parse_header(fh)
         if n_vertex < 1:
-            raise PlyHeaderError("vertex count must be >= 1")
+            raise PlyError("vertex count must be >= 1")
         xyz, rgb = _read_body(fh, fmt, n_vertex, props, _locate_columns(props))
 
     if xyz.dtype.kind == "f":
@@ -318,7 +319,7 @@ def load_ply(path) -> PointCloud:
     if bit_depth_hint is None:
         bit_depth_hint = needed
     elif bit_depth_hint < needed:
-        raise PlyHeaderError(
+        raise PlyError(
             f"comment bit_depth {bit_depth_hint} is smaller than the data, "
             f"which needs {needed} bits"
         )

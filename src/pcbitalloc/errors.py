@@ -1,7 +1,9 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package: one class per way to fail.
 
-Every exception carries a ``category`` string so the CLI can map failures
-to stable exit codes (validation -> 2, infeasible -> 3, io -> 4).
+Every exception carries a ``category`` string that the CLI maps to its
+exit code: ``ValidationError`` -> 2, ``InfeasibleBudgetError`` and
+``ConvergenceError`` -> 3, ``PlyError`` -> 4. All of them are
+``PcBitAllocError``s, and each message names the fault.
 """
 
 
@@ -10,21 +12,10 @@ class PcBitAllocError(Exception):
 
 
 class ValidationError(PcBitAllocError):
-    """Bad input values or violated preconditions."""
+    """Bad input values or violated preconditions, such as probes that cannot
+    identify the model or a fitted rate exponent that is not negative."""
 
     category = "validation"
-
-
-class DegenerateProbesError(ValidationError):
-    """Probe encodings that cannot identify the model (equal or collinear steps)."""
-
-
-class NonMonotoneRateError(ValidationError):
-    """Fitted rate exponent is not negative, so rate would not shrink with the step."""
-
-
-class SccUndefinedError(ValidationError):
-    """Squared correlation requested against a constant reference sequence."""
 
 
 class InfeasibleBudgetError(PcBitAllocError):
@@ -40,16 +31,6 @@ class ConvergenceError(PcBitAllocError):
 
 
 class PlyError(PcBitAllocError):
+    """A PLY file whose header, vertex properties or body cannot be read."""
+
     category = "io"
-
-
-class PlyHeaderError(PlyError):
-    """Header is missing, malformed, or describes an unsupported layout."""
-
-
-class PlyBodyError(PlyError):
-    """Vertex data ends early or cannot be decoded."""
-
-
-class PlyPropertyError(PlyError):
-    """Required vertex properties (x,y,z,red,green,blue) are absent."""

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SccUndefinedError, ValidationError
+from .errors import ValidationError
 from .models import QpPair
 
 
@@ -110,7 +110,7 @@ def fit_quality(actual, fitted) -> FitQuality:
     yc = y - y.mean()
     sxx = float(xc @ xc)
     if sxx == 0.0:
-        raise SccUndefinedError("correlation undefined for a constant reference")
+        raise ValidationError("correlation undefined for a constant reference")
     syy = float(yc @ yc)
     if syy == 0.0:
         scc = 0.0

@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateProbesError, NonMonotoneRateError, ValidationError
+from .errors import ValidationError
 
 QP_MIN = 22
 QP_MAX = 42
@@ -211,8 +211,8 @@ class RateModel:
             if gamma <= 0:
                 raise ValidationError(f"{stream} rate gamma {gamma:.4g} is not positive")
             if theta >= 0:
-                raise NonMonotoneRateError(f"{stream} rate exponent {theta:.4g} is not "
-                                           "negative; rate does not decay")
+                raise ValidationError(f"{stream} rate exponent {theta:.4g} is not "
+                                      "negative; rate does not decay")
 
     @cached_property
     def grid(self) -> np.ndarray:
@@ -255,7 +255,7 @@ def fit_rate_model_lstsq(probes: Sequence[ProbeRecord | ProbePoint]) -> RateMode
 
     def solve(q, r, label):
         if min(q) == max(q):
-            raise DegenerateProbesError(f"{label} steps are all equal")
+            raise ValidationError(f"{label} steps are all equal")
         th, lg = np.linalg.lstsq(np.vander(np.log(q), 2), np.log(r), rcond=None)[0]
         # the scale gamma = exp(lg) must neither overflow nor underflow
         if not _LN_FLOAT_MIN <= lg <= _LN_FLOAT_MAX:
@@ -272,8 +272,8 @@ def _plane_rows(probes) -> np.ndarray:
     """The probes' rows [q_g, q_c, 1]; collinear step pairs cannot identify a plane."""
     mat = np.array([(s.q_g, s.q_c, 1.0) for s in (p.qp.steps() for p in probes)])
     if np.linalg.cond(mat) > 1e12:
-        raise DegenerateProbesError("probe step pairs are collinear; "
-                                    "distortion plane unidentifiable")
+        raise ValidationError("probe step pairs are collinear; "
+                              "distortion plane unidentifiable")
     return mat
 
 

@@ -22,9 +22,9 @@ The report is a JSON tree with sections ``models``, ``allocations`` (one
 row per omega and target, the only place a per-target fact is written)
 and ``evaluation`` (``encode_calls``, plus ``cq_pct``, ``average`` and
 ``bd_psnr_db`` when the baseline runs). Reports are byte-stable
-for a fixed config: the complexity quotient uses the simulated encode
-clock (a fixed cost per encode call), never wall time, and the baseline
-counts the 441 encodes a real one would make. A synthetic codec backend
+for a fixed config: the complexity quotient is the ratio of encode
+calls, never of wall time, and the baseline counts the 441 encodes a real
+one would make. A synthetic codec backend
 is its ``grid``, the (r_g, r_c, d_g, d_c) of every grid pair as one
 21x21x4 array, built and checked when the codec spec is, so a codec that
 the config can build has no cell to refuse. The probes are encoded, as
@@ -66,7 +66,6 @@ from .models import (
     weighted,
 )
 from .simcodec import (
-    ENCODE_TIME_MS,
     # encode is unused here; perfbench/spans.py looks it up by name
     encode,
     run_probe_schedule,
@@ -254,8 +253,7 @@ def run_pipeline(config: dict) -> dict:
 
     evaluation = {"encode_calls": {"pba": pba_encode_calls, "esa": esa_encode_calls}}
     if esa_encode_calls:
-        evaluation["cq_pct"] = compute_cq(pba_encode_calls * ENCODE_TIME_MS,
-                                          esa_encode_calls * ENCODE_TIME_MS)
+        evaluation["cq_pct"] = compute_cq(pba_encode_calls, esa_encode_calls)
         # the baseline gives every row a qpe and a be_pct, and there is always a row
         evaluation["average"] = {key: sum(r[key] for r in allocations) / len(allocations)
                                  for key in ("qpe", "be_pct")}

@@ -46,10 +46,6 @@ from .models import (
     weighted_distortion_model,
 )
 
-# Constant simulated wall time per encode call, so complexity quotients
-# reduce to call-count ratios.
-ENCODE_TIME_MS = 1000.0
-
 # The grid's streams, the spec fields each is computed from, and how its
 # cells can leave their range; ``_LEAST`` is the least finite value a cell
 # of each may hold: rates are positive, distortions non-negative.

@@ -17,12 +17,7 @@ from pcbitalloc.cloud import (
     min_bit_depth,
     save_ply,
 )
-from pcbitalloc.errors import (
-    PlyBodyError,
-    PlyHeaderError,
-    PlyPropertyError,
-    ValidationError,
-)
+from pcbitalloc.errors import PlyError, ValidationError
 
 from conftest import make_cloud
 
@@ -133,6 +128,20 @@ class TestPointCloud:
         c = PointCloud([[1, 1, 1], [1, 1, 1]], [[0, 0, 0], [9, 9, 9]], 1)
         assert len(c) == 2
 
+    @pytest.mark.parametrize("depth", [True, False, 0, 2.0, "2"],
+                             ids=["True", "False", "0", "float", "str"])
+    def test_bit_depth_must_be_a_positive_int(self, depth):
+        # a bool is an int to Python, but True would be written as "bit_depth True"
+        with pytest.raises(ValidationError, match="^bit_depth must be a positive integer$"):
+            PointCloud([[0, 1, 0]], [[0, 0, 0]], depth)
+
+    def test_equality_and_hash_are_identity(self):
+        # numpy arrays have no truth value, so field-wise equality would raise
+        a = PointCloud([[0, 1, 0]], [[0, 0, 0]], 1)
+        b = PointCloud([[0, 1, 0]], [[0, 0, 0]], 1)
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
     def test_min_bit_depth(self):
         assert min_bit_depth([[0, 0, 0]]) == 1
         assert min_bit_depth([[0, 1, 0]]) == 1
@@ -239,26 +248,26 @@ class TestPlyParsing:
         c = load_ply(write(tmp_path, text))
         assert c.positions.tolist() == [[0, 0, 0], [1, 2, 3], [4, 4, 4]]
 
-    @pytest.mark.parametrize("old, new, error, match", [
-        ("1 2 3 0 255 0", "1 2 3 3.7 255 0", PlyBodyError, "row 1.*not integers"),
-        ("1 2 3 0 255 0", "1 2 3 nan 255 0", PlyBodyError, "row 1.*not integers"),
-        ("1 2 3 0 255 0", "1 nan 3 0 255 0", PlyBodyError, "row 1.*not finite"),
-        ("4 4 4 0 0 255", "4 inf 4 0 0 255", PlyBodyError, "row 2.*not finite"),
-        ("4 4 4 0 0 255", "4 4 1e30 0 0 255", PlyBodyError, "row 2.*2\\^31"),
-        ("4 4 4 0 0 255", "4 4 -1e30 0 0 255", PlyBodyError, "row 2.*2\\^31"),
-        ("4 4 4 0 0 255", "2147483647.6 4 4 0 0 255", PlyBodyError,
+    @pytest.mark.parametrize("old, new, match", [
+        ("1 2 3 0 255 0", "1 2 3 3.7 255 0", "row 1.*not integers"),
+        ("1 2 3 0 255 0", "1 2 3 nan 255 0", "row 1.*not integers"),
+        ("1 2 3 0 255 0", "1 nan 3 0 255 0", "row 1.*not finite"),
+        ("4 4 4 0 0 255", "4 inf 4 0 0 255", "row 2.*not finite"),
+        ("4 4 4 0 0 255", "4 4 1e30 0 0 255", "row 2.*2\\^31"),
+        ("4 4 4 0 0 255", "4 4 -1e30 0 0 255", "row 2.*2\\^31"),
+        ("4 4 4 0 0 255", "2147483647.6 4 4 0 0 255",
          "row 2: coordinates \\[2147483648.0, 4.0, 4.0\\] .*2\\^31"),
-        ("4 4 4 0 0 255", "4 4 4 0 0 256", PlyBodyError,
+        ("4 4 4 0 0 255", "4 4 4 0 0 256",
          "row 2: color values \\[0.0, 0.0, 256.0\\] are not integers in \\[0, 255\\]"),
-        ("4 4 4 0 0 255", "4 4 4 0 0", PlyBodyError, None),
-        ("4 4 4 0 0 255", "4 4 x 0 0 255", PlyBodyError, None),
+        ("4 4 4 0 0 255", "4 4 4 0 0", "^vertex data: "),
+        ("4 4 4 0 0 255", "4 4 x 0 0 255", "^vertex data: "),
         ("element vertex", "comment bit_depth 2\nelement vertex",
-         PlyHeaderError, "bit_depth 2 is smaller"),
+         "^comment bit_depth 2 is smaller"),
     ], ids=["fractional-color", "nan-color", "nan-coord", "inf-coord",
             "huge-coord", "huge-negative-coord", "rounds-to-2^31", "uchar-color-over-255",
             "too-few-fields", "not-a-number", "bit-depth-too-small"])
-    def test_invalid_vertex_data_rejected(self, tmp_path, old, new, error, match):
-        with pytest.raises(error, match=match):
+    def test_invalid_vertex_data_rejected(self, tmp_path, old, new, match):
+        with pytest.raises(PlyError, match=match):
             load_ply(write(tmp_path, ASCII_3PT.replace(old, new)))
 
     @pytest.mark.parametrize("ctype", ["float", "double", "int", "short"])
@@ -301,21 +310,21 @@ class TestPlyParsing:
         rows[i] = row
         errors = []
         for binary in (True, False):
-            with pytest.raises(PlyBodyError, match=match) as exc:
+            with pytest.raises(PlyError, match=match) as exc:
                 load_ply(write(tmp_path, ply(rows, ctype, "float", binary)))
             errors.append(str(exc.value))
         assert errors[0] == errors[1]
 
     def test_malformed_header(self, tmp_path):
-        with pytest.raises(PlyHeaderError):
+        with pytest.raises(PlyError, match="^not a PLY file"):
             load_ply(write(tmp_path, "not a ply\n"))
-        with pytest.raises(PlyHeaderError):
+        with pytest.raises(PlyError, match="^unsupported format line"):
             load_ply(write(tmp_path, ASCII_3PT.replace("format ascii 1.0",
                                                        "format big_endian 1.0")))
 
     def test_truncated_body(self, tmp_path):
         text = "\n".join(ASCII_3PT.splitlines()[:-1]) + "\n"
-        with pytest.raises(PlyBodyError):
+        with pytest.raises(PlyError, match="^vertex data truncated at row 2$"):
             load_ply(write(tmp_path, text))
 
     def test_truncated_binary_body(self, tmp_path):
@@ -323,7 +332,7 @@ class TestPlyParsing:
         save_ply(ref, tmp_path / "bin.ply", binary=True)
         blob = (tmp_path / "bin.ply").read_bytes()
         (tmp_path / "cut.ply").write_bytes(blob[:-4])
-        with pytest.raises(PlyBodyError):
+        with pytest.raises(PlyError, match="^binary body truncated: expected 45 bytes, got 41$"):
             load_ply(tmp_path / "cut.ply")
 
     def test_binary_vertex_count_beyond_file(self, tmp_path):
@@ -332,7 +341,7 @@ class TestPlyParsing:
         blob = (tmp_path / "bin.ply").read_bytes()
         (tmp_path / "huge.ply").write_bytes(
             blob.replace(b"element vertex 3", b"element vertex 99999999999999"))
-        with pytest.raises(PlyBodyError, match="truncated: expected .* bytes, got 45$"):
+        with pytest.raises(PlyError, match="truncated: expected .* bytes, got 45$"):
             load_ply(tmp_path / "huge.ply")
 
     @pytest.mark.parametrize("old, new, positions, colors", [
@@ -352,18 +361,18 @@ class TestPlyParsing:
         ("3000000000", "coordinates [3000000000.0, 4.0, 4.0] are not finite"),
     ], ids=["over-int64", "int64-min", "over-2^31"])
     def test_ascii_out_of_range_integer_reported_as_float(self, tmp_path, token, message):
-        with pytest.raises(PlyBodyError, match=f"^vertex row 2: {re.escape(message)}"):
+        with pytest.raises(PlyError, match=f"^vertex row 2: {re.escape(message)}"):
             load_ply(write(tmp_path, ASCII_3PT.replace("4 4 4 0 0 255",
                                                        f"{token} 4 4 0 0 255")))
 
     def test_missing_color_property(self, tmp_path):
         text = ASCII_3PT.replace("property uchar blue\n", "")
-        with pytest.raises(PlyPropertyError):
+        with pytest.raises(PlyError, match="^color property 'blue' is missing$"):
             load_ply(write(tmp_path, text))
 
     def test_negative_coordinate_rejected(self, tmp_path):
         text = ASCII_3PT.replace("1 2 3", "-1 2 3")
-        with pytest.raises(PlyBodyError, match=r"row 1: coordinates \[-1.0, 2.0, 3.0\] "
+        with pytest.raises(PlyError, match=r"row 1: coordinates \[-1.0, 2.0, 3.0\] "
                                                r"are not finite integers in \[0, 2\^31\)"):
             load_ply(write(tmp_path, text))
 
@@ -379,7 +388,7 @@ class TestPlyParsing:
         for binary in (False, True):
             try:
                 cloud = load_ply(write(tmp_path, ply(rows, "float", binary=binary)))
-            except PlyBodyError as exc:
+            except PlyError as exc:
                 assert str(exc) == outcome
             else:
                 assert cloud.positions[2].tolist() == outcome

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from pcbitalloc import metrics
 from pcbitalloc.cli import main
 from pcbitalloc.cloud import PointCloud, luma_scaled, save_ply
-from pcbitalloc.errors import SccUndefinedError, ValidationError
+from pcbitalloc.errors import ValidationError
 from pcbitalloc.evaluate import fit_quality, psnr
 from pcbitalloc.metrics import (
     DistortionPair,
@@ -599,7 +599,7 @@ class TestFitQuality:
         assert fq.nrmse == pytest.approx(0.1 / 3)
 
     def test_constant_actual_rejected(self):
-        with pytest.raises(SccUndefinedError):
+        with pytest.raises(ValidationError, match="^correlation undefined for a constant"):
             fit_quality([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
     def test_noisy_regression_rmse(self):

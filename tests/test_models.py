@@ -7,11 +7,7 @@ import scipy.optimize
 from hypothesis import assume, given, settings, strategies as st
 
 from pcbitalloc import models
-from pcbitalloc.errors import (
-    DegenerateProbesError,
-    NonMonotoneRateError,
-    ValidationError,
-)
+from pcbitalloc.errors import ValidationError
 from pcbitalloc.models import (
     DistortionModel,
     ProbePoint,
@@ -39,6 +35,10 @@ from pcbitalloc.pipeline import fit_models
 from pcbitalloc.simcodec import probe_schedule, random_spec, run_probe_schedule
 
 from conftest import NOT_QP_IDS, NOT_QPS
+
+# the refusals of probes that cannot identify a model: equal steps on one axis,
+# or step pairs on one line
+DEGENERATE = "collinear|all equal"
 
 
 def probe(qp_g, qp_c, r_g, r_c, d=1.0):
@@ -151,7 +151,7 @@ class TestRateFit:
         assert m12.theta_c == pytest.approx(m21.theta_c, rel=1e-12)
 
     def test_equal_steps_rejected(self):
-        with pytest.raises(DegenerateProbesError):
+        with pytest.raises(ValidationError, match="^geometry steps are all equal$"):
             fit_rate_model(probe(33, 25, 100, 100), probe(33, 35, 90, 90))
 
     def test_nonpositive_rate_rejected(self):
@@ -159,10 +159,10 @@ class TestRateFit:
             probe(33, 25, 0.0, 100.0)
 
     def test_non_monotone_rejected(self):
-        with pytest.raises(NonMonotoneRateError, match="geometry rate exponent"):
+        with pytest.raises(ValidationError, match="geometry rate exponent"):
             fit_rate_model(probe(33, 25, 100, 100), probe(34, 35, 120, 90))
         probes = [probe(33, 25, 100, 100), probe(34, 35, 90, 120), probe(24, 33, 300, 110)]
-        with pytest.raises(NonMonotoneRateError, match="color rate exponent"):
+        with pytest.raises(ValidationError, match="color rate exponent"):
             fit_rate_model_lstsq(probes)
 
     # rates so far apart that the fitted scale gamma leaves the float range;
@@ -220,7 +220,7 @@ class TestDistortionFit:
         probes = [probe_at_steps(8.0, 8.0, 1, 1, 5.0),
                   probe_at_steps(16.0, 16.0, 1, 1, 6.0),
                   probe_at_steps(32.0, 32.0, 1, 1, 7.0)]
-        with pytest.raises(DegenerateProbesError):
+        with pytest.raises(ValidationError, match="^probe step pairs are collinear"):
             fit_distortion_model(*probes, omega=0.5)
 
     def test_negative_slope_refused(self):
@@ -257,7 +257,9 @@ class TestDistortionFit:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 fitted = [fit_distortion_model_lstsq(records, omega) for omega in (1.0, 0.0)]
-        except DegenerateProbesError:
+        except ValidationError as exc:
+            if not re.search(DEGENERATE, str(exc)):
+                raise
             assume(False)
         steps = np.array([[qp_to_step(g), qp_to_step(c)] for g, c, _, _ in rows])
         for m, x, y in ((fitted[0], steps[:, :1], [r[2] for r in rows]),
@@ -284,7 +286,9 @@ class TestDistortionFit:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     fit()
-            except DegenerateProbesError:
+            except ValidationError as exc:
+                if not re.search(DEGENERATE, str(exc)):
+                    raise
                 refused.append(True)
             else:
                 refused.append(False)
@@ -338,7 +342,9 @@ class TestPipelineFit:
                 p = probes_from_records(records, 0.5)
                 try:
                     two_probe.append(abs(fit_rate_model(p[0], p[1]).theta_g - truth))
-                except NonMonotoneRateError:
+                except ValidationError as exc:
+                    if "rate exponent" not in str(exc):
+                        raise
                     two_probe.append(np.inf)
         assert np.median(two_probe) > 0.13
         assert np.median(lstsq) < 0.02
@@ -380,13 +386,13 @@ class TestPrediction:
 
     def test_rate_model_invariants(self):
         # each refusal names its stream and the value
-        for params, error, match in [
-            ((100, 0.5, 100, -1), NonMonotoneRateError, "geometry rate exponent 0.5 is not"),
-            ((100, -1, 100, 0.0), NonMonotoneRateError, "color rate exponent 0 is not"),
-            ((-1, -1, 100, -1), ValidationError, "geometry rate gamma -1 is not positive"),
-            ((100, -1, 0.0, -1), ValidationError, "color rate gamma 0 is not positive"),
+        for params, match in [
+            ((100, 0.5, 100, -1), "geometry rate exponent 0.5 is not"),
+            ((100, -1, 100, 0.0), "color rate exponent 0 is not"),
+            ((-1, -1, 100, -1), "geometry rate gamma -1 is not positive"),
+            ((100, -1, 0.0, -1), "color rate gamma 0 is not positive"),
         ]:
-            with pytest.raises(error, match=match):
+            with pytest.raises(ValidationError, match=match):
                 RateModel(*params)
 
 

@@ -1,8 +1,8 @@
 """The README's python examples run as written, in order, in one namespace,
 its CLI synopsis lists only flags the parser accepts, its model file is the
 one ``fit`` writes, the evaluation keys it names are the ones ``simulate``
-writes for its config, its paper table is the table demo's output, and every
-error class it names exists."""
+writes for its config, its paper table is the table demo's output, and the
+error classes it names are exactly those of ``pcbitalloc.errors``."""
 
 import argparse
 import json
@@ -77,6 +77,9 @@ def test_error_names_exist():
     names = set(re.findall(r"`(\w+Error)`", README.read_text()))
     assert names, "the README names no error class"
     assert {name for name in names if not hasattr(errors, name)} == set()
+    defined = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and value.__module__ == errors.__name__}
+    assert defined - names == set(), "error classes the README does not name"
 
 
 def test_paper_table_is_the_demo_output():
