@@ -2,14 +2,15 @@
 
 With D = 0.5*Qg + 0.25*Qc + 4 and R = 6400/Qg + 3200/Qc under a 1000
 kbpmp budget, stationarity forces Qg = Qc and the active constraint puts
-both at 9.6, for a distortion of 11.2. The demo traces the two barrier
-phases, the Newton iterates, and the final rounding onto the QP grid.
+both at 9.6, for a distortion of 11.2. At a fixed barrier weight mu the
+barrier's minimizer is the root of one decreasing scalar equation in the
+log-multiplier u; the demo traces its Newton and bisection iterates from
+the coarsest pair, then the rounding onto the QP grid.
 """
 
 from pcbitalloc import (
     AllocationProblem,
     DistortionModel,
-    QuantPair,
     RateModel,
     barrier_objective,
     exhaustive_search,
@@ -17,7 +18,7 @@ from pcbitalloc import (
     round_to_grid,
     solve_interior_point,
 )
-from pcbitalloc.allocator import EPS, ETA, MU0
+from pcbitalloc.allocator import MU
 
 problem = AllocationProblem(
     dm=DistortionModel(a=0.5, b=0.25, c=4.0, omega=0.5),
@@ -27,20 +28,17 @@ problem = AllocationProblem(
 trace = []
 alloc = solve_interior_point(problem, trace=trace)
 
-# the trace opens with the start: the coarsest grid pair, strictly inside the budget
-_, q_g, q_c, _ = trace[0]
-print(f"budget {problem.r_target} kbpmp, start ({q_g:.4f}, {q_c:.4f}), "
-      f"mu0={MU0}, eta={ETA}, eps={EPS}")
+# the trace opens at the U end of the bracket, where both steps are the coarsest
+u, q_g, q_c, _ = trace[0]
+print(f"budget {problem.r_target} kbpmp, barrier weight mu={MU}, "
+      f"start u={u:.4f} at ({q_g:.4f}, {q_c:.4f})")
 
-value, grad, hess = barrier_objective(problem, QuantPair(q_g, q_c), MU0)
-print(f"barrier at start: value {value:.4f}, gradient ({grad[0]:.4f}, {grad[1]:.4f})")
+print("\nroot iterates (u, q_g, q_c, slack); at the root the slack is mu*e^-u:")
+for u, q_g, q_c, slack in trace:
+    print(f"  u={u:10.6f}  q=({q_g:10.5f}, {q_c:10.5f})  slack={slack:12.6g}")
 
-print("\nNewton iterates (mu, q_g, q_c, slack):")
-last_mu = None
-for mu, q_g, q_c, slack in trace:
-    marker = "  <- new barrier phase" if mu != last_mu else ""
-    print(f"  mu={mu:8.1e}  q=({q_g:10.5f}, {q_c:10.5f})  slack={slack:12.6g}{marker}")
-    last_mu = mu
+_, grad, _ = barrier_objective(problem, alloc.continuous, MU)
+print(f"barrier gradient at the root: ({grad[0]:.2e}, {grad[1]:.2e})")
 
 print(f"\ncontinuous optimum ({alloc.continuous.q_g:.6f}, {alloc.continuous.q_c:.6f})")
 print(f"predicted distortion {alloc.predicted_distortion:.6f} at rate "

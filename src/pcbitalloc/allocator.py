@@ -2,26 +2,34 @@
 
 The allocation problem minimizes the modeled distortion a*Qg + b*Qc + c
 subject to the modeled total rate gamma_g*Qg**theta_g + gamma_c*Qc**theta_c
-staying within the budget. Both are convex on Qg, Qc > 0 because the
-models refuse theta >= 0 when they are built; they also refuse a, b < 0,
-which would leave the objective unbounded toward coarse steps. The
-inequality is folded into a logarithmic barrier
+staying within the budget, on the box of grid steps [step(22), step(42)].
+Both are convex on Qg, Qc > 0 because the models refuse theta >= 0 when
+they are built; they also refuse a, b < 0, which would leave the
+objective unbounded toward coarse steps. The inequality is folded into a
+logarithmic barrier at the fixed weight ``MU``, which ``barrier_objective``
+gives with its gradient and Hessian:
 
     F(Q; mu) = a*Qg + b*Qc + c - mu * ln(budget - R(Q))
 
-which is minimized by damped Newton iterations while the barrier weight
-mu is shrunk geometrically (mu <- eta * mu) until it falls below the
-accuracy threshold. One evaluator gives F with its gradient and Hessian,
-both to ``barrier_objective`` and to the Newton loop, so there is one
-copy of the formula; the loop computes each trial point's slack once and
-hands it to the evaluator and the trace. The continuous optimum is then
-rounded onto the discrete step grid: nearest-step rounding by bisection
-on the ascending steps (ties to the larger step), a deterministic
-coarsening repair when the rounded pair overshoots the budget, and a
-polish over a small QP window that spends stranded budget.
-A budget that even the coarsest grid pair overshoots has no allocation
-and raises ``InfeasibleBudgetError``; the solver checks this before its
-first Newton step, so the pair it returns always fits the budget.
+F is separable once the multiplier t = mu/s of the slack s is fixed: each
+axis minimizes a_i*Q + t*R_i(Q) on the box at Q_i(t), the clipped
+(a_i / (t*gamma_i*|theta_i|))**(1/(theta_i - 1)), or step(42) where a_i = 0.
+F's minimizer on the box is then the root of one strictly decreasing
+equation in u = ln t, psi(u) = ln(R(Q(u)) + mu*e**-u) - ln(budget) = 0, in
+[L, max(U, L)]: L = ln mu - ln(budget - R(step(42), step(42))), and at U
+every axis with a_i > 0 reaches step(42). This is the Lagrangian method of
+Everett and of Shoham & Gersho (IEEE Trans. ASSP, 1988) applied to the
+barrier's centering step. Newton's method finds the root from the U end,
+bisecting the bracket where a step leaves it; psi and its slope are taken
+by log-sum-exp of ln R_g, ln R_c and ln mu - u, so that no rate or
+multiplier is formed, at any model scale.
+
+A budget that even the coarsest grid pair overshoots has no allocation,
+so the pair a solve returns always fits the budget. The continuous
+optimum is rounded onto the discrete step grid: nearest-step rounding by
+bisection on the ascending steps (ties to the larger step), a
+deterministic coarsening repair when the rounded pair overshoots the
+budget, and a polish over a small QP window that spends stranded budget.
 The repair and the polish read the cells of the fitted models' grid
 tables (``RateModel.grid``, ``DistortionModel.grid``), which each model
 instance tabulates once, so the targets of one omega share one table.
@@ -37,22 +45,16 @@ by bisection. That cell is the admissible one of least (distortion, rate,
 qp_g, qp_c). A table sorts its cells once, for all of its budgets; the
 polish sorts its window.
 
-The solver's fixed settings are module constants: a solve starts at the
-coarsest grid pair, doubling both steps at most ``START_DOUBLINGS`` times
-while the slack there is rounding noise; the barrier weight starts at
-``MU0`` and shrinks by ``ETA`` while it is at least ``EPS``; each Newton
-solve stops once the gradient norm is below ``NEWTON_TOL``; the line
-search backtracks by ``BACKTRACK`` under the Armijo factor ``ARMIJO_C``,
-and the polish searches ``POLISH_RADIUS`` QPs around the rounded pair.
-The grid is ``qp_grid()`` with the steps ``step_grid()``. The one setting
-a caller may change is the Newton iteration cap, ``MAX_NEWTON_ITERS`` by
-default.
+The solver's fixed settings are module constants: the barrier weight
+``MU``, and ``POLISH_RADIUS``, the QPs the polish searches around the
+rounded pair. The grid is ``qp_grid()`` with the steps ``step_grid()``.
+The one setting a caller may change is the cap on the root's Newton
+steps, ``MAX_NEWTON_ITERS`` by default.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -70,22 +72,15 @@ from .models import (
     step_grid,
 )
 
-START_DOUBLINGS = 8
-MU0 = 0.1
-ETA = 1e-6
-EPS = 1e-10
-NEWTON_TOL = 1e-9
+MU = 1e-7
 MAX_NEWTON_ITERS = 1000
-ARMIJO_C = 1e-4
-BACKTRACK = 0.5
 POLISH_RADIUS = 2
 
 _QPS = qp_grid()
 _STEPS = step_grid()
-# Newton decrement floor, relative to 1 + |objective|
-_DECREMENT_TOL = 4.0 * sys.float_info.epsilon
-# start slack, relative to the budget, below which it is rounding noise
-_START_SLACK = math.sqrt(sys.float_info.epsilon)
+_LN_FINEST, _LN_COARSEST = math.log(_STEPS[0]), math.log(_STEPS[-1])
+# root step, relative to max(1, |u|), at which the root has converged
+_ROOT_TOL = 2.0**-40
 
 
 def check_newton_cap(cap) -> int:
@@ -126,130 +121,51 @@ class Allocation:
     predicted_distortion: float
 
 
-def _barrier(p: AllocationProblem, mu: float):
-    """The barrier evaluator of one problem at one weight.
-
-    Returns ``evaluate(q_g, q_c, s)`` giving (value, g_g, g_c, h_gg, h_gc,
-    h_cc) at a point whose slack ``s`` is positive. The per-problem factors
-    are taken once and associated as ``(gamma*theta)*q**(theta-1)`` and
-    ``((gamma*theta)*(theta-1))*q**(theta-2)``.
-    """
-    a, b, c = p.dm.a, p.dm.b, p.dm.c
-    rm = p.rm
-    # dR/dq = k1 * q**e1 and d2R/dq2 = k2 * q**e2 for each power-law stream
-    k1g, e1g, e2g = rm.gamma_g * rm.theta_g, rm.theta_g - 1.0, rm.theta_g - 2.0
-    k1c, e1c, e2c = rm.gamma_c * rm.theta_c, rm.theta_c - 1.0, rm.theta_c - 2.0
-    k2g, k2c = k1g * e1g, k1c * e1c
-    log = math.log
-
-    def evaluate(q_g: float, q_c: float, s: float):
-        drg = k1g * q_g**e1g
-        drc = k1c * q_c**e1c
-        ss = s * s
-        return (a * q_g + b * q_c + c - mu * log(s),
-                a + mu * drg / s,
-                b + mu * drc / s,
-                mu * (k2g * q_g**e2g / s + drg * drg / ss),
-                mu * drg * drc / ss,
-                mu * (k2c * q_c**e2c / s + drc * drc / ss))
-
-    return evaluate
-
-
 def barrier_objective(p: AllocationProblem, q: QuantPair, mu: float):
     """Barrier value, gradient, and Hessian at a strictly feasible point.
 
     Returns (value, (g_g, g_c), ((h_gg, h_gc), (h_gc, h_cc))). The Hessian
-    is positive definite at interior points of well-posed problems.
+    is positive definite at interior points of well-posed problems. Each
+    rate derivative is divided by the slack before it is squared, so a
+    slack whose square underflows still gives finite terms.
     """
     if not (math.isfinite(mu) and mu > 0):
         raise ValidationError("mu must be positive and finite")
-    s = p.slack(q.q_g, q.q_c)
+    q_g, q_c = q.q_g, q.q_c
+    s = p.slack(q_g, q_c)
     if s <= 0:
         raise ValidationError("point violates the rate budget; barrier undefined")
-    value, g_g, g_c, h_gg, h_gc, h_cc = _barrier(p, mu)(q.q_g, q.q_c, s)
-    return value, (g_g, g_c), ((h_gg, h_gc), (h_gc, h_cc))
-
-
-def _newton_minimize(p: AllocationProblem, q_g: float, q_c: float, s: float,
-                     mu: float, max_iters: int, trace) -> tuple[float, float, float]:
-    """Damped Newton with feasibility-preserving backtracking line search
-    from a point of slack ``s > 0``; returns the last point and its slack."""
-    evaluate = _barrier(p, mu)
-    # AllocationProblem.slack with its factors taken once
-    r_target, rm = p.r_target, p.rm
-    gamma_g, theta_g, gamma_c, theta_c = rm.gamma_g, rm.theta_g, rm.gamma_c, rm.theta_c
-    value, g_g, g_c, h_gg, h_gc, h_cc = evaluate(q_g, q_c, s)
-    for _ in range(max_iters):
-        if math.hypot(g_g, g_c) < NEWTON_TOL:
-            return q_g, q_c, s
-        det = h_gg * h_cc - h_gc * h_gc
-        if not math.isfinite(det) or det <= 0:
-            raise ConvergenceError("barrier Hessian is not positive definite")
-        d_g = -(h_cc * g_g - h_gc * g_c) / det
-        d_c = -(h_gg * g_c - h_gc * g_g) / det
-        descent = g_g * d_g + g_c * d_c
-        # Newton decrement rule: when the predicted improvement falls below
-        # float resolution of the objective, the remaining gradient is
-        # cancellation noise in the slack and no representable step helps.
-        if -descent * 0.5 <= _DECREMENT_TOL * (1.0 + abs(value)):
-            return q_g, q_c, s
-        t = 1.0
-        while True:
-            n_g, n_c = q_g + t * d_g, q_c + t * d_c
-            if n_g > 0 and n_c > 0:
-                n_s = r_target - gamma_g * n_g**theta_g - gamma_c * n_c**theta_c
-                if n_s > 0:
-                    trial = evaluate(n_g, n_c, n_s)
-                    if trial[0] <= value + ARMIJO_C * t * descent:
-                        break
-            t *= BACKTRACK
-            if t < 1e-18:
-                raise ConvergenceError("line search collapsed to zero step")
-        q_g, q_c, s = n_g, n_c, n_s
-        value, g_g, g_c, h_gg, h_gc, h_cc = trial
-        if trace is not None:
-            trace.append((mu, q_g, q_c, s))
-    raise ConvergenceError(
-        f"Newton did not converge within {max_iters} iterations"
-    )
+    dm, rm = p.dm, p.rm
+    # dR/dq / s and d2R/dq2 / s for each power-law stream
+    d1g = rm.gamma_g * rm.theta_g * q_g ** (rm.theta_g - 1.0) / s
+    d1c = rm.gamma_c * rm.theta_c * q_c ** (rm.theta_c - 1.0) / s
+    d2g = rm.gamma_g * rm.theta_g * (rm.theta_g - 1.0) * q_g ** (rm.theta_g - 2.0) / s
+    d2c = rm.gamma_c * rm.theta_c * (rm.theta_c - 1.0) * q_c ** (rm.theta_c - 2.0) / s
+    h_gc = mu * d1g * d1c
+    return (dm.a * q_g + dm.b * q_c + dm.c - mu * math.log(s),
+            (dm.a + mu * d1g, dm.b + mu * d1c),
+            ((mu * (d2g + d1g * d1g), h_gc), (h_gc, mu * (d2c + d1c * d1c))))
 
 
 def solve_interior_point(p: AllocationProblem, max_newton_iters: int = MAX_NEWTON_ITERS,
                          trace: list | None = None) -> Allocation:
     """Minimize modeled distortion under the budget and round onto the grid.
 
-    A budget that the coarsest grid cell does not fit, by the test
-    ``round_to_grid`` applies, raises ``InfeasibleBudgetError``. The outer
-    loop starts at the coarsest grid pair. Where the slack there is below
-    ``sqrt(machine epsilon)`` of the budget, as when the budget is within
-    rounding of the pair's rate, both steps are doubled until it is not,
-    at most ``START_DOUBLINGS`` times, and a slack still not positive
-    raises ``ConvergenceError``. The barrier weight then shrinks from
-    ``MU0`` by ``ETA`` until it drops below ``EPS``; each weight is handled
-    by one damped Newton solve warm started from the previous optimum and
-    capped at ``max_newton_iters`` steps.
+    A budget that the coarsest grid cell does not fit raises
+    ``InfeasibleBudgetError``; where that cell's slack is 0, it is the
+    continuous optimum. Otherwise the optimum is the root of psi, found in
+    at most ``max_newton_iters`` Newton or bisection steps, past which
+    ``ConvergenceError`` is raised. A ``trace`` list receives (u, q_g, q_c,
+    slack) at each root iterate, from the U end of the bracket to the
+    returned point.
     """
     check_newton_cap(max_newton_iters)
     if p.rm.grid[-1, -1] > p.r_target:
         raise _below_coarsest(p)
-    # a start whose slack is rounding noise would stall Newton: push it outward
     q_g = q_c = _STEPS[-1]
     s = p.slack(q_g, q_c)
-    for _ in range(START_DOUBLINGS):
-        if s >= _START_SLACK * p.r_target:
-            break
-        q_g = q_c = 2.0 * q_g
-        s = p.slack(q_g, q_c)
-    if s <= 0:
-        raise ConvergenceError(f"no interior start within {START_DOUBLINGS} doublings "
-                               "of the coarsest step")
-    if trace is not None:
-        trace.append((MU0, q_g, q_c, s))
-    mu = MU0
-    while mu >= EPS:
-        q_g, q_c, s = _newton_minimize(p, q_g, q_c, s, mu, max_newton_iters, trace)
-        mu *= ETA
+    if s > 0:
+        q_g, q_c = _barrier_root(p, s, max_newton_iters, trace)
     continuous = QuantPair(q_g, q_c)
     return Allocation(
         continuous=continuous,
@@ -257,6 +173,63 @@ def solve_interior_point(p: AllocationProblem, max_newton_iters: int = MAX_NEWTO
         predicted_rate=p.rate(continuous),
         predicted_distortion=p.distortion(continuous),
     )
+
+
+def _barrier_root(p: AllocationProblem, coarsest_slack: float, max_iters: int,
+                  trace) -> tuple[float, float]:
+    """The steps at the root of psi, given the coarsest pair's positive slack."""
+    rm = p.rm
+    ln_mu, ln_budget = math.log(MU), math.log(p.r_target)
+    axes = []
+    for a, gamma, theta in ((p.dm.a, rm.gamma_g, rm.theta_g), (p.dm.b, rm.gamma_c, rm.theta_c)):
+        # ln Q_i(u) = (u - ln k_i) / (1 - theta_i) before the clip, where
+        # k_i = a_i / (gamma_i*|theta_i|); it leaves the box at u <= down and
+        # u >= up, both -inf where a_i = 0, so that the axis sits at step(42)
+        ln_k = math.log(a) - math.log(gamma) - math.log(-theta) if a > 0 else -math.inf
+        e = 1.0 - theta
+        axes.append((ln_k, e, theta, math.log(gamma),
+                     ln_k + e * _LN_FINEST, ln_k + e * _LN_COARSEST))
+
+    def psi(u):
+        """psi(u), its slope, and the steps Q_g(u), Q_c(u)."""
+        terms, slopes, steps = [ln_mu - u], [-1.0], []
+        for ln_k, e, theta, ln_gamma, down, up in axes:
+            if u <= down:
+                x, d, q = _LN_FINEST, 0.0, _STEPS[0]
+            elif u >= up:
+                x, d, q = _LN_COARSEST, 0.0, _STEPS[-1]
+            else:
+                x = (u - ln_k) / e
+                d, q = theta / e, math.exp(x)
+            terms.append(ln_gamma + theta * x)
+            slopes.append(d)
+            steps.append(q)
+        top = max(terms)
+        weights = [math.exp(t - top) for t in terms]
+        total = sum(weights)
+        return (top + math.log(total) - ln_budget,
+                sum(w * d for w, d in zip(weights, slopes)) / total, steps)
+
+    lo = ln_mu - math.log(coarsest_slack)
+    # U = max(up) is +inf only where theta_i is so steep that R_i is 0 on the
+    # whole box, wherever axis i sits; such an axis is left out of it
+    hi = max([lo] + [up for *_, up in axes if up < math.inf])
+    u, step = hi, math.inf
+    for _ in range(max_iters):
+        value, slope, (q_g, q_c) = psi(u)
+        if trace is not None:
+            trace.append((u, q_g, q_c, p.slack(q_g, q_c)))
+        if value == 0 or abs(step) <= _ROOT_TOL * max(1.0, abs(u)):
+            return q_g, q_c
+        if value > 0:
+            lo = u
+        else:
+            hi = u
+        n = u - value / slope if slope < 0 else math.nan
+        if not lo < n < hi:
+            n = 0.5 * (lo + hi)
+        step, u = n - u, n
+    raise ConvergenceError(f"the barrier root did not converge within {max_iters} iterations")
 
 
 def _below_coarsest(p: AllocationProblem) -> InfeasibleBudgetError:
@@ -284,12 +257,13 @@ def round_to_grid(p: AllocationProblem, continuous: QuantPair) -> QpPair:
             return QpPair(_QPS[i_g], _QPS[i_c])
         if i_g == last and i_c == last:
             raise _below_coarsest(p)
-        # marginal distortion added per unit of rate saved by coarsening
+        # distortion added per unit of rate saved by coarsening; inf where the
+        # rate slope underflows to 0 (or is inf*0), so that it saves none
         slope_g = -rm.gamma_g * rm.theta_g * _STEPS[i_g] ** (rm.theta_g - 1.0)
         slope_c = -rm.gamma_c * rm.theta_c * _STEPS[i_c] ** (rm.theta_c - 1.0)
-        cost_g = p.dm.a / slope_g if i_g < last else math.inf
-        cost_c = p.dm.b / slope_c if i_c < last else math.inf
-        if cost_g <= cost_c:
+        cost_g = p.dm.a / slope_g if slope_g > 0 else math.inf
+        cost_c = p.dm.b / slope_c if slope_c > 0 else math.inf
+        if i_c == last or (i_g < last and cost_g <= cost_c):
             i_g += 1
         else:
             i_c += 1

@@ -96,7 +96,8 @@ class PointCloud:
     out-of-range values are refused rather than truncated or wrapped.
     An array that is already C-contiguous int64 (uint8 for colors) is not
     copied: the cloud holds a read-only view of it, so the caller's array
-    stays writable and a later write to it shows in the cloud. Clouds compare
+    stays writable and a later write to it shows in the cloud. The bit depth
+    is a positive Python or numpy integer, held as an int. Clouds compare
     and hash by identity.
     """
 
@@ -113,20 +114,20 @@ class PointCloud:
             raise ValidationError("colors must match positions in shape")
         if len(pos) < 1:
             raise ValidationError("cloud must contain at least one point")
-        if (isinstance(self.bit_depth, bool) or not isinstance(self.bit_depth, int)
-                or self.bit_depth < 1):
+        # QpPair's rule: a Python or numpy integer, not a bool; stored as an int
+        depth = self.bit_depth
+        if (type(depth) is not int and not isinstance(depth, np.integer)) or depth < 1:
             raise ValidationError("bit_depth must be a positive integer")
-        hi = 1 << self.bit_depth
-        if pos.min() < 0 or pos.max() >= hi:
-            raise ValidationError(
-                f"coordinates must lie in [0, 2^{self.bit_depth})"
-            )
+        depth = int(depth)
+        if pos.min() < 0 or pos.max() >= 1 << depth:
+            raise ValidationError(f"coordinates must lie in [0, 2^{depth})")
         # read-only views, so an array the caller passed in stays writable
         pos, col = pos.view(), col.view()
         pos.setflags(write=False)
         col.setflags(write=False)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "colors", col)
+        object.__setattr__(self, "bit_depth", depth)
 
     def __len__(self) -> int:
         return len(self.positions)

@@ -25,7 +25,7 @@ class InfeasibleBudgetError(PcBitAllocError):
 
 
 class ConvergenceError(PcBitAllocError):
-    """Newton inner loop failed to converge within its iteration cap."""
+    """The barrier root was not found within its cap of Newton steps."""
 
     category = "infeasible"
 

@@ -7,16 +7,16 @@ A run is driven by a JSON-compatible config tree::
       "targets": [240, 450, 600],                  # kbpmp budgets
       "omegas": [0.25, 0.5],                       # default [0.5]
       "run_exhaustive": true,                      # default false
-      "solver": {"max_newton_iters": 1000},        # optional Newton cap
+      "solver": {"max_newton_iters": 1000},        # optional root step cap
       "geometry_peak": 1023.0,                     # PSNR normalization
       "color_peak": 255.0
     }
 
 A ``probe_log`` config may also give ``overhead_kbpmp`` (default 0); a
 codec carries its own. A config holds no other keys, and not both
-``codec`` and ``probe_log``. The ``solver`` object may hold only the
-Newton iteration cap, a positive integer; the barrier schedule itself is
-fixed in ``allocator``. Targets must be positive and cover the overhead,
+``codec`` and ``probe_log``. The ``solver`` object may hold only the cap
+on the barrier root's Newton steps, a positive integer; the barrier weight
+itself is fixed in ``allocator``. Targets must be positive and cover the overhead,
 omegas lie in [0, 1]; the whole config is checked before the first encode.
 The report is a JSON tree with sections ``models``, ``allocations`` (one
 row per omega and target, the only place a per-target fact is written)
@@ -88,7 +88,7 @@ def fit_models(records, omega):
 
 
 def _newton_cap(solver) -> int:
-    """The config's Newton iteration cap, the one key its 'solver' object may hold."""
+    """The config's cap on the root's Newton steps, the one key its 'solver' object may hold."""
     if not isinstance(solver, dict):
         raise ValidationError(f"config 'solver' must be an object, got {solver!r}")
     unknown = set(solver) - {"max_newton_iters"}

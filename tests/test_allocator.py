@@ -1,21 +1,14 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pcbitalloc.allocator import (
-    ARMIJO_C,
-    BACKTRACK,
-    EPS,
-    ETA,
-    MAX_NEWTON_ITERS,
-    MU0,
-    NEWTON_TOL,
+    MU,
     POLISH_RADIUS,
-    START_DOUBLINGS,
-    Allocation,
     AllocationProblem,
     GridTable,
     barrier_objective,
@@ -31,6 +24,7 @@ from pcbitalloc.models import (
     DistortionModel, ProbePoint, ProbeRecord, QpPair, QuantPair, RateModel, qp_to_step,
     step_grid,
 )
+from pcbitalloc.simcodec import random_spec
 
 from conftest import well_posed_instance
 
@@ -71,77 +65,6 @@ def budget_at(dm, rm, where):
     return math.nextafter(budget, offset * math.inf) if offset else budget
 
 
-def reference_barrier(p, q, mu):
-    """``barrier_objective`` with every term written out on its own."""
-    q_g, q_c = q.q_g, q.q_c
-    s = p.slack(q_g, q_c)
-    assert s > 0
-    dm, rm = p.dm, p.rm
-    value = dm.a * q_g + dm.b * q_c + dm.c - mu * math.log(s)
-    drg = rm.gamma_g * rm.theta_g * q_g ** (rm.theta_g - 1.0)
-    drc = rm.gamma_c * rm.theta_c * q_c ** (rm.theta_c - 1.0)
-    d2rg = rm.gamma_g * rm.theta_g * (rm.theta_g - 1.0) * q_g ** (rm.theta_g - 2.0)
-    d2rc = rm.gamma_c * rm.theta_c * (rm.theta_c - 1.0) * q_c ** (rm.theta_c - 2.0)
-    g_g = dm.a + mu * drg / s
-    g_c = dm.b + mu * drc / s
-    h_gg = mu * (d2rg / s + drg * drg / (s * s))
-    h_cc = mu * (d2rc / s + drc * drc / (s * s))
-    h_gc = mu * drg * drc / (s * s)
-    return value, (g_g, g_c), ((h_gg, h_gc), (h_gc, h_cc))
-
-
-def reference_newton(p, q_g, q_c, mu, max_iters, trace):
-    """The damped Newton loop written plainly: ``reference_barrier`` at a
-    new ``QuantPair`` per accepted trial, and ``p.slack`` for every
-    feasibility test and trace entry."""
-    value, grad, hess = reference_barrier(p, QuantPair(q_g, q_c), mu)
-    for _ in range(max_iters):
-        g_g, g_c = grad
-        if math.hypot(g_g, g_c) < NEWTON_TOL:
-            return q_g, q_c
-        (h_gg, h_gc), (_, h_cc) = hess
-        det = h_gg * h_cc - h_gc * h_gc
-        if not math.isfinite(det) or det <= 0:
-            raise ConvergenceError("barrier Hessian is not positive definite")
-        d_g = -(h_cc * g_g - h_gc * g_c) / det
-        d_c = -(h_gg * g_c - h_gc * g_g) / det
-        descent = g_g * d_g + g_c * d_c
-        if -descent * 0.5 <= 4.0 * sys.float_info.epsilon * (1.0 + abs(value)):
-            return q_g, q_c
-        t = 1.0
-        while True:
-            n_g, n_c = q_g + t * d_g, q_c + t * d_c
-            if n_g > 0 and n_c > 0 and p.slack(n_g, n_c) > 0:
-                n_value, n_grad, n_hess = reference_barrier(p, QuantPair(n_g, n_c), mu)
-                if n_value <= value + ARMIJO_C * t * descent:
-                    break
-            t *= BACKTRACK
-            if t < 1e-18:
-                raise ConvergenceError("line search collapsed to zero step")
-        q_g, q_c, value, grad, hess = n_g, n_c, n_value, n_grad, n_hess
-        trace.append((mu, q_g, q_c, p.slack(q_g, q_c)))
-    raise ConvergenceError(f"Newton did not converge within {max_iters} iterations")
-
-
-def reference_solve(p, trace):
-    """``solve_interior_point`` on ``reference_newton``, from the coarsest
-    pair, its steps doubled while the slack there is below 2**-26 of the budget."""
-    q_g = q_c = qp_to_step(42)
-    for _ in range(START_DOUBLINGS):
-        if p.slack(q_g, q_c) >= 2.0**-26 * p.r_target:
-            break
-        q_g = q_c = 2.0 * q_g
-    assert p.slack(q_g, q_c) > 0
-    trace.append((MU0, q_g, q_c, p.slack(q_g, q_c)))
-    mu = MU0
-    while mu >= EPS:
-        q_g, q_c = reference_newton(p, q_g, q_c, mu, MAX_NEWTON_ITERS, trace)
-        mu *= ETA
-    continuous = QuantPair(q_g, q_c)
-    return Allocation(continuous, polish_rounding(p, round_to_grid(p, continuous)),
-                      p.rate(continuous), p.distortion(continuous))
-
-
 def scan_nearest_step(x):
     """Index of the step nearest x by a scan from the coarsest step, so that
     ``min`` keeps the larger step of a tie."""
@@ -157,6 +80,14 @@ class TestBarrierObjective:
         value, grad, hess = barrier_objective(p, QuantPair(q, q), mu=0.7)
         assert p.slack(q, q) == pytest.approx(1.0, abs=1e-9)
         assert value == pytest.approx(0.75 * q + 4.0, rel=1e-9)
+
+    def test_slack_whose_square_underflows(self):
+        # slack 1e-290: its square is 0, the rate derivatives over it are not
+        p = AllocationProblem(DistortionModel(0.5, 0.25, 4.0, 0.5),
+                              RateModel(1e-300, -1, 1e-300, -1), 1e-290)
+        value, grad, hess = barrier_objective(p, QuantPair(80.0, 80.0), mu=MU)
+        assert all(map(math.isfinite, (value, *grad, *hess[0], *hess[1])))
+        assert np.linalg.eigvalsh(np.array(hess)).min() > 0
 
     def test_infeasible_point_rejected(self):
         p = worked_problem()
@@ -220,71 +151,62 @@ class TestSolver:
         assert alloc.qp == QpPair(42, 42)
 
     def test_budget_equal_to_the_coarsest_rate(self):
-        # the slack there is 0, so the barrier starts further out, and (42, 42) fits
+        # the slack there is 0, so that pair is the continuous optimum, and (42, 42) fits
         coarsest = QpPair(42, 42).steps()
         p = worked_problem(worked_problem().rate(coarsest))
         assert p.slack(coarsest.q_g, coarsest.q_c) == 0.0
         alloc = solve_interior_point(p)
+        assert alloc.continuous == coarsest
         assert alloc.qp == QpPair(42, 42) == exhaustive_search(model_oracle(p), p.r_target)
         with pytest.raises(InfeasibleBudgetError, match="below the rate at the coarsest"):
             solve_interior_point(worked_problem(math.nextafter(p.r_target, 0.0)))
 
-    def test_flat_rate_leaves_no_interior_start(self):
-        # rates so flat that every doubled step has the coarsest pair's rate
+    def test_flat_rate_returns_a_pair_that_fits(self):
+        # rates so flat that every step has the coarsest pair's rate, so the
+        # slack is 0 there and the coarsest corner is the continuous optimum
         rm = RateModel(300.0, -1e-300, 300.0, -1e-300)
         p = AllocationProblem(DistortionModel(0.5, 0.25, 4.0, 0.5), rm, 600.0)
         assert p.rate(QuantPair(8.0, 8.0)) == p.r_target
-        with pytest.raises(ConvergenceError, match="no interior start within 8 doublings"):
-            solve_interior_point(p)
+        alloc = solve_interior_point(p)
+        assert alloc.continuous == QpPair(42, 42).steps()
+        assert p.rate(alloc.qp.steps()) <= p.r_target
 
     def test_negative_slope_model_rejected(self):
         # the model refuses itself, so no problem can be built from it
         with pytest.raises(ValidationError, match="geometry slope a=-0.1 is negative"):
             DistortionModel(-0.1, 0.25, 4.0, 0.5)
 
-    def test_iterates_stay_strictly_feasible(self):
+    def test_trace_holds_the_root_iterates(self):
+        # (u, q_g, q_c, slack) from the U end of the bracket, where both steps
+        # are the coarsest, to the returned point, whose slack is MU*e**-u
         p = worked_problem()
         trace = []
         alloc = solve_interior_point(p, trace=trace)
-        assert trace
-        assert all(slack > 0 for _, _, _, slack in trace)
-        # each entry carries the slack the line search computed at its point
+        assert trace[0][1:3] == (qp_to_step(42), qp_to_step(42))
         assert all(slack == p.slack(q_g, q_c) for _, q_g, q_c, slack in trace)
-        assert alloc.predicted_rate <= 1000.0 + 1e-6
+        u, q_g, q_c, slack = trace[-1]
+        assert QuantPair(q_g, q_c) == alloc.continuous
+        assert slack > 0
+        assert slack == pytest.approx(MU * math.exp(-u), rel=1e-6)
+        assert alloc.predicted_rate <= 1000.0
 
-    # the same trial points, trace and allocation, bit for bit, as the plain
-    # reference loop; barrier_objective, which shares the solver's
-    # evaluator, gives the reference's bits at every iterate
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 1999), budget_points)
-    @example(0, 0.5)
-    def test_newton_matches_reference_loop(self, seed, where):
-        spec, omega, _ = well_posed_instance(seed)
-        dm, rm = spec.distortion_model(omega), spec.rate
-        p = AllocationProblem(dm, rm, budget_at(dm, rm, where))
+    def test_root_iterates_stay_in_the_bracket(self):
+        # every u lies in [L, max(U, L)]: L puts MU*e**-u at the coarsest
+        # pair's slack, and at U every axis reaches the coarsest step
         coarsest = qp_to_step(42)
-        assume(p.slack(coarsest, coarsest) > 0)
-
-        def outcome(solve):
+        for seed in range(60):
+            spec, omega, r_target = well_posed_instance(seed)
+            dm, rm = spec.distortion_model(omega), spec.rate
+            p = AllocationProblem(dm, rm, r_target)
             trace = []
-            try:
-                return trace, solve(p, trace)
-            except ConvergenceError as exc:
-                return trace, str(exc)
-
-        got = outcome(lambda p, trace: solve_interior_point(p, trace=trace))
-        assert got == outcome(reference_solve)
-        for mu, q_g, q_c, _ in got[0]:
-            q = QuantPair(q_g, q_c)
-            assert barrier_objective(p, q, mu) == reference_barrier(p, q, mu)
-
-    def test_two_outer_iterations_with_defaults(self):
-        expected = math.ceil(math.log(EPS / MU0) / math.log(ETA))
-        assert expected == 2
-        trace = []
-        solve_interior_point(worked_problem(), trace=trace)
-        mus = sorted({mu for mu, *_ in trace}, reverse=True)
-        assert mus == [0.1, 0.1 * 1e-6]
+            solve_interior_point(p, trace=trace)
+            lo = math.log(MU / p.slack(coarsest, coarsest))
+            up = max((1.0 - theta) * math.log(coarsest) + math.log(slope / (gamma * -theta))
+                     for slope, gamma, theta in ((dm.a, rm.gamma_g, rm.theta_g),
+                                                 (dm.b, rm.gamma_c, rm.theta_c)))
+            assert trace[0][0] == pytest.approx(max(up, lo), rel=1e-12)
+            assert all(lo <= u <= trace[0][0] for u, *_ in trace)
+            assert len(trace) <= 12
 
     def test_complementary_slackness(self):
         for seed in range(60):
@@ -340,33 +262,46 @@ class TestSolver:
         assert solve_interior_point(p).qp == QpPair(42, 42)
 
     # the Lagrangian point of Shoham & Gersho (IEEE Trans. ASSP, 1988): each
-    # Q_i(lambda) = (lambda*gamma_i*|theta_i| / a_i)**(1/(1 - theta_i)) is
-    # stationary, and bisection on ln(lambda) meets the budget; the rate
-    # falls as lambda grows. Budgets are the instance's own, or the coarsest
-    # pair's rate and its next 3 floats, where the start is pushed outward.
+    # Q_i(lambda) = (lambda*gamma_i*|theta_i| / a_i)**(1/(1 - theta_i)),
+    # clipped to the step box, minimizes a_i*Q + lambda*R_i(Q) there, or is
+    # the coarsest step where a_i = 0; the rate falls as lambda grows, and
+    # bisection on ln(lambda) meets the budget unless the finest such pair
+    # fits it. Budgets are the instance's own, or the coarsest pair's rate
+    # and its next 3 floats, where the slack there is 0 or a few ulps. One
+    # slope may be zeroed. Seed 427's optimum is clipped: (88.09, 28.75)
+    # unclipped, (80.63, 33.44) on the box.
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 1999), st.one_of(st.none(), st.integers(0, 3)))
-    def test_continuous_point_matches_the_lagrangian_kkt_point(self, seed, floats_above):
+    @given(st.integers(0, 1999), st.one_of(st.none(), st.integers(0, 3)),
+           st.sampled_from([None, "a", "b"]))
+    @example(427, None, None)
+    def test_continuous_point_matches_the_lagrangian_kkt_point(self, seed, floats_above,
+                                                               zero):
         spec, omega, budget = well_posed_instance(seed)
         dm, rm = spec.distortion_model(omega), spec.rate
-        assume(dm.a > 0 and dm.b > 0)
+        if zero is not None:
+            dm = replace(dm, **{zero: 0.0})
         if floats_above is not None:
             budget = AllocationProblem(dm, rm, 1.0).rate(QpPair(42, 42).steps())
             for _ in range(floats_above):
                 budget = math.nextafter(budget, math.inf)
+        box = (qp_to_step(22), qp_to_step(42))
         terms = ((dm.a, rm.gamma_g, rm.theta_g), (dm.b, rm.gamma_c, rm.theta_c))
 
         def steps(ln_lam):
-            return [math.exp((ln_lam + math.log(gamma * -theta / slope)) / (1.0 - theta))
+            return [min(max(math.exp((ln_lam + math.log(gamma * -theta / slope))
+                                     / (1.0 - theta)), box[0]), box[1]) if slope > 0 else box[1]
                     for slope, gamma, theta in terms]
 
         def rate(ln_lam):
             return sum(gamma * q**theta for (_, gamma, theta), q in zip(terms, steps(ln_lam)))
 
-        # lambda at which Q_g is 1e-3 and 1e6 brackets every budget here
-        lo, hi = ((1.0 - rm.theta_g) * math.log(q) + math.log(dm.a / (rm.gamma_g * -rm.theta_g))
-                  for q in (1e-3, 1e6))
-        assert rate(lo) > budget > rate(hi)
+        # below lo every Q_i with a_i > 0 is the finest step, above hi the coarsest
+        ends = [(1.0 - theta) * math.log(q) + math.log(slope / (gamma * -theta))
+                for slope, gamma, theta in terms if slope > 0 for q in box]
+        lo, hi = min(ends) - 1.0, max(ends) + 1.0
+        assert rate(hi) <= budget
+        if rate(lo) <= budget:
+            hi = lo
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if rate(mid) > budget else (lo, mid)
@@ -380,6 +315,57 @@ class TestSolver:
                 solve_interior_point(worked_problem(), cap)
         with pytest.raises(ConvergenceError, match="within 1 iterations"):
             solve_interior_point(worked_problem(), 1)
+
+
+def extreme_problems(n_specs):
+    """Flat and extreme problems: each spec's rate model with a huge geometry
+    scale (theta_g -1 and -5), a steep geometry exponent, and omega 1 and 0,
+    at budgets 5% to 90% of the log-distance from the coarsest pair's rate to
+    the finest pair's; then budgets of 1e305 and 1e-290."""
+    coarsest, finest = QpPair(42, 42).steps(), QpPair(22, 22).steps()
+    for seed in range(n_specs):
+        spec = random_spec(seed)
+        base = spec.rate
+        for rm, omega in ((replace(base, gamma_g=1e300, theta_g=-1.0), 0.5),
+                          (replace(base, gamma_g=1e300, theta_g=-5.0), 0.5),
+                          (replace(base, gamma_g=1.0, theta_g=-50.0), 0.5),
+                          (base, 1.0), (base, 0.0)):
+            dm = spec.distortion_model(omega)
+            rate = AllocationProblem(dm, rm, 1.0).rate
+            ln_lo, ln_hi = math.log(rate(coarsest)), math.log(rate(finest))
+            for frac in (0.05, 0.35, 0.65, 0.9):
+                yield AllocationProblem(dm, rm, math.exp(ln_lo + frac * (ln_hi - ln_lo)))
+    yield worked_problem(1e305)
+    yield AllocationProblem(worked_problem().dm, RateModel(1e-300, -1, 1e-300, -1), 1e-290)
+    # the repair meets a color rate slope that underflows to 0, and then
+    # two inf costs while the geometry step is already the coarsest
+    yield AllocationProblem(
+        DistortionModel(2.469958246744841e134, 1.0214159126608618e-55, 1.0, 0.5),
+        RateModel(3.0560553087128416e49, -1.1667079736633647e-06,
+                  8.037454712428674e-271, -1.579579135765518e-184), 3.0560398598545004e49)
+    yield AllocationProblem(
+        DistortionModel(1.3769504963636326e-197, 8.998049496405067e226, 1.0, 0.5),
+        RateModel(1.3228301914130314e-149, -1.10477164523302e-170,
+                  1.1889831845614802e-80, -0.25081497271003533), 5.070575274009826e-81)
+
+
+def dense_oracle(p, n=200):
+    """Least modeled distortion over the feasible points of an n x n
+    geometric grid on the step box."""
+    qs = np.geomspace(qp_to_step(22), qp_to_step(42), n)
+    dm, rm = p.dm, p.rm
+    rate = rm.gamma_g * qs[:, None] ** rm.theta_g + rm.gamma_c * qs[None, :] ** rm.theta_c
+    distortion = dm.a * qs[:, None] + dm.b * qs[None, :] + dm.c
+    return distortion[rate <= p.r_target].min()
+
+
+def test_extreme_scales_solve_within_the_oracle():
+    # the root's point is within MU of the box optimum: D(Q) - t*s <= D(Q')
+    # for every feasible Q', and t*s = MU at the root
+    for p in extreme_problems(100):
+        alloc = solve_interior_point(p)
+        assert p.rm.grid[alloc.qp.cell] <= p.r_target
+        assert alloc.predicted_distortion <= dense_oracle(p) + MU
 
 
 class TestRounding:

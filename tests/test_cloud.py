@@ -128,12 +128,24 @@ class TestPointCloud:
         c = PointCloud([[1, 1, 1], [1, 1, 1]], [[0, 0, 0], [9, 9, 9]], 1)
         assert len(c) == 2
 
-    @pytest.mark.parametrize("depth", [True, False, 0, 2.0, "2"],
-                             ids=["True", "False", "0", "float", "str"])
+    @pytest.mark.parametrize("depth", [True, False, np.bool_(True), 0, np.int64(0), 2.0,
+                                       np.float64(2.0), "2"],
+                             ids=["True", "False", "numpy-bool", "0", "numpy-0", "float",
+                                  "numpy-float", "str"])
     def test_bit_depth_must_be_a_positive_int(self, depth):
         # a bool is an int to Python, but True would be written as "bit_depth True"
         with pytest.raises(ValidationError, match="^bit_depth must be a positive integer$"):
             PointCloud([[0, 1, 0]], [[0, 0, 0]], depth)
+
+    @pytest.mark.parametrize("depth", [np.int64(10), np.int32(10), np.uint8(10)])
+    def test_numpy_integer_bit_depth_is_stored_as_int(self, tmp_path, depth):
+        cloud = PointCloud([[0, 1023, 0]], [[0, 0, 0]], depth)
+        assert type(cloud.bit_depth) is int and cloud.bit_depth == 10
+        save_ply(cloud, tmp_path / "c.ply")
+        assert "comment bit_depth 10\n" in (tmp_path / "c.ply").read_text()
+        assert load_ply(tmp_path / "c.ply").bit_depth == 10
+        with pytest.raises(ValidationError, match=r"coordinates must lie in \[0, 2\^10\)"):
+            PointCloud([[0, 1024, 0]], [[0, 0, 0]], depth)
 
     def test_equality_and_hash_are_identity(self):
         # numpy arrays have no truth value, so field-wise equality would raise

@@ -349,6 +349,17 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["average"]["qpe"] == 0.0
 
+    def test_simulate_solves_a_codec_of_tiny_rate_scale(self, tmp_path, capsys):
+        # the slack at a budget of 1e-290 has a square that underflows to 0
+        codec = dict(WORKED_SPEC, rate={"gamma_g": 1e-300, "theta_g": -1.0,
+                                        "gamma_c": 1e-300, "theta_c": -1.0})
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps(worked_config(codec=codec, targets=[1e-290])))
+        assert main(["simulate", "--spec", str(cfg_path)]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["allocations"]
+        assert (row["qp_g"], row["qp_c"]) == (22, 22)
+        assert row["actual"]["rate"] <= row["budget"]
+
     def test_exit_code_validation(self, tmp_path, capsys):
         log = tmp_path / "probes.csv"
         spec = SyntheticCodecSpec(rate=RateModel(**WORKED_SPEC["rate"]),
