@@ -44,12 +44,12 @@ print(f"\ncontinuous optimum ({alloc.continuous.q_g:.6f}, {alloc.continuous.q_c:
 print(f"predicted distortion {alloc.predicted_distortion:.6f} at rate "
       f"{alloc.predicted_rate:.4f} kbpmp (constraint active)")
 
-# Rounding: per-component nearest snaps to QP (24, 24); the bounded polish
-# then spends the stranded budget, landing on the grid optimum (24, 23).
-# Both pairs fit the budget.
-nearest = round_to_grid(problem, alloc.continuous)
+# Rounding: each step goes up to the next grid step, QP (24, 24), which
+# fits because the rate falls as a step grows; the bounded polish then
+# spends the stranded budget, landing on the grid optimum (24, 23).
+rounded = round_to_grid(problem, alloc.continuous)
 print()
-for label, qp in (("nearest rounding", nearest), ("solver allocation", alloc.qp)):
+for label, qp in (("rounding up", rounded), ("solver allocation", alloc.qp)):
     print(f"{label}: QP ({qp.qp_g}, {qp.qp_c}), rate {problem.rate(qp.steps()):.2f} kbpmp")
 
 esa = exhaustive_search(model_oracle(problem), problem.r_target)

@@ -26,13 +26,13 @@ multiplier is formed, at any model scale.
 
 A budget that even the coarsest grid pair overshoots has no allocation,
 so the pair a solve returns always fits the budget. The continuous
-optimum is rounded onto the discrete step grid: nearest-step rounding by
-bisection on the ascending steps (ties to the larger step), a
-deterministic coarsening repair when the rounded pair overshoots the
-budget, and a polish over a small QP window that spends stranded budget.
-The repair and the polish read the cells of the fitted models' grid
-tables (``RateModel.grid``, ``DistortionModel.grid``), which each model
-instance tabulates once, so the targets of one omega share one table.
+optimum is rounded onto the discrete step grid, each step up to the
+nearest grid step at or above it, which fits the budget as the continuous
+pair does because every modelled rate falls as either step grows; a polish
+over a small QP window then spends the budget that rounding up strands.
+Both read the cells of the fitted models' grid tables (``RateModel.grid``,
+``DistortionModel.grid``), which each model instance tabulates once, so the
+targets of one omega share one table.
 
 An exhaustive 441-pair grid search over the same QP range serves as the
 reference baseline. It reads a ``GridTable``: the (rate, distortion) of
@@ -153,23 +153,25 @@ def solve_interior_point(p: AllocationProblem, max_newton_iters: int = MAX_NEWTO
 
     A budget that the coarsest grid cell does not fit raises
     ``InfeasibleBudgetError``; where that cell's slack is 0, it is the
-    continuous optimum. Otherwise the optimum is the root of psi, found in
-    at most ``max_newton_iters`` Newton or bisection steps, past which
-    ``ConvergenceError`` is raised. A ``trace`` list receives (u, q_g, q_c,
-    slack) at each root iterate, from the U end of the bracket to the
-    returned point.
+    continuous optimum, and the QP is the grid search's pick. Otherwise the
+    optimum is the root of psi, found in at most ``max_newton_iters`` Newton
+    or bisection steps, past which ``ConvergenceError`` is raised. A
+    ``trace`` list receives (u, q_g, q_c, slack) at each root iterate, from
+    the U end of the bracket to the returned point.
     """
     check_newton_cap(max_newton_iters)
     if p.rm.grid[-1, -1] > p.r_target:
         raise _below_coarsest(p)
-    q_g = q_c = _STEPS[-1]
-    s = p.slack(q_g, q_c)
+    continuous = QuantPair(_STEPS[-1], _STEPS[-1])
+    s = p.slack(continuous.q_g, continuous.q_c)
     if s > 0:
-        q_g, q_c = _barrier_root(p, s, max_newton_iters, trace)
-    continuous = QuantPair(q_g, q_c)
+        continuous = QuantPair(*_barrier_root(p, s, max_newton_iters, trace))
+        qp = polish_rounding(p, round_to_grid(p, continuous))
+    else:
+        qp = exhaustive_search(model_oracle(p), p.r_target)
     return Allocation(
         continuous=continuous,
-        qp=polish_rounding(p, round_to_grid(p, continuous)),
+        qp=qp,
         predicted_rate=p.rate(continuous),
         predicted_distortion=p.distortion(continuous),
     )
@@ -239,41 +241,24 @@ def _below_coarsest(p: AllocationProblem) -> InfeasibleBudgetError:
 
 
 def round_to_grid(p: AllocationProblem, continuous: QuantPair) -> QpPair:
-    """Map a continuous step pair onto the QP grid, repairing budget overshoot.
+    """Map a continuous step pair onto the QP grid, rounding each step up.
 
-    Each component is snapped to the nearest step, found by bisection and
-    one comparison of its two neighbours, with a tie going to the larger
-    step; values beyond the grid land on its end steps. If the snapped pair
-    exceeds the budget, the component whose distortion cost per unit of
-    recovered rate is smaller is coarsened one QP at a time until the pair
-    fits. When even the coarsest pair overshoots, ``InfeasibleBudgetError``
-    is raised.
+    Each component goes to the smallest grid step at or above it, found by
+    bisection, and a step beyond the grid to its end step. Every modelled
+    rate falls as either step grows, so the rounded pair fits where the
+    continuous pair does; where it does not, that pair sat a few ulps over
+    the budget on a rate flat to rounding, and the grid search's pick is
+    returned. When even the coarsest pair overshoots,
+    ``InfeasibleBudgetError`` is raised.
     """
-    i_g, i_c = _nearest_step(continuous.q_g), _nearest_step(continuous.q_c)
     last = len(_STEPS) - 1
-    rm = p.rm
-    while True:
-        if rm.grid[i_g, i_c] <= p.r_target:
-            return QpPair(_QPS[i_g], _QPS[i_c])
-        if i_g == last and i_c == last:
-            raise _below_coarsest(p)
-        # distortion added per unit of rate saved by coarsening; inf where the
-        # rate slope underflows to 0 (or is inf*0), so that it saves none
-        slope_g = -rm.gamma_g * rm.theta_g * _STEPS[i_g] ** (rm.theta_g - 1.0)
-        slope_c = -rm.gamma_c * rm.theta_c * _STEPS[i_c] ** (rm.theta_c - 1.0)
-        cost_g = p.dm.a / slope_g if slope_g > 0 else math.inf
-        cost_c = p.dm.b / slope_c if slope_c > 0 else math.inf
-        if i_c == last or (i_g < last and cost_g <= cost_c):
-            i_g += 1
-        else:
-            i_c += 1
-
-
-def _nearest_step(x: float) -> int:
-    """Index of the step nearest x, a tie going to the larger step. Clamping
-    the bisection point to [1, last] puts x beyond the grid on its end step."""
-    i = min(max(bisect_left(_STEPS, x), 1), len(_STEPS) - 1)
-    return i if _STEPS[i] - x <= x - _STEPS[i - 1] else i - 1
+    i_g = min(bisect_left(_STEPS, continuous.q_g), last)
+    i_c = min(bisect_left(_STEPS, continuous.q_c), last)
+    if p.rm.grid[i_g, i_c] <= p.r_target:
+        return QpPair(_QPS[i_g], _QPS[i_c])
+    if p.rm.grid[-1, -1] > p.r_target:
+        raise _below_coarsest(p)
+    return exhaustive_search(model_oracle(p), p.r_target)
 
 
 def polish_rounding(p: AllocationProblem, qp: QpPair) -> QpPair:

@@ -126,10 +126,10 @@ def read_psnr(row: dict, what: str) -> float | None:
 
 
 def rd_curve(points):
-    """Sorted, duplicate-free (rate, psnr) curve."""
-    pts = sorted(set((round(r, 9), q) for r, q in points if q is not None))
+    """Sorted (rate, psnr) curve with one point per exact rate, the least
+    PSNR of a repeated one: equal cells give equal bits, at any rate unit."""
     dedup = []
-    for r, q in pts:
+    for r, q in sorted((r, q) for r, q in points if q is not None):
         if not dedup or r > dedup[-1][0]:
             dedup.append((r, q))
     return dedup

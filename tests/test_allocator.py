@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pcbitalloc.allocator import (
     MU,
@@ -65,11 +65,11 @@ def budget_at(dm, rm, where):
     return math.nextafter(budget, offset * math.inf) if offset else budget
 
 
-def scan_nearest_step(x):
-    """Index of the step nearest x by a scan from the coarsest step, so that
-    ``min`` keeps the larger step of a tie."""
+def scan_step_at_or_above(x):
+    """Index of the smallest step at or above x by a scan from the finest
+    step, or of the coarsest step when x is beyond the grid."""
     steps = step_grid()
-    return min(reversed(range(len(steps))), key=lambda i: abs(steps[i] - x))
+    return next((i for i, q in enumerate(steps) if q >= x), len(steps) - 1)
 
 
 class TestBarrierObjective:
@@ -169,6 +169,7 @@ class TestSolver:
         assert p.rate(QuantPair(8.0, 8.0)) == p.r_target
         alloc = solve_interior_point(p)
         assert alloc.continuous == QpPair(42, 42).steps()
+        assert alloc.qp == exhaustive_search(model_oracle(p), p.r_target) == QpPair(22, 22)
         assert p.rate(alloc.qp.steps()) <= p.r_target
 
     def test_negative_slope_model_rejected(self):
@@ -337,8 +338,8 @@ def extreme_problems(n_specs):
                 yield AllocationProblem(dm, rm, math.exp(ln_lo + frac * (ln_hi - ln_lo)))
     yield worked_problem(1e305)
     yield AllocationProblem(worked_problem().dm, RateModel(1e-300, -1, 1e-300, -1), 1e-290)
-    # the repair meets a color rate slope that underflows to 0, and then
-    # two inf costs while the geometry step is already the coarsest
+    # a color rate slope that underflows to 0 while the geometry step sits
+    # at the coarsest, and a geometry rate flat to rounding
     yield AllocationProblem(
         DistortionModel(2.469958246744841e134, 1.0214159126608618e-55, 1.0, 0.5),
         RateModel(3.0560553087128416e49, -1.1667079736633647e-06,
@@ -377,11 +378,45 @@ class TestRounding:
         p = worked_problem()
         assert round_to_grid(p, QuantPair(qp_to_step(30), qp_to_step(26))) == QpPair(30, 26)
 
-    def test_repair_single_coarsening_step(self):
-        # budget just below the rate of the naively rounded pair (24, 24)
-        rate_2424 = worked_problem().rate(QuantPair(qp_to_step(24), qp_to_step(24)))
-        p = worked_problem(rate_2424 - 2.0)
-        assert round_to_grid(p, QuantPair(9.6, 9.6)) == QpPair(25, 24)
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 1999), st.floats(1.0, qp_to_step(42)),
+           st.floats(1.0, qp_to_step(42)), st.floats(0.0, 1.0))
+    # just inside the budget between two steps and on two grid steps, then
+    # below the grid and on its coarsest step
+    @example(0, 9.6, 9.6, 1e-15)
+    @example(1, qp_to_step(30), qp_to_step(26), 1e-15)
+    @example(2, 1.0, qp_to_step(42), 0.5)
+    def test_rounded_up_pair_fits(self, seed, x, y, headroom):
+        # every rate falls as a step grows, so rounding a pair of the step box
+        # up keeps it inside the budget, and no search moves it off the
+        # scan's steps
+        spec, omega, _ = well_posed_instance(seed)
+        p = AllocationProblem(spec.distortion_model(omega), spec.rate, 1.0)
+        p = replace(p, r_target=p.rate(QuantPair(x, y)) * (1.0 + headroom))
+        assume(p.slack(x, y) > 0)
+        qp = round_to_grid(p, QuantPair(x, y))
+        assert qp == QpPair(22 + scan_step_at_or_above(x), 22 + scan_step_at_or_above(y))
+        assert p.rm.grid[qp.cell] <= p.r_target
+
+    # rate models flat to rounding on one axis, where the root's point sits
+    # an ulp or two over the budget and so does the cell above it
+    @pytest.mark.parametrize("rm, a, budget", [
+        (RateModel(1.3472164335477289e-42, -1.8121511286747768e-117,
+                   1.5192871409517064e-57, -0.21871297719453206), 1.0, 1.3472164335477295e-42),
+        (RateModel(2.1202432431338897e+228, -1.844360880432741,
+                   7.232048904044022e+214, -2.0274294876633516), 0.0, 6.457563491140899e+224),
+        (RateModel(2.0141647498818336e+168, -5.457410436294915e-149,
+                   5.173775816215044e+158, -3.9120830925127663), 1.0, 2.014164749881893e+168),
+    ], ids=["tiny-flat-geometry", "no-geometry-slope", "huge-flat-geometry"])
+    def test_overshooting_point_takes_the_grid_pick(self, rm, a, budget):
+        p = AllocationProblem(DistortionModel(a, 1.0, 1.0, 0.5), rm, budget)
+        alloc = solve_interior_point(p)
+        q = alloc.continuous
+        above = (scan_step_at_or_above(q.q_g), scan_step_at_or_above(q.q_c))
+        assert rm.grid[above] > budget
+        best = exhaustive_search(model_oracle(p), budget)
+        assert round_to_grid(p, q) == alloc.qp == best
+        assert rm.grid[best.cell] <= budget
 
     def test_grid_exhaustion_raises(self):
         coarsest = worked_problem().rate(QpPair(42, 42).steps())
@@ -405,7 +440,8 @@ class TestRounding:
         esa = exhaustive_search(model_oracle(p), 1000.0)
         assert alloc.qp == esa == QpPair(24, 23)
 
-    # the step pairs whose midpoint is an exact floating-point tie
+    # the step pairs whose midpoint is an exact floating-point tie, which
+    # rounds up to the larger step as every point between two steps does
     @pytest.mark.parametrize("qp_lo", [23, 24, 26, 27, 32, 33, 38, 39])
     def test_tied_midpoint_rounds_to_larger_step(self, qp_lo):
         lo, hi = qp_to_step(qp_lo), qp_to_step(qp_lo + 1)
@@ -415,7 +451,7 @@ class TestRounding:
         assert qp == QpPair(qp_lo + 1, qp_lo + 1)
 
     # every step and midpoint with both float neighbours, and values below
-    # and far above the grid; the budget is large enough for no repair
+    # and far above the grid; every cell fits the budget
     def test_bisection_matches_scan_on_grid_edges(self):
         steps = step_grid()
         xs = list(steps) + [(lo + hi) / 2 for lo, hi in zip(steps, steps[1:])]
@@ -424,14 +460,14 @@ class TestRounding:
                sys.float_info.max]
         p = worked_problem(1e7)
         for x in xs:
-            i = scan_nearest_step(x)
+            i = scan_step_at_or_above(x)
             assert round_to_grid(p, QuantPair(x, x)) == QpPair(22 + i, 22 + i), x
 
     @settings(max_examples=500, deadline=None)
     @given(st.floats(0.0, exclude_min=True, allow_infinity=False), st.floats(7.0, 90.0))
     def test_bisection_matches_scan(self, x, y):
         qp = round_to_grid(worked_problem(1e7), QuantPair(x, y))
-        assert qp == QpPair(22 + scan_nearest_step(x), 22 + scan_nearest_step(y))
+        assert qp == QpPair(22 + scan_step_at_or_above(x), 22 + scan_step_at_or_above(y))
 
     # seed 0 at 0.3x its budget: no cell of the (22, 22) window fits
     @settings(max_examples=300, deadline=None)

@@ -1,4 +1,8 @@
-"""Every demo script runs to completion against the sources in ``src``."""
+"""Every demo script runs to completion against the sources in ``src``.
+
+Each runs in its own process, which ``pyproject.toml``'s ``filterwarnings``
+do not reach, so RuntimeWarning and DeprecationWarning are made errors there
+by ``-W``."""
 
 import os
 import subprocess
@@ -15,7 +19,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_exits_cleanly(demo):
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                os.environ.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, str(demo)], cwd=ROOT,
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                             "-W", "error::DeprecationWarning", str(demo)], cwd=ROOT,
                             env={**os.environ, "PYTHONPATH": pythonpath},
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr

@@ -981,3 +981,15 @@ class TestBdGap:
 
     def test_short_curve_gives_none(self):
         assert bd_gap(self.ESA[:3], self.ESA) is None
+
+    def test_rate_unit_does_not_move_the_gap(self):
+        # a noisy worked codec and its budgets in rate units up to 1e12 times larger
+        targets = [300, 400, 500, 700, 900, 1200, 1500, 1800]
+        gaps = []
+        for scale in (1.0, 1e-9, 1e-12):
+            rate = dict(WORKED_SPEC["rate"], gamma_g=6400.0 * scale, gamma_c=3200.0 * scale)
+            codec = dict(WORKED_SPEC, rate=rate, noise_rel=0.02, seed=3)
+            report = run_pipeline(worked_config(codec=codec, targets=[t * scale for t in targets]))
+            gaps.append(report["evaluation"]["bd_psnr_db"]["0.5"])
+        assert gaps[0] is not None
+        assert gaps[1:] == pytest.approx(gaps[:1] * 2, rel=0, abs=1e-9)
