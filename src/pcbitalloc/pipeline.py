@@ -41,7 +41,9 @@ from __future__ import annotations
 
 import csv
 import math
+from functools import reduce
 from json.encoder import encode_basestring_ascii
+from operator import add
 from pathlib import Path
 
 from .allocator import (
@@ -254,9 +256,9 @@ def run_pipeline(config: dict) -> dict:
     evaluation = {"encode_calls": {"pba": pba_encode_calls, "esa": esa_encode_calls}}
     if esa_encode_calls:
         evaluation["cq_pct"] = compute_cq(pba_encode_calls, esa_encode_calls)
-        # the baseline gives every row a qpe and a be_pct, and there is always a row
-        evaluation["average"] = {key: sum(r[key] for r in allocations) / len(allocations)
-                                 for key in ("qpe", "be_pct")}
+        # every row has a qpe and a be_pct, added in order, as sum() did before 3.12
+        evaluation["average"] = {key: reduce(add, (r[key] for r in allocations), 0)
+                                 / len(allocations) for key in ("qpe", "be_pct")}
         evaluation["bd_psnr_db"] = curves
     return {
         "config": config,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from pcbitalloc.allocator import (
+    MAX_NEWTON_ITERS,
     MU,
     POLISH_RADIUS,
     AllocationProblem,
@@ -367,6 +368,113 @@ def test_extreme_scales_solve_within_the_oracle():
         alloc = solve_interior_point(p)
         assert p.rm.grid[alloc.qp.cell] <= p.r_target
         assert alloc.predicted_distortion <= dense_oracle(p) + MU
+
+
+def reference_root(p, max_iters=MAX_NEWTON_ITERS):
+    """The root's trace, with psi as a closure over a list of axes that
+    builds its terms, slopes and steps as lists. Its two sums are written
+    out left to right, the additions that sum() makes before Python 3.12."""
+    rm = p.rm
+    steps = step_grid()
+    ln_finest, ln_coarsest = math.log(steps[0]), math.log(steps[-1])
+    ln_mu, ln_budget = math.log(MU), math.log(p.r_target)
+    axes = []
+    for a, gamma, theta in ((p.dm.a, rm.gamma_g, rm.theta_g), (p.dm.b, rm.gamma_c, rm.theta_c)):
+        ln_k = math.log(a) - math.log(gamma) - math.log(-theta) if a > 0 else -math.inf
+        e = 1.0 - theta
+        axes.append((ln_k, e, theta, math.log(gamma),
+                     ln_k + e * ln_finest, ln_k + e * ln_coarsest))
+
+    def psi(u):
+        terms, slopes, qs = [ln_mu - u], [-1.0], []
+        for ln_k, e, theta, ln_gamma, down, up in axes:
+            if u <= down:
+                x, d, q = ln_finest, 0.0, steps[0]
+            elif u >= up:
+                x, d, q = ln_coarsest, 0.0, steps[-1]
+            else:
+                x = (u - ln_k) / e
+                d, q = theta / e, math.exp(x)
+            terms.append(ln_gamma + theta * x)
+            slopes.append(d)
+            qs.append(q)
+        top = max(terms)
+        w = [math.exp(t - top) for t in terms]
+        total = w[0] + w[1] + w[2]
+        slope = w[0] * slopes[0] + w[1] * slopes[1] + w[2] * slopes[2]
+        return top + math.log(total) - ln_budget, slope / total, qs
+
+    trace = []
+    lo = ln_mu - math.log(p.slack(steps[-1], steps[-1]))
+    hi = max([lo] + [up for *_, up in axes if up < math.inf])
+    u, step = hi, math.inf
+    for _ in range(max_iters):
+        value, slope, (q_g, q_c) = psi(u)
+        trace.append((u, q_g, q_c, p.slack(q_g, q_c)))
+        if value == 0 or abs(step) <= 2.0**-40 * max(1.0, abs(u)):
+            return trace
+        if value > 0:
+            lo = u
+        else:
+            hi = u
+        n = u - value / slope if slope < 0 else math.nan
+        if not lo < n < hi:
+            n = 0.5 * (lo + hi)
+        step, u = n - u, n
+    raise ConvergenceError(trace)
+
+
+def root_problems():
+    """well_posed_instance seeds 0-199 and 427, whose optimum is clipped, with
+    each slope as drawn and zeroed, at their own budget and at the coarsest
+    pair's rate and the next float above it; then the extreme problems."""
+    for seed in [*range(200), 427]:
+        spec, omega, budget = well_posed_instance(seed)
+        dm, rm = spec.distortion_model(omega), spec.rate
+        for d in (dm, replace(dm, a=0.0), replace(dm, b=0.0)):
+            coarsest = AllocationProblem(d, rm, 1.0).rate(QpPair(42, 42).steps())
+            for r_target in (budget, coarsest, math.nextafter(coarsest, math.inf)):
+                yield AllocationProblem(d, rm, r_target)
+    yield from extreme_problems(40)
+
+
+def test_root_matches_the_reference_bit_for_bit():
+    # the continuous point, its predictions and every root iterate equal the
+    # reference's to the last bit, on every Python, with iterates clipped to
+    # either end of the box and on both sides of an interior step
+    coarsest = qp_to_step(42)
+    seen = set()
+    for p in root_problems():
+        trace = []
+        alloc = solve_interior_point(p, trace=trace)
+        if p.slack(coarsest, coarsest) <= 0:
+            assert trace == []
+            continue
+        want = reference_root(p)
+        assert len(trace) == len(want)
+        assert trace == want
+        continuous = QuantPair(*want[-1][1:3])
+        assert alloc.continuous == continuous
+        assert alloc.predicted_rate == p.rate(continuous)
+        assert alloc.predicted_distortion == p.distortion(continuous)
+        seen.update(q for _, q_g, q_c, _ in want for q in (q_g, q_c)
+                    if q in (qp_to_step(22), coarsest))
+        seen.update("zero slope" for d in (p.dm.a, p.dm.b) if d == 0)
+        seen.update("interior" for _, q_g, q_c, _ in want
+                    if qp_to_step(22) < q_g < coarsest and qp_to_step(22) < q_c < coarsest)
+    assert seen == {qp_to_step(22), coarsest, "zero slope", "interior"}
+
+
+def test_root_stops_at_the_cap_with_the_reference_trace():
+    for seed in range(20):
+        spec, omega, budget = well_posed_instance(seed)
+        p = AllocationProblem(spec.distortion_model(omega), spec.rate, budget)
+        trace = []
+        with pytest.raises(ConvergenceError, match="within 2 iterations"):
+            solve_interior_point(p, 2, trace)
+        with pytest.raises(ConvergenceError) as caught:
+            reference_root(p, 2)
+        assert trace == caught.value.args[0]
 
 
 class TestRounding:

@@ -1,6 +1,8 @@
 import copy
+import functools
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -124,8 +126,8 @@ class TestRunPipeline:
         # every per-target fact lives in the allocation rows alone
         assert set(ev) == {"encode_calls", "cq_pct", "average", "bd_psnr_db"}
         rows = report["allocations"]
-        assert ev["average"] == {key: sum(r[key] for r in rows) / len(rows)
-                                 for key in ("qpe", "be_pct")}
+        assert ev["average"] == {key: functools.reduce(operator.add, (r[key] for r in rows))
+                                 / len(rows) for key in ("qpe", "be_pct")}
 
     def test_two_omegas(self):
         report = run_pipeline(worked_config(omegas=[0.25, 0.5]))
@@ -170,6 +172,26 @@ class TestRunPipeline:
                        for e in sweep if e.r_g + e.r_c <= row["budget"])
             esa = row["esa"]
             assert (esa["distortion"], esa["rate"], esa["qp_g"], esa["qp_c"]) == best
+
+    def test_average_adds_the_rows_left_to_right(self):
+        # Python 3.12's sum() compensates its additions (Neumaier), which
+        # moves this config's be_pct average; the report adds the rows in
+        # order from 0 on every Python, as sum() did before 3.12
+        def compensated(values):
+            total = correction = 0.0
+            for x in values:
+                t = total + x
+                correction += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+                total = t
+            return total + correction
+
+        report = run_pipeline({"codec": spec_to_dict(random_spec(7, noise_rel=0.02)),
+                               "targets": [800, 1000, 1400, 2000, 3000],
+                               "omegas": [0.25, 0.5, 0.75], "run_exhaustive": True})
+        rows = [row["be_pct"] for row in report["allocations"]]
+        in_order = functools.reduce(operator.add, rows) / len(rows)
+        assert compensated(rows) / len(rows) != in_order
+        assert report["evaluation"]["average"]["be_pct"] == in_order
 
     def test_esa_psnr_matches_its_encode(self):
         spec = random_spec(7, noise_rel=0.02)
