@@ -52,13 +52,13 @@ qpe_counts = collections.Counter()
 n_instances = 300
 done = 0
 while done < n_instances:
-    spec = random_spec(seed=int(rng.integers(0, 2**31)))
+    spec = random_spec(seed=rng.integers(0, 2**31))
     omega = 0.5 if done % 2 == 0 else 0.25
     rm = spec.rate
     qg_t, qc_t = rng.uniform(8.0, 80.0, 2)
     r_target = rm.gamma_g * qg_t**rm.theta_g + rm.gamma_c * qc_t**rm.theta_c
-    r_start = rm.gamma_g * 80.0**rm.theta_g + rm.gamma_c * 80.0**rm.theta_c
-    if r_target <= r_start * 1.001:
+    # the solver refuses a budget below the rate of the coarsest grid cell
+    if r_target < rm.grid[-1, -1]:
         continue
     problem = AllocationProblem(spec.distortion_model(omega), rm, r_target)
     alloc = solve_interior_point(problem)

@@ -71,6 +71,7 @@ from .models import (
     predict_rate,
     qp_grid,
     step_grid,
+    whole_number,
 )
 
 MU = 1e-7
@@ -85,10 +86,8 @@ _ROOT_TOL = 2.0**-40
 
 
 def check_newton_cap(cap) -> int:
-    """A Newton iteration cap: an integer of at least 1; booleans are refused."""
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-        raise ValidationError(f"max_newton_iters must be a positive integer, got {cap!r}")
-    return cap
+    """A Newton iteration cap: an integer of at least 1, as ``whole_number`` takes it."""
+    return whole_number("max_newton_iters", cap, 1)
 
 
 @dataclass(frozen=True)

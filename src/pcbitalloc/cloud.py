@@ -44,6 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PlyError, ValidationError
+from .models import whole_number
 
 # Integer per-10000 luma weights; both rows sum to exactly 10000 so white maps to 255.
 LUMA_WEIGHTS = {
@@ -97,7 +98,7 @@ class PointCloud:
     An array that is already C-contiguous int64 (uint8 for colors) is not
     copied: the cloud holds a read-only view of it, so the caller's array
     stays writable and a later write to it shows in the cloud. The bit depth
-    is a positive Python or numpy integer, held as an int. Clouds compare
+    is a Python or numpy integer in [1, 63], held as an int. Clouds compare
     and hash by identity.
     """
 
@@ -114,11 +115,9 @@ class PointCloud:
             raise ValidationError("colors must match positions in shape")
         if len(pos) < 1:
             raise ValidationError("cloud must contain at least one point")
-        # QpPair's rule: a Python or numpy integer, not a bool; stored as an int
-        depth = self.bit_depth
-        if (type(depth) is not int and not isinstance(depth, np.integer)) or depth < 1:
-            raise ValidationError("bit_depth must be a positive integer")
-        depth = int(depth)
+        depth = whole_number("bit_depth", self.bit_depth, 1)
+        if depth > 63:
+            raise ValidationError("bit_depth must be at most 63, the bits of an int64")
         if pos.min() < 0 or pos.max() >= 1 << depth:
             raise ValidationError(f"coordinates must lie in [0, 2^{depth})")
         # read-only views, so an array the caller passed in stays writable

@@ -27,13 +27,13 @@ def compute_qpe(pba: QpPair, esa: QpPair) -> int:
     return abs(pba.qp_g - esa.qp_g) + abs(pba.qp_c - esa.qp_c)
 
 
-def compute_cq(t_pba: float, t_esa: float) -> float:
-    """Encoding-time ratio in percent (both durations in the same unit)."""
-    if t_esa <= 0:
-        raise ValidationError("baseline duration must be positive")
-    if t_pba < 0:
-        raise ValidationError("duration must be non-negative")
-    return t_pba / t_esa * 100.0
+def compute_cq(pba_encodes: float, esa_encodes: float) -> float:
+    """Encoding-cost ratio in percent: the allocator's encode calls over the baseline's."""
+    if esa_encodes <= 0:
+        raise ValidationError("baseline encode count must be positive")
+    if pba_encodes < 0:
+        raise ValidationError("encode count must be non-negative")
+    return pba_encodes / esa_encodes * 100.0
 
 
 def _check_curve(curve, label: str) -> tuple[np.ndarray, np.ndarray]:

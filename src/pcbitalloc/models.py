@@ -14,13 +14,15 @@ are kilobits per million points (kbpmp) throughout.
 
 ``weighted`` is the one combination of a geometry and a color distortion,
 omega*d_g + (1-omega)*d_c, for probes, reports and the metric command
-alike. ``predict_rate`` gives the total modeled rate. A model refuses a
-negative distortion slope or a rate exponent that is not negative when it
-is built, whether by a fit, from a model file or by a caller.
+alike. ``predict_rate`` gives the total modeled rate. A model checks its
+own fields when it is built, by a fit, from a model file or by a caller:
+each a float by ``finite_number``, the one number rule (a numpy scalar as
+its Python value), no distortion slope negative, each rate exponent negative.
 
-``QpPair`` is the one rule for a grid QP, an integer in [QP_MIN, QP_MAX]
-that is not a bool, and ``QpPair.cell``, (qp_g - QP_MIN, qp_c - QP_MIN),
-the one address of its cell in every 21x21 table. Each model instance
+``whole_number`` is the one integer rule, a Python or numpy integer that
+is not a bool, as an int; ``QpPair`` holds two in [QP_MIN, QP_MAX], and
+``QpPair.cell``, (qp_g - QP_MIN, qp_c - QP_MIN), is the one address of
+its cell in every 21x21 table. Each model instance
 tabulates its grid once: ``RateModel.grid`` and ``DistortionModel.grid``
 are read-only 21x21 arrays indexed by that cell, computed on first use and
 kept on the instance, so they live as long as the model and no longer. Each
@@ -35,7 +37,7 @@ import itertools
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -90,6 +92,24 @@ def finite_number(key: str, x, what: str = "config") -> float:
     return float(x)
 
 
+def whole_number(name: str, x, least: int | None = None) -> int:
+    """A Python or numpy integer, not a bool, of at least ``least`` if given, as an int."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {x!r}")
+    if least is not None and x < least:
+        raise ValidationError(f"{name} must be an integer of at least {least}, got {x!r}")
+    return int(x)
+
+
+def _own_floats(obj, what: str) -> None:
+    """Store each float field of a frozen dataclass as ``finite_number`` gives it."""
+    for f in fields(obj):
+        if f.type == "float":  # a string, as the module defers its annotations
+            x = getattr(obj, f.name)
+            x = x.item() if isinstance(x, np.generic) else x
+            object.__setattr__(obj, f.name, finite_number(f.name, x, what))
+
+
 def _check_probe(rates, distortions) -> None:
     if not all(map(math.isfinite, (*rates, *distortions))):
         raise ValidationError("probe rates and distortions must be finite")
@@ -123,10 +143,11 @@ class QpPair:
     qp_c: int
 
     def __post_init__(self):
+        # the pairs a run builds hold Python ints, which skip the integer rule
+        if type(self.qp_g) is not int or type(self.qp_c) is not int:
+            object.__setattr__(self, "qp_g", whole_number("qp", self.qp_g))
+            object.__setattr__(self, "qp_c", whole_number("qp", self.qp_c))
         for qp in (self.qp_g, self.qp_c):
-            # the pairs a run builds hold Python ints, which skip the isinstance call
-            if type(qp) is not int and not isinstance(qp, np.integer):
-                raise ValidationError(f"qp must be an integer, got {qp!r}")
             if not QP_MIN <= qp <= QP_MAX:
                 raise ValidationError(f"qp {qp} outside grid [{QP_MIN}, {QP_MAX}]")
 
@@ -178,8 +199,7 @@ class DistortionModel:
     omega: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.a, self.b, self.c, self.omega))):
-            raise ValidationError("distortion model parameters must be finite")
+        _own_floats(self, "distortion model")
         if not 0.0 <= self.omega <= 1.0:
             raise ValidationError(f"distortion model omega={self.omega!r} is outside [0, 1]")
         # a negative slope leaves the barrier objective unbounded toward coarse steps
@@ -203,9 +223,7 @@ class RateModel:
     theta_c: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.gamma_g, self.theta_g,
-                                       self.gamma_c, self.theta_c))):
-            raise ValidationError("rate model parameters must be finite")
+        _own_floats(self, "rate model")
         for stream, gamma, theta in (("geometry", self.gamma_g, self.theta_g),
                                      ("color", self.gamma_c, self.theta_c)):
             if gamma <= 0:
@@ -324,20 +342,17 @@ def model_to_dict(dm: DistortionModel, rm: RateModel) -> dict:
 
 
 def model_from_dict(doc) -> tuple[DistortionModel, RateModel]:
-    """Inverse of ``model_to_dict``; every numeric field must be a finite real.
+    """Inverse of ``model_to_dict``; the models check their own fields.
 
     A missing ``omega`` reads as 0.5; a ``sanity`` list that older files
     carry in ``distortion`` is ignored.
     """
     try:
         d, r = doc["distortion"], doc["rate"]
-        values = [d["a"], d["b"], d["c"], d.get("omega", 0.5)]
-        values += [r[name] for name in _RATE_FIELDS]
+        dm = DistortionModel(d["a"], d["b"], d["c"], d.get("omega", 0.5))
+        return dm, RateModel(*(r[name] for name in _RATE_FIELDS))
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"bad model: missing or misplaced field {exc}") from exc
-    names = ("a", "b", "c", "omega") + _RATE_FIELDS
-    values = [finite_number(name, x, "model") for name, x in zip(names, values)]
-    return DistortionModel(*values[:4]), RateModel(*values[4:])
 
 
 def probes_from_records(records: Sequence[ProbeRecord],

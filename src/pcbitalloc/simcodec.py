@@ -17,15 +17,16 @@ exhaustive baseline and a report's rows read the array itself. A noisy spec's gr
 21x21x4 table of standard normals, drawn from PCG64 seeded with
 (spec.seed, 1), so replays are bit-identical.
 
-A spec comes from a config's ``codec`` object through ``spec_from_dict``,
-the inverse of ``spec_to_dict``; a variant of a spec is
+A spec checks its own fields as a model does, its seed by ``whole_number``.
+It comes from a config's ``codec`` object through ``spec_from_dict``, the
+inverse of ``spec_to_dict``; a variant of a spec is
 ``dataclasses.replace(spec, ...)``, which re-runs its checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -40,10 +41,11 @@ from .models import (
     ProbeRecord,
     QpPair,
     RateModel,
+    _own_floats,
     _read_only,
-    finite_number,
     step_grid,
     weighted_distortion_model,
+    whole_number,
 )
 
 # The grid's streams, the spec fields each is computed from, and how its
@@ -71,12 +73,8 @@ class SyntheticCodecSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (
-                self.alpha_g, self.beta_g, self.alpha_gc, self.alpha_cc, self.beta_c,
-                self.noise_rel, self.coupling, self.overhead_kbpmp))):
-            raise ValidationError("codec spec values must be finite")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ValidationError("codec seed must be a non-negative integer")
+        _own_floats(self, "codec")
+        object.__setattr__(self, "seed", whole_number("codec seed", self.seed, 0))
         if min(self.alpha_g, self.alpha_gc, self.alpha_cc,
                self.noise_rel, self.overhead_kbpmp) < 0:
             raise ValidationError("codec slopes, noise and overhead must be non-negative")
@@ -207,26 +205,14 @@ def random_spec(seed: int, noise_rel: float = 0.0,
                 coupling: float = 0.0) -> SyntheticCodecSpec:
     """Draw a well-posed synthetic codec from seeded, codec-plausible ranges."""
     rng = np.random.default_rng(seed)
-    rate = RateModel(
-        gamma_g=float(rng.uniform(500.0, 20000.0)),
-        theta_g=float(rng.uniform(-1.8, -0.6)),
-        gamma_c=float(rng.uniform(300.0, 10000.0)),
-        theta_c=float(rng.uniform(-1.8, -0.6)),
-    )
+    rate = RateModel(gamma_g=rng.uniform(500.0, 20000.0), theta_g=rng.uniform(-1.8, -0.6),
+                     gamma_c=rng.uniform(300.0, 10000.0), theta_c=rng.uniform(-1.8, -0.6))
     return SyntheticCodecSpec(
-        alpha_g=float(rng.uniform(0.01, 0.5)),
-        beta_g=float(rng.uniform(0.1, 2.0)),
-        alpha_gc=float(rng.uniform(0.0, 0.3)),
-        alpha_cc=float(rng.uniform(0.05, 1.0)),
-        beta_c=float(rng.uniform(0.5, 5.0)),
-        rate=rate,
-        noise_rel=noise_rel,
-        coupling=coupling,
-        seed=seed,
+        alpha_g=rng.uniform(0.01, 0.5), beta_g=rng.uniform(0.1, 2.0),
+        alpha_gc=rng.uniform(0.0, 0.3), alpha_cc=rng.uniform(0.05, 1.0),
+        beta_c=rng.uniform(0.5, 5.0), rate=rate,
+        noise_rel=noise_rel, coupling=coupling, seed=seed,
     )
-
-
-_FLOAT_FIELDS = {f.name for f in fields(SyntheticCodecSpec) if f.type == "float"}
 
 
 def spec_to_dict(spec: SyntheticCodecSpec) -> dict:
@@ -234,13 +220,8 @@ def spec_to_dict(spec: SyntheticCodecSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> SyntheticCodecSpec:
-    """Inverse of ``spec_to_dict``; every float field, the rate model's
-    included, must be a finite JSON number."""
+    """Inverse of ``spec_to_dict``; the spec and its rate model check their own fields."""
     try:
-        rate = RateModel(**{k: finite_number(f"rate.{k}", v, "codec")
-                            for k, v in d["rate"].items()})
-        values = {k: finite_number(k, v, "codec") if k in _FLOAT_FIELDS else v
-                  for k, v in d.items() if k != "rate"}
-        return SyntheticCodecSpec(rate=rate, **values)
+        return SyntheticCodecSpec(**dict(d, rate=RateModel(**d["rate"])))
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"bad codec spec: {exc}") from exc

@@ -65,7 +65,7 @@ def well_posed_instance(seed):
     rng = np.random.default_rng((77, seed))
     attempt = 0
     while True:
-        spec = random_spec(seed=int(rng.integers(0, 2**31)))
+        spec = random_spec(seed=rng.integers(0, 2**31))
         omega = 0.5 if (seed + attempt) % 2 == 0 else 0.25
         rm = spec.rate
         qg_t, qc_t = rng.uniform(8.0, 80.0, 2)

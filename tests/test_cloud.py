@@ -128,13 +128,19 @@ class TestPointCloud:
         c = PointCloud([[1, 1, 1], [1, 1, 1]], [[0, 0, 0], [9, 9, 9]], 1)
         assert len(c) == 2
 
-    @pytest.mark.parametrize("depth", [True, False, np.bool_(True), 0, np.int64(0), 2.0,
-                                       np.float64(2.0), "2"],
-                             ids=["True", "False", "numpy-bool", "0", "numpy-0", "float",
-                                  "numpy-float", "str"])
+    @pytest.mark.parametrize("depth", [True, False, np.bool_(True), 0, np.int64(0), 64,
+                                       2**62, 2.0, np.float64(2.0), "2"],
+                             ids=["True", "False", "numpy-bool", "0", "numpy-0", "64",
+                                  "2^62", "float", "numpy-float", "str"])
     def test_bit_depth_must_be_a_positive_int(self, depth):
         # a bool is an int to Python, but True would be written as "bit_depth True"
-        with pytest.raises(ValidationError, match="^bit_depth must be a positive integer$"):
+        if type(depth) not in (int, np.int64):
+            message = f"bit_depth must be an integer, got {depth!r}"
+        elif depth < 1:
+            message = f"bit_depth must be an integer of at least 1, got {depth!r}"
+        else:  # 1 << depth is not built for a depth int64 coordinates cannot reach
+            message = "bit_depth must be at most 63, the bits of an int64"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             PointCloud([[0, 1, 0]], [[0, 0, 0]], depth)
 
     @pytest.mark.parametrize("depth", [np.int64(10), np.int32(10), np.uint8(10)])

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+import math
 import re
 import warnings
 
@@ -7,6 +10,8 @@ import scipy.optimize
 from hypothesis import assume, given, settings, strategies as st
 
 from pcbitalloc import models
+from pcbitalloc.allocator import check_newton_cap
+from pcbitalloc.cloud import PointCloud
 from pcbitalloc.errors import ValidationError
 from pcbitalloc.models import (
     DistortionModel,
@@ -31,7 +36,8 @@ from pcbitalloc.models import (
     step_grid,
     write_probe_log,
 )
-from pcbitalloc.pipeline import fit_models
+from pcbitalloc.evaluate import compute_qpe
+from pcbitalloc.pipeline import fit_models, json_text
 from pcbitalloc.simcodec import probe_schedule, random_spec, run_probe_schedule
 
 from conftest import NOT_QP_IDS, NOT_QPS
@@ -493,6 +499,75 @@ class TestModelDict:
         doc["distortion"]["sanity"] = ["geometry slope a=-0.1 is negative"]
         dm, _ = model_from_dict(doc)
         assert dm == DistortionModel(0.5, 0.25, 4.0, 0.5)
+
+    def test_caller_built_model_round_trips_through_json(self):
+        dm = DistortionModel(np.float32(0.5), np.int64(0), 4, np.float64(0.25))
+        rm = RateModel(np.int64(6400), np.float32(-1.5), 3200, -1)
+        assert model_from_dict(json.loads(json_text(model_to_dict(dm, rm)))) == (dm, rm)
+
+
+def _field(base, name):
+    """Build ``base`` again with one field set; returns that field as stored."""
+    return lambda x: getattr(dataclasses.replace(base, **{name: x}), name)
+
+
+_SPEC = random_spec(7)
+_FLOAT_FIELDS = ("alpha_g", "beta_g", "alpha_gc", "alpha_cc", "beta_c", "noise_rel",
+                 "coupling", "overhead_kbpmp")
+# each type that takes a scalar from outside: how to store one, a valid
+# value, and the rule it follows
+SCALAR_SLOTS = {
+    **{f"DistortionModel.{name}": (_field(DistortionModel(0.5, 0.25, 4.0, 0.5), name), 1,
+                                   float) for name in ("a", "b", "c", "omega")},
+    **{f"RateModel.{name}": (_field(RateModel(6400.0, -1.0, 3200.0, -1.0), name),
+                             -1 if name.startswith("theta") else 1, float)
+       for name in ("gamma_g", "theta_g", "gamma_c", "theta_c")},
+    **{f"SyntheticCodecSpec.{name}": (_field(_SPEC, name), 1, float)
+       for name in _FLOAT_FIELDS},
+    "SyntheticCodecSpec.seed": (_field(_SPEC, "seed"), 7, int),
+    "QpPair.qp_g": (lambda x: QpPair(x, 30).qp_g, 30, int),
+    "QpPair.qp_c": (lambda x: QpPair(30, x).qp_c, 30, int),
+    "PointCloud.bit_depth": (lambda x: PointCloud([[0, 1, 0]], [[0, 0, 0]], x).bit_depth,
+                             10, int),
+    "check_newton_cap": (check_newton_cap, 5, int),
+}
+# a seed of any size seeds PCG64, and a cap of any size bounds a loop
+UNBOUNDED = {"SyntheticCodecSpec.seed", "check_newton_cap"}
+HUGE = 10**400
+NOT_SCALARS = [True, np.True_, "1", None, math.nan, math.inf, -math.inf, HUGE]
+NOT_SCALAR_IDS = ["bool", "numpy-bool", "string", "none", "nan", "inf", "-inf", "10^400"]
+
+
+class TestScalarFields:
+    """One number rule (``finite_number``) and one integer rule
+    (``whole_number``), held by the types that take outside scalars."""
+
+    @pytest.mark.parametrize("slot", SCALAR_SLOTS)
+    @pytest.mark.parametrize("bad", NOT_SCALARS, ids=NOT_SCALAR_IDS)
+    def test_refused(self, slot, bad):
+        store, valid, rule = SCALAR_SLOTS[slot]
+        if bad is HUGE and slot in UNBOUNDED:
+            assert store(bad) == bad
+            return
+        with pytest.raises(ValidationError):
+            store(bad)
+
+    @pytest.mark.parametrize("slot", SCALAR_SLOTS)
+    def test_numpy_scalars_stored_as_python_values(self, slot):
+        store, valid, rule = SCALAR_SLOTS[slot]
+        for x in (valid, np.int64(valid)):
+            stored = store(x)
+            assert type(stored) is rule and stored == valid
+        half = np.float32(valid / 2)
+        if rule is float:
+            assert type(store(half)) is float and store(half) == valid / 2
+        else:
+            with pytest.raises(ValidationError, match="must be an integer, got "):
+                store(half)
+
+    def test_numpy_integers_are_taken_as_ints(self):
+        assert random_spec(np.int64(7)) == random_spec(7)
+        assert json_text(compute_qpe(QpPair(np.int64(30), 30), QpPair(32, np.int8(29)))) == "3\n"
 
 
 class TestSchedule:
