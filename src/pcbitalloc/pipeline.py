@@ -40,9 +40,9 @@ for all of that omega's targets.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from functools import reduce
-from json.encoder import encode_basestring_ascii
 from operator import add
 from pathlib import Path
 
@@ -268,86 +268,34 @@ def run_pipeline(config: dict) -> dict:
     }
 
 
-def _scalar_text(o) -> str:
-    """JSON text of a value that is not a container, dispatched in the order
-    json's encoder tests types, so str, int and float subclasses encode as
-    their base types do."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == math.inf:
-            return "Infinity"
-        if o == -math.inf:
-            return "-Infinity"
-        return float.__repr__(o)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+_encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 
 def json_text(payload) -> str:
-    """The one layout of every JSON document the tools write: two-space
-    indent, sorted keys, ``,`` and ``: `` separators, ``{}`` and ``[]`` for
-    empty containers, a final newline.
+    """The one layout of every JSON document the tools write: sorted keys,
+    each top-level key on its own line, each element of a top-level list on
+    one line of its own, so that each allocation row is one line, and a
+    final newline. A payload that is not an object is one line.
 
-    The text is ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``
-    byte for byte, but made in one pass that appends every token to one
-    list: with ``indent`` set, ``json.dumps`` uses its pure-Python generator
-    encoder, not the C one, and that was the largest cost of a study report
-    after the solve. The leaf text comes from the functions json itself
-    uses: ``json.encoder.encode_basestring_ascii`` for strings and keys,
-    ``int.__repr__`` for ints and ``float.__repr__`` for floats, with NaN
-    and the infinities written as ``allow_nan`` writes them. A value json
-    cannot encode, such as a set or a numpy integer, raises ``TypeError``
-    as it does. So does a key that is not a string: json would convert an
-    int, float, bool or None key, but no document the tools write has one.
+    Every line comes from json's C encoder with ``sort_keys`` on and
+    ``allow_nan`` off, called once per top-level value or list element, so
+    a NaN or an infinity raises ``ValueError``: a report writes a lossless
+    PSNR as null. A value json cannot encode, such as a set or a numpy
+    integer, raises ``TypeError``, and so does a top-level key that is not a
+    string.
     """
-    out = []
-    append = out.append
-
-    def emit(o, indent):
-        if isinstance(o, dict):
-            if not o:
-                append("{}")
-                return
-            inner = indent + "  "
-            head = "{" + inner
-            for key, item in sorted(o.items()):
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-                # a finite float, most leaves of a report, takes no call
-                if type(item) is float and -math.inf < item < math.inf:
-                    append(head + encode_basestring_ascii(key) + ": " + float.__repr__(item))
-                else:
-                    append(head + encode_basestring_ascii(key) + ": ")
-                    emit(item, inner)
-                head = "," + inner
-            append(indent + "}")
-        elif isinstance(o, (list, tuple)):
-            if not o:
-                append("[]")
-                return
-            inner = indent + "  "
-            head = "[" + inner
-            for item in o:
-                append(head)
-                emit(item, inner)
-                head = "," + inner
-            append(indent + "]")
+    if not isinstance(payload, dict) or not payload:
+        return _encode(payload) + "\n"
+    lines = []
+    for key, value in sorted(payload.items()):
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        if isinstance(value, (list, tuple)) and value:
+            value = "[\n" + ",\n".join(map(_encode, value)) + "\n]"
         else:
-            append(_scalar_text(o))
-
-    emit(payload, "\n")
-    append("\n")
-    return "".join(out)
+            value = _encode(value)
+        lines.append(f"{_encode(key)}: {value}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def write_report(report: dict, path) -> None:

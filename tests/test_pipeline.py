@@ -914,50 +914,89 @@ def test_evaluate_survives_malformed_reports(pba, esa):
 # quotes, backslashes, control, non-ASCII and astral characters and a lone surrogate
 WRITER_STRINGS = st.text(st.sampled_from('"\\\x00\x1f\x7f\xe9\u2028\U0001f600\ud800')
                          | st.characters(), max_size=6)
-WRITER_LEAVES = (st.none() | st.booleans() | st.integers(-10**30, 10**30) | WRITER_STRINGS
-                 | st.floats() | st.floats().map(np.float64)
-                 | st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf]))
-WRITER_TREES = st.recursive(
-    WRITER_LEAVES,
-    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
-                   | st.dictionaries(WRITER_STRINGS, inner, max_size=4)),
+# JSON trees of finite numbers; a float64 leaf encodes as its float does
+FINITE_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**30, 10**30) | WRITER_STRINGS
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+    | st.sampled_from([-0.0, 5e-324, 1e16, 1.7976931348623157e308]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(WRITER_STRINGS, inner,
+                                                                max_size=4),
     max_leaves=24)
 
 
-def dumps_text(payload) -> str:
-    """The reference layout that ``json_text`` matches."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def layout_lines(payload: dict) -> list[str]:
+    """The lines ``json_text`` writes for an object, as its layout describes
+    them: the braces, then each key in sorted order on a line of its own,
+    the elements of a non-empty list value each on their own line."""
+    lines = ["{"]
+    for n, (key, value) in enumerate(sorted(payload.items()), 1):
+        comma = "," if n < len(payload) else ""
+        if isinstance(value, list) and value:
+            lines.append(f"{json.dumps(key)}: [")
+            lines += [json.dumps(v, sort_keys=True) + ("," if i < len(value) else "")
+                      for i, v in enumerate(value, 1)]
+            lines.append("]" + comma)
+        else:
+            lines.append(f"{json.dumps(key)}: {json.dumps(value, sort_keys=True)}{comma}")
+    return lines + ["}"]
 
 
 class TestJsonText:
-    """``json_text`` writes every document as ``json.dumps(payload, indent=2,
-    sort_keys=True) + "\\n"`` does, byte for byte."""
+    """``json_text`` writes sorted keys, one line per top-level key and per
+    element of a top-level list, and standard JSON only."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(WRITER_STRINGS, FINITE_TREES, min_size=1, max_size=5))
+    @example({"": [], "b": {}, "a": [{}, [[]], [1, "x\ny"]]})
+    def test_layout(self, payload):
+        text = json_text(payload)
+        assert text.endswith("}\n")
+        assert text.splitlines() == layout_lines(payload)
+
+    def test_a_report_writes_one_allocation_row_per_line(self):
+        report = run_pipeline(DEDUP_CONFIG)
+        lines = json_text(report).splitlines()
+        start = lines.index('"allocations": [') + 1
+        rows = lines[start:start + len(report["allocations"])]
+        assert [json.loads(r.rstrip(",")) for r in rows] == report["allocations"]
+        assert lines[start + len(rows)] == "],"
+        assert [line.split(":")[0] for line in lines if line.startswith('"')] == [
+            '"allocations"', '"config"', '"evaluation"', '"models"']
 
     @settings(max_examples=400, deadline=None)
-    @given(WRITER_TREES)
-    @example({"": [], "b": {}, "a": [{}, [[]], ()]})
-    @example([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf, 10**30, -10**30])
-    def test_matches_json_dumps(self, payload):
-        assert json_text(payload) == dumps_text(payload)
+    @given(FINITE_TREES)
+    @example([-0.0, 5e-324, 1e16, 10**30, -10**30, "\ud800", {"b": 1, "a": [[]]}])
+    def test_round_trips(self, payload):
+        text = json_text(payload)
+        assert standard_json(text) == payload
+        assert text.endswith("\n") and (isinstance(payload, dict) or text.count("\n") == 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+    @pytest.mark.parametrize("where", ["bare", "value", "row", "nested"])
+    def test_refuses_nan_and_infinities(self, bad, where):
+        payload = {"bare": bad, "value": {"a": bad}, "row": {"rows": [1.0, bad]},
+                   "nested": {"rows": [{"x": [bad]}]}}[where]
+        with pytest.raises(ValueError):
+            json_text(payload)
 
     @pytest.mark.parametrize("payload", [{1, 2}, np.int64(1), {"a": [np.int64(1)]}],
                              ids=["set", "numpy-int64", "nested-numpy-int64"])
     def test_refuses_what_json_dumps_refuses(self, payload):
         with pytest.raises(TypeError):
-            dumps_text(payload)
+            json.dumps(payload)
         with pytest.raises(TypeError):
             json_text(payload)
 
     def test_refuses_an_int_key(self):
         # json.dumps would write "1"; no document the tools write has such a key
-        assert dumps_text({1: "a"}) == '{\n  "1": "a"\n}\n'
+        assert json.dumps({1: "a"}) == '{"1": "a"}'
         with pytest.raises(TypeError):
             json_text({1: "a"})
 
     @pytest.mark.parametrize("command",
                              ["metric", "fit", "allocate", "simulate", "evaluate"])
-    def test_each_command_writes_its_document_as_json_dumps(self, tmp_path, rng,
-                                                            monkeypatch, command):
+    def test_each_command_writes_its_document(self, tmp_path, rng, monkeypatch, command):
         log, model, esa, pba = (tmp_path / name for name in
                                 ("probes.csv", "model.json", "esa.json", "pba.json"))
         records = run_probe_schedule(spec_from_dict(DEDUP_CONFIG["codec"]))
@@ -965,8 +1004,8 @@ class TestJsonText:
         model.write_text(json.dumps(model_to_dict(*fit_models(records, 0.25))))
         config = tmp_path / "sim.json"
         config.write_text(json.dumps(DEDUP_CONFIG))
-        esa.write_text(dumps_text(run_pipeline(DEDUP_CONFIG)))
-        pba.write_text(dumps_text(run_pipeline(dict(DEDUP_CONFIG, run_exhaustive=False))))
+        write_report(run_pipeline(DEDUP_CONFIG), esa)
+        write_report(run_pipeline(dict(DEDUP_CONFIG, run_exhaustive=False)), pba)
         a = make_cloud(rng, 300, bit_depth=9)
         save_ply(a, tmp_path / "a.ply")
         save_ply(PointCloud(a.positions[::2], a.colors[::2], 9), tmp_path / "b.ply")
@@ -988,7 +1027,9 @@ class TestJsonText:
         monkeypatch.setattr(pipeline, "json_text", recorded)
         assert main(argv + ["-o", str(out)]) == 0
         assert len(written) == 1
-        assert out.read_text() == dumps_text(written[0])
+        text = out.read_text()
+        assert standard_json(text) == written[0]
+        assert text.splitlines() == layout_lines(written[0])
 
 
 class TestBdGap:
