@@ -67,6 +67,7 @@ from .models import (
     QpPair,
     QuantPair,
     RateModel,
+    _own_floats,
     predict_distortion,
     predict_rate,
     qp_grid,
@@ -92,15 +93,17 @@ def check_newton_cap(cap) -> int:
 
 @dataclass(frozen=True)
 class AllocationProblem:
-    """The allocation over models that check themselves, at a positive, finite budget."""
+    """The allocation over models that check themselves, at a positive budget
+    that the number rule stores as a float."""
 
     dm: DistortionModel
     rm: RateModel
     r_target: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.r_target) and self.r_target > 0):
-            raise ValidationError("rate budget must be positive and finite")
+        _own_floats(self, "allocation")
+        if self.r_target <= 0:
+            raise ValidationError(f"rate budget must be positive, got {self.r_target!r}")
 
     def rate(self, q: QuantPair) -> float:
         return predict_rate(self.rm, q)

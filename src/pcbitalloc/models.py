@@ -83,21 +83,32 @@ def weighted_distortion_model(omega: float, geometry, color) -> DistortionModel:
                            weighted(omega, c_g, c_c), omega)
 
 
+def _shown(x) -> str:
+    """``repr(x)`` for a refusal message; an integer too long for ``repr``
+    by its digit count."""
+    try:
+        return repr(x)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        digits = int(x.bit_length() * math.log10(2))
+        return f"an integer of {digits + (abs(x) >= 10**digits)} digits"
+
+
 def finite_number(key: str, x, what: str = "config") -> float:
     """A JSON number as a finite float; booleans, strings and integers
     beyond the float range are refused."""
     if (isinstance(x, bool) or not isinstance(x, (int, float))
             or not abs(x) <= sys.float_info.max):
-        raise ValidationError(f"{what} '{key}' must hold finite numbers, got {x!r}")
+        raise ValidationError(f"{what} '{key}' must hold finite numbers, got {_shown(x)}")
     return float(x)
 
 
 def whole_number(name: str, x, least: int | None = None) -> int:
     """A Python or numpy integer, not a bool, of at least ``least`` if given, as an int."""
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {x!r}")
+        raise ValidationError(f"{name} must be an integer, got {_shown(x)}")
     if least is not None and x < least:
-        raise ValidationError(f"{name} must be an integer of at least {least}, got {x!r}")
+        raise ValidationError(f"{name} must be an integer of at least {least}, "
+                              f"got {_shown(x)}")
     return int(x)
 
 
@@ -111,8 +122,6 @@ def _own_floats(obj, what: str) -> None:
 
 
 def _check_probe(rates, distortions) -> None:
-    if not all(map(math.isfinite, (*rates, *distortions))):
-        raise ValidationError("probe rates and distortions must be finite")
     if min(rates) <= 0:
         raise ValidationError("probe bitrates must be positive")
     if min(distortions) < 0:
@@ -149,7 +158,7 @@ class QpPair:
             object.__setattr__(self, "qp_c", whole_number("qp", self.qp_c))
         for qp in (self.qp_g, self.qp_c):
             if not QP_MIN <= qp <= QP_MAX:
-                raise ValidationError(f"qp {qp} outside grid [{QP_MIN}, {QP_MAX}]")
+                raise ValidationError(f"qp {_shown(qp)} outside grid [{QP_MIN}, {QP_MAX}]")
 
     @property
     def cell(self) -> tuple[int, int]:
@@ -170,6 +179,7 @@ class ProbePoint:
     d: float
 
     def __post_init__(self):
+        _own_floats(self, "probe")
         _check_probe((self.r_g, self.r_c), (self.d,))
 
 
@@ -184,6 +194,7 @@ class ProbeRecord:
     d_c: float
 
     def __post_init__(self):
+        _own_floats(self, "probe")
         _check_probe((self.r_g, self.r_c), (self.d_g, self.d_c))
 
     def to_probe_point(self, omega: float) -> ProbePoint:

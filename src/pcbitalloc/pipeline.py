@@ -18,13 +18,15 @@ codec carries its own. A config holds no other keys, and not both
 on the barrier root's Newton steps, a positive integer; the barrier weight
 itself is fixed in ``allocator``. Targets must be positive and cover the overhead,
 omegas lie in [0, 1]; the whole config is checked before the first encode.
-The report is a JSON tree with sections ``models``, ``allocations`` (one
-row per omega and target, the only place a per-target fact is written)
-and ``evaluation`` (``encode_calls``, plus ``cq_pct``, ``average`` and
-``bd_psnr_db`` when the baseline runs). Reports are byte-stable
-for a fixed config: the complexity quotient is the ratio of encode
-calls, never of wall time, and the baseline counts the 441 encodes a real
-one would make. A synthetic codec backend
+The report is a JSON tree with sections ``config``, ``models``,
+``allocations`` (one row per omega and target, the only place a
+per-target fact is written) and ``evaluation`` (``encode_calls``, plus
+``cq_pct``, ``average`` and ``bd_psnr_db`` when the baseline runs).
+``json_text`` writes it, as every document the tools write, one line per
+top-level key and one per allocation row, by json's C encoder. Reports
+are byte-stable for a fixed config: the complexity quotient is the ratio
+of encode calls, never of wall time, and the baseline counts the 441
+encodes a real one would make. A synthetic codec backend
 is its ``grid``, the (r_g, r_c, d_g, d_c) of every grid pair as one
 21x21x4 array, built and checked when the codec spec is, so a codec that
 the config can build has no cell to refuse. The probes are encoded, as

@@ -370,6 +370,23 @@ def test_extreme_scales_solve_within_the_oracle():
         assert alloc.predicted_distortion <= dense_oracle(p) + MU
 
 
+@pytest.mark.parametrize("target", [450.0, 1000.0, 1800.0])
+def test_a_power_of_two_rate_scale_moves_no_allocation(target):
+    # rates and budget times 2**-1010 are the same problem; there the
+    # coarsest pair's slack is below 1e-300, yet positive, so the root solves it
+    k = 2.0**-1010
+    p = worked_problem(target)
+    scaled = AllocationProblem(p.dm, RateModel(6400 * k, -1, 3200 * k, -1), target * k)
+    assert 0 < scaled.slack(qp_to_step(42), qp_to_step(42)) < 1e-300
+    want, got = solve_interior_point(p), solve_interior_point(scaled)
+    assert got.qp == want.qp
+    for field in ("q_g", "q_c"):
+        assert getattr(got.continuous, field) == pytest.approx(
+            getattr(want.continuous, field), rel=1e-12)
+    assert got.predicted_rate / k == pytest.approx(want.predicted_rate, rel=1e-12)
+    assert got.predicted_distortion == pytest.approx(want.predicted_distortion, rel=1e-12)
+
+
 def reference_root(p, max_iters=MAX_NEWTON_ITERS):
     """The root's trace, with psi as a closure over a list of axes that
     builds its terms, slopes and steps as lists. Its two sums are written

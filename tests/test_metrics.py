@@ -598,6 +598,11 @@ class TestFitQuality:
         assert fq.rmse == pytest.approx(0.1)
         assert fq.nrmse == pytest.approx(0.1 / 3)
 
+    def test_squared_correlation_never_exceeds_one(self):
+        # an exact linear fit whose r*r rounds to 1 + 4.4e-16
+        fq = fit_quality([0.41, 0.17], [1.41, 1.17])
+        assert fq.scc == 1.0
+
     def test_constant_actual_rejected(self):
         with pytest.raises(ValidationError, match="^correlation undefined for a constant"):
             fit_quality([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])

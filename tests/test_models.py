@@ -10,7 +10,7 @@ import scipy.optimize
 from hypothesis import assume, given, settings, strategies as st
 
 from pcbitalloc import models
-from pcbitalloc.allocator import check_newton_cap
+from pcbitalloc.allocator import AllocationProblem, check_newton_cap
 from pcbitalloc.cloud import PointCloud
 from pcbitalloc.errors import ValidationError
 from pcbitalloc.models import (
@@ -181,6 +181,15 @@ class TestRateFit:
         with pytest.raises(ValidationError, match=re.escape(message)) as exc:
             fit_rate_model(*probes)
         assert type(exc.value) is ValidationError
+
+    @pytest.mark.parametrize("ln_gamma", [models._LN_FLOAT_MIN, models._LN_FLOAT_MAX],
+                             ids=["least-normal", "largest"])
+    def test_scales_at_the_ends_of_the_float_range_are_kept(self, monkeypatch, ln_gamma):
+        # an intercept of exactly ln(float max) or ln(least normal) gives a
+        # finite, positive scale
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *_, **__: (np.array([-1.0, ln_gamma]),))
+        rm = fit_rate_model(probe(22, 22, 100, 100), probe(23, 35, 90, 90))
+        assert rm.gamma_g == rm.gamma_c == math.exp(ln_gamma)
 
     def test_lstsq_matches_exact_on_clean_data(self):
         spec = random_spec(seed=10)
@@ -530,12 +539,23 @@ SCALAR_SLOTS = {
     "PointCloud.bit_depth": (lambda x: PointCloud([[0, 1, 0]], [[0, 0, 0]], x).bit_depth,
                              10, int),
     "check_newton_cap": (check_newton_cap, 5, int),
+    "AllocationProblem.r_target": (
+        lambda x: AllocationProblem(DistortionModel(0.5, 0.25, 4.0, 0.5),
+                                    RateModel(6400.0, -1.0, 3200.0, -1.0), x).r_target,
+        1000, float),
+    **{f"ProbeRecord.{name}": (_field(ProbeRecord(QpPair(33, 25), 1.0, 2.0, 3.0, 4.0), name),
+                               1, float) for name in ("r_g", "r_c", "d_g", "d_c")},
+    **{f"ProbePoint.{name}": (_field(ProbePoint(QpPair(33, 25), 1.0, 2.0, 3.0), name), 1,
+                              float) for name in ("r_g", "r_c", "d")},
 }
 # a seed of any size seeds PCG64, and a cap of any size bounds a loop
 UNBOUNDED = {"SyntheticCodecSpec.seed", "check_newton_cap"}
 HUGE = 10**400
-NOT_SCALARS = [True, np.True_, "1", None, math.nan, math.inf, -math.inf, HUGE]
-NOT_SCALAR_IDS = ["bool", "numpy-bool", "string", "none", "nan", "inf", "-inf", "10^400"]
+# more digits than repr writes under Python's default limit of 4,300
+HUGER = 10**5000
+NOT_SCALARS = [True, np.True_, "1", None, math.nan, math.inf, -math.inf, HUGE, HUGER]
+NOT_SCALAR_IDS = ["bool", "numpy-bool", "string", "none", "nan", "inf", "-inf", "10^400",
+                  "10^5000"]
 
 
 class TestScalarFields:
@@ -546,7 +566,7 @@ class TestScalarFields:
     @pytest.mark.parametrize("bad", NOT_SCALARS, ids=NOT_SCALAR_IDS)
     def test_refused(self, slot, bad):
         store, valid, rule = SCALAR_SLOTS[slot]
-        if bad is HUGE and slot in UNBOUNDED:
+        if (bad is HUGE or bad is HUGER) and slot in UNBOUNDED:
             assert store(bad) == bad
             return
         with pytest.raises(ValidationError):
@@ -564,6 +584,20 @@ class TestScalarFields:
         else:
             with pytest.raises(ValidationError, match="must be an integer, got "):
                 store(half)
+
+    @pytest.mark.parametrize("build", [
+        lambda x: DistortionModel(x, 0, 0, 0.5),
+        lambda x: QpPair(x, 30),
+        lambda x: QpPair(30, -x),
+        lambda x: AllocationProblem(DistortionModel(0.5, 0.25, 4.0, 0.5),
+                                    RateModel(6400.0, -1.0, 3200.0, -1.0), x),
+        lambda x: ProbeRecord(QpPair(33, 25), 1.0, 2.0, 3.0, x),
+        lambda x: models.whole_number("seed", -x, 0),
+    ], ids=["model", "qp", "negative-qp", "budget", "probe", "whole-number"])
+    def test_an_integer_too_long_for_repr_is_named_by_its_digits(self, build):
+        for x, digits in ((HUGER, 5001), (HUGER - 1, 5000), (2**20000, 6021)):
+            with pytest.raises(ValidationError, match=f"an integer of {digits} digits"):
+                build(x)
 
     def test_numpy_integers_are_taken_as_ints(self):
         assert random_spec(np.int64(7)) == random_spec(7)
