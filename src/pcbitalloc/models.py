@@ -38,7 +38,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -112,13 +112,18 @@ def whole_number(name: str, x, least: int | None = None) -> int:
     return int(x)
 
 
+@cache
+def _float_fields(cls) -> tuple[str, ...]:
+    # each type is a string, as the module defers its annotations
+    return tuple(f.name for f in fields(cls) if f.type == "float")
+
+
 def _own_floats(obj, what: str) -> None:
     """Store each float field of a frozen dataclass as ``finite_number`` gives it."""
-    for f in fields(obj):
-        if f.type == "float":  # a string, as the module defers its annotations
-            x = getattr(obj, f.name)
-            x = x.item() if isinstance(x, np.generic) else x
-            object.__setattr__(obj, f.name, finite_number(f.name, x, what))
+    for name in _float_fields(type(obj)):
+        x = getattr(obj, name)
+        x = x.item() if isinstance(x, np.generic) else x
+        object.__setattr__(obj, name, finite_number(name, x, what))
 
 
 def _check_probe(rates, distortions) -> None:
