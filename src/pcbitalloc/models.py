@@ -14,10 +14,11 @@ are kilobits per million points (kbpmp) throughout.
 
 ``weighted`` is the one combination of a geometry and a color distortion,
 omega*d_g + (1-omega)*d_c, for probes, reports and the metric command
-alike. ``predict_rate`` gives the total modeled rate. A model checks its
-own fields when it is built, by a fit, from a model file or by a caller:
-each a float by ``finite_number``, the one number rule (a numpy scalar as
-its Python value), no distortion slope negative, each rate exponent negative.
+alike. ``predict_rate`` gives the total modeled rate. A model or a probe
+checks its own fields when it is built, by a fit, from a model file or by a
+caller: each a float by ``finite_number``, the one number rule (a numpy
+scalar as its Python value), no distortion slope negative, each rate
+exponent negative, probe rates positive and probe distortions non-negative.
 
 ``whole_number`` is the one integer rule, a Python or numpy integer that
 is not a bool, as an int; ``QpPair`` holds two in [QP_MIN, QP_MAX], and
@@ -114,7 +115,7 @@ def whole_number(name: str, x, least: int | None = None) -> int:
 
 @cache
 def _float_fields(cls) -> tuple[str, ...]:
-    # each type is a string, as the module defers its annotations
+    # each field's type is a string, as the module defers its annotations
     return tuple(f.name for f in fields(cls) if f.type == "float")
 
 

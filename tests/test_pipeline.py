@@ -954,16 +954,6 @@ class TestJsonText:
         assert text.endswith("}\n")
         assert text.splitlines() == layout_lines(payload)
 
-    def test_a_report_writes_one_allocation_row_per_line(self):
-        report = run_pipeline(DEDUP_CONFIG)
-        lines = json_text(report).splitlines()
-        start = lines.index('"allocations": [') + 1
-        rows = lines[start:start + len(report["allocations"])]
-        assert [json.loads(r.rstrip(",")) for r in rows] == report["allocations"]
-        assert lines[start + len(rows)] == "],"
-        assert [line.split(":")[0] for line in lines if line.startswith('"')] == [
-            '"allocations"', '"config"', '"evaluation"', '"models"']
-
     @settings(max_examples=400, deadline=None)
     @given(FINITE_TREES)
     @example([-0.0, 5e-324, 1e16, 10**30, -10**30, "\ud800", {"b": 1, "a": [[]]}])
