@@ -1,6 +1,7 @@
 """Allocator-vs-baseline evaluation: BE, QPE, CQ and BD-PSNR, plus two
 quality statistics: the PSNR of a weighted distortion and the fit quality
-(SCC, RMSE, NRMSE) of modeled against actual values.
+(SCC, RMSE, NRMSE) of modeled against actual values. BD-PSNR fits its
+cubics with ``models.least_squares``, in Python floats.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .models import QpPair
+from .models import QpPair, least_squares
 
 
 def compute_be(actual: float, target: float) -> float:
@@ -55,24 +56,24 @@ def bd_psnr(curve_a: Sequence, curve_b: Sequence) -> float:
     """Average PSNR gap of curve_b over curve_a across their shared rates.
 
     Classic formulation: each curve's PSNR is fitted with a cubic
-    polynomial in log10(rate) and the fits are integrated analytically
+    polynomial in log10(rate) and the fits are averaged analytically
     over the overlapping log-rate interval. Positive means curve_b sits
     above curve_a.
     """
     ra, qa = _check_curve(curve_a, "curve_a")
     rb, qb = _check_curve(curve_b, "curve_b")
-    la, lb = np.log10(ra), np.log10(rb)
-    lo = max(la.min(), lb.min())
-    hi = min(la.max(), lb.max())
+    la, lb = [*map(math.log10, ra.tolist())], [*map(math.log10, rb.tolist())]
+    lo, hi = max(min(la), min(lb)), min(max(la), max(lb))
     if hi <= lo:
         raise ValidationError("curves do not overlap in rate")
-    pa = np.polyfit(la, qa, 3)
-    pb = np.polyfit(lb, qb, 3)
-    ia = np.polyint(pa)
-    ib = np.polyint(pb)
-    int_a = np.polyval(ia, hi) - np.polyval(ia, lo)
-    int_b = np.polyval(ib, hi) - np.polyval(ib, lo)
-    return float((int_b - int_a) / (hi - lo))
+    mid, half, means = (lo + hi) / 2.0, (hi - lo) / 2.0, []
+    for logs, quality in ((la, qa), (lb, qb)):
+        # the cubic in t = (log - mid)/half, whose mean over t in [-1, 1] is c0 + c2/3
+        t = [(x - mid) / half for x in logs]
+        (c0, _, c2, _), _ = least_squares([[1.0] * len(t), t, [x * x for x in t],
+                                           [x * x * x for x in t]], quality.tolist(), refine=False)
+        means.append(c0 + c2 / 3.0)
+    return means[1] - means[0]
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ follows a power law in its own step, R = gamma*Q**theta with theta < 0.
 ``fit`` and ``simulate`` fit every stream on its own by least squares over
 all probes, flooring each distortion slope at 0 with a warning. The exact
 fits, a plane through three probes and a power law through two, serve the
-noise-free recovery check and the quick start.
+noise-free recovery check and the quick start. Every fit is one
+``least_squares``: Gram-Schmidt in Python floats plus a solve on the exact
+residual, so no BLAS kernel moves a bit of a model.
 
 All fitting happens in the step domain; quantization parameters are
 mapped through the standard step = 2**((qp-4)/6) rule first. Bitrates
@@ -40,6 +42,7 @@ import sys
 import warnings
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
+from operator import mul
 from pathlib import Path
 from typing import Sequence
 
@@ -86,10 +89,12 @@ def weighted_distortion_model(omega: float, geometry, color) -> DistortionModel:
 
 def _shown(x) -> str:
     """``repr(x)`` for a refusal message; an integer too long for ``repr``
-    by its digit count."""
+    by its digit count, and a container of one by its type."""
     try:
         return repr(x)
     except ValueError:  # more digits than sys.get_int_max_str_digits()
+        if not isinstance(x, int):
+            return f"a {type(x).__name__} holding an integer too long to show"
         digits = int(x.bit_length() * math.log10(2))
         return f"an integer of {digits + (abs(x) >= 10**digits)} digits"
 
@@ -274,6 +279,40 @@ def predict_rate(m: RateModel, q: QuantPair) -> float:
     return m.gamma_g * q.q_g**m.theta_g + m.gamma_c * q.q_c**m.theta_c
 
 
+def least_squares(columns, y, refine: bool = True) -> tuple[list[float], float]:
+    """y's least-squares coefficients on the columns and the residual's 2-norm,
+    by modified Gram-Schmidt on [columns | y/s] in Python floats, s a power of
+    two that keeps every sum finite. Each dot product is one ``math.fsum``, in a
+    fixed order, so no BLAS or SIMD kernel moves a bit. ``refine`` adds a solve
+    on the exact residual, which brings the fit within an ulp of exact arithmetic's."""
+    scale = 2.0 ** min(math.frexp(max(map(abs, y)))[1], 1023)
+    n, q = len(columns), [*columns, [v / scale for v in y]]
+    r = [[0.0] * (n + 1) for _ in range(n)]  # unit upper triangular, then [Q^T y/s]
+    for k in range(n):
+        norm2 = math.fsum(map(mul, q[k], q[k]))
+        if norm2 == 0.0:
+            raise ValidationError("least-squares columns are linearly dependent")
+        for j in range(k + 1, n + 1):
+            f = r[k][j] = math.fsum(map(mul, q[k], q[j])) / norm2
+            q[j] = [u - f * v for u, v in zip(q[j], q[k])]
+    x = [0.0] * n
+    for k in reversed(range(n)):
+        x[k] = r[k][n] - math.fsum(map(mul, r[k][k + 1:n], x[k + 1:]))
+    norm = math.hypot(*q[n])
+    if refine:  # y/s - columns @ x in integers, each float one over a power of two
+        ratios, residual = [v.as_integer_ratio() for v in x], []
+        for v, row in zip(y, zip(*columns)):
+            num, den = (v / scale).as_integer_ratio()
+            for (nx, dx), (na, da) in zip(ratios, map(float.as_integer_ratio, row)):
+                if dx * da > den:
+                    num, den = num * (dx * da // den), dx * da
+                num -= nx * na * (den // (dx * da))
+            residual.append(num / den)
+        dx, norm = least_squares(columns, residual, refine=False)
+        x = [a + b for a, b in zip(x, dx)]
+    return [v * scale for v in x], norm * scale
+
+
 def fit_rate_model(p1: ProbePoint, p2: ProbePoint) -> RateModel:
     """Exact power-law fit through two probes: the least-squares fit of two points."""
     return fit_rate_model_lstsq((p1, p2))
@@ -291,50 +330,50 @@ def fit_rate_model_lstsq(probes: Sequence[ProbeRecord | ProbePoint]) -> RateMode
     def solve(q, r, label):
         if min(q) == max(q):
             raise ValidationError(f"{label} steps are all equal")
-        th, lg = np.linalg.lstsq(np.vander(np.log(q), 2), np.log(r), rcond=None)[0]
+        (th, lg), _ = least_squares([[*map(math.log, q)], [1.0] * len(q)], [*map(math.log, r)])
         # the scale gamma = exp(lg) must neither overflow nor underflow
         if not _LN_FLOAT_MIN <= lg <= _LN_FLOAT_MAX:
             raise ValidationError(f"{label} rates {max(r):.4g} and {min(r):.4g} are too "
                                   "far apart to fit a power law")
-        return math.exp(lg), float(th)
+        return math.exp(lg), th
 
     gamma_g, theta_g = solve([s.q_g for s in steps], [p.r_g for p in probes], "geometry")
     gamma_c, theta_c = solve([s.q_c for s in steps], [p.r_c for p in probes], "color")
     return RateModel(gamma_g, theta_g, gamma_c, theta_c)
 
 
-def _plane_rows(probes) -> np.ndarray:
-    """The probes' rows [q_g, q_c, 1]; collinear step pairs cannot identify a plane."""
-    mat = np.array([(s.q_g, s.q_c, 1.0) for s in (p.qp.steps() for p in probes)])
-    if np.linalg.cond(mat) > 1e12:
+def _plane_columns(probes) -> list[tuple[float, ...]]:
+    """The probes' columns q_g, q_c and 1; collinear step pairs cannot identify a plane."""
+    rows = [(s.q_g, s.q_c, 1.0) for s in (p.qp.steps() for p in probes)]
+    if np.linalg.cond(rows) > 1e12:
         raise ValidationError("probe step pairs are collinear; "
                               "distortion plane unidentifiable")
-    return mat
+    return list(zip(*rows))
 
 
 def fit_distortion_model(p1: ProbePoint, p2: ProbePoint, p3: ProbePoint,
                          omega: float) -> DistortionModel:
-    """Exact affine fit D = a*Qg + b*Qc + c through three probes, by an LU solve."""
-    a, b, c = np.linalg.solve(_plane_rows((p1, p2, p3)), [p1.d, p2.d, p3.d])
-    return DistortionModel(float(a), float(b), float(c), omega)
+    """Exact affine fit D = a*Qg + b*Qc + c through three probes."""
+    (a, b, c), _ = least_squares(_plane_columns((p1, p2, p3)), [p1.d, p2.d, p3.d])
+    return DistortionModel(a, b, c, omega)
 
 
-def _floored_lstsq(mat: np.ndarray, y, slopes: Sequence[str]) -> list[float]:
-    """Least squares y ~ mat with each slope (every column but the last, the
-    intercept) floored at 0, exactly: the best fit over the subsets of kept
-    slopes whose slopes are all non-negative. A floored slope warns."""
+def _floored_lstsq(columns, y, slopes: Sequence[str]) -> list[float]:
+    """Least squares of y on the columns with each slope (every column but
+    the last, the intercept) floored at 0, exactly: the best fit over the
+    subsets of kept slopes whose slopes are all non-negative. A floored slope warns."""
     n, fits = len(slopes), []
     for keep in itertools.product((1, 0), repeat=n):  # every slope kept first
-        cols = np.flatnonzero(keep + (1,))
-        fits.append(np.zeros(n + 1))
-        fits[-1][cols] = np.linalg.lstsq(mat[:, cols], y, rcond=None)[0]
-        if min(fits[0][:n]) >= 0:  # the plain fit needs no floor
-            return fits[0].tolist()
-    best = min((c for c in fits if min(c[:n]) >= 0), key=lambda c: math.hypot(*(mat @ c - y)))
-    for name, value, kept in zip(slopes, fits[0], best):
+        coefficients, residual = least_squares([*itertools.compress(columns, keep + (1,))], y)
+        fit = [coefficients.pop(0) if k else 0.0 for k in keep + (1,)]
+        if not fits and min(fit[:n]) >= 0:  # the plain fit needs no floor
+            return fit
+        fits.append((fit, residual))
+    best = min((f for f in fits if min(f[0][:n]) >= 0), key=lambda f: f[1])[0]
+    for name, value, kept in zip(slopes, fits[0][0], best):
         if kept == 0:
             warnings.warn(f"{name}={value:.4g} from least squares is floored at 0")
-    return best.tolist()
+    return best
 
 
 def fit_distortion_model_lstsq(probes: Sequence[ProbeRecord],
@@ -342,10 +381,10 @@ def fit_distortion_model_lstsq(probes: Sequence[ProbeRecord],
     """Least squares over 3+ probes, d_g in Q_g and d_c in (Q_g, Q_c), slopes floored at 0."""
     if len(probes) < 3:
         raise ValidationError("need at least three probes")
-    mat = _plane_rows(probes)
-    geometry = _floored_lstsq(mat[:, 0::2], [p.d_g for p in probes],
+    columns = _plane_columns(probes)
+    geometry = _floored_lstsq(columns[0::2], [p.d_g for p in probes],
                               ["geometry distortion slope a_g"])
-    color = _floored_lstsq(mat, [p.d_c for p in probes],
+    color = _floored_lstsq(columns, [p.d_c for p in probes],
                            ["color distortion slope a_gc", "color distortion slope a_cc"])
     return weighted_distortion_model(omega, geometry, color)
 

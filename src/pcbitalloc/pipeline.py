@@ -59,6 +59,7 @@ from .allocator import (
 from .errors import InfeasibleBudgetError, ValidationError
 from .evaluate import bd_psnr, compute_be, compute_cq, compute_qpe, psnr
 from .models import (
+    _shown,
     finite_number,
     # the exact fits are unused here; perfbench/spans.py looks all four up by name
     fit_distortion_model,
@@ -94,7 +95,7 @@ def fit_models(records, omega):
 def _newton_cap(solver) -> int:
     """The config's cap on the root's Newton steps, the one key its 'solver' object may hold."""
     if not isinstance(solver, dict):
-        raise ValidationError(f"config 'solver' must be an object, got {solver!r}")
+        raise ValidationError(f"config 'solver' must be an object, got {_shown(solver)}")
     unknown = set(solver) - {"max_newton_iters"}
     if unknown:
         raise ValidationError(f"unknown solver keys: {sorted(unknown)}")

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -85,6 +88,64 @@ class TestBdPsnr:
             diff = np.polyval(pb, xs) - np.polyval(pa, xs)
             want = np.trapezoid(diff, xs) / (hi - lo)
             assert got == pytest.approx(want, abs=1e-4)
+
+    @staticmethod
+    def polyfit_gap(curve_a, curve_b):
+        """The classic form: numpy cubics in log10(rate), integrated by polyint."""
+        (ra, qa), (rb, qb) = np.array(curve_a).T, np.array(curve_b).T
+        la, lb = np.log10(ra), np.log10(rb)
+        lo, hi = max(la.min(), lb.min()), min(la.max(), lb.max())
+        ia, ib = np.polyint(np.polyfit(la, qa, 3)), np.polyint(np.polyfit(lb, qb, 3))
+        gap = (np.polyval(ib, hi) - np.polyval(ib, lo)) - (np.polyval(ia, hi) - np.polyval(ia, lo))
+        return gap / (hi - lo)
+
+    # rates spread as a rate-distortion curve's are, where the classic form is accurate
+    @pytest.mark.parametrize("n_points", [4, 7, 32])
+    def test_matches_the_polyfit_form(self, rng, n_points):
+        for _ in range(25):
+            ra, rb = (np.geomspace(50, 2000, n_points) * rng.uniform(0.95, 1.05, n_points)
+                      for _ in "ab")
+            curves = [list(zip(r, 25 + 6 * np.log10(r) + rng.normal(0, 0.3, n_points)))
+                      for r in (ra, rb)]
+            assert bd_psnr(*curves) == pytest.approx(self.polyfit_gap(*curves), abs=1e-9)
+
+    @staticmethod
+    def exact_mean(logs, quality, lo, hi):
+        """The least-squares cubic's mean over [lo, hi], in rational arithmetic."""
+        x = [Fraction(v) for v in logs]
+        rows = [[sum(v ** (i + j) for v in x) for j in range(4)]
+                + [sum(v ** i * Fraction(q) for v, q in zip(x, quality))] for i in range(4)]
+        for k in range(4):
+            for i in range(4):
+                if i != k:
+                    f = rows[i][k] / rows[k][k]
+                    rows[i] = [u - f * v for u, v in zip(rows[i], rows[k])]
+        return sum(row[4] / row[i] * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1)
+                   for i, row in enumerate(rows)) / (hi - lo)
+
+    # clustered rates make the cubics ill-conditioned; numpy's form is then
+    # off by up to ~2e-5 dB on these curves
+    def test_matches_rational_arithmetic(self, rng):
+        for n_points in (4, 5, 8):
+            for _ in range(20):
+                curves = [sorted(zip(rng.uniform(50, 2000, n_points),
+                                     rng.uniform(28, 45, n_points))) for _ in "ab"]
+                logs = [[math.log10(r) for r, _ in c] for c in curves]
+                lo = Fraction(max(min(v) for v in logs))
+                hi = Fraction(min(max(v) for v in logs))
+                if hi <= lo:
+                    continue
+                (la, lb), (qa, qb) = logs, ([q for _, q in c] for c in curves)
+                want = self.exact_mean(lb, qb, lo, hi) - self.exact_mean(la, qa, lo, hi)
+                assert bd_psnr(*curves) == pytest.approx(float(want), abs=1e-7)
+
+    # log10 rounds the rates one ulp apart to one value, so no cubic is unique
+    def test_rates_equal_in_log10_are_refused(self):
+        ulp = [math.nextafter(r, math.inf) for r in (1e10, 1e11)]
+        a = [(1e10, 30.0), (ulp[0], 31.0), (1e11, 32.0), (ulp[1], 33.0)]
+        b = synthetic_curve([1e10, 2e10, 5e10, 1e11], lambda r: 20 + np.log10(r))
+        with pytest.raises(ValidationError, match="linearly dependent"):
+            bd_psnr(a, b)
 
     def test_too_few_points(self):
         short = synthetic_curve(self.RATES[:3], lambda r: 30.0 + r / 1000)

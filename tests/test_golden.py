@@ -1,11 +1,19 @@
 """Every corpus config's written report against the golden table in
 ``tests/golden/``: QPs and other integers exactly, floats within 1e-9
 relative, BD-PSNR within 1e-6 dB. A change that moves an output rewrites
-the table with ``tests/golden/corpus.py`` and says so."""
+the table with ``tests/golden/corpus.py`` and says so. A slice of the
+corpus is also written under two OpenBLAS kernel sets, which must give the
+same bytes."""
 
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from golden.corpus import ROW_FIELDS, TABLE, configs, table_of, written_report
@@ -42,3 +50,36 @@ def test_report_matches_the_golden_table(name):
         assert (got is None) == (want is None), (omega, got, want)
         if want is not None:
             assert abs(got - want) <= 1e-6, (omega, got, want)
+
+
+def openblas_dynamic_arch() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS that picks its kernels per CPU."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy that only prints its config
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+# each config's report as write_report writes it, one after another
+SLICE_SCRIPT = """
+import sys
+from golden.corpus import configs
+from pcbitalloc.pipeline import json_text, run_pipeline
+corpus = configs()
+for name in sys.argv[1:]:
+    sys.stdout.write(json_text(run_pipeline(corpus[name])))
+"""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64") or not openblas_dynamic_arch(),
+                    reason="needs numpy on an x86-64 OpenBLAS built with DYNAMIC_ARCH")
+def test_reports_do_not_depend_on_the_blas_kernels():
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root / "tests")])
+    written = [subprocess.run([sys.executable, "-c", SLICE_SCRIPT, "noisy-3", "coupled-8",
+                               "clean-15"], env=dict(env, **extra), capture_output=True,
+                              text=True, check=True).stdout
+               for extra in ({}, {"OPENBLAS_CORETYPE": "Nehalem"})]
+    assert written[0] == written[1]

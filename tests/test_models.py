@@ -2,7 +2,9 @@ import dataclasses
 import json
 import math
 import re
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from pcbitalloc.models import (
     fit_rate_model,
     fit_rate_model_lstsq,
     kbpmp,
+    least_squares,
     model_from_dict,
     model_to_dict,
     predict_distortion,
@@ -187,7 +190,7 @@ class TestRateFit:
     def test_scales_at_the_ends_of_the_float_range_are_kept(self, monkeypatch, ln_gamma):
         # an intercept of exactly ln(float max) or ln(least normal) gives a
         # finite, positive scale
-        monkeypatch.setattr(np.linalg, "lstsq", lambda *_, **__: (np.array([-1.0, ln_gamma]),))
+        monkeypatch.setattr(models, "least_squares", lambda *_: ([-1.0, ln_gamma], 0.0))
         rm = fit_rate_model(probe(22, 22, 100, 100), probe(23, 35, 90, 90))
         assert rm.gamma_g == rm.gamma_c == math.exp(ln_gamma)
 
@@ -321,6 +324,59 @@ class TestDistortionFit:
         assert m.a == pytest.approx(truth[0], rel=1e-9)
         assert m.b == pytest.approx(truth[1], rel=1e-9)
         assert m.c == pytest.approx(truth[2], rel=1e-9)
+
+
+class TestLeastSquares:
+    @pytest.mark.parametrize("n_columns", [2, 3, 4])
+    def test_matches_numpy_on_well_conditioned_systems(self, rng, n_columns):
+        for _ in range(20):
+            mat = rng.uniform(-1.0, 1.0, (12, n_columns))
+            y = rng.normal(0.0, 10.0, 12)
+            want, residuals = np.linalg.lstsq(mat, y, rcond=None)[:2]
+            got, residual = least_squares(mat.T.tolist(), y.tolist())
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+            assert residual == pytest.approx(math.sqrt(residuals[0]), rel=1e-12)
+
+    # the refinement's exact residual: rate-fit systems come out as exact
+    # arithmetic's solution, rounded, in nearly every case
+    def test_rate_fits_are_exact_arithmetics_rounded(self, rng):
+        off = []
+        for _ in range(100):
+            qps = rng.choice(np.arange(22, 43), rng.integers(2, 7), replace=False)
+            x = [math.log(qp_to_step(int(qp))) for qp in qps]
+            theta, gamma = rng.uniform(-1.8, -0.6), rng.uniform(300.0, 20000.0)
+            y = [math.log(gamma * math.exp(theta * v) * rng.uniform(0.98, 1.02)) for v in x]
+            got, _ = least_squares([x, [1.0] * len(x)], y)
+            fx, fy = [Fraction(v) for v in x], [Fraction(v) for v in y]
+            mx, my = sum(fx) / len(fx), sum(fy) / len(fy)
+            slope = (sum((a - mx) * (b - my) for a, b in zip(fx, fy))
+                     / sum((a - mx) ** 2 for a in fx))
+            want = [float(slope), float(my - slope * mx)]
+            off.append(max(abs(g - w) / math.ulp(w) for g, w in zip(got, want)))
+        assert max(off) <= 1 and sum(u == 0 for u in off) >= 90
+
+    def test_an_exact_system_is_solved(self):
+        (a, b, c), residual = least_squares([[1.0, 2.0, 3.0], [0.0, 1.0, 4.0], [1.0, 1.0, 1.0]],
+                                            [5.0, 9.0, 19.0])
+        assert (a, b, c) == pytest.approx((1.0, 3.0, 4.0), rel=1e-14)
+        assert residual == pytest.approx(0.0, abs=1e-13)
+
+    def test_dependent_columns_are_refused(self):
+        with pytest.raises(ValidationError, match="linearly dependent"):
+            least_squares([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]], [1.0, 2.0, 3.0])
+
+    # the sums of y's terms would overflow without its power-of-two scaling
+    def test_values_at_the_top_of_the_float_range_are_fitted(self):
+        big = sys.float_info.max
+        records = [record(33, 25, 1, 1, big, big), record(34, 35, 1, 1, big / 2, big),
+                   record(24, 33, 1, 1, big * 0.9, big * 0.3), record(30, 30, 1, 1, big, 0.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            m = fit_distortion_model_lstsq(records, 0.5)
+        assert all(math.isfinite(x) for x in (m.a, m.b, m.c))
+        (slope, _), _ = least_squares([[1.0, 2.0, 3.0], [1.0, 1.0, 1.0]],
+                                      [big / 4, big / 2, big * 0.75])
+        assert slope == pytest.approx(big / 4, rel=1e-15)
 
 
 class TestPipelineFit:

@@ -450,6 +450,14 @@ class TestCli:
     def test_simulate_rejects_non_object_config(self, tmp_path, capsys, config):
         self.assert_simulate_rejects(tmp_path, capsys, config)
 
+    # a library caller can pass an integer that json.loads would refuse
+    @pytest.mark.parametrize("solver, shown", [(10**5000, "an integer of 5001 digits"),
+                                               ([10**5000], "a list holding an integer")],
+                             ids=["integer", "list"])
+    def test_solver_too_long_for_repr_is_refused(self, solver, shown):
+        with pytest.raises(ValidationError, match=f"'solver' must be an object, got {shown}"):
+            run_pipeline(worked_config(solver=solver))
+
     @pytest.mark.parametrize("path", [5, None], ids=["number", "null"])
     def test_simulate_rejects_non_string_probe_log(self, tmp_path, capsys, path):
         self.assert_simulate_rejects(tmp_path, capsys, {"probe_log": path, "targets": [1000]})
