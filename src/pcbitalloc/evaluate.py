@@ -1,19 +1,20 @@
 """Allocator-vs-baseline evaluation: BE, QPE, CQ and BD-PSNR, plus two
 quality statistics: the PSNR of a weighted distortion and the fit quality
-(SCC, RMSE, NRMSE) of modeled against actual values. BD-PSNR fits its
-cubics with ``models.least_squares``, in Python floats.
+(SCC, RMSE, NRMSE) of modeled against actual values. BD-PSNR fits and
+averages its cubics exactly in integers, as ``models.least_squares`` does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .models import QpPair, least_squares
+from .models import QpPair, _integers, _quotient, _solve_normal
 
 
 def compute_be(actual: float, target: float) -> float:
@@ -62,18 +63,28 @@ def bd_psnr(curve_a: Sequence, curve_b: Sequence) -> float:
     """
     ra, qa = _check_curve(curve_a, "curve_a")
     rb, qb = _check_curve(curve_b, "curve_b")
-    la, lb = [*map(math.log10, ra.tolist())], [*map(math.log10, rb.tolist())]
+    # log10 rates and PSNRs as integers over powers of two, so the fits are exact
+    logs, _ = _integers([*map(math.log10, [*ra.tolist(), *rb.tolist()])])
+    la, lb = logs[:len(ra)], logs[len(ra):]
     lo, hi = max(min(la), min(lb)), min(max(la), max(lb))
     if hi <= lo:
         raise ValidationError("curves do not overlap in rate")
-    mid, half, means = (lo + hi) / 2.0, (hi - lo) / 2.0, []
-    for logs, quality in ((la, qa), (lb, qb)):
-        # the cubic in t = (log - mid)/half, whose mean over t in [-1, 1] is c0 + c2/3
-        t = [(x - mid) / half for x in logs]
-        (c0, _, c2, _), _ = least_squares([[1.0] * len(t), t, [x * x for x in t],
-                                           [x * x * x for x in t]], quality.tolist(), refine=False)
-        means.append(c0 + c2 / 3.0)
-    return means[1] - means[0]
+    means = []
+    for logs, quality, label in ((la, qa, "curve_a"), (lb, qb, "curve_b")):
+        if len(set(logs)) < 4:
+            raise ValidationError(f"{label} needs 4 distinct log10 rates")
+        # the cubic in u = 2*log - lo - hi has mean c0 + c2*(hi - lo)**2/3 over the
+        # overlap; with PSNR p/2**j its normal equations hold sums of u**i and p*u**i
+        u, (p, j) = [2 * v - lo - hi for v in logs], _integers(quality.tolist())
+        u2 = [*map(mul, u, u)]
+        u3 = [*map(mul, u2, u)]
+        sums = [len(u), sum(u), sum(u2), sum(u3), sum(map(mul, u2, u2)), sum(map(mul, u2, u3)),
+                sum(map(mul, u3, u3)), sum(p), sum(map(mul, p, u)), sum(map(mul, p, u2)),
+                sum(map(mul, p, u3))]
+        det, c = _solve_normal([[*sums[i:i + 4], sums[7 + i]] for i in range(4)])
+        means.append((3 * c[0] + c[2] * (hi - lo) ** 2, 3 * det << j))  # the mean, exactly
+    (num_a, den_a), (num_b, den_b) = means
+    return _quotient(num_b * den_a - num_a * den_b, den_a * den_b)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ follows a power law in its own step, R = gamma*Q**theta with theta < 0.
 all probes, flooring each distortion slope at 0 with a warning. The exact
 fits, a plane through three probes and a power law through two, serve the
 noise-free recovery check and the quick start. Every fit is one
-``least_squares``: Gram-Schmidt in Python floats plus a solve on the exact
-residual, so no BLAS kernel moves a bit of a model.
+``least_squares``, solved exactly in integers and rounded once, so no BLAS
+or SIMD kernel moves a bit of a model.
 
 All fitting happens in the step domain; quantization parameters are
 mapped through the standard step = 2**((qp-4)/6) rule first. Bitrates
@@ -279,38 +279,53 @@ def predict_rate(m: RateModel, q: QuantPair) -> float:
     return m.gamma_g * q.q_g**m.theta_g + m.gamma_c * q.q_c**m.theta_c
 
 
-def least_squares(columns, y, refine: bool = True) -> tuple[list[float], float]:
-    """y's least-squares coefficients on the columns and the residual's 2-norm,
-    by modified Gram-Schmidt on [columns | y/s] in Python floats, s a power of
-    two that keeps every sum finite. Each dot product is one ``math.fsum``, in a
-    fixed order, so no BLAS or SIMD kernel moves a bit. ``refine`` adds a solve
-    on the exact residual, which brings the fit within an ulp of exact arithmetic's."""
-    scale = 2.0 ** min(math.frexp(max(map(abs, y)))[1], 1023)
-    n, q = len(columns), [*columns, [v / scale for v in y]]
-    r = [[0.0] * (n + 1) for _ in range(n)]  # unit upper triangular, then [Q^T y/s]
-    for k in range(n):
-        norm2 = math.fsum(map(mul, q[k], q[k]))
-        if norm2 == 0.0:
+def _quotient(p: int, q: int) -> float:
+    """p/q for integers, q > 0, rounded once; +-inf past the float range, where ``/`` raises."""
+    try:
+        return p / q
+    except OverflowError:
+        return math.inf if p > 0 else -math.inf
+
+
+def _integers(values) -> tuple[list[int], int]:
+    """Floats as integers over one power of two: (the integers, its exponent)."""
+    ratios = [v.as_integer_ratio() for v in values]
+    top = max(d for _, d in ratios).bit_length()
+    return [p << top - d.bit_length() for p, d in ratios], top - 1
+
+
+def _solve_normal(m: list[list[int]]) -> tuple[int, list[int]]:
+    """The exact solution of integer normal equations [G | b], G positive
+    definite, by fraction-free (Bareiss) elimination: det(G) and det(G)
+    times the solution, integers by Cramer's rule. Overwrites m."""
+    n, det = len(m), 1
+    for k, top in enumerate(m):  # each pivot is a leading minor of G, 0 only when singular
+        if top[k] == 0:
             raise ValidationError("least-squares columns are linearly dependent")
-        for j in range(k + 1, n + 1):
-            f = r[k][j] = math.fsum(map(mul, q[k], q[j])) / norm2
-            q[j] = [u - f * v for u, v in zip(q[j], q[k])]
-    x = [0.0] * n
+        for row in m[k + 1:]:
+            row[k + 1:] = [(u * top[k] - row[k] * v) // det for u, v in zip(row[k + 1:], top[k + 1:])]
+        det = top[k]
+    x = [0] * n
     for k in reversed(range(n)):
-        x[k] = r[k][n] - math.fsum(map(mul, r[k][k + 1:n], x[k + 1:]))
-    norm = math.hypot(*q[n])
-    if refine:  # y/s - columns @ x in integers, each float one over a power of two
-        ratios, residual = [v.as_integer_ratio() for v in x], []
-        for v, row in zip(y, zip(*columns)):
-            num, den = (v / scale).as_integer_ratio()
-            for (nx, dx), (na, da) in zip(ratios, map(float.as_integer_ratio, row)):
-                if dx * da > den:
-                    num, den = num * (dx * da // den), dx * da
-                num -= nx * na * (den // (dx * da))
-            residual.append(num / den)
-        dx, norm = least_squares(columns, residual, refine=False)
-        x = [a + b for a, b in zip(x, dx)]
-    return [v * scale for v in x], norm * scale
+        x[k] = (det * m[k][n] - sum(map(mul, m[k][k + 1:n], x[k + 1:]))) // m[k][k]
+    return det, x
+
+
+def least_squares(columns, y) -> tuple[list[float], float]:
+    """y's least-squares coefficients on the columns and the residual's 2-norm,
+    exact arithmetic's answers rounded once. Each float is an integer over a
+    power of two, so over the largest such power the normal equations are in
+    integers and solve exactly: no BLAS, SIMD kernel or order of sums moves a bit."""
+    flat, k = _integers([v for col in (*columns, y) for v in col])
+    n, rows = len(columns), len(y)
+    a = [flat[i:i + rows] for i in range(0, len(flat), rows)]
+    m = [[sum(map(mul, u, v)) for v in a] for u in a[:n]]
+    aty = [row[n] for row in m]
+    det, x = _solve_normal(m)
+    sse, scale = sum(map(mul, a[n], a[n])) * det - sum(map(mul, aty, x)), det << 2 * k
+    e = (sse.bit_length() - scale.bit_length()) // 4  # the squared norm sse/scale is near 16**e
+    root = math.sqrt((sse << max(-4 * e, 0)) / (scale << max(4 * e, 0)))
+    return [_quotient(v, det) for v in x], root * 2.0**e * 2.0**e
 
 
 def fit_rate_model(p1: ProbePoint, p2: ProbePoint) -> RateModel:
@@ -342,19 +357,19 @@ def fit_rate_model_lstsq(probes: Sequence[ProbeRecord | ProbePoint]) -> RateMode
     return RateModel(gamma_g, theta_g, gamma_c, theta_c)
 
 
-def _plane_columns(probes) -> list[tuple[float, ...]]:
-    """The probes' columns q_g, q_c and 1; collinear step pairs cannot identify a plane."""
-    rows = [(s.q_g, s.q_c, 1.0) for s in (p.qp.steps() for p in probes)]
-    if np.linalg.cond(rows) > 1e12:
+def _plane_rows(probes) -> np.ndarray:
+    """The probes' rows [q_g, q_c, 1]; collinear step pairs cannot identify a plane."""
+    mat = np.array([(s.q_g, s.q_c, 1.0) for s in (p.qp.steps() for p in probes)])
+    if np.linalg.cond(mat) > 1e12:
         raise ValidationError("probe step pairs are collinear; "
                               "distortion plane unidentifiable")
-    return list(zip(*rows))
+    return mat
 
 
 def fit_distortion_model(p1: ProbePoint, p2: ProbePoint, p3: ProbePoint,
                          omega: float) -> DistortionModel:
     """Exact affine fit D = a*Qg + b*Qc + c through three probes."""
-    (a, b, c), _ = least_squares(_plane_columns((p1, p2, p3)), [p1.d, p2.d, p3.d])
+    (a, b, c), _ = least_squares(_plane_rows((p1, p2, p3)).T.tolist(), [p1.d, p2.d, p3.d])
     return DistortionModel(a, b, c, omega)
 
 
@@ -381,7 +396,7 @@ def fit_distortion_model_lstsq(probes: Sequence[ProbeRecord],
     """Least squares over 3+ probes, d_g in Q_g and d_c in (Q_g, Q_c), slopes floored at 0."""
     if len(probes) < 3:
         raise ValidationError("need at least three probes")
-    columns = _plane_columns(probes)
+    columns = _plane_rows(probes).T.tolist()
     geometry = _floored_lstsq(columns[0::2], [p.d_g for p in probes],
                               ["geometry distortion slope a_g"])
     color = _floored_lstsq(columns, [p.d_c for p in probes],

@@ -84,16 +84,15 @@ MUTANTS = (
     Mutant("SCC capped at 1", "evaluate.py", "scc = min(r * r, 1.0)", "scc = r * r",
            ("test_metrics.py",)),
     Mutant("BD cubic's mean", "evaluate.py",
-           "means.append(c0 + c2 / 3.0)", "means.append(c0 + c2 / 2.0)", ("test_evaluate.py",)),
-    Mutant("one Gram-Schmidt projection skipped", "models.py",
-           "for j in range(k + 1, n + 1):", "for j in range(k + 2, n + 1):",
-           ("test_models.py",)),
-    Mutant("least squares unscaled", "models.py",
-           "scale = 2.0 ** min(math.frexp(max(map(abs, y)))[1], 1023)", "scale = 1.0",
-           ("test_models.py",)),
-    Mutant("dependent columns unrefused", "models.py", "if norm2 == 0.0:", "if False:",
+           "3 * c[0] + c[2] * (hi - lo) ** 2, 3 * det << j",
+           "2 * c[0] + c[2] * (hi - lo) ** 2, 2 * det << j", ("test_evaluate.py",)),
+    Mutant("BD too few distinct rates", "evaluate.py", "if len(set(logs)) < 4:", "if False:",
            ("test_evaluate.py",)),
-    Mutant("exact refinement skipped", "models.py", "if refine:", "if False:",
+    Mutant("one elimination step skipped", "models.py",
+           "for row in m[k + 1:]:", "for row in m[k + 2:]:", ("test_models.py",)),
+    Mutant("singular pivot unrefused", "models.py", "if top[k] == 0:", "if False:",
+           ("test_models.py",)),
+    Mutant("residual norm misscaled", "models.py", "det << 2 * k", "det << k",
            ("test_models.py",)),
 )
 

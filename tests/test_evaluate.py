@@ -124,7 +124,7 @@ class TestBdPsnr:
                    for i, row in enumerate(rows)) / (hi - lo)
 
     # clustered rates make the cubics ill-conditioned; numpy's form is then
-    # off by up to ~2e-5 dB on these curves
+    # off by up to ~2e-5 dB on these curves, the exact fit by nothing
     def test_matches_rational_arithmetic(self, rng):
         for n_points in (4, 5, 8):
             for _ in range(20):
@@ -137,14 +137,27 @@ class TestBdPsnr:
                     continue
                 (la, lb), (qa, qb) = logs, ([q for _, q in c] for c in curves)
                 want = self.exact_mean(lb, qb, lo, hi) - self.exact_mean(la, qa, lo, hi)
-                assert bd_psnr(*curves) == pytest.approx(float(want), abs=1e-7)
+                assert bd_psnr(*curves) == float(want)
 
-    # log10 rounds the rates one ulp apart to one value, so no cubic is unique
-    def test_rates_equal_in_log10_are_refused(self):
-        ulp = [math.nextafter(r, math.inf) for r in (1e10, 1e11)]
-        a = [(1e10, 30.0), (ulp[0], 31.0), (1e11, 32.0), (ulp[1], 33.0)]
+    # the cubic's coefficients pass the float max; the exact gap does not
+    def test_psnrs_near_the_float_max_give_the_exact_gap(self):
+        line = [(1.0, 30.0), (2.0, 31.0), (3.0, 32.0), (4.0, 33.0)]
+        wild = [(1.0, 1e308), (2.0, -1e308), (3.0, 1e308), (4.0, 1.7e308)]
+        logs = [math.log10(r) for r, _ in line]
+        lo, hi = Fraction(logs[0]), Fraction(logs[-1])
+        want = (self.exact_mean(logs, [q for _, q in wild], lo, hi)
+                - self.exact_mean(logs, [q for _, q in line], lo, hi))
+        assert bd_psnr(line, wild) == float(want)
+
+    # log10 rounds rates one ulp apart to one value, leaving 2 or 3 distinct
+    # abscissae, too few for a unique cubic
+    @pytest.mark.parametrize("rates", [[1e10, "ulp", 1e11, "ulp"], [1e10, "ulp", 2e10, 1e11]])
+    def test_rates_equal_in_log10_are_refused(self, rates):
+        rates = [math.nextafter(rates[i - 1], math.inf) if r == "ulp" else r
+                 for i, r in enumerate(rates)]
+        a = [(r, 30.0 + i) for i, r in enumerate(rates)]
         b = synthetic_curve([1e10, 2e10, 5e10, 1e11], lambda r: 20 + np.log10(r))
-        with pytest.raises(ValidationError, match="linearly dependent"):
+        with pytest.raises(ValidationError, match="curve_a needs 4 distinct log10 rates"):
             bd_psnr(a, b)
 
     def test_too_few_points(self):
