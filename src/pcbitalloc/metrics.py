@@ -10,10 +10,11 @@ the two. One directed error is the mean of the squared distances that
 is exact: it minimizes the integer squared distance, and ties go to the
 smallest point index.
 
-``NnIndex`` gets there without a per-point loop. One Morton (z-order)
-key per point, its three 21-bit coordinates interleaved into 63 bits,
-groups every batch of points the same way: sorted by it, equal keys are
-equal positions and form one run. At build time each run becomes a site
+``NnIndex`` gets there without a per-point loop. Coordinates must lie
+in [0, 2^21); others are refused. One Morton (z-order) key per point,
+its three 21-bit coordinates interleaved into 63 bits, groups every
+batch of points the same way: sorted by it, equal keys are equal
+positions and form one run. At build time each run becomes a site
 that keeps the smallest original index, and the sites are stored once,
 in key order, as the float64 array the kd-tree is built on; each input
 row records its site in an int32 map. A query batch is grouped the same
@@ -25,14 +26,16 @@ cloud. An index passed as the query brings its sites and row records
 along, so ``symmetric_distortion`` keys and sorts no cloud twice.
 
 One loop finds the answers. Each round asks the tree for k candidate
-sites per query, k = 2 at first, and re-ranks them by exact squared
-distance, computed from the float64 sites: below 2^25 per axis float64
-holds every squared distance exactly. The smallest original index among
-the candidates at the best distance wins. The tree ranks exactly, so
-tied sites come first, and only a query whose last candidate ties its
-best can have more tied sites than were returned. Those queries alone
-go round again with twice as many candidates, within a bound just past
-the largest of their best distances, until the count covers every site.
+sites per query, k = 2 at first, with their distances, and ranks them by
+those distances alone. Below 2^21 per axis a squared distance D is below
+2^44: the tree sums it exactly in float64 and returns the correctly
+rounded sqrt(D), so sites at distinct D come back at distinct distances,
+tied sites at one, and rint(d * d) gives D back. The smallest original
+index among the candidates at the best distance wins. Tied sites come
+first, and only a query whose last candidate ties its best can have
+more tied sites than were returned. Those queries alone go round again
+with twice as many candidates, within a bound just past the largest of
+their best distances, until the count covers every site.
 
 The first round is bounded too. The nearest sites of a sample, every
 64th distinct query point in key order, set its bound just past the
@@ -41,11 +44,8 @@ second candidate that cannot matter. A query whose first candidate
 comes back missing has no site within the bound and is asked again, in
 the same round, without one. The results stay exact: tied sites share
 one float distance, so they are inside the bound together or outside it
-together, and a query whose best is found but whose second candidate is
-missing has no tie, so only found second candidates are ranked.
-
-Coordinates of 2^21 or more do not fit the key; there the rows are
-ordered lexicographically instead, with the same results.
+together, and a missing candidate comes back at distance inf, which
+ties nothing.
 
 ``symmetric_distortion`` runs in two phases, each split over two
 threads, one worker and the caller: first the two indexes are built,
@@ -97,34 +97,24 @@ _CHUNK = 1 << 16
 # Site maps are int32: an index or a query takes fewer than 2^31 rows.
 _ROW_LIMIT = 1 << 31
 _NO_INDEX = np.iinfo(np.int32).max
-# Below 2^25 per axis a squared distance stays below 3 * 2^50, exact in
-# float64, so the kd-tree's float ranking and the float64 re-rank are exact
-# and int64 cannot overflow.
-_EXACT_LIMIT = 1 << 25
-# A Morton key interleaves 21 bits per axis into 63 bits of an int64.
-_MORTON_LIMIT = 1 << 21
+# Below 2^21 per axis a Morton key interleaves the three coordinates into
+# 63 bits of an int64, and a squared distance D stays below 2^44: the kd-tree
+# sums D exactly in float64 and returns the correctly rounded sqrt(D), so
+# distinct D get distinct distances, tied sites equal ones, and rint(d * d) is D.
+_COORD_LIMIT = 1 << 21
 # Shift-and-mask steps that spread 21 bits to every third bit position.
 _SPREAD = ((32, 0x1F00000000FFFF), (16, 0x1F0000FF0000FF),
            (8, 0x100F00F00F00F00F), (4, 0x10C30C30C30C30C3),
            (2, 0x1249249249249249))
 
 
-def _check_exact_range(points: np.ndarray) -> None:
-    if points.size and (points.min() < 0 or points.max() >= _EXACT_LIMIT):
-        raise ValidationError(
-            "exact nearest neighbors need coordinates in [0, 2^25)")
-
-
 def _past(distance):
-    """A kd bound just past a distance, inflated past sqrt rounding; the
-    exact tests follow in ints."""
+    """A kd bound just past a distance, inflated past sqrt rounding."""
     return distance * (1.0 + 1e-9) + 1e-9
 
 
-def _morton_key(points: np.ndarray) -> np.ndarray | None:
-    """The z-order key of each row, or None if a coordinate needs more than 21 bits."""
-    if points.max(initial=0) >= _MORTON_LIMIT:
-        return None
+def _morton_key(points: np.ndarray) -> np.ndarray:
+    """The z-order key of each row of coordinates in [0, 2^21)."""
     key = np.zeros(len(points), dtype=np.int64)
     for axis in range(3):
         bits = points[:, axis].copy()
@@ -138,23 +128,20 @@ def _morton_key(points: np.ndarray) -> np.ndarray | None:
 def _distinct(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group equal rows: (first, row_site), both int32.
 
-    The rows are sorted by Morton key, or lexicographically when a
-    coordinate needs more than 21 bits, so equal rows form adjacent runs;
+    The rows are sorted by Morton key, so equal rows form adjacent runs;
     ``first`` is the smallest input row of each run, in sorted order, and
-    ``row_site`` the run of each input row.
+    ``row_site`` the run of each input row. Coordinates outside
+    [0, 2^21) are refused.
     """
     if len(points) >= _ROW_LIMIT:
         raise ValidationError("exact nearest neighbors take fewer than 2^31 points")
+    if points.size and (points.min() < 0 or points.max() >= _COORD_LIMIT):
+        raise ValidationError("exact nearest neighbors need coordinates in [0, 2^21)")
     key = _morton_key(points)
+    order = np.argsort(key)
+    ordered = key[order]
     new_site = np.ones(len(points), dtype=bool)
-    if key is None:
-        order = np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
-        ordered = points[order]
-        new_site[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    else:
-        order = np.argsort(key)
-        ordered = key[order]
-        new_site[1:] = ordered[1:] != ordered[:-1]
+    new_site[1:] = ordered[1:] != ordered[:-1]
     row_site = np.empty(len(points), dtype=np.int32)
     row_site[order] = np.cumsum(new_site, dtype=np.int32) - 1
     # the sort need not be stable: take each run's smallest input row
@@ -168,19 +155,18 @@ class NnIndex:
     Duplicate positions are merged at build time into one site that
     carries the smallest original index, so every tie left at query time
     is between distinct sites; ``len`` of an index is its site count.
-    Sites are kept once, in Morton order (in lexicographic order when a
-    coordinate reaches 2^21), as the float64 array the kd-tree is built
-    on; ``_row_site`` maps each input row to its site and
+    Sites are kept once, in Morton order, as the float64 array the
+    kd-tree is built on; ``_row_site`` maps each input row to its site and
     ``_site_index`` each site to its smallest original index, both as
     int32, so an index takes fewer than 2^31 points. A query is grouped
     the same way: each distinct query point is answered once, in that
     order and in chunks of at most ``_CHUNK`` points, and the answers are
     gathered back to rows. Another index can be the query, which
     supplies its sites and row map as they are. Coordinates of sites and
-    queries must lie in [0, 2^25), where float64 holds every squared
-    distance exactly. The first kd round is bounded by a radius taken
-    from a sample of the queries; a query with no site inside it is asked
-    again without a bound.
+    queries must lie in [0, 2^21), where the tree's float distances rank
+    candidates exactly and give back each squared distance. The first kd
+    round is bounded by a radius taken from a sample of the queries; a
+    query with no site inside it is asked again without a bound.
     """
 
     def __init__(self, cloud: PointCloud):
@@ -189,7 +175,6 @@ class NnIndex:
         pts = cloud.positions
         self._site_index, self._row_site = _distinct(pts)
         self._sites = pts[self._site_index].astype(np.float64)
-        _check_exact_range(self._sites)
         # imported here, not at module level, so only the metric path pays for scipy
         from scipy.spatial import cKDTree
 
@@ -217,7 +202,6 @@ class NnIndex:
             q = np.atleast_2d(as_integers(queries, np.int64, "queries"))
             if q.ndim != 2 or q.shape[1] != 3:
                 raise ValidationError(f"queries must have shape (n, 3), got {q.shape}")
-            _check_exact_range(q)
             first, row_site = _distinct(q)
             q = q[first].astype(np.float64)
         # the first round's bound: the farthest nearest site of a sample
@@ -231,12 +215,6 @@ class NnIndex:
             nearest[chunk], best[chunk] = self._nearest(q[chunk], bound)
         return nearest[row_site], best[row_site]
 
-    def _squared_distances(self, sites: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Exact int64 squared distances from the query rows q to the given sites."""
-        diff = self._sites[sites]
-        diff -= q
-        return np.einsum("...k,...k->...", diff, diff).astype(np.int64)
-
     def _nearest(self, q: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
         """(nearest index, squared distance) of each distinct point of one chunk.
 
@@ -245,34 +223,34 @@ class NnIndex:
         """
         n_sites = len(self._sites)
         k = min(_CANDIDATES, n_sites)
-        _, cand = self._tree.query(q, k=k, distance_upper_bound=bound)
-        # candidate j of every row is row j here
-        cand = cand.reshape(-1, k).T
+        dist, cand = self._candidates(q, k, bound)
         # rows whose nearest site lies beyond the bound: unbounded
         far = np.flatnonzero(cand[0] == n_sites)
         if len(far):
-            cand[:, far] = self._tree.query(q[far], k=k)[1].reshape(-1, k).T
-        # every row has its best candidate now, and it comes first; the last
-        # is ranked only where the tree found one (a missing one is n_sites)
-        best = self._squared_distances(cand[0], q)
+            dist[:, far], cand[:, far] = self._candidates(q[far], k, np.inf)
+        # every row has its best candidate now, and it comes first; a missing
+        # last candidate is at distance inf and ties nothing
+        best = dist[0]
         nearest = self._site_index[cand[0]]
-        last = np.flatnonzero(cand[-1] < n_sites)
-        rows = last[self._squared_distances(cand[-1, last], q[last]) == best[last]]
+        rows = np.flatnonzero(dist[-1] == best)
         nearest[rows] = np.minimum(nearest[rows], self._site_index[cand[-1, rows]])
         # rows whose last candidate ties their best go round again
         while len(rows) and k < n_sites:
-            bound = _past(np.sqrt(best[rows].max()))
             k = min(2 * k, n_sites)
-            _, cand = self._tree.query(q[rows], k=k, distance_upper_bound=bound)
-            cand = cand.reshape(-1, k).T
-            found = cand < n_sites
-            cand[~found] = 0
-            tied = found & (self._squared_distances(cand, q[rows]) == best[rows])
-            index = self._site_index[cand]
+            dist, cand = self._candidates(q[rows], k, _past(best[rows].max()))
+            tied = dist == best[rows]
+            index = self._site_index[np.where(tied, cand, 0)]
             index[~tied] = _NO_INDEX
             nearest[rows] = index.min(axis=0)
             rows = rows[tied[-1]]
-        return nearest, best
+        return nearest, np.rint(best * best).astype(np.int64)
+
+    def _candidates(self, q: np.ndarray, k: int, bound: float) -> tuple[np.ndarray, np.ndarray]:
+        """The tree's k nearest sites of each row within bound, as (distances,
+        sites) with candidate j of every row in row j; a missing one is
+        (inf, the site count)."""
+        dist, cand = self._tree.query(q, k=k, distance_upper_bound=bound)
+        return dist.reshape(-1, k).T, cand.reshape(-1, k).T
 
 
 def build_index(cloud: PointCloud) -> NnIndex:

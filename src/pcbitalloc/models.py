@@ -391,17 +391,22 @@ def _floored_lstsq(columns, y, slopes: Sequence[str]) -> list[float]:
     return best
 
 
-def fit_distortion_model_lstsq(probes: Sequence[ProbeRecord],
-                               omega: float) -> DistortionModel:
-    """Least squares over 3+ probes, d_g in Q_g and d_c in (Q_g, Q_c), slopes floored at 0."""
+def fit_distortion_streams(probes: Sequence[ProbeRecord]) -> tuple[list[float], list[float]]:
+    """Least squares over 3+ probes, slopes floored at 0: (a_g, c_g) of d_g in Q_g
+    and (a_gc, a_cc, c_c) of d_c in (Q_g, Q_c), for ``weighted_distortion_model``."""
     if len(probes) < 3:
         raise ValidationError("need at least three probes")
     columns = _plane_rows(probes).T.tolist()
-    geometry = _floored_lstsq(columns[0::2], [p.d_g for p in probes],
-                              ["geometry distortion slope a_g"])
-    color = _floored_lstsq(columns, [p.d_c for p in probes],
-                           ["color distortion slope a_gc", "color distortion slope a_cc"])
-    return weighted_distortion_model(omega, geometry, color)
+    return (_floored_lstsq(columns[0::2], [p.d_g for p in probes],
+                           ["geometry distortion slope a_g"]),
+            _floored_lstsq(columns, [p.d_c for p in probes],
+                           ["color distortion slope a_gc", "color distortion slope a_cc"]))
+
+
+def fit_distortion_model_lstsq(probes: Sequence[ProbeRecord],
+                               omega: float) -> DistortionModel:
+    """The omega-weighted model of ``fit_distortion_streams``."""
+    return weighted_distortion_model(omega, *fit_distortion_streams(probes))
 
 
 def model_to_dict(dm: DistortionModel, rm: RateModel) -> dict:

@@ -33,10 +33,10 @@ the config can build has no cell to refuse. The probes are encoded, as
 probe log rows; everything else reads the array. The exhaustive sweep is
 the whole grid: each omega gets one ``GridTable`` built from its slices
 and each budget one ``exhaustive_search`` over it. Every row's ``actual``
-and ``esa`` read their pair's cell. The rate model does not depend on
-omega, so it is fitted once per run and its grid tabulated once for every
-omega and target; each omega's distortion model tabulates its grid once,
-for all of that omega's targets.
+and ``esa`` read their pair's cell. The fits do not depend on omega, so
+each is run once per run: the rate model's grid is tabulated once for every
+omega and target, and each omega weights the two distortion streams into a
+model that tabulates its grid once, for all of that omega's targets.
 """
 
 from __future__ import annotations
@@ -64,11 +64,13 @@ from .models import (
     # the exact fits are unused here; perfbench/spans.py looks all four up by name
     fit_distortion_model,
     fit_distortion_model_lstsq,
+    fit_distortion_streams,
     fit_rate_model,
     fit_rate_model_lstsq,
     model_to_dict,
     read_probe_log,
     weighted,
+    weighted_distortion_model,
 )
 from .simcodec import (
     # encode is unused here; perfbench/spans.py looks it up by name
@@ -85,7 +87,7 @@ _CONFIG_KEYS = frozenset({"codec", "probe_log", "targets", "omegas", "run_exhaus
 def fit_models(records, omega):
     """Distortion and rate models for one omega, each stream fitted on its own
     by least squares over every probe, distortion slopes floored at 0.
-    ``run_pipeline`` calls the two fits itself, the rate fit once per run.
+    ``run_pipeline`` calls the two fits itself, each once per run.
     Both fit the rate model first, so ``fit`` and ``simulate`` report the
     same error for a log that both fits refuse."""
     rm = fit_rate_model_lstsq(records)
@@ -98,7 +100,7 @@ def _newton_cap(solver) -> int:
         raise ValidationError(f"config 'solver' must be an object, got {_shown(solver)}")
     unknown = set(solver) - {"max_newton_iters"}
     if unknown:
-        raise ValidationError(f"unknown solver keys: {sorted(unknown)}")
+        raise ValidationError(f"unknown solver keys: {sorted(unknown, key=repr)}")
     return check_newton_cap(solver.get("max_newton_iters", MAX_NEWTON_ITERS))
 
 
@@ -209,10 +211,11 @@ def run_pipeline(config: dict) -> dict:
     models_out = {}
     allocations = []
     curves = {}
-    # the rate fit reads no omega: one model, and one tabulated grid, per run
+    # the fits read no omega: each runs once per run, the streams weighted per omega
     rm = fit_rate_model_lstsq(records)
+    streams = fit_distortion_streams(records)
     for omega in omegas:
-        dm = fit_distortion_model_lstsq(records, omega)
+        dm = weighted_distortion_model(omega, *streams)
         models_out[str(omega)] = model_to_dict(dm, rm)
         if run_esa:
             table = GridTable(esa_rate_grid, weighted(omega, grid[..., 2], grid[..., 3]))

@@ -59,6 +59,12 @@ MUTANTS = (
            "nearest[rows] = np.minimum(nearest[rows], self._site_index[cand[-1, rows]])",
            "nearest[rows] = np.maximum(nearest[rows], self._site_index[cand[-1, rows]])",
            ("test_metrics.py",)),
+    Mutant("coordinate limit's boundary", "metrics.py",
+           "points.max() >= _COORD_LIMIT", "points.max() > _COORD_LIMIT",
+           ("test_metrics.py",)),
+    Mutant("squared distance rounded back", "metrics.py",
+           "np.rint(best * best).astype(np.int64)", "(best * best).astype(np.int64)",
+           ("test_metrics.py",)),
     Mutant("_distinct's smallest row", "metrics.py",
            "first = np.minimum.reduceat(order, np.flatnonzero(new_site))",
            "first = np.maximum.reduceat(order, np.flatnonzero(new_site))",

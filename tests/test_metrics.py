@@ -19,7 +19,6 @@ from pcbitalloc.metrics import (
     _directed_errors,
     _distinct,
     _exact_mean,
-    _morton_key,
     build_index,
     symmetric_distortion,
 )
@@ -50,15 +49,16 @@ class TestNnIndex:
         assert d2.tolist() == [0]
 
     def test_coordinates_beyond_exact_range_rejected(self):
-        # at 2^31 - 1 per axis the squared distance overflows int64
-        hi = 2**31 - 1
+        # 2^21 is one past the Morton key's 21 bits; at 2^31 - 1 per axis the
+        # squared distance would overflow int64
         near = PointCloud([[0, 0, 0]], [[0, 0, 0]], 31)
-        far = PointCloud([[hi, hi, hi]], [[0, 0, 0]], 31)
-        with pytest.raises(ValidationError, match="2\\^25"):
-            build_index(far)
-        with pytest.raises(ValidationError, match="2\\^25"):
-            build_index(near).query(far.positions)
-        with pytest.raises(ValidationError, match="2\\^25"):
+        for hi in (2**21, 2**31 - 1):
+            far = PointCloud([[0, 0, 0], [0, hi, 0]], np.zeros((2, 3)), 31)
+            with pytest.raises(ValidationError, match="\\[0, 2\\^21\\)"):
+                build_index(far)
+            with pytest.raises(ValidationError, match="\\[0, 2\\^21\\)"):
+                build_index(near).query(far.positions)
+        with pytest.raises(ValidationError, match="\\[0, 2\\^21\\)"):
             build_index(near).query([[-1, 0, 0]])
 
     @pytest.mark.parametrize("queries, message", [
@@ -199,21 +199,18 @@ class TestNnIndex:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.integers(1, 400),
-           st.integers(16, 2**12), st.sampled_from([0, 2**21]))
+           st.integers(16, 2**12))
     def test_shifted_subset_with_duplicates_matches_linear_scan(
-            self, seed, n_sites, n_queries, shift, origin):
-        # a shifted subset of the queries lies beyond the sampled bound;
-        # origin 2^21 moves the cloud off the Morton key onto the lexsort path
+            self, seed, n_sites, n_queries, shift):
+        # a shifted subset of the queries lies beyond the sampled bound
         r = np.random.default_rng(seed)
         pos = r.integers(0, 16, (n_sites, 3))
         pos[r.random(n_sites) < 0.1] += shift
-        pos = np.vstack([pos, pos[r.integers(0, n_sites, n_sites // 3)]]) + origin
+        pos = np.vstack([pos, pos[r.integers(0, n_sites, n_sites // 3)]])
         queries = r.integers(0, 16, (n_queries, 3))
         queries[r.random(n_queries) < 0.05] += r.integers(0, shift, 3)
         queries = np.vstack([queries, queries[r.integers(0, n_queries, n_queries // 2)]])
-        queries += origin
-        cloud = PointCloud(pos, np.zeros((len(pos), 3)), 23)
-        assert (_morton_key(pos) is None) == (origin > 0)
+        cloud = PointCloud(pos, np.zeros((len(pos), 3)), 13)
         idx, d2 = build_index(cloud).query(queries)
         want_idx, want_d2 = brute_force_nn(pos, queries)
         assert (idx == want_idx).all() and (d2 == want_d2).all()
@@ -259,33 +256,65 @@ class TestNnIndex:
            st.lists(st.tuples(*[st.integers(0, 7)] * 3), min_size=1, max_size=50),
            st.lists(st.tuples(*[st.integers(-2, 9)] * 3), min_size=1, max_size=30),
            st.data())
-    def test_morton_and_lexicographic_orders_agree(self, origin, sites, queries, data):
-        # clustered sites hold duplicates and equidistant ties; shifting the
-        # cloud by 2^21 moves it off the 63-bit Morton key onto the lexsort path
+    def test_clusters_below_2_21_match_and_beyond_are_refused(
+            self, origin, sites, queries, data):
+        # clustered sites hold duplicates and equidistant ties anywhere below
+        # 2^21; shifting the cloud or its queries by 2^21 leaves the Morton key
         pos = np.array(origin) + np.array(sites)
         q = np.clip(np.array(origin) + np.array(queries), 0, 2**21 - 1)
-        assert _morton_key(pos) is not None and _morton_key(pos + 2**21) is None
         colors = np.zeros((len(pos), 3))
-        idx, d2 = build_index(PointCloud(pos, colors, 21)).query(q)
-        lex_idx, lex_d2 = build_index(PointCloud(pos + 2**21, colors, 22)).query(q + 2**21)
+        index = build_index(PointCloud(pos, colors, 21))
+        idx, d2 = index.query(q)
         want_idx, want_d2 = brute_force_nn(pos, q)
-        assert (idx == want_idx).all() and (lex_idx == want_idx).all()
-        assert (d2 == want_d2).all() and (lex_d2 == want_d2).all()
+        assert (idx == want_idx).all() and (d2 == want_d2).all()
+        with pytest.raises(ValidationError, match="2\\^21"):
+            build_index(PointCloud(pos + 2**21, colors, 22))
+        with pytest.raises(ValidationError, match="2\\^21"):
+            index.query(q + 2**21)
         perm = np.array(data.draw(st.permutations(range(len(q)))))
-        perm_idx, perm_d2 = build_index(PointCloud(pos, colors, 21)).query(q[perm])
+        perm_idx, perm_d2 = index.query(q[perm])
         assert (perm_idx == idx[perm]).all() and (perm_d2 == d2[perm]).all()
 
     @pytest.mark.parametrize("top", [2**21 - 1, 2**21])
     def test_coordinates_at_morton_key_limit(self, rng, top):
-        # queries reach past top, so one side can take the Morton key and the other not
+        # the largest coordinate the key holds is answered exactly; one past it is refused
         pos = rng.integers(top - 3, top + 1, (40, 3))
         pos[0] = top
-        queries = rng.integers(top - 5, top + 3, (80, 3))
-        assert (_morton_key(pos) is None) == (top >= 2**21)
-        idx, d2 = build_index(PointCloud(pos, np.zeros((40, 3)), 22)).query(queries)
+        queries = np.minimum(rng.integers(top - 5, top + 3, (80, 3)), 2**21 - 1)
+        cloud = PointCloud(pos, np.zeros((40, 3)), 22)
+        if top >= 2**21:
+            with pytest.raises(ValidationError, match="2\\^21"):
+                build_index(cloud)
+            return
+        idx, d2 = build_index(cloud).query(queries)
         want_idx, want_d2 = brute_force_nn(pos, queries)
         assert (idx == want_idx).all()
         assert (d2 == want_d2).all()
+
+    def test_kd_distances_are_exact_square_roots_below_2_21(self, rng):
+        # the premise of ranking on the tree's own distances: for integer
+        # coordinates below 2^21 it returns the correctly rounded sqrt of
+        # the exact squared distance D, in the order of D, so equal
+        # distances are equal D and rint(d * d) is D; every site is a
+        # candidate of every query, from 0 up to the largest D
+        from scipy.spatial import cKDTree
+
+        top = 2**21 - 1
+        corners = [[0, 0, 0], [top, top, top]]
+        sites = np.vstack([top - rng.integers(0, 16, (250, 3)),
+                           rng.integers(0, top + 1, (48, 3)), corners])
+        queries = np.vstack([top - rng.integers(0, 16, (250, 3)),
+                             rng.integers(0, top + 1, (48, 3)), corners])
+        dist, cand = cKDTree(sites.astype(np.float64)).query(queries.astype(np.float64),
+                                                            k=len(sites))
+        diff = sites[cand] - queries[:, None, :]
+        exact = (diff * diff).sum(axis=2)
+        assert exact.max() == 3 * top**2
+        assert (dist == np.sqrt(exact)).all()
+        assert (np.rint(dist * dist).astype(np.int64) == exact).all()
+        assert (exact[:, 1:] >= exact[:, :-1]).all()
+        assert ((dist[:, 1:] == dist[:, :-1]) == (exact[:, 1:] == exact[:, :-1])).all()
+        assert (exact[:, 1:] == exact[:, :-1]).sum() > 1000
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 7]),
@@ -346,11 +375,12 @@ class TestNnIndex:
 
 
 class TestExactMean:
-    # bit depth 25: one squared distance can reach 3 * (2^25 - 1)^2, about 3 * 2^50,
-    # so 2730 of them still fit in int64 and 2731 do not
-    D2_MAX = 3 * (2**25 - 1) ** 2
+    # below 2^21 per axis one squared distance can reach 3 * (2^21 - 1)^2,
+    # about 3 * 2^42, so 699051 of them still fit in int64 and 699052 do not
+    D2_MAX = 3 * (2**21 - 1) ** 2
+    FITS = 699051
 
-    @pytest.mark.parametrize("n", [1, 2730, 2731, 5000])
+    @pytest.mark.parametrize("n", [1, FITS, FITS + 1, 750000])
     def test_matches_python_int_sum(self, rng, n):
         values = self.D2_MAX - rng.integers(0, 1000, n)
         values[0] = self.D2_MAX
@@ -358,16 +388,17 @@ class TestExactMean:
         assert _exact_mean(values, denom) == sum(int(v) for v in values) / denom
 
     def test_int64_sum_would_wrap(self):
-        values = np.full(2731, self.D2_MAX, dtype=np.int64)
-        exact = 2731 * self.D2_MAX
-        assert exact >= 2**63
-        assert _exact_mean(values, 2731) == exact / 2731
+        n = self.FITS + 1
+        values = np.full(n, self.D2_MAX, dtype=np.int64)
+        exact = n * self.D2_MAX
+        assert exact >= 2**63 > self.FITS * self.D2_MAX
+        assert _exact_mean(values, n) == exact / n
         assert int(values.sum()) != exact
 
-    def test_bit_depth_25_directed_error(self):
-        far = 2**25 - 1
-        a = PointCloud([[0, 0, 0]], [[0, 0, 0]], 25)
-        b = PointCloud(np.full((3000, 3), far), np.zeros((3000, 3)), 25)
+    def test_bit_depth_21_directed_error(self):
+        far, n = 2**21 - 1, self.FITS + 1
+        a = PointCloud([[0, 0, 0]], [[0, 0, 0]], 21)
+        b = PointCloud(np.full((n, 3), far), np.zeros((n, 3)), 21)
         assert directed_geometry_mse(b, a) == self.D2_MAX
 
 
@@ -512,12 +543,12 @@ class TestConcurrentDirections:
     def test_out_of_range_coordinate_raises_and_leaves_no_thread(
             self, tmp_path, capsys, far_ref, far_rec):
         threads = threading.active_count()
-        near = PointCloud([[0, 0, 0], [5, 5, 5]], [[0, 0, 0], [9, 9, 9]], 26)
-        far = PointCloud([[0, 0, 0], [1 << 25, 0, 0]], [[0, 0, 0], [9, 9, 9]], 26)
+        near = PointCloud([[0, 0, 0], [5, 5, 5]], [[0, 0, 0], [9, 9, 9]], 22)
+        far = PointCloud([[0, 0, 0], [1 << 21, 0, 0]], [[0, 0, 0], [9, 9, 9]], 22)
         assert symmetric_distortion(near, near).d_g == 0.0
         assert threading.active_count() == threads
         ref, rec = far if far_ref else near, far if far_rec else near
-        with pytest.raises(ValidationError, match="2\\^25"):
+        with pytest.raises(ValidationError, match="2\\^21"):
             symmetric_distortion(ref, rec)
         assert threading.active_count() == threads
         save_ply(ref, tmp_path / "ref.ply")

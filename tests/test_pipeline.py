@@ -458,6 +458,11 @@ class TestCli:
         with pytest.raises(ValidationError, match=f"'solver' must be an object, got {shown}"):
             run_pipeline(worked_config(solver=solver))
 
+    def test_solver_keys_of_mixed_types_are_refused(self):
+        # a library caller's dict can mix key types that do not sort together
+        with pytest.raises(ValidationError, match=r"unknown solver keys: \['x', 1\]$"):
+            run_pipeline(worked_config(solver={1: 2, "x": 3}))
+
     @pytest.mark.parametrize("path", [5, None], ids=["number", "null"])
     def test_simulate_rejects_non_string_probe_log(self, tmp_path, capsys, path):
         self.assert_simulate_rejects(tmp_path, capsys, {"probe_log": path, "targets": [1000]})
